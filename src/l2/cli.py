@@ -174,16 +174,14 @@ def cmd_vcs(args, config: Config) -> int:
 
 def cmd_infer(args, config: Config) -> int:
     program = _read_program(args.file)
-    candidates = None
+    preds = None
     if args.preds:
         with open(args.preds, "r", encoding="utf-8") as handle:
             preds = [parse_pred(line.strip()) for line in handle if line.strip()]
-        clauses, kappas, _ = infer.gen_horn(program)
-        candidates = {k.id: list(preds) for k in kappas if k.sort == syntax.NUMBER}
-        for k in kappas:
-            candidates.setdefault(k.id, [])
     try:
-        outcome, clauses, kappas, templated = infer.infer_refinements(program, candidates)
+        outcome, clauses, _, templated = infer.infer_refinements(
+            program, preds, config.clause_budget, config.search_depth
+        )
     except ElabError as exc:
         _emit({"status": "elab-error", "message": str(exc)}, config.json,
               f"phase 1 error: {exc}")

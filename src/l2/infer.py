@@ -150,10 +150,12 @@ def template_program(program: Program) -> tuple[Program, list[KappaVar]]:
     return Program(program.type_aliases, main), counter.vars
 
 
-def gen_horn(program: Program) -> tuple[list[HornClause], list[KappaVar], Program]:
+def gen_horn(
+    program: Program, search_depth: int = elaborate.DEFAULT_SEARCH_DEPTH
+) -> tuple[list[HornClause], list[KappaVar], Program]:
     """Run both phases over the templated program, collecting Horn clauses."""
     templated, kappas = template_program(program)
-    result = elaborate.elaborate_program(templated)
+    result = elaborate.elaborate_program(templated, search_depth)
     report = check_refined(RefEnv(), result.target, discharge=False)
     clauses = [
         HornClause(vc.hyps + (vc.antecedent,), vc.consequent, vc.origin) for vc in report.vcs
@@ -370,11 +372,20 @@ def apply_solution(program: Program, solution: Solution) -> Program:
 
 
 def infer_refinements(
-    program: Program, candidates: dict[str, list[Pred]] | None = None
+    program: Program,
+    preds: list[Pred] | None = None,
+    clause_budget: int = 10000,
+    search_depth: int = elaborate.DEFAULT_SEARCH_DEPTH,
 ) -> tuple[Solution | Unsat, list[HornClause], list[KappaVar], Program]:
-    """End-to-end inference over the unrefined program."""
-    clauses, kappas, templated = gen_horn(program)
-    if candidates is None:
+    """End-to-end inference over the unrefined program.
+
+    ``preds``, when given, replaces the default candidates of every numeric
+    kappa; boolean kappas then get none.
+    """
+    clauses, kappas, templated = gen_horn(program, search_depth)
+    if preds is None:
         candidates = {k.id: default_candidates(program, k) for k in kappas}
-    outcome = houdini_solve(clauses, candidates)
+    else:
+        candidates = {k.id: list(preds) if k.sort == NUMBER else [] for k in kappas}
+    outcome = houdini_solve(clauses, candidates, clause_budget)
     return outcome, clauses, kappas, templated

@@ -8,6 +8,14 @@ sound: a reported tautology has no integer counter-model.  Cubes that are
 satisfiable over the rationals but not the integers are conservatively
 reported as invalid.
 
+Discharge does no work it can avoid.  A disequality is split into its two
+strict halves only while the rows without it are still satisfiable, so a
+cube whose bounds already contradict is refuted by one elimination rather
+than one per leaf.  Elimination keeps its rows reduced by their exact gcd
+and holds only the tightest of rows with the same coefficients.  An invalid
+verdict keeps its cube and builds the rendered cube and the counter-model
+only when they are read.
+
 SMT-LIB2 emission is provided so the same conditions can be cross-checked
 with an external solver.
 """
@@ -16,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 
 VALUE_VAR = "v"
@@ -642,9 +651,10 @@ def fm_unsat(literals) -> bool:
     """Decide a conjunction of comparison and boolean literals.
 
     Returns True only when a genuine contradiction is derived, so a True
-    answer means no integer model exists.  Disequalities are split, strict
-    inequalities are tightened over the integers, and the remaining rows go
-    through Fourier-Motzkin elimination.
+    answer means no integer model exists.  Strict inequalities are tightened
+    over the integers, disequalities are split only while the rows without
+    them stay satisfiable, and the rows go through Fourier-Motzkin
+    elimination.
     """
     bools: dict[str, bool] = {}
     rows: list[LinTerm] = []  # each row means: row <= 0
@@ -676,8 +686,13 @@ def fm_unsat(literals) -> bool:
 
 
 def _split_neqs(rows: list[LinTerm], neqs: list[LinTerm]) -> bool:
+    # Fourier-Motzkin decides rational infeasibility exactly, and adding rows
+    # keeps an infeasible system infeasible: once the rows without the
+    # remaining disequalities are contradictory, every split below is too.
+    if _fm_rows_unsat(rows):
+        return True
     if not neqs:
-        return _fm_rows_unsat(rows)
+        return False
     t, rest = neqs[0], neqs[1:]
     # t != 0 over the integers: t <= -1 or -t <= -1
     low = rows + [t + LinTerm.of_const(1)]
@@ -685,42 +700,57 @@ def _split_neqs(rows: list[LinTerm], neqs: list[LinTerm]) -> bool:
     return _split_neqs(low, rest) and _split_neqs(high, rest)
 
 
+def _add_row(table: dict[tuple, int], coeffs: tuple, const: int) -> bool:
+    """Add the row ``coeffs . x + const <= 0`` to ``table``.
+
+    Returns True when the row is a contradictory constant.  The row is
+    divided by the gcd of its coefficients and constant (an exact division,
+    so no integer rounding), and only the tightest constant is kept for each
+    coefficient tuple: both steps keep the rational solutions unchanged.
+    """
+    if not coeffs:
+        return const > 0
+    g = const
+    for _, c in coeffs:
+        g = gcd(g, c)
+    if g > 1:
+        coeffs = tuple((n, c // g) for n, c in coeffs)
+        const //= g
+    prev = table.get(coeffs)
+    if prev is None or const > prev:
+        table[coeffs] = const
+    return False
+
+
 def _fm_rows_unsat(rows: list[LinTerm]) -> bool:
-    rows = list(rows)
-    while True:
-        pending: list[LinTerm] = []
-        names: set[str] = set()
-        for r in rows:
-            if r.is_const():
-                if r.const > 0:
-                    return True
-            else:
-                pending.append(r)
-                names.update(r.names())
-        if not pending:
-            return False
+    table: dict[tuple, int] = {}
+    for r in rows:
+        if _add_row(table, r.coeffs, r.const):
+            return True
+    while table:
+        entries = [(dict(coeffs), coeffs, const) for coeffs, const in table.items()]
+        by_sign: dict[str, tuple[list, list]] = {}  # name -> (positive rows, negative rows)
+        for row in entries:
+            for name, c in row[1]:
+                by_sign.setdefault(name, ([], []))[c < 0].append(row)
         # Eliminate the variable producing the fewest combinations.
-        best, best_cost = None, None
-        for x in sorted(names):
-            pos = sum(1 for r in pending if dict(r.coeffs).get(x, 0) > 0)
-            neg = sum(1 for r in pending if dict(r.coeffs).get(x, 0) < 0)
-            cost = pos * neg
-            if best_cost is None or cost < best_cost:
-                best, best_cost = x, cost
-        x = best
-        pos = [r for r in pending if dict(r.coeffs).get(x, 0) > 0]
-        neg = [r for r in pending if dict(r.coeffs).get(x, 0) < 0]
-        rest = [r for r in pending if dict(r.coeffs).get(x, 0) == 0]
-        if not pos or not neg:
-            # x is unbounded on one side; its rows are always satisfiable.
-            rows = rest
-            continue
-        new_rows = list(rest)
-        for rp, rn in itertools.product(pos, neg):
-            a = dict(rp.coeffs)[x]
-            b = -dict(rn.coeffs)[x]
-            new_rows.append(rp.scale(b) + rn.scale(a))
-        rows = new_rows
+        x = min(sorted(by_sign), key=lambda n: len(by_sign[n][0]) * len(by_sign[n][1]))
+        pos, neg = by_sign[x]
+        new: dict[tuple, int] = {k: v for d, k, v in entries if x not in d}
+        # A variable unbounded on one side leaves its rows always satisfiable,
+        # so they are dropped with no combinations.
+        for cp, _, kp in pos:
+            a = cp[x]
+            for cn, _, kn in neg:
+                b = -cn[x]
+                acc = {n: c * b for n, c in cp.items()}
+                for n, c in cn.items():
+                    acc[n] = acc.get(n, 0) + c * a
+                coeffs = tuple(sorted((n, c) for n, c in acc.items() if c != 0))
+                if _add_row(new, coeffs, kp * b + kn * a):
+                    return True
+        table = new
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -730,13 +760,29 @@ def _fm_rows_unsat(rows: list[LinTerm]) -> bool:
 
 @dataclass(frozen=True)
 class Verdict:
+    """Outcome of ``valid``.  An invalid verdict carries the satisfiable cube
+    of the negated VC; its rendering and a small counter-model are computed
+    from the cube on first read."""
+
     kind: str  # "valid" | "invalid" | "unknown"
-    counter_cube: str | None = None
-    model: dict[str, object] | None = None
+    cube: frozenset | None = None
 
     @property
     def is_valid(self) -> bool:
         return self.kind == "valid"
+
+    @cached_property
+    def counter_cube(self) -> str | None:
+        if self.cube is None:
+            return None
+        rendered = " && ".join(
+            (a.render() if pos else f"!{a.render()}") for a, pos in sorted(self.cube, key=repr)
+        )
+        return rendered or "true"
+
+    @cached_property
+    def model(self) -> dict[str, object] | None:
+        return None if self.cube is None else _cube_model(self.cube)
 
     def render(self) -> str:
         if self.kind == "valid":
@@ -824,10 +870,7 @@ def valid(vc: VC, clause_budget: int = 10000) -> Verdict:
     cubes = dnf_cubes(formula, clause_budget)
     for cube in cubes:
         if not fm_unsat(cube):
-            rendered = " && ".join(
-                (a.render() if pos else f"!{a.render()}") for a, pos in sorted(cube, key=repr)
-            )
-            return Verdict("invalid", rendered or "true", _cube_model(cube))
+            return Verdict("invalid", cube)
     return VALID
 
 

@@ -1,4 +1,6 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -132,6 +134,39 @@ class TestInfer:
         assert payload["solution"]["k1"] == "v != 0"
         assert payload["solution"]["k4"] == "v = 0"
 
+    def test_preds_phase1_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.l2"
+        bad.write_text("(\\x => x) 5\n")
+        preds = tmp_path / "preds.txt"
+        preds.write_text("v = 0\n")
+        code, out, _ = run_cli(["infer", str(bad), "--preds", str(preds)], capsys)
+        assert code == 2
+        assert "phase 1 error" in out
+
+    def test_budgets_reach_inference(self, programs_dir, monkeypatch, capsys):
+        from l2 import elaborate, infer
+
+        seen = {}
+        elaborate_program, houdini_solve = elaborate.elaborate_program, infer.houdini_solve
+
+        def spy_elaborate(program, search_depth=elaborate.DEFAULT_SEARCH_DEPTH):
+            seen["search_depth"] = search_depth
+            return elaborate_program(program, search_depth)
+
+        def spy_houdini(clauses, candidates, clause_budget=10000):
+            seen["clause_budget"] = clause_budget
+            return houdini_solve(clauses, candidates, clause_budget)
+
+        monkeypatch.setattr(elaborate, "elaborate_program", spy_elaborate)
+        monkeypatch.setattr(infer, "houdini_solve", spy_houdini)
+        code, _, _ = run_cli(
+            ["--clause-budget", "5000", "--search-depth", "40",
+             "infer", str(programs_dir / "negate_infer.l2")],
+            capsys,
+        )
+        assert code == 0
+        assert seen == {"search_depth": 40, "clause_budget": 5000}
+
 
 class TestFuzz:
     def test_jsonl_reports(self, capsys):
@@ -150,10 +185,16 @@ class TestFuzz:
 
 class TestEntryPoint:
     def test_console_script(self, programs_dir):
+        # The child imports the same l2 as this process, installed or not.
+        import l2
+
+        src = str(pathlib.Path(l2.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "l2.cli", "check", str(programs_dir / "negate_ok.l2")],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert "accepted" in result.stdout

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from l2 import logic
 from l2.logic import (
     BVar,
     Cmp,
@@ -108,6 +109,112 @@ class TestFmUnsat:
                 assert not all(eval_pred(PAtom(a), env) for a, _ in lits), (lits, combo)
 
 
+def _eager_fm_unsat(literals) -> bool:
+    """Reference decision procedure for comparison literals: split every
+    disequality down to the leaves, then run Fourier-Motzkin on each leaf's
+    rows as given."""
+    rows, neqs = [], []
+    for atom, positive in literals:
+        c = atom if positive else atom.flip()
+        t = c.lhs - c.rhs
+        match c.op:
+            case "<":
+                rows.append(t + const(1))
+            case "<=":
+                rows.append(t)
+            case ">":
+                rows.append(t.scale(-1) + const(1))
+            case ">=":
+                rows.append(t.scale(-1))
+            case "=":
+                rows.append(t)
+                rows.append(t.scale(-1))
+            case "!=":
+                neqs.append(t)
+    return _eager_split_neqs(rows, neqs)
+
+
+def _eager_split_neqs(rows, neqs) -> bool:
+    if not neqs:
+        return _eager_fm_rows_unsat(rows)
+    t, rest = neqs[0], neqs[1:]
+    low = rows + [t + const(1)]
+    high = rows + [t.scale(-1) + const(1)]
+    return _eager_split_neqs(low, rest) and _eager_split_neqs(high, rest)
+
+
+def _eager_fm_rows_unsat(rows) -> bool:
+    rows = list(rows)
+    while True:
+        pending, names = [], set()
+        for r in rows:
+            if r.is_const():
+                if r.const > 0:
+                    return True
+            else:
+                pending.append(r)
+                names.update(r.names())
+        if not pending:
+            return False
+        best, best_cost = None, None
+        for n in sorted(names):
+            pos = sum(1 for r in pending if dict(r.coeffs).get(n, 0) > 0)
+            neg = sum(1 for r in pending if dict(r.coeffs).get(n, 0) < 0)
+            if best_cost is None or pos * neg < best_cost:
+                best, best_cost = n, pos * neg
+        pos = [r for r in pending if dict(r.coeffs).get(best, 0) > 0]
+        neg = [r for r in pending if dict(r.coeffs).get(best, 0) < 0]
+        rest = [r for r in pending if dict(r.coeffs).get(best, 0) == 0]
+        if not pos or not neg:
+            rows = rest
+            continue
+        rows = list(rest)
+        for rp, rn in itertools.product(pos, neg):
+            a, b = dict(rp.coeffs)[best], -dict(rn.coeffs)[best]
+            rows.append(rp.scale(b) + rn.scale(a))
+
+
+class TestFmAgainstEagerReference:
+    def test_random_row_sets_agree(self):
+        # 1-7 rows and 0-3 disequalities over at most 4 variables.  Each
+        # literal mentions 1-3 of them: dense rows make the reference's
+        # elimination blow up to seconds per set.
+        rng = random.Random(11)
+        names = ["w", "x", "y", "z"]
+        unsat = 0
+        for _ in range(1500):
+            lits = []
+            for op_pool, count in (
+                (["<", "<=", "=", ">=", ">"], rng.randint(1, 7)),
+                (["!="], rng.randint(0, 3)),
+            ):
+                for _ in range(count):
+                    used = sorted(rng.sample(names, rng.randint(1, 3)))
+                    lhs = LinTerm(
+                        tuple((n, rng.choice([-2, -1, 1, 2])) for n in used), rng.randint(-4, 4)
+                    )
+                    lits.append((Cmp(lhs, rng.choice(op_pool), const(rng.randint(-3, 3))), True))
+            rng.shuffle(lits)
+            expected = _eager_fm_unsat(lits)
+            assert fm_unsat(lits) == expected, lits
+            unsat += expected
+        assert 100 < unsat < 1400  # both answers are exercised
+
+    def test_contradictory_bounds_refuted_before_splitting(self, monkeypatch):
+        calls = []
+        rows_unsat = logic._fm_rows_unsat
+
+        def counting(rows):
+            calls.append(len(rows))
+            return rows_unsat(rows)
+
+        monkeypatch.setattr(logic, "_fm_rows_unsat", counting)
+        lits = [(Cmp(x, ">=", const(1)), True), (Cmp(x, "<=", const(0)), True)]
+        lits += [(Cmp(y, "!=", const(i)), True) for i in range(12)]
+        assert fm_unsat(lits)
+        assert calls == [2]
+
+
 def _vc(hyps, p, q):
     return VC(tuple(hyps), p, q, "test")
 
@@ -132,6 +239,21 @@ class TestValid:
         verdict = valid(vc)
         assert not verdict.is_valid
         assert verdict.model is not None and verdict.model.get("v") == 0
+
+    def test_counter_model_built_on_first_read(self, monkeypatch):
+        calls = []
+        cube_model = logic._cube_model
+
+        def counting(cube):
+            calls.append(cube)
+            return cube_model(cube)
+
+        monkeypatch.setattr(logic, "_cube_model", counting)
+        vc = _vc([TRUE], cmp_pred(nu, "=", const(0)), cmp_pred(nu, "!=", const(0)))
+        verdict = valid(vc)
+        assert verdict.kind == "invalid" and calls == []
+        assert verdict.render() == "invalid (cube: v = 0) model {'v': 0}"
+        assert verdict.model == {"v": 0} and len(calls) == 1
 
     def test_double_negation_invariance(self):
         vc = _vc([cmp_pred(x, ">=", const(0))], cmp_pred(nu, "=", x), cmp_pred(nu, ">=", const(0)))

@@ -2,8 +2,9 @@
 
 Subcommands: check, elaborate, run, vcs, infer, fuzz.  Every subcommand
 accepts --json for structured output.  Exit codes: 0 success/accepted,
-1 rejected by refinement checking, 2 elaboration error, 64 usage error,
-65 parse error, 70 internal invariant violation.
+1 rejected by refinement checking, 2 elaboration error, 64 usage error
+(including an unreadable FILE or config), 65 parse error, 70 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -65,12 +66,7 @@ def _vc_payload(vc, verdict=None) -> dict:
 
 def cmd_check(args, config: Config) -> int:
     program = _read_program(args.file)
-    try:
-        result = elaborate_program(program, config.search_depth)
-    except ElabError as exc:
-        _emit({"status": "elab-error", "message": str(exc)}, config.json,
-              f"phase 1 error: {exc}")
-        return EXIT_ELAB_ERROR
+    result = elaborate_program(program, config.search_depth)
     report = check_refined(RefEnv(), result.target, clause_budget=config.clause_budget)
     payload = {
         "status": "accepted" if report.accepted else "rejected",
@@ -91,12 +87,7 @@ def cmd_check(args, config: Config) -> int:
 
 def cmd_elaborate(args, config: Config) -> int:
     program = _read_program(args.file)
-    try:
-        result = elaborate_program(program, config.search_depth)
-    except ElabError as exc:
-        _emit({"status": "elab-error", "message": str(exc)}, config.json,
-              f"phase 1 error: {exc}")
-        return EXIT_ELAB_ERROR
+    result = elaborate_program(program, config.search_depth)
     payload = {
         "type": syntax.print_type(result.type),
         "flag": result.flag,
@@ -123,12 +114,7 @@ def cmd_run(args, config: Config) -> int:
             "FuelExhausted": lambda o: syntax.print_expr(o.expr),
         }[kind](outcome)
     else:
-        try:
-            result = elaborate_program(program, config.search_depth)
-        except ElabError as exc:
-            _emit({"status": "elab-error", "message": str(exc)}, config.json,
-                  f"phase 1 error: {exc}")
-            return EXIT_ELAB_ERROR
+        result = elaborate_program(program, config.search_depth)
         outcome, rules, _ = target_interp.eval_target_trace(result.target, config.fuel)
         kind = type(outcome).__name__.lstrip("T")
         final = {
@@ -148,12 +134,7 @@ def _slug(text: str) -> str:
 
 def cmd_vcs(args, config: Config) -> int:
     program = _read_program(args.file)
-    try:
-        result = elaborate_program(program, config.search_depth)
-    except ElabError as exc:
-        _emit({"status": "elab-error", "message": str(exc)}, config.json,
-              f"phase 1 error: {exc}")
-        return EXIT_ELAB_ERROR
+    result = elaborate_program(program, config.search_depth)
     report = check_refined(RefEnv(), result.target, clause_budget=config.clause_budget)
     if args.smtlib:
         import os
@@ -178,14 +159,9 @@ def cmd_infer(args, config: Config) -> int:
     if args.preds:
         with open(args.preds, "r", encoding="utf-8") as handle:
             preds = [parse_pred(line.strip()) for line in handle if line.strip()]
-    try:
-        outcome, clauses, _, templated = infer.infer_refinements(
-            program, preds, config.clause_budget, config.search_depth
-        )
-    except ElabError as exc:
-        _emit({"status": "elab-error", "message": str(exc)}, config.json,
-              f"phase 1 error: {exc}")
-        return EXIT_ELAB_ERROR
+    outcome, clauses, _, templated = infer.infer_refinements(
+        program, preds, config.clause_budget, config.search_depth
+    )
     if isinstance(outcome, infer.Unsat):
         _emit(
             {"status": "unsat", "clause": outcome.clause.render()},
@@ -316,13 +292,18 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    config = _load_config(args)
     try:
-        return args.fn(args, config)
+        return args.fn(args, _load_config(args))
+    except ElabError as exc:
+        _emit({"status": "elab-error", "message": str(exc)}, args.json, f"phase 1 error: {exc}")
+        return EXIT_ELAB_ERROR
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except json.JSONDecodeError as exc:
+        print(f"error: config file is not valid JSON: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (IllTyped, PhaseOrderError, ResourceLimit) as exc:

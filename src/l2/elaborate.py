@@ -94,27 +94,6 @@ class ElabResult:
     trace: Trace
 
 
-def _iter_ascriptions(e: SrcExpr) -> Iterator[tuple[SrcType, Pos]]:
-    match e:
-        case Const() | Var():
-            return
-        case Lam(_, body):
-            yield from _iter_ascriptions(body)
-        case Ascribe(expr, ty, pos):
-            yield ty, pos
-            yield from _iter_ascriptions(expr)
-        case Let(_, bound, body):
-            yield from _iter_ascriptions(bound)
-            yield from _iter_ascriptions(body)
-        case If(c, t, f):
-            yield from _iter_ascriptions(c)
-            yield from _iter_ascriptions(t)
-            yield from _iter_ascriptions(f)
-        case App(fn, arg):
-            yield from _iter_ascriptions(fn)
-            yield from _iter_ascriptions(arg)
-
-
 class _MemoEntry:
     __slots__ = ("items", "gen", "done", "running")
 
@@ -172,11 +151,12 @@ class Elaborator:
     # -- public entry points -------------------------------------------------
 
     def elaborate_program(self, program: Program) -> ElabResult:
-        for ty, pos in _iter_ascriptions(program.main):
-            report = wf_type(ty)
+        ascriptions = (a for a in syntax.subexprs(program.main) if isinstance(a, Ascribe))
+        for a in ascriptions:
+            report = wf_type(a.ty)
             if not report.ok:
                 raise ElabError(
-                    f"ill-formed annotation {syntax.print_type(ty)}: {report.reason}", pos
+                    f"ill-formed annotation {syntax.print_type(a.ty)}: {report.reason}", a.pos
                 )
         first = None
         for t, w, flag, trace in self.synth(dict(), program.main, FLEXIBLE, self.search_depth):
@@ -200,22 +180,6 @@ class Elaborator:
             _pos_of(e),
             self._root_rules(e),
         )
-
-    def resolve_union_elim(
-        self,
-        env: Env,
-        e0: SrcExpr,
-        context: Callable[[SrcExpr], SrcExpr],
-        expected: SrcType,
-        mode: str = FLEXIBLE,
-    ) -> TgtExpr:
-        for t0, w0, _, tr0 in self.synth(env, e0, mode, self.search_depth):
-            if not isinstance(t0, OrType):
-                continue
-            for w, _, _ in self._union_split(env, e0, t0, w0, tr0, context, expected, mode,
-                                             self.search_depth):
-                return w
-        raise ElabError("union elimination failed", _pos_of(e0))
 
     @staticmethod
     def _root_rules(e: SrcExpr) -> tuple[str, ...]:
@@ -369,17 +333,8 @@ class Elaborator:
                             if types_equal_basic(t1, t2):
                                 flag = f1 if f1 == f2 else FLAG_PLAIN
                                 yield t1, TIf(wc, wt, we, pos), flag, ("T-Ite",) + trc + trt + trf
-            case App(fn, arg, pos):
-                # Pass 1: strict arguments for every head candidate.
-                for arrow, w1, f1, tr1 in self._heads(env, fn, mode, depth):
-                    for w2, _, tr2 in self.check(env, arg, arrow.dom, STRICT, depth):
-                        yield arrow.cod, TApp(w1, w2, pos), FLAG_PLAIN, ("T-App",) + tr1 + tr2
-                # Pass 2: flexible arguments, only where no overload was chosen.
-                for arrow, w1, f1, tr1 in self._heads(env, fn, mode, depth):
-                    if f1 == FLAG_INTER:
-                        continue
-                    for w2, _, tr2 in self.check(env, arg, arrow.dom, FLEXIBLE, depth):
-                        yield arrow.cod, TApp(w1, w2, pos), FLAG_PLAIN, ("T-App",) + tr1 + tr2
+            case App():
+                yield from self._app(env, e, mode, depth)
             case Lam():
                 return  # lambdas require an annotation and only check
 
@@ -414,17 +369,26 @@ class Elaborator:
             for k, part in ((1, t.left), (2, t.right)):
                 yield from self._arrows_of(part, TProj(k, w), FLAG_INTER, tr + ("T-And-Elim",))
 
-    def _app_candidates(
-        self, env: Env, e: App, expected: SrcType, mode: str, depth: int
-    ) -> Iterator[tuple[TgtExpr, str, Trace]]:
-        for arrow, w1, f1, tr1 in self._heads(env, e.fn, mode, depth, expected):
+    def _app(
+        self, env: Env, e: App, mode: str, depth: int, cod: SrcType | None = None
+    ) -> Iterator[tuple[SrcType, TgtExpr, str, Trace]]:
+        """T-App over the head candidates whose result type is ``cod``."""
+        # Pass 1: strict arguments for every head candidate.
+        for arrow, w1, _, tr1 in self._heads(env, e.fn, mode, depth, cod):
             for w2, _, tr2 in self.check(env, e.arg, arrow.dom, STRICT, depth):
-                yield TApp(w1, w2, e.pos), FLAG_PLAIN, ("T-App",) + tr1 + tr2
-        for arrow, w1, f1, tr1 in self._heads(env, e.fn, mode, depth, expected):
+                yield arrow.cod, TApp(w1, w2, e.pos), FLAG_PLAIN, ("T-App",) + tr1 + tr2
+        # Pass 2: flexible arguments, only where no overload was chosen.
+        for arrow, w1, f1, tr1 in self._heads(env, e.fn, mode, depth, cod):
             if f1 == FLAG_INTER:
                 continue
             for w2, _, tr2 in self.check(env, e.arg, arrow.dom, FLEXIBLE, depth):
-                yield TApp(w1, w2, e.pos), FLAG_PLAIN, ("T-App",) + tr1 + tr2
+                yield arrow.cod, TApp(w1, w2, e.pos), FLAG_PLAIN, ("T-App",) + tr1 + tr2
+
+    def _app_candidates(
+        self, env: Env, e: App, expected: SrcType, mode: str, depth: int
+    ) -> Iterator[tuple[TgtExpr, str, Trace]]:
+        for _, w, flag, tr in self._app(env, e, mode, depth, expected):
+            yield w, flag, tr
         if mode == FLEXIBLE:
             # A non-function head can still be applied under a DEAD cast whose
             # target arrow takes the argument's type to the expected type.

@@ -378,26 +378,14 @@ def soundness_trial(program: Program, fuel: int = 10000, sample_every: int = 5) 
 # ---------------------------------------------------------------------------
 
 
-def _prim_redexes(e: SrcExpr, out: list[tuple[Const, SrcExpr]]) -> None:
-    match e:
-        case App(Const() as c, arg) if is_value(arg) and c.con.is_function:
-            out.append((c, arg))
-            _prim_redexes(arg, out)
-        case Const() | Var():
-            pass
-        case Lam(_, body):
-            _prim_redexes(body, out)
-        case Ascribe(inner, _):
-            _prim_redexes(inner, out)
-        case Let(_, bound, body):
-            _prim_redexes(bound, out)
-            _prim_redexes(body, out)
-        case If(c, t, f):
-            for part in (c, t, f):
-                _prim_redexes(part, out)
-        case App(fn, arg):
-            _prim_redexes(fn, out)
-            _prim_redexes(arg, out)
+def _prim_redexes(e: SrcExpr) -> list[tuple[Const, SrcExpr]]:
+    """Applications of a primitive function to a value, in preorder."""
+    return [
+        (s.fn, s.arg)
+        for s in syntax.subexprs(e)
+        if isinstance(s, App) and isinstance(s.fn, Const) and s.fn.con.is_function
+        and is_value(s.arg)
+    ]
 
 
 def assumption1_check(program: Program, fuel: int = 10000) -> list[str]:
@@ -408,9 +396,7 @@ def assumption1_check(program: Program, fuel: int = 10000) -> list[str]:
     seen: set[tuple[str, str]] = set()
     elaborator = Elaborator()
     for state in states:
-        pairs: list[tuple[Const, SrcExpr]] = []
-        _prim_redexes(state, pairs)
-        for c, v in pairs:
+        for c, v in _prim_redexes(state):
             key = (c.con.name, syntax.print_expr(v))
             if key in seen:
                 continue

@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 
 from . import elaborate
 from .logic import (
+    Cmp,
     LinTerm,
     PAtom,
-    PBool,
     PKappa,
     Pred,
     TRUE,
@@ -28,25 +28,19 @@ from .logic import (
     instantiate_kappas,
     kappas_of,
     pand,
+    pred_leaves,
     valid,
 )
 from .refine import RefEnv, check_refined
 from .syntax import (
-    AndType,
-    App,
-    Ascribe,
     Const,
-    FunType,
-    If,
-    Lam,
-    Let,
     NUMBER,
-    OrType,
     PrimType,
     Program,
-    SrcExpr,
     SrcType,
-    Var,
+    map_ascriptions,
+    map_prims,
+    subexprs,
 )
 
 
@@ -83,11 +77,8 @@ class HornClause:
 class Solution:
     assignment: dict[str, tuple[Pred, ...]]
 
-    def as_pred(self, kappa: str) -> Pred:
-        return pand(self.assignment[kappa])
-
     def pred_map(self) -> dict[str, Pred]:
-        return {k: self.as_pred(k) for k in self.assignment}
+        return {k: pand(v) for k, v in self.assignment.items()}
 
 
 @dataclass(frozen=True)
@@ -110,43 +101,12 @@ class _KappaCounter:
 def make_templates(t: SrcType, _counter: _KappaCounter | None = None) -> SrcType:
     """Replace every base refinement with a fresh kappa variable."""
     counter = _counter or _KappaCounter()
-    match t:
-        case PrimType(base, _):
-            return PrimType(base, counter.fresh(base))
-        case FunType(dom, cod):
-            return FunType(make_templates(dom, counter), make_templates(cod, counter))
-        case AndType(left, right):
-            return AndType(make_templates(left, counter), make_templates(right, counter))
-        case OrType(left, right):
-            return OrType(make_templates(left, counter), make_templates(right, counter))
-    raise TypeError(f"not a source type: {t!r}")
-
-
-def _template_expr(e: SrcExpr, counter: _KappaCounter) -> SrcExpr:
-    match e:
-        case Const() | Var():
-            return e
-        case Lam(param, body, pos):
-            return Lam(param, _template_expr(body, counter), pos)
-        case Ascribe(expr, ty, pos):
-            return Ascribe(_template_expr(expr, counter), make_templates(ty, counter), pos)
-        case Let(name, bound, body, pos):
-            return Let(name, _template_expr(bound, counter), _template_expr(body, counter), pos)
-        case If(c, t, f, pos):
-            return If(
-                _template_expr(c, counter),
-                _template_expr(t, counter),
-                _template_expr(f, counter),
-                pos,
-            )
-        case App(fn, arg, pos):
-            return App(_template_expr(fn, counter), _template_expr(arg, counter), pos)
-    raise TypeError(f"not a source expression: {e!r}")
+    return map_prims(t, lambda p: PrimType(p.base, counter.fresh(p.base)))
 
 
 def template_program(program: Program) -> tuple[Program, list[KappaVar]]:
     counter = _KappaCounter()
-    main = _template_expr(program.main, counter)
+    main = map_ascriptions(program.main, lambda ty: make_templates(ty, counter))
     return Program(program.type_aliases, main), counter.vars
 
 
@@ -186,30 +146,16 @@ def _assign_scopes(kappas: list[KappaVar], clauses: list[HornClause]) -> list[Ka
 
 
 def _int_names(p: Pred) -> set[str]:
-    from .logic import BVar, Cmp, PAnd, PAtom, PIff, PImp, PNot, POr
-
-    match p:
-        case PAtom(Cmp(lhs, _, rhs)):
-            return set(lhs.names() | rhs.names())
-        case PAtom(BVar(_)) | PBool():
-            return set()
-        case PNot(inner):
-            return _int_names(inner)
-        case PAnd(parts) | POr(parts):
-            out: set[str] = set()
-            for q in parts:
-                out |= _int_names(q)
-            return out
-        case PImp(a, b) | PIff(a, b):
-            return _int_names(a) | _int_names(b)
-        case PKappa(_, subst):
-            out = set()
-            for _, v in subst:
-                if isinstance(v, LinTerm):
-                    out |= set(v.names())
-            return out
-        case _:
-            return set()
+    out: set[str] = set()
+    for q in pred_leaves(p):
+        match q:
+            case PAtom(Cmp(lhs, _, rhs)):
+                out |= lhs.names() | rhs.names()
+            case PKappa(_, subst):
+                for _, v in subst:
+                    if isinstance(v, LinTerm):
+                        out |= v.names()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -220,33 +166,8 @@ def _int_names(p: Pred) -> set[str]:
 def program_literals(program: Program) -> list[int]:
     from . import constants
 
-    literals: set[int] = set()
-
-    def walk(e: SrcExpr) -> None:
-        match e:
-            case Const():
-                k = constants.const_int_value(e)
-                if k is not None:
-                    literals.add(k)
-            case Var():
-                pass
-            case Lam(_, body):
-                walk(body)
-            case Ascribe(expr, _):
-                walk(expr)
-            case Let(_, bound, body):
-                walk(bound)
-                walk(body)
-            case If(c, t, f):
-                walk(c)
-                walk(t)
-                walk(f)
-            case App(fn, arg):
-                walk(fn)
-                walk(arg)
-
-    walk(program.main)
-    return sorted(literals)
+    consts = (e for e in subexprs(program.main) if isinstance(e, Const))
+    return sorted({k for k in map(constants.const_int_value, consts) if k is not None})
 
 
 def default_candidates(program: Program, kappa: KappaVar) -> list[Pred]:
@@ -274,15 +195,6 @@ def default_candidates(program: Program, kappa: KappaVar) -> list[Pred]:
 
 def _instantiate_head_candidate(head: PKappa, candidate: Pred) -> Pred:
     return instantiate_kappas(head, {head.kappa: candidate})
-
-
-def clause_valid(
-    clause: HornClause, assignment: dict[str, tuple[Pred, ...]], clause_budget: int = 10000
-) -> bool:
-    pred_map = {k: pand(v) for k, v in assignment.items()}
-    body = tuple(instantiate_kappas(p, pred_map) for p in clause.body)
-    head = instantiate_kappas(clause.head, pred_map)
-    return valid(VC(body, TRUE, head, clause.origin), clause_budget).is_valid
 
 
 def houdini_solve(
@@ -331,44 +243,19 @@ def houdini_solve(
 # ---------------------------------------------------------------------------
 
 
-def _solve_type(t: SrcType, pred_map: dict[str, Pred]) -> SrcType:
-    match t:
-        case PrimType(base, refinement):
-            if contains_kappa(refinement):
-                missing = kappas_of(refinement) - set(pred_map)
-                if missing:
-                    raise ValueError(f"solution does not cover {sorted(missing)}")
-                return PrimType(base, instantiate_kappas(refinement, pred_map))
-            return t
-        case FunType(dom, cod):
-            return FunType(_solve_type(dom, pred_map), _solve_type(cod, pred_map))
-        case AndType(left, right):
-            return AndType(_solve_type(left, pred_map), _solve_type(right, pred_map))
-        case OrType(left, right):
-            return OrType(_solve_type(left, pred_map), _solve_type(right, pred_map))
-    raise TypeError(f"not a source type: {t!r}")
-
-
 def apply_solution(program: Program, solution: Solution) -> Program:
     pred_map = solution.pred_map()
 
-    def walk(e: SrcExpr) -> SrcExpr:
-        match e:
-            case Const() | Var():
-                return e
-            case Lam(param, body, pos):
-                return Lam(param, walk(body), pos)
-            case Ascribe(expr, ty, pos):
-                return Ascribe(walk(expr), _solve_type(ty, pred_map), pos)
-            case Let(name, bound, body, pos):
-                return Let(name, walk(bound), walk(body), pos)
-            case If(c, t, f, pos):
-                return If(walk(c), walk(t), walk(f), pos)
-            case App(fn, arg, pos):
-                return App(walk(fn), walk(arg), pos)
-        raise TypeError(f"not a source expression: {e!r}")
+    def solve(t: PrimType) -> PrimType:
+        if not contains_kappa(t.refinement):
+            return t
+        missing = kappas_of(t.refinement) - set(pred_map)
+        if missing:
+            raise ValueError(f"solution does not cover {sorted(missing)}")
+        return PrimType(t.base, instantiate_kappas(t.refinement, pred_map))
 
-    return Program(program.type_aliases, walk(program.main))
+    main = map_ascriptions(program.main, lambda ty: map_prims(ty, solve))
+    return Program(program.type_aliases, main)
 
 
 def infer_refinements(

@@ -18,6 +18,12 @@ only when they are read.
 
 SMT-LIB2 emission is provided so the same conditions can be cross-checked
 with an external solver.
+
+Predicates are traversed by two shared walkers: ``pred_leaves`` lists the
+constants, atoms and kappa applications left to right without recursion, and
+``map_pred`` rebuilds a predicate through the smart constructors from a
+per-leaf function.  Kappa queries, substitution, kappa instantiation and the
+SMT-LIB declarations are written on top of them.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
+from typing import Callable, Iterator
 
 VALUE_VAR = "v"
 
@@ -271,37 +278,45 @@ def cmp_pred(lhs: LinTerm, op: str, rhs: LinTerm) -> Pred:
     return PAtom(Cmp(lhs, op, rhs))
 
 
-def contains_kappa(p: Pred) -> bool:
+def pred_leaves(p: Pred) -> Iterator[Pred]:
+    """The constants, atoms and kappa applications of p, left to right."""
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        match q:
+            case PNot(inner):
+                stack.append(inner)
+            case PAnd(parts) | POr(parts):
+                stack.extend(reversed(parts))
+            case PImp(a, b) | PIff(a, b):
+                stack += (b, a)
+            case _:
+                yield q
+
+
+def map_pred(p: Pred, leaf: Callable[[Pred], Pred]) -> Pred:
+    """Rebuild p through the smart constructors, with ``leaf`` applied to
+    every constant, atom and kappa application."""
     match p:
-        case PKappa():
-            return True
         case PNot(inner):
-            return contains_kappa(inner)
-        case PAnd(parts) | POr(parts):
-            return any(contains_kappa(q) for q in parts)
+            return pnot(map_pred(inner, leaf))
+        case PAnd(parts):
+            return pand(map_pred(q, leaf) for q in parts)
+        case POr(parts):
+            return por(map_pred(q, leaf) for q in parts)
         case PImp(a, b):
-            return contains_kappa(a) or contains_kappa(b)
+            return pimp(map_pred(a, leaf), map_pred(b, leaf))
         case PIff(a, b):
-            return contains_kappa(a) or contains_kappa(b)
-        case _:
-            return False
+            return piff(map_pred(a, leaf), map_pred(b, leaf))
+    return leaf(p)
+
+
+def contains_kappa(p: Pred) -> bool:
+    return any(isinstance(q, PKappa) for q in pred_leaves(p))
 
 
 def kappas_of(p: Pred) -> frozenset[str]:
-    match p:
-        case PKappa(k, _):
-            return frozenset([k])
-        case PNot(inner):
-            return kappas_of(inner)
-        case PAnd(parts) | POr(parts):
-            out: frozenset[str] = frozenset()
-            for q in parts:
-                out |= kappas_of(q)
-            return out
-        case PImp(a, b) | PIff(a, b):
-            return kappas_of(a) | kappas_of(b)
-        case _:
-            return frozenset()
+    return frozenset(q.kappa for q in pred_leaves(p) if isinstance(q, PKappa))
 
 
 # ---------------------------------------------------------------------------
@@ -327,98 +342,56 @@ def subst_pred(p: Pred, name: str, repl) -> Pred:
     name (string).  Integer substitution rewrites linear terms; boolean
     substitution rewrites BVar atoms.
     """
-    match p:
-        case PBool():
-            return p
-        case PAtom(Cmp(lhs, op, rhs)):
-            if isinstance(repl, LinTerm):
-                return PAtom(Cmp(lhs.subst_var(name, repl), op, rhs.subst_var(name, repl)))
-            return p
-        case PAtom(BVar(n)):
-            if n != name:
-                return p
-            if isinstance(repl, bool):
-                return PBool(repl)
-            if isinstance(repl, str):
-                return PAtom(BVar(repl))
-            return p
-        case PNot(inner):
-            return pnot(subst_pred(inner, name, repl))
-        case PAnd(parts):
-            return pand(subst_pred(q, name, repl) for q in parts)
-        case POr(parts):
-            return por(subst_pred(q, name, repl) for q in parts)
-        case PImp(a, b):
-            return pimp(subst_pred(a, name, repl), subst_pred(b, name, repl))
-        case PIff(a, b):
-            return piff(subst_pred(a, name, repl), subst_pred(b, name, repl))
-        case PKappa(k, subst):
-            # Rewrite recorded values, and record the new entry unless the
-            # name was already consumed by an earlier substitution.  Names in
-            # the reserved $ namespace never occur in solved refinements
-            # (candidates range over the value variable and program names),
-            # so substitutions for them are dropped rather than recorded.
-            entries = tuple((n, _subst_value(v, name, repl)) for n, v in subst)
-            if not name.startswith("$") and name not in (n for n, _ in subst):
-                entries += ((name, repl),)
-            return PKappa(k, entries)
-    raise TypeError(f"not a predicate: {p!r}")
+
+    def leaf(q: Pred) -> Pred:
+        match q:
+            case PBool():
+                return q
+            case PAtom(Cmp(lhs, op, rhs)):
+                if isinstance(repl, LinTerm):
+                    return PAtom(Cmp(lhs.subst_var(name, repl), op, rhs.subst_var(name, repl)))
+                return q
+            case PAtom(BVar(n)):
+                if n != name:
+                    return q
+                if isinstance(repl, bool):
+                    return PBool(repl)
+                if isinstance(repl, str):
+                    return PAtom(BVar(repl))
+                return q
+            case PKappa(k, subst):
+                # Rewrite recorded values, and record the new entry unless the
+                # name was already consumed by an earlier substitution.  Names
+                # in the reserved $ namespace never occur in solved refinements
+                # (candidates range over the value variable and program names),
+                # so substitutions for them are dropped rather than recorded.
+                entries = tuple((n, _subst_value(v, name, repl)) for n, v in subst)
+                if not name.startswith("$") and name not in (n for n, _ in subst):
+                    entries += ((name, repl),)
+                return PKappa(k, entries)
+        raise TypeError(f"not a predicate: {q!r}")
+
+    return map_pred(p, leaf)
 
 
 def instantiate_kappas(p: Pred, assignment: dict[str, Pred]) -> Pred:
     """Replace every kappa application with its assigned predicate."""
-    match p:
-        case PKappa(k, subst):
-            body = assignment[k]
-            # Simultaneous substitution: detour through fresh temporaries.
-            temps = {n: f"$tmp{i}${n}" for i, (n, _) in enumerate(subst)}
-            for n, _ in subst:
-                tmp = temps[n]
-                body = subst_pred(body, n, LinTerm.of_var(tmp))
-                body = subst_pred(body, n, tmp)  # boolean position
-            for n, value in subst:
-                body = subst_pred(body, temps[n], value)
-            return body
-        case PNot(inner):
-            return pnot(instantiate_kappas(inner, assignment))
-        case PAnd(parts):
-            return pand(instantiate_kappas(q, assignment) for q in parts)
-        case POr(parts):
-            return por(instantiate_kappas(q, assignment) for q in parts)
-        case PImp(a, b):
-            return pimp(instantiate_kappas(a, assignment), instantiate_kappas(b, assignment))
-        case PIff(a, b):
-            return piff(instantiate_kappas(a, assignment), instantiate_kappas(b, assignment))
-        case _:
-            return p
 
+    def leaf(q: Pred) -> Pred:
+        if not isinstance(q, PKappa):
+            return q
+        body = assignment[q.kappa]
+        # Simultaneous substitution: detour through fresh temporaries.
+        temps = {n: f"$tmp{i}${n}" for i, (n, _) in enumerate(q.subst)}
+        for n, _ in q.subst:
+            tmp = temps[n]
+            body = subst_pred(body, n, LinTerm.of_var(tmp))
+            body = subst_pred(body, n, tmp)  # boolean position
+        for n, value in q.subst:
+            body = subst_pred(body, temps[n], value)
+        return body
 
-def free_names(p: Pred) -> frozenset[str]:
-    match p:
-        case PBool():
-            return frozenset()
-        case PAtom(Cmp(lhs, _, rhs)):
-            return lhs.names() | rhs.names()
-        case PAtom(BVar(n)):
-            return frozenset([n])
-        case PNot(inner):
-            return free_names(inner)
-        case PAnd(parts) | POr(parts):
-            out: frozenset[str] = frozenset()
-            for q in parts:
-                out |= free_names(q)
-            return out
-        case PImp(a, b) | PIff(a, b):
-            return free_names(a) | free_names(b)
-        case PKappa(_, subst):
-            out = frozenset()
-            for _, value in subst:
-                if isinstance(value, LinTerm):
-                    out |= value.names()
-                elif isinstance(value, str):
-                    out |= frozenset([value])
-            return out
-    raise TypeError(f"not a predicate: {p!r}")
+    return map_pred(p, leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +516,6 @@ class VC:
     consequent: Pred
     origin: str = ""
     scope: tuple[str, ...] = field(default=(), compare=False)
-
-    def formula(self) -> Pred:
-        return pimp(pand(self.hyps), pimp(self.antecedent, self.consequent))
 
     def negated(self) -> Pred:
         return pand(list(self.hyps) + [self.antecedent, pnot(self.consequent)])
@@ -864,10 +834,7 @@ def _cube_model(cube, bound: int = 8) -> dict[str, object] | None:
 
 def valid(vc: VC, clause_budget: int = 10000) -> Verdict:
     """Check a VC by refuting its negation cube by cube."""
-    formula = vc.negated()
-    if contains_kappa(formula):
-        raise ValueError("cannot decide validity of a VC with unsolved kappa variables")
-    cubes = dnf_cubes(formula, clause_budget)
+    cubes = dnf_cubes(vc.negated(), clause_budget)
     for cube in cubes:
         if not fm_unsat(cube):
             return Verdict("invalid", cube)
@@ -877,33 +844,6 @@ def valid(vc: VC, clause_budget: int = 10000) -> Verdict:
 # ---------------------------------------------------------------------------
 # SMT-LIB2 emission
 # ---------------------------------------------------------------------------
-
-
-def _collect_sorts(p: Pred, order: list[tuple[str, str]], seen: set[str]) -> None:
-    def add(name: str, sort: str) -> None:
-        if name not in seen:
-            seen.add(name)
-            order.append((name, sort))
-
-    match p:
-        case PBool():
-            pass
-        case PAtom(Cmp(lhs, _, rhs)):
-            for t in (lhs, rhs):
-                for n, _ in t.coeffs:
-                    add(n, "Int")
-        case PAtom(BVar(n)):
-            add(n, "Bool")
-        case PNot(inner):
-            _collect_sorts(inner, order, seen)
-        case PAnd(parts) | POr(parts):
-            for q in parts:
-                _collect_sorts(q, order, seen)
-        case PImp(a, b) | PIff(a, b):
-            _collect_sorts(a, order, seen)
-            _collect_sorts(b, order, seen)
-        case PKappa():
-            raise ValueError("kappa variable in SMT-LIB emission")
 
 
 def _sexp_term(t: LinTerm) -> str:
@@ -951,14 +891,19 @@ def _sexp_pred(p: Pred) -> str:
 
 def to_smtlib(vc: VC) -> str:
     """Emit the VC as an SMT-LIB2 refutation query (unsat means valid)."""
-    order: list[tuple[str, str]] = []
-    seen: set[str] = set()
-    for h in vc.hyps:
-        _collect_sorts(h, order, seen)
-    _collect_sorts(vc.antecedent, order, seen)
-    _collect_sorts(vc.consequent, order, seen)
+    sorts: dict[str, str] = {}  # in order of first occurrence
+    for p in (*vc.hyps, vc.antecedent, vc.consequent):
+        for q in pred_leaves(p):
+            match q:
+                case PAtom(Cmp(lhs, _, rhs)):
+                    for n, _ in lhs.coeffs + rhs.coeffs:
+                        sorts.setdefault(n, "Int")
+                case PAtom(BVar(n)):
+                    sorts.setdefault(n, "Bool")
+                case PKappa():
+                    raise ValueError("kappa variable in SMT-LIB emission")
     lines = ["(set-logic QF_LIA)"]
-    for name, sort in order:
+    for name, sort in sorts.items():
         lines.append(f"(declare-const {name} {sort})")
     hyp = _sexp_pred(pand(vc.hyps)) if vc.hyps else "true"
     body = f"(=> {hyp} (=> {_sexp_pred(vc.antecedent)} {_sexp_pred(vc.consequent)}))"

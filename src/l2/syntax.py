@@ -1,9 +1,16 @@
-"""Source-language abstract syntax: types, terms, tags, well-formedness."""
+"""Source-language abstract syntax: types, terms, tags, well-formedness.
+
+Three shared walkers serve the rest of the checker: ``subexprs`` lists the
+subterms of an expression in preorder without recursion, ``map_ascriptions``
+rebuilds an expression with its ascribed types mapped, and ``map_prims``
+rebuilds a type with its base types mapped.  Both maps visit left to right,
+so kappa templates are numbered in a fixed order.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Callable, Iterator, Optional, TYPE_CHECKING
 
 from .logic import Pred, TRUE, is_true, render_pred
 
@@ -106,17 +113,26 @@ def wf_type(t: SrcType) -> WfReport:
     raise TypeError(f"not a source type: {t!r}")
 
 
-def erase_refinements(t: SrcType) -> SrcType:
+def map_prims(t: SrcType, f: Callable[[PrimType], SrcType]) -> SrcType:
+    """Rebuild t with f applied to every base type, left to right."""
     match t:
-        case PrimType(base, _):
-            return PrimType(base, TRUE)
+        case PrimType():
+            return f(t)
         case FunType(dom, cod):
-            return FunType(erase_refinements(dom), erase_refinements(cod))
+            return FunType(map_prims(dom, f), map_prims(cod, f))
         case AndType(left, right):
-            return AndType(erase_refinements(left), erase_refinements(right))
+            return AndType(map_prims(left, f), map_prims(right, f))
         case OrType(left, right):
-            return OrType(erase_refinements(left), erase_refinements(right))
+            return OrType(map_prims(left, f), map_prims(right, f))
     raise TypeError(f"not a source type: {t!r}")
+
+
+def _erase_prim(t: PrimType) -> PrimType:
+    return PrimType(t.base, TRUE)
+
+
+def erase_refinements(t: SrcType) -> SrcType:
+    return map_prims(t, _erase_prim)
 
 
 def types_equal_basic(a: SrcType, b: SrcType) -> bool:
@@ -248,6 +264,45 @@ def free_vars(e: SrcExpr) -> frozenset[str]:
     raise TypeError(f"not a source expression: {e!r}")
 
 
+def subexprs(e: SrcExpr) -> Iterator[SrcExpr]:
+    """Every subexpression of e in preorder, children left to right."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        match e:
+            case Lam(_, body) | Ascribe(body, _):
+                stack.append(body)
+            case Let(_, bound, body):
+                stack += (body, bound)
+            case If(c, t, f):
+                stack += (f, t, c)
+            case App(fn, arg):
+                stack += (arg, fn)
+
+
+def map_ascriptions(e: SrcExpr, f: Callable[[SrcType], SrcType]) -> SrcExpr:
+    """Rebuild e with f applied to every ascribed type.
+
+    Children are visited left to right, and an ascribed expression before its
+    type, so a stateful f sees the types in a fixed order.
+    """
+    match e:
+        case Const() | Var():
+            return e
+        case Lam(param, body, pos):
+            return Lam(param, map_ascriptions(body, f), pos)
+        case Ascribe(expr, ty, pos):
+            return Ascribe(map_ascriptions(expr, f), f(ty), pos)
+        case Let(name, bound, body, pos):
+            return Let(name, map_ascriptions(bound, f), map_ascriptions(body, f), pos)
+        case If(c, t, els, pos):
+            return If(map_ascriptions(c, f), map_ascriptions(t, f), map_ascriptions(els, f), pos)
+        case App(fn, arg, pos):
+            return App(map_ascriptions(fn, f), map_ascriptions(arg, f), pos)
+    raise TypeError(f"not a source expression: {e!r}")
+
+
 def erase_ascriptions(e: SrcExpr) -> SrcExpr:
     """Drop type ascriptions; the operational semantics has no rule for them."""
     match e:
@@ -267,7 +322,7 @@ def erase_ascriptions(e: SrcExpr) -> SrcExpr:
 
 
 # ---------------------------------------------------------------------------
-# Alpha renaming and equivalence
+# Alpha renaming
 # ---------------------------------------------------------------------------
 
 
@@ -309,29 +364,6 @@ def uniquify(e: SrcExpr) -> SrcExpr:
         raise TypeError(f"not a source expression: {e!r}")
 
     return go(e, {})
-
-
-def alpha_equal(a: SrcExpr, b: SrcExpr) -> bool:
-    def go(a: SrcExpr, b: SrcExpr, env: dict[str, str]) -> bool:
-        match (a, b):
-            case (Const(ca), Const(cb)):
-                return ca == cb
-            case (Var(na), Var(nb)):
-                return env.get(na, na) == nb
-            case (Lam(pa, ba), Lam(pb, bb)):
-                return go(ba, bb, {**env, pa: pb})
-            case (Ascribe(ea, ta), Ascribe(eb, tb)):
-                return ta == tb and go(ea, eb, env)
-            case (Let(na, ba, ca), Let(nb, bb, cb)):
-                return go(ba, bb, env) and go(ca, cb, {**env, na: nb})
-            case (If(ca, ta, fa), If(cb, tb, fb)):
-                return go(ca, cb, env) and go(ta, tb, env) and go(fa, fb, env)
-            case (App(fa, aa), App(fb, ab)):
-                return go(fa, fb, env) and go(aa, ab, env)
-            case _:
-                return False
-
-    return go(a, b, {})
 
 
 # ---------------------------------------------------------------------------

@@ -145,20 +145,6 @@ def erase_src(t: SrcType) -> ErasedType:
     raise TypeError(f"not a source type: {t!r}")
 
 
-def unelab_type(t: RefType) -> SrcType:
-    """Inverse of elab_type up to binder names; products back to intersections."""
-    match t:
-        case RBase(base, refinement):
-            return PrimType(base, refinement)
-        case RFun(_, dom, cod):
-            return FunType(unelab_type(dom), unelab_type(cod))
-        case RSum(left, right):
-            return OrType(unelab_type(left), unelab_type(right))
-        case RProd(left, right):
-            return AndType(unelab_type(left), unelab_type(right))
-    raise TypeError(f"not a refinement type: {t!r}")
-
-
 def ftx(t: RefType, r: Pred) -> RefType:
     """Replace every base refinement with r, negating across arrow domains."""
     match t:
@@ -197,19 +183,6 @@ def _print_ref(t: RefType, prec: int) -> str:
             s = f"{_print_ref(left, 3)} * {_print_ref(right, 3)}"
             return f"({s})" if prec > 2 else s
     raise TypeError(f"not a refinement type: {t!r}")
-
-
-def print_erased(t: ErasedType) -> str:
-    match t:
-        case EPrim(base):
-            return base
-        case EFun(dom, cod):
-            return f"({print_erased(dom)} -> {print_erased(cod)})"
-        case ESum(left, right):
-            return f"({print_erased(left)} + {print_erased(right)})"
-        case EProd(left, right):
-            return f"({print_erased(left)} * {print_erased(right)})"
-    raise TypeError(f"not an erased type: {t!r}")
 
 
 # ---------------------------------------------------------------------------

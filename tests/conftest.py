@@ -2,6 +2,9 @@ import pathlib
 
 import pytest
 
+from l2.logic import TRUE, VC, instantiate_kappas, pand, valid
+from l2.syntax import App, Ascribe, Const, If, Lam, Let, Var
+
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
 
 NEGATE_OK = (PROGRAMS / "negate_ok.l2").read_text()
@@ -16,3 +19,34 @@ UNION_ERR = (PROGRAMS / "union_err.l2").read_text()
 @pytest.fixture
 def programs_dir():
     return PROGRAMS
+
+
+def alpha_equal(a, b) -> bool:
+    def go(a, b, env: dict[str, str]) -> bool:
+        match (a, b):
+            case (Const(ca), Const(cb)):
+                return ca == cb
+            case (Var(na), Var(nb)):
+                return env.get(na, na) == nb
+            case (Lam(pa, ba), Lam(pb, bb)):
+                return go(ba, bb, {**env, pa: pb})
+            case (Ascribe(ea, ta), Ascribe(eb, tb)):
+                return ta == tb and go(ea, eb, env)
+            case (Let(na, ba, ca), Let(nb, bb, cb)):
+                return go(ba, bb, env) and go(ca, cb, {**env, na: nb})
+            case (If(ca, ta, fa), If(cb, tb, fb)):
+                return go(ca, cb, env) and go(ta, tb, env) and go(fa, fb, env)
+            case (App(fa, aa), App(fb, ab)):
+                return go(fa, fb, env) and go(aa, ab, env)
+            case _:
+                return False
+
+    return go(a, b, {})
+
+
+def clause_valid(clause, assignment, clause_budget: int = 10000) -> bool:
+    """Reference check of one Horn clause under a full assignment."""
+    pred_map = {k: pand(v) for k, v in assignment.items()}
+    body = tuple(instantiate_kappas(p, pred_map) for p in clause.body)
+    head = instantiate_kappas(clause.head, pred_map)
+    return valid(VC(body, TRUE, head, clause.origin), clause_budget).is_valid

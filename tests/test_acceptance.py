@@ -13,10 +13,17 @@ import pytest
 from l2 import constants, elaborate, harness, infer, parser, syntax
 from l2.cli import main as cli_main
 from l2.logic import (
+    BVar,
+    Cmp,
     LinTerm,
+    PAnd,
     PAtom,
     PBool,
+    PIff,
+    PImp,
     PKappa,
+    PNot,
+    POr,
     TRUE,
     VALUE_VAR,
     VC,
@@ -38,6 +45,7 @@ from tests.conftest import (
     NEGATE_INFER,
     NEGATE_OK,
     PROGRAMS,
+    clause_valid,
 )
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -229,6 +237,34 @@ def _random_vc(rng: random.Random) -> VC:
     return VC(hyps, atom(), atom(), "fuzz")
 
 
+def free_names(p) -> frozenset[str]:
+    match p:
+        case PBool():
+            return frozenset()
+        case PAtom(Cmp(lhs, _, rhs)):
+            return lhs.names() | rhs.names()
+        case PAtom(BVar(n)):
+            return frozenset([n])
+        case PNot(inner):
+            return free_names(inner)
+        case PAnd(parts) | POr(parts):
+            out: frozenset[str] = frozenset()
+            for q in parts:
+                out |= free_names(q)
+            return out
+        case PImp(a, b) | PIff(a, b):
+            return free_names(a) | free_names(b)
+        case PKappa(_, subst):
+            out = frozenset()
+            for _, value in subst:
+                if isinstance(value, LinTerm):
+                    out |= value.names()
+                elif isinstance(value, str):
+                    out |= frozenset([value])
+            return out
+    raise TypeError(f"not a predicate: {p!r}")
+
+
 def test_criterion_8_solver_soundness(capsys):
     start = time.time()
     rng = random.Random(2024)
@@ -240,8 +276,6 @@ def test_criterion_8_solver_soundness(capsys):
             continue
         valid_count += 1
         negated = vc.negated()
-        from l2.logic import free_names
-
         names = sorted(free_names(negated))
         for combo in itertools.product(range(-8, 9), repeat=len(names)):
             if eval_pred(negated, dict(zip(names, combo))):
@@ -294,7 +328,7 @@ def test_criterion_9_inference(capsys):
     outcome, clauses_full, kappas_full, templated_full = infer.infer_refinements(program)
     solved_ok = isinstance(outcome, infer.Solution)
     all_valid = solved_ok and all(
-        infer.clause_valid(c, outcome.assignment) for c in clauses_full
+        clause_valid(c, outcome.assignment) for c in clauses_full
     )
     # Note: the overview narrative prints the assignment with the guard
     # refinements swapped; its own constraints force nonzero for k1 and zero
@@ -340,7 +374,7 @@ def _brute_force_greatest(clauses, candidates):
         relevant = tuple((k, assignment.get(k, ())) for k in sorted(clause.kappas()))
         key = (i, relevant)
         if key not in cache:
-            cache[key] = infer.clause_valid(clause, dict(relevant))
+            cache[key] = clause_valid(clause, dict(relevant))
         return cache[key]
 
     subsets = [
@@ -357,6 +391,6 @@ def _brute_force_greatest(clauses, candidates):
                 for cand in assignment[k]:
                     if cand not in best[k]:
                         best[k] = best[k] + (cand,)
-    if not all(infer.clause_valid(c, best) for c in clauses):
+    if not all(clause_valid(c, best) for c in clauses):
         return None
     return best

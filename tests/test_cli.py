@@ -44,11 +44,22 @@ class TestCheck:
             payload["vcs"][0]
         )
 
-    def test_elab_error_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize(
+        "command",
+        [["check"], ["elaborate"], ["vcs"], ["run", "--lang", "tgt"], ["infer"]],
+        ids=["check", "elaborate", "vcs", "run-tgt", "infer"],
+    )
+    def test_elab_error_exit_code(self, tmp_path, capsys, command, as_json):
         bad = tmp_path / "bad.l2"
         bad.write_text("(\\x => x) 5\n")
-        code, out, _ = run_cli(["check", str(bad)], capsys)
+        flags = ["--json"] if as_json else []
+        code, out, _ = run_cli([*flags, command[0], str(bad), *command[1:]], capsys)
         assert code == 2
+        if as_json:
+            assert json.loads(out)["status"] == "elab-error"
+        else:
+            assert out.startswith("phase 1 error: ")
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.l2"
@@ -60,6 +71,31 @@ class TestCheck:
     def test_missing_file(self, capsys):
         code, _, _ = run_cli(["check", "no-such-file.l2"], capsys)
         assert code == 64
+
+
+class TestUnreadableInputs:
+    """An input that cannot be read is a usage error, never "rejected"."""
+
+    def assert_usage_error(self, args, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == 64
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_missing_config(self, programs_dir, tmp_path, capsys):
+        args = ["--config", str(tmp_path / "missing.json"), "check",
+                str(programs_dir / "negate_ok.l2")]
+        self.assert_usage_error(args, capsys)
+
+    def test_malformed_config(self, programs_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{fuel: 3\n")
+        self.assert_usage_error(
+            ["--config", str(bad), "check", str(programs_dir / "negate_ok.l2")], capsys
+        )
+
+    def test_file_is_a_directory(self, tmp_path, capsys):
+        self.assert_usage_error(["check", str(tmp_path)], capsys)
 
 
 class TestRun:

@@ -139,6 +139,16 @@ class TestCheckExpr:
             assert w_strict == w_flex and f_strict == f_flex
 
 
+def resolve_union_elim(elab, env, e0, context, expected, mode=FLEXIBLE):
+    for t0, w0, _, tr0 in elab.synth(env, e0, mode, elab.search_depth):
+        if not isinstance(t0, OrType):
+            continue
+        for w, _, _ in elab._union_split(env, e0, t0, w0, tr0, context, expected, mode,
+                                         elab.search_depth):
+            return w
+    raise ElabError("union elimination failed", getattr(e0, "pos", None))
+
+
 class TestUnionElim:
     def test_resolve_union_elim_at_let_context(self):
         # splitting "let y = u in not y" over u : number \/ boolean
@@ -146,7 +156,7 @@ class TestUnionElim:
         union = OrType(NUM, BOOL)
         env = {"u": union}
         context = lambda hole: Let("y", hole, App(Const(constants.NOT), Var("y")))
-        w = elab.resolve_union_elim(env, Var("u"), context, BOOL, FLEXIBLE)
+        w = resolve_union_elim(elab, env, Var("u"), context, BOOL, FLEXIBLE)
         assert isinstance(w, TCase)
         assert w.scrutinee == TVar("u")
         # the number branch needs a cast, the boolean branch is direct
@@ -164,7 +174,7 @@ class TestUnionElim:
     def test_precondition_violated(self):
         elab = Elaborator()
         with pytest.raises(ElabError):
-            elab.resolve_union_elim({"n": NUM}, Var("n"), lambda h: h, NUM, FLEXIBLE)
+            resolve_union_elim(elab, {"n": NUM}, Var("n"), lambda h: h, NUM, FLEXIBLE)
 
 
 class TestInvariants:

@@ -14,7 +14,7 @@ from l2.harness import (
 )
 from l2.syntax import BOOL, Const, FunType, NUM, OrType, print_program
 from l2.target import TConst, TDead, TInj, TPair, TProj
-from tests.conftest import DEAD_SEMANTICS, NEGATE_OK
+from tests.conftest import DEAD_SEMANTICS, NEGATE_OK, alpha_equal
 
 
 def num(k):
@@ -176,7 +176,7 @@ class TestGeneratedRoundTrip:
         for seed in range(120):
             p = gen_program(seed, 30)
             reparsed = parser.parse_program(print_program(p))
-            assert syntax.alpha_equal(p.main, reparsed.main), seed
+            assert alpha_equal(p.main, reparsed.main), seed
 
 
 class TestCancellingCasts:

@@ -2,13 +2,12 @@ import itertools
 
 import pytest
 
-from l2 import elaborate, infer, parser
+from l2 import elaborate, infer, parser, syntax
 from l2.infer import (
     HornClause,
     Solution,
     Unsat,
     apply_solution,
-    clause_valid,
     default_candidates,
     gen_horn,
     houdini_solve,
@@ -31,7 +30,7 @@ from l2.logic import (
 )
 from l2.refine import RefEnv, check_refined
 from l2.syntax import AndType, BOOL, FunType, NUM, OrType, PrimType
-from tests.conftest import NEGATE_INFER
+from tests.conftest import NEGATE_INFER, clause_valid
 
 nu = LinTerm.of_var(VALUE_VAR)
 
@@ -75,6 +74,17 @@ class TestTemplates:
         twice = make_templates(once, counter)
         assert isinstance(twice.refinement, PKappa)
         assert twice.refinement.kappa != once.refinement.kappa
+
+    def test_inner_ascription_numbered_first(self):
+        program = parser.parse_program(
+            "let f = (((\\x => x) : number -> number) : number -> number) in (f 1 : number)"
+        )
+        templated, kappas = template_program(program)
+        assert [k.id for k in kappas] == ["k1", "k2", "k3", "k4", "k5"]
+        assert syntax.print_program(templated) == (
+            "let f = ((\\x => x : {v:number | k1} -> {v:number | k2})"
+            " : {v:number | k3} -> {v:number | k4}) in (f 1 : {v:number | k5})\n"
+        )
 
 
 def _find(clauses, body_atoms, head_key):

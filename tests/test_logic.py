@@ -9,9 +9,14 @@ from l2.logic import (
     BVar,
     Cmp,
     LinTerm,
+    PAnd,
     PAtom,
     PBool,
+    PIff,
+    PImp,
     PKappa,
+    PNot,
+    POr,
     ResourceLimit,
     TRUE,
     VC,
@@ -26,6 +31,7 @@ from l2.logic import (
     pnot,
     por,
     pred_key,
+    pred_leaves,
     render_pred,
     subst_pred,
     to_smtlib,
@@ -389,6 +395,43 @@ class TestSmtlib:
         vc = _vc([cmp_pred(y, "=", const(0))], cmp_pred(x, "=", const(0)), TRUE)
         text = to_smtlib(vc)
         assert text.index("declare-const y") < text.index("declare-const x")
+
+    def test_mixed_sorts_declared_in_first_occurrence_order(self):
+        w = LinTerm.of_var("w")
+        vc = _vc(
+            [PAtom(BVar("p")), cmp_pred(y, "<=", x)],
+            pand([cmp_pred(z, "=", const(1)), PAtom(BVar("q"))]),
+            por([PNot(PAtom(BVar("p"))), cmp_pred(w + x, "!=", const(0)), PAtom(BVar("a"))]),
+        )
+        assert to_smtlib(vc) == (
+            "(set-logic QF_LIA)\n"
+            "(declare-const p Bool)\n"
+            "(declare-const y Int)\n"
+            "(declare-const x Int)\n"
+            "(declare-const z Int)\n"
+            "(declare-const q Bool)\n"
+            "(declare-const w Int)\n"
+            "(declare-const a Bool)\n"
+            "(assert (not (=> (and p (<= y x)) (=> (and (= z 1) q) "
+            "(or (not p) (not (= (+ w x) 0)) a)))))\n"
+            "(check-sat)\n"
+        )
+
+
+class TestPredLeaves:
+    def test_left_to_right(self):
+        a, b, c = (PAtom(BVar(n)) for n in "abc")
+        p = PImp(PAnd((a, PNot(PKappa("k1")))), PIff(POr((PBool(False), b)), c))
+        assert list(pred_leaves(p)) == [a, PKappa("k1"), PBool(False), b, c]
+
+    def test_deep_predicate_needs_no_recursion(self):
+        leaf = PAtom(BVar("a"))
+        p = leaf
+        for i in range(5000):
+            p = PNot(p) if i % 2 else PImp(PAtom(BVar(f"h{i}")), p)
+        leaves = list(pred_leaves(p))
+        assert len(leaves) == 2501
+        assert leaves[-1] == leaf
 
 
 class TestRender:

@@ -16,18 +16,20 @@ from l2.syntax import (
     OrType,
     PrimType,
     Var,
-    alpha_equal,
     erase_ascriptions,
     erase_refinements,
     free_vars,
     is_value,
+    map_prims,
     print_expr,
     print_type,
+    subexprs,
     type_tag,
     types_equal_basic,
     uniquify,
     wf_type,
 )
+from tests.conftest import alpha_equal
 
 TT = PrimType("number", cmp_pred(LinTerm.of_var("v"), "!=", LinTerm.of_const(0)))
 FF = PrimType("number", cmp_pred(LinTerm.of_var("v"), "=", LinTerm.of_const(0)))
@@ -126,6 +128,29 @@ class TestExprHelpers:
         assert isinstance(u, Let) and isinstance(u.body, Let)
         assert u.name != u.body.name
         assert u.body.body == Var(u.body.name)
+
+    def test_subexprs_preorder(self):
+        e = parser.parse_expr("let f = (\\x => x : number -> number) in if f 1 then 2 else 3")
+        kinds = [type(s).__name__ for s in subexprs(e)]
+        assert kinds == ["Let", "Ascribe", "Lam", "Var", "If", "App", "Var", "Const",
+                         "Const", "Const"]
+
+    def test_subexprs_deep_needs_no_recursion(self):
+        e = c(0)
+        for i in range(5000):
+            e = Lam("x", e) if i % 2 else App(Var("f"), e)
+        assert sum(1 for _ in subexprs(e)) == 7501
+
+    def test_map_prims_left_to_right(self):
+        seen = []
+
+        def visit(t):
+            seen.append(t.base)
+            return NUM
+
+        t = FunType(AndType(BOOL, NUM), OrType(NUM, BOOL))
+        assert map_prims(t, visit) == FunType(AndType(NUM, NUM), OrType(NUM, NUM))
+        assert seen == ["boolean", "number", "number", "boolean"]
 
     def test_alpha_equal(self):
         a = Lam("x", App(Var("x"), c(1)))

@@ -31,8 +31,22 @@ from l2.target import (
     simple_typecheck,
     strip,
     subst_target,
-    unelab_type,
 )
+
+
+def unelab_type(t):
+    """Inverse of elab_type up to binder names; products back to intersections."""
+    match t:
+        case RBase(base, refinement):
+            return PrimType(base, refinement)
+        case RFun(_, dom, cod):
+            return FunType(unelab_type(dom), unelab_type(cod))
+        case RSum(left, right):
+            return OrType(unelab_type(left), unelab_type(right))
+        case RProd(left, right):
+            return AndType(unelab_type(left), unelab_type(right))
+    raise TypeError(f"not a refinement type: {t!r}")
+
 
 TT = PrimType("number", cmp_pred(LinTerm.of_var("v"), "!=", LinTerm.of_const(0)))
 

@@ -2,8 +2,10 @@
 
 Subcommands: check, elaborate, run, vcs, infer, fuzz.  Every subcommand
 accepts --json for structured output.  Exit codes: 0 success/accepted,
-1 rejected by refinement checking, 2 elaboration error, 64 usage error
-(including an unreadable FILE or config), 65 parse error, 70 internal
+1 rejected by refinement checking, 2 elaboration error, 3 no verdict (the
+input nests deeper than the checker's recursion limit), 64 usage error
+(an unreadable FILE or config, or a config that is not a JSON object of
+integer fuel, search_depth and clause_budget), 65 parse error, 70 internal
 invariant violation.
 """
 
@@ -25,9 +27,14 @@ from .target import IllTyped, print_ref_type, print_target
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_ELAB_ERROR = 2
+EXIT_NO_VERDICT = 3
 EXIT_USAGE = 64
 EXIT_PARSE = 65
 EXIT_INTERNAL = 70
+
+
+class ConfigError(Exception):
+    """A config file whose contents are not usable settings."""
 
 
 @dataclass
@@ -270,6 +277,11 @@ def _load_config(args) -> Config:
     if path:
         with open(path, "r", encoding="utf-8") as handle:
             file_values = json.load(handle)
+        if not isinstance(file_values, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
+        for key in ("fuel", "search_depth", "clause_budget"):
+            if key in file_values and type(file_values[key]) is not int:
+                raise ConfigError(f"config file {path}: {key} must be an integer")
     defaults = Config()
 
     def pick(flag, key, fallback):
@@ -303,12 +315,19 @@ def main(argv: list[str] | None = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: config file is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (IllTyped, PhaseOrderError, ResourceLimit) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except RecursionError:
+        print("error: input nests too deeply for this checker (recursion limit reached)",
+              file=sys.stderr)
+        return EXIT_NO_VERDICT
 
 
 if __name__ == "__main__":

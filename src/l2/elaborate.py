@@ -73,7 +73,6 @@ FLAG_PLAIN = "∘"
 
 DEFAULT_SEARCH_DEPTH = 64
 
-Env = dict[str, SrcType]
 Trace = tuple[str, ...]
 
 
@@ -104,8 +103,38 @@ class _MemoEntry:
         self.running = False
 
 
-def _env_key(env: Env) -> tuple:
-    return tuple(sorted(env.items(), key=lambda kv: kv[0]))
+class TypeEnv:
+    """A typing environment: one binding over a shared parent frame.
+
+    Extending an environment adds one frame and copies nothing.  Frames are
+    made by ``Elaborator.extend``, which interns them so that environments
+    with equal mappings are one object: a memo key then hashes and compares
+    its environment in O(1), by identity, instead of sorting its bindings.
+    """
+
+    __slots__ = ("parent", "name", "type", "weight")
+
+    def __init__(self, parent: TypeEnv | None, name: str, type_: SrcType | None, weight: int):
+        self.parent = parent
+        self.name = name
+        self.type = type_
+        self.weight = weight  # sum of hash((name, type)) over the mapping
+
+    def get(self, name: str) -> SrcType | None:
+        env = self
+        while env.parent is not None:
+            if env.name == name:
+                return env.type
+            env = env.parent
+        return None
+
+    def mapping(self) -> dict[str, SrcType]:
+        out: dict[str, SrcType] = {}
+        env = self
+        while env.parent is not None:
+            out.setdefault(env.name, env.type)
+            env = env.parent
+        return out
 
 
 class Elaborator:
@@ -113,6 +142,46 @@ class Elaborator:
         self.search_depth = search_depth
         self._fresh = 0
         self._memo: dict = {}
+        self.empty_env = TypeEnv(None, "", None, 0)
+        self._frames: dict = {}  # (parent, name, type) -> interned frame
+        self._by_weight: dict[int, list[TypeEnv]] = {}
+        self._bound: set[str] = set()  # every name some frame binds
+
+    def extend(self, env: TypeEnv, name: str, t: SrcType) -> TypeEnv:
+        """env with name bound to t; the same object for equal mappings."""
+        key = (env, name, t)
+        frame = self._frames.get(key)
+        if frame is None:
+            frame = self._frames[key] = self._intern(env, name, t)
+        return frame
+
+    def _intern(self, env: TypeEnv, name: str, t: SrcType) -> TypeEnv:
+        # Only a name some frame already binds is looked up (a walk).  In a
+        # parsed program every binder has its own name, so shadowing and
+        # equal mappings built in another order (the full comparison below)
+        # occur only in terms built by hand; handling them keeps memo keys
+        # equal exactly when the mappings are.
+        old = env.get(name) if name in self._bound else None
+        if old == t:
+            return env
+        self._bound.add(name)
+        weight = env.weight + hash((name, t)) - (0 if old is None else hash((name, old)))
+        same = self._by_weight.setdefault(weight, [])
+        if same:  # a mapping with this weight exists; compare in full
+            mapping = env.mapping()
+            mapping[name] = t
+            for frame in same:
+                if frame.mapping() == mapping:
+                    return frame
+        frame = TypeEnv(env, name, t, weight)
+        same.append(frame)
+        return frame
+
+    def env_of(self, bindings: dict[str, SrcType]) -> TypeEnv:
+        env = self.empty_env
+        for name, t in bindings.items():
+            env = self.extend(env, name, t)
+        return env
 
     def fresh_var(self, hint: str = "u") -> str:
         self._fresh += 1
@@ -159,7 +228,8 @@ class Elaborator:
                     f"ill-formed annotation {syntax.print_type(a.ty)}: {report.reason}", a.pos
                 )
         first = None
-        for t, w, flag, trace in self.synth(dict(), program.main, FLEXIBLE, self.search_depth):
+        candidates = self.synth(self.empty_env, program.main, FLEXIBLE, self.search_depth)
+        for t, w, flag, trace in candidates:
             if flag == FLAG_PLAIN:
                 return ElabResult(t, w, flag, ("T-TopLevel",) + trace)
             if first is None:
@@ -171,9 +241,9 @@ class Elaborator:
         )
 
     def check_expr(
-        self, env: Env, e: SrcExpr, expected: SrcType, mode: str = FLEXIBLE
+        self, env: dict[str, SrcType], e: SrcExpr, expected: SrcType, mode: str = FLEXIBLE
     ) -> tuple[TgtExpr, str]:
-        for w, flag, _ in self.check(env, e, expected, mode, self.search_depth):
+        for w, flag, _ in self.check(self.env_of(env), e, expected, mode, self.search_depth):
             return w, flag
         raise ElabError(
             f"no derivation for expression at type {syntax.print_type(expected)}",
@@ -197,13 +267,13 @@ class Elaborator:
     # -- checking ------------------------------------------------------------
 
     def check(
-        self, env: Env, e: SrcExpr, expected: SrcType, mode: str, depth: int
+        self, env: TypeEnv, e: SrcExpr, expected: SrcType, mode: str, depth: int
     ) -> Iterator[tuple[TgtExpr, str, Trace]]:
-        key = ("check", _env_key(env), e, expected, mode)
+        key = ("check", env, e, expected, mode)
         return self._replay(key, lambda: self._check_raw(env, e, expected, mode, depth))
 
     def _check_raw(
-        self, env: Env, e: SrcExpr, expected: SrcType, mode: str, depth: int
+        self, env: TypeEnv, e: SrcExpr, expected: SrcType, mode: str, depth: int
     ) -> Iterator[tuple[TgtExpr, str, Trace]]:
         if depth <= 0:
             return
@@ -246,18 +316,19 @@ class Elaborator:
                     yield dead, flag, ("T-Dead",) + tr
 
     def _check_syntax_directed(
-        self, env: Env, e: SrcExpr, expected: SrcType, mode: str, depth: int
+        self, env: TypeEnv, e: SrcExpr, expected: SrcType, mode: str, depth: int
     ) -> Iterator[tuple[TgtExpr, str, Trace]]:
         match e:
             case Const(con, pos):
                 if types_equal_basic(con.source_type, expected):
                     yield TConst(con, pos), FLAG_PLAIN, ("T-Const",)
             case Var(name, pos):
-                if name in env and types_equal_basic(env[name], expected):
+                t = env.get(name)
+                if t is not None and types_equal_basic(t, expected):
                     yield TVar(name, pos), FLAG_PLAIN, ("T-Var",)
             case Lam(param, body, pos):
                 if isinstance(expected, FunType) and wf_type(expected).ok:
-                    inner = {**env, param: expected.dom}
+                    inner = self.extend(env, param, expected.dom)
                     for w, _, tr in self.check(inner, body, expected.cod, mode, depth):
                         ann = TLam(param, w, expected, elab_type(expected), pos)
                         yield ann, FLAG_PLAIN, ("T-Lam",) + tr
@@ -267,7 +338,7 @@ class Elaborator:
                         yield w, flag, ("T-Ascribe",) + tr
             case Let(name, bound, body, pos):
                 for t1, w1, _, tr1 in self.synth(env, bound, mode, depth):
-                    inner = {**env, name: t1}
+                    inner = self.extend(env, name, t1)
                     for w2, flag, tr2 in self.check(inner, body, expected, mode, depth):
                         yield TLet(name, w1, w2, pos), flag, ("T-Let",) + tr1 + tr2
             case If(cond, then, els, pos):
@@ -300,13 +371,13 @@ class Elaborator:
     # -- synthesis -------------------------------------------------------------
 
     def synth(
-        self, env: Env, e: SrcExpr, mode: str, depth: int
+        self, env: TypeEnv, e: SrcExpr, mode: str, depth: int
     ) -> Iterator[tuple[SrcType, TgtExpr, str, Trace]]:
-        key = ("synth", _env_key(env), e, mode)
+        key = ("synth", env, e, mode)
         return self._replay(key, lambda: self._synth_raw(env, e, mode, depth))
 
     def _synth_raw(
-        self, env: Env, e: SrcExpr, mode: str, depth: int
+        self, env: TypeEnv, e: SrcExpr, mode: str, depth: int
     ) -> Iterator[tuple[SrcType, TgtExpr, str, Trace]]:
         if depth <= 0:
             return
@@ -314,14 +385,15 @@ class Elaborator:
             case Const(con, pos):
                 yield con.source_type, TConst(con, pos), FLAG_PLAIN, ("T-Const",)
             case Var(name, pos):
-                if name in env:
-                    yield env[name], TVar(name, pos), FLAG_PLAIN, ("T-Var",)
+                t = env.get(name)
+                if t is not None:
+                    yield t, TVar(name, pos), FLAG_PLAIN, ("T-Var",)
             case Ascribe(expr, ty, _):
                 for w, flag, tr in self.check(env, expr, ty, mode, depth):
                     yield ty, w, flag, ("T-Ascribe",) + tr
             case Let(name, bound, body, pos):
                 for t1, w1, _, tr1 in self.synth(env, bound, mode, depth):
-                    inner = {**env, name: t1}
+                    inner = self.extend(env, name, t1)
                     for t2, w2, flag, tr2 in self.synth(inner, body, mode, depth):
                         yield t2, TLet(name, w1, w2, pos), flag, ("T-Let",) + tr1 + tr2
             case If(cond, then, els, pos):
@@ -341,7 +413,7 @@ class Elaborator:
     HEAD_CAP = 16
 
     def _heads(
-        self, env: Env, fn: SrcExpr, mode: str, depth: int, cod: SrcType | None = None
+        self, env: TypeEnv, fn: SrcExpr, mode: str, depth: int, cod: SrcType | None = None
     ) -> Iterator[tuple[FunType, TgtExpr, str, Trace]]:
         """Head candidates, filtered by result type and capped.
 
@@ -355,7 +427,7 @@ class Elaborator:
         return itertools.islice(it, self.HEAD_CAP)
 
     def _head_candidates(
-        self, env: Env, fn: SrcExpr, mode: str, depth: int
+        self, env: TypeEnv, fn: SrcExpr, mode: str, depth: int
     ) -> Iterator[tuple[FunType, TgtExpr, str, Trace]]:
         for t, w, flag, tr in self.synth(env, fn, mode, depth):
             yield from self._arrows_of(t, w, flag, tr)
@@ -370,7 +442,7 @@ class Elaborator:
                 yield from self._arrows_of(part, TProj(k, w), FLAG_INTER, tr + ("T-And-Elim",))
 
     def _app(
-        self, env: Env, e: App, mode: str, depth: int, cod: SrcType | None = None
+        self, env: TypeEnv, e: App, mode: str, depth: int, cod: SrcType | None = None
     ) -> Iterator[tuple[SrcType, TgtExpr, str, Trace]]:
         """T-App over the head candidates whose result type is ``cod``."""
         # Pass 1: strict arguments for every head candidate.
@@ -385,7 +457,7 @@ class Elaborator:
                 yield arrow.cod, TApp(w1, w2, e.pos), FLAG_PLAIN, ("T-App",) + tr1 + tr2
 
     def _app_candidates(
-        self, env: Env, e: App, expected: SrcType, mode: str, depth: int
+        self, env: TypeEnv, e: App, expected: SrcType, mode: str, depth: int
     ) -> Iterator[tuple[TgtExpr, str, Trace]]:
         for _, w, flag, tr in self._app(env, e, mode, depth, expected):
             yield w, flag, tr
@@ -408,7 +480,7 @@ class Elaborator:
 
     def _union_split(
         self,
-        env: Env,
+        env: TypeEnv,
         e0: SrcExpr,
         t0: OrType,
         w0: TgtExpr,
@@ -420,8 +492,8 @@ class Elaborator:
     ) -> Iterator[tuple[TgtExpr, str, Trace]]:
         x1 = self.fresh_var()
         x2 = self.fresh_var()
-        env1 = {**env, x1: t0.left}
-        env2 = {**env, x2: t0.right}
+        env1 = self.extend(env, x1, t0.left)
+        env2 = self.extend(env, x2, t0.right)
         for w1, f1, tr1 in self.check(env1, plug(Var(x1)), expected, mode, depth):
             for w2, f2, tr2 in self.check(env2, plug(Var(x2)), expected, mode, depth):
                 flag = f1 if f1 == f2 else FLAG_PLAIN
@@ -465,7 +537,7 @@ def elaborate_program(program: Program, search_depth: int = DEFAULT_SEARCH_DEPTH
 
 
 def check_expr(
-    env: Env, e: SrcExpr, expected: SrcType, mode: str = FLEXIBLE,
+    env: dict[str, SrcType], e: SrcExpr, expected: SrcType, mode: str = FLEXIBLE,
     search_depth: int = DEFAULT_SEARCH_DEPTH,
 ) -> tuple[TgtExpr, str]:
     return Elaborator(search_depth).check_expr(env, e, expected, mode)

@@ -31,6 +31,7 @@ from .logic import (
     Verdict,
     cmp_pred,
     is_tautology,
+    is_true,
     piff,
     pnot,
     por,
@@ -79,52 +80,55 @@ class ShapeMismatch(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Bind:
-    name: str
-    ty: RefType
-
-
-@dataclass(frozen=True)
-class Guard:
-    pred: Pred
-
-
-@dataclass(frozen=True)
 class RefEnv:
-    entries: tuple[Bind | Guard, ...] = ()
+    """A refinement environment: binders and guards over a shared parent frame.
+
+    ``bind`` and ``guard`` add one frame each and copy nothing.  A base
+    binder's hypothesis (its refinement with the value variable replaced by
+    the binder's name) is substituted once, when it is bound, so building a
+    VC reads the hypotheses off the frames instead of substituting into every
+    binder again.  Lookups walk outwards to the nearest binder of the name.
+    """
+
+    __slots__ = ("parent", "name", "ty", "hyp")
+
+    def __init__(self, parent: RefEnv | None = None, name: str | None = None,
+                 ty: RefType | None = None, hyp: Pred | None = None):
+        self.parent = parent
+        self.name = name  # None for a guard
+        self.ty = ty
+        self.hyp = hyp  # None for a binder that carries no hypothesis
 
     def bind(self, name: str, ty: RefType) -> RefEnv:
-        return RefEnv(self.entries + (Bind(name, ty),))
+        hyp = None
+        if isinstance(ty, RBase):
+            repl: object = LinTerm.of_var(name) if ty.base == NUMBER else name
+            hyp = subst_pred(ty.refinement, VALUE_VAR, repl)
+        return RefEnv(self, name, ty, hyp)
 
     def guard(self, pred: Pred) -> RefEnv:
-        return RefEnv(self.entries + (Guard(pred),))
+        return RefEnv(self, None, None, pred)
+
+    def _frames(self):
+        """Frames from the innermost outwards."""
+        env = self
+        while env.parent is not None:
+            yield env
+            env = env.parent
 
     def lookup(self, name: str) -> RefType:
-        for entry in reversed(self.entries):
-            if isinstance(entry, Bind) and entry.name == name:
-                return entry.ty
+        for frame in self._frames():
+            if frame.name == name:
+                return frame.ty
         raise KeyError(name)
 
     def flatten(self) -> tuple[Pred, ...]:
         """Hypotheses: binder refinements with the value variable replaced by
         the binder name, plus guard predicates, in binding order."""
-        out: list[Pred] = []
-        for entry in self.entries:
-            match entry:
-                case Guard(pred):
-                    out.append(pred)
-                case Bind(name, RBase(base, refinement)):
-                    repl: object = LinTerm.of_var(name) if base == NUMBER else name
-                    out.append(subst_pred(refinement, VALUE_VAR, repl))
-                case Bind(_, _):
-                    pass  # non-base binders carry no hypothesis
-        return tuple(out)
+        return tuple(reversed([f.hyp for f in self._frames() if f.hyp is not None]))
 
     def base_names(self) -> tuple[str, ...]:
-        return tuple(
-            e.name for e in self.entries if isinstance(e, Bind) and isinstance(e.ty, RBase)
-        )
+        return tuple(reversed([f.name for f in self._frames() if isinstance(f.ty, RBase)]))
 
     def sort_of(self, name: str) -> str | None:
         try:
@@ -134,7 +138,8 @@ class RefEnv:
         return t.base if isinstance(t, RBase) else None
 
     def erased(self) -> dict[str, ErasedType]:
-        return {e.name: strip(e.ty) for e in self.entries if isinstance(e, Bind)}
+        frames = [f for f in self._frames() if f.name is not None]
+        return {f.name: strip(f.ty) for f in reversed(frames)}
 
 
 # ---------------------------------------------------------------------------
@@ -290,26 +295,33 @@ def subtype(env: RefEnv, t1: RefType, t2: RefType, origin: str = "") -> list[VC]
     products decompose componentwise covariantly.  The returned list is raw:
     trivial reflexive conditions are included.
     """
+    return [
+        VC(env2.flatten(), p1, p2, origin2, env2.base_names())
+        for env2, p1, p2, origin2 in _obligations(env, t1, t2, origin)
+    ]
+
+
+def _obligations(env: RefEnv, t1: RefType, t2: RefType, origin: str):
+    """The base-type obligations of ``subtype`` as (env, antecedent,
+    consequent, origin), in order, before any hypothesis is built."""
     if strip(t1) != strip(t2):
         raise ShapeMismatch(f"{strip(t1)} vs {strip(t2)}")
     match (t1, t2):
         case (RBase(_, p1), RBase(_, p2)):
-            return [VC(env.flatten(), p1, p2, origin, env.base_names())]
+            yield env, p1, p2, origin
         case (RFun() as f1, RFun() as f2):
-            out = subtype(env, f2.dom, f1.dom, origin + " (domain)")
+            yield from _obligations(env, f2.dom, f1.dom, origin + " (domain)")
             f1r = rename_binder(f1, f2.binder)
             inner = env.bind(f2.binder, f2.dom)
-            out.extend(subtype(inner, f1r.cod, f2.cod, origin + " (codomain)"))
-            return out
+            yield from _obligations(inner, f1r.cod, f2.cod, origin + " (codomain)")
         case (RSum() as s1, RSum() as s2):
-            return subtype(env, s1.left, s2.left, origin) + subtype(
-                env, s1.right, s2.right, origin
-            )
+            yield from _obligations(env, s1.left, s2.left, origin)
+            yield from _obligations(env, s1.right, s2.right, origin)
         case (RProd() as p1, RProd() as p2):
-            return subtype(env, p1.left, p2.left, origin) + subtype(
-                env, p1.right, p2.right, origin
-            )
-    raise ShapeMismatch(f"{t1!r} vs {t2!r}")
+            yield from _obligations(env, p1.left, p2.left, origin)
+            yield from _obligations(env, p1.right, p2.right, origin)
+        case _:
+            raise ShapeMismatch(f"{t1!r} vs {t2!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +356,10 @@ class RefChecker:
         return f"$g{self._ghosts}"
 
     def emit(self, env: RefEnv, t1: RefType, t2: RefType, origin: str) -> None:
-        for vc in subtype(env, t1, t2, origin):
+        for env2, p1, p2, origin2 in _obligations(env, t1, t2, origin):
+            if is_true(p2):
+                continue  # a tautology; skip building its hypotheses
+            vc = VC(env2.flatten(), p1, p2, origin2, env2.base_names())
             if not is_tautology(vc):
                 self.vcs.append(vc)
 

@@ -9,7 +9,7 @@ so kappa templates are numbered in a fixed order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterator, Optional, TYPE_CHECKING
 
 from .logic import Pred, TRUE, is_true, render_pred
@@ -27,29 +27,57 @@ TAG_FUNCTION = "function"
 Pos = Optional[tuple[int, int]]
 
 
+def _cached_hash(cls):
+    """Give a frozen node class a structural hash that is computed once.
+
+    The elaborator keys its memo on whole subterms and types.  With the hash
+    kept on the node, hashing a node whose children are hashed costs O(1),
+    not O(size of the subtree), as in hash-consing.  The value is the one
+    the dataclass would compute (the compared fields as a tuple), and it is
+    computed on first use only: most nodes are never hashed.
+    """
+    names = tuple(f.name for f in fields(cls) if f.compare)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            pass  # hash the children outside the handler, not under its context
+        h = hash(tuple(getattr(self, name) for name in names))
+        object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
 # ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class PrimType:
     base: str  # "number" | "boolean"
     refinement: Pred = TRUE
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class FunType:
     dom: SrcType
     cod: SrcType
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class AndType:
     left: SrcType
     right: SrcType
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class OrType:
     left: SrcType
@@ -182,18 +210,21 @@ class PrimConst:
 # ---------------------------------------------------------------------------
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class Const:
     con: PrimConst
     pos: Pos = field(default=None, compare=False)
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class Var:
     name: str
     pos: Pos = field(default=None, compare=False)
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class Lam:
     param: str
@@ -201,6 +232,7 @@ class Lam:
     pos: Pos = field(default=None, compare=False)
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class Ascribe:
     expr: SrcExpr
@@ -208,6 +240,7 @@ class Ascribe:
     pos: Pos = field(default=None, compare=False)
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class Let:
     name: str
@@ -216,6 +249,7 @@ class Let:
     pos: Pos = field(default=None, compare=False)
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class If:
     cond: SrcExpr
@@ -224,6 +258,7 @@ class If:
     pos: Pos = field(default=None, compare=False)
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class App:
     fn: SrcExpr

@@ -21,6 +21,13 @@ def programs_dir():
     return PROGRAMS
 
 
+def let_chain(n: int) -> str:
+    """A program of n nested lets, each adding a literal to the previous one."""
+    lines = ["let x0 = 1 in"]
+    lines += [f"let x{i} = add x{i - 1} {i % 10} in" for i in range(1, n)]
+    return "\n".join(lines) + f"\nx{n - 1}\n"
+
+
 def alpha_equal(a, b) -> bool:
     def go(a, b, env: dict[str, str]) -> bool:
         match (a, b):

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from l2.cli import main
+from tests.conftest import let_chain
 
 
 def run_cli(args, capsys):
@@ -96,6 +97,32 @@ class TestUnreadableInputs:
 
     def test_file_is_a_directory(self, tmp_path, capsys):
         self.assert_usage_error(["check", str(tmp_path)], capsys)
+
+    @pytest.mark.parametrize(
+        "contents", ["[1]", '{"fuel": "x"}', '{"search_depth": "x"}'],
+        ids=["not-an-object", "string-fuel", "string-search-depth"],
+    )
+    def test_unusable_config_contents(self, programs_dir, tmp_path, capsys, contents):
+        config = tmp_path / "config.json"
+        config.write_text(contents)
+        self.assert_usage_error(
+            ["--config", str(config), "run", str(programs_dir / "negate_ok.l2")], capsys
+        )
+
+
+class TestDeepInput:
+    """Input deeper than the recursion limit ends in "no verdict", never "rejected"."""
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_deep_let_chain_has_no_verdict(self, tmp_path, capsys, flags):
+        deep = tmp_path / "deep.l2"
+        deep.write_text(let_chain(5000))
+        code, out, err = run_cli([*flags, "check", str(deep)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: input nests too deeply for this checker (recursion limit reached)\n"
+        )
 
 
 class TestRun:

@@ -140,6 +140,7 @@ class TestCheckExpr:
 
 
 def resolve_union_elim(elab, env, e0, context, expected, mode=FLEXIBLE):
+    env = elab.env_of(env)
     for t0, w0, _, tr0 in elab.synth(env, e0, mode, elab.search_depth):
         if not isinstance(t0, OrType):
             continue
@@ -300,3 +301,36 @@ class TestOverloadedArgumentStrictness:
             for fn, arg in apps(result.target):
                 if isinstance(fn, TProj):
                     assert not isinstance(arg, TDead), syntax.print_program(program)
+
+
+class TestEnvironments:
+    # The parser renames shadowing binders apart, so these terms are built
+    # directly.
+
+    def test_let_shadows_outer_name_with_other_type(self):
+        one, true = Const(constants.int_const(1)), Const(constants.TRUE_CONST)
+        e = Let("x", one, Let("x", true, Var("x")))
+        result = elaborate_program(syntax.Program((), e))
+        assert result.type == BOOL
+        assert print_target(result.target) == "let x = 1 in let x = true in x"
+
+    def test_lambda_parameter_shadows_let(self):
+        one, true = Const(constants.int_const(1)), Const(constants.TRUE_CONST)
+        inc = Lam("x", App(App(Const(constants.ADD), Var("x")), one))
+        e = Let("x", true, App(Ascribe(inc, FunType(NUM, NUM)), one))
+        result = elaborate_program(syntax.Program((), e))
+        assert result.type == NUM
+        assert print_target(result.target) == "let x = true in (\\x => add x 1) 1"
+
+    def test_equal_mappings_are_one_environment(self):
+        elab = Elaborator()
+        empty = elab.empty_env
+        ab = elab.extend(elab.extend(empty, "a", NUM), "b", BOOL)
+        ba = elab.extend(elab.extend(empty, "b", BOOL), "a", NUM)
+        assert ab is ba
+        assert elab.extend(ab, "a", NUM) is ab  # rebinding at the same type
+        shadowed = elab.extend(elab.extend(ab, "a", BOOL), "a", NUM)
+        assert shadowed is ab
+        assert elab.extend(ab, "a", BOOL) is not ab
+        assert elab.env_of({"b": BOOL, "a": NUM}) is ab
+        assert ab.get("a") == NUM and ab.get("c") is None

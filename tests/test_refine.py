@@ -1,8 +1,10 @@
 import itertools
+import random
+from dataclasses import dataclass
 
 import pytest
 
-from l2 import constants, elaborate, parser
+from l2 import constants, elaborate, parser, refine
 from l2.logic import (
     BVar,
     LinTerm,
@@ -13,11 +15,10 @@ from l2.logic import (
     eval_pred,
     pred_key,
     render_pred,
+    subst_pred,
 )
 from l2.refine import (
-    Bind,
     CheckReport,
-    Guard,
     PhaseOrderError,
     RefEnv,
     ShapeMismatch,
@@ -39,7 +40,7 @@ from l2.target import (
     fbot,
     strip,
 )
-from tests.conftest import NEGATE_ERR_C, NEGATE_OK
+from tests.conftest import NEGATE_ERR_C, NEGATE_OK, let_chain
 
 nu = LinTerm.of_var("v")
 
@@ -258,6 +259,122 @@ class TestEnvironments:
     def test_phase_order_error(self):
         with pytest.raises(PhaseOrderError):
             check_refined(RefEnv(), TVar("ghost"))
+
+
+# The environment as a flat tuple of entries, rebuilt in full on every query:
+# the reference that the persistent RefEnv is checked against.
+
+
+@dataclass(frozen=True)
+class Bind:
+    name: str
+    ty: object
+
+
+@dataclass(frozen=True)
+class Guard:
+    pred: object
+
+
+@dataclass(frozen=True)
+class ReferenceEnv:
+    entries: tuple = ()
+
+    def bind(self, name, ty):
+        return ReferenceEnv(self.entries + (Bind(name, ty),))
+
+    def guard(self, pred):
+        return ReferenceEnv(self.entries + (Guard(pred),))
+
+    def lookup(self, name):
+        for entry in reversed(self.entries):
+            if isinstance(entry, Bind) and entry.name == name:
+                return entry.ty
+        raise KeyError(name)
+
+    def flatten(self):
+        out = []
+        for entry in self.entries:
+            match entry:
+                case Guard(pred):
+                    out.append(pred)
+                case Bind(name, RBase(base, refinement)):
+                    repl = LinTerm.of_var(name) if base == "number" else name
+                    out.append(subst_pred(refinement, "v", repl))
+        return tuple(out)
+
+    def base_names(self):
+        return tuple(
+            e.name for e in self.entries if isinstance(e, Bind) and isinstance(e.ty, RBase)
+        )
+
+    def erased(self):
+        return {e.name: strip(e.ty) for e in self.entries if isinstance(e, Bind)}
+
+
+class TestPersistentEnvironment:
+    NAMES = ("a", "b", "c")
+
+    def random_type(self, rng):
+        name = rng.choice(self.NAMES)
+        kind = rng.randrange(4)
+        if kind == 0:
+            return num(cmp_pred(nu, rng.choice(("<", "=", "!=")), LinTerm.of_var(name)))
+        if kind == 1:
+            return RBase("boolean", PAtom(BVar(rng.choice(("v", name)))))
+        if kind == 2:
+            return num()
+        return elab_type(FunType(NUM, NUM))
+
+    def assert_agree(self, env, ref):
+        assert env.flatten() == ref.flatten()
+        assert env.base_names() == ref.base_names()
+        assert env.erased() == ref.erased()
+        for name in self.NAMES + ("unbound",):
+            try:
+                expected = ref.lookup(name)
+            except KeyError:
+                with pytest.raises(KeyError):
+                    env.lookup(name)
+            else:
+                assert env.lookup(name) == expected
+
+    def test_agrees_with_reference_on_random_sequences(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            env, ref = RefEnv(), ReferenceEnv()
+            saved = []
+            for _ in range(rng.randrange(1, 12)):
+                if rng.random() < 0.25:
+                    pred = cmp_pred(LinTerm.of_var(rng.choice(self.NAMES)), "<=", lit(3))
+                    env, ref = env.guard(pred), ref.guard(pred)
+                else:
+                    name, ty = rng.choice(self.NAMES), self.random_type(rng)
+                    env, ref = env.bind(name, ty), ref.bind(name, ty)
+                saved.append((env, ref))
+                if rng.random() < 0.2:  # branch off an earlier environment
+                    env, ref = rng.choice(saved)
+            for env_k, ref_k in saved:
+                self.assert_agree(env_k, ref_k)
+
+    def test_vc_generation_substitutes_linearly(self, monkeypatch):
+        # Each binder's hypothesis is substituted once, so doubling the chain
+        # at most doubles the substitutions (plus a constant), where
+        # re-flattening the environment per obligation quadruples them.
+        calls = [0]
+
+        def counting(*args):
+            calls[0] += 1
+            return subst_pred(*args)
+
+        monkeypatch.setattr(refine, "subst_pred", counting)
+        counts = []
+        for n in (100, 200):
+            target = elaborate.elaborate_program(parser.parse_program(let_chain(n))).target
+            calls[0] = 0
+            check_refined(RefEnv(), target)
+            counts.append(calls[0])
+        assert counts[1] <= 2 * counts[0] + 10
 
 
 class TestDependentApplication:

@@ -106,6 +106,35 @@ def c(k):
     return Const(constants.int_const(k))
 
 
+class TestCachedHash:
+    def test_deep_let_hashes_its_subterms_once(self):
+        leaf_hashes = []
+
+        class CountingConst(syntax.PrimConst):
+            def __hash__(self):
+                leaf_hashes.append(self.name)
+                return super().__hash__()
+
+        e = Const(CountingConst("leaf", NUM))
+        middle = None
+        for i in range(300):
+            e = Let(f"x{i}", Var("y"), e)
+            if i == 150:
+                middle = e
+        h = hash(e)
+        assert leaf_hashes == ["leaf"]
+        assert hash(e) == h and hash(middle) == hash(middle)
+        assert leaf_hashes == ["leaf"]
+
+    def test_hash_is_structural(self):
+        a = Let("x", App(Var("f", (1, 1)), c(1)), Var("x"))
+        b = Let("x", App(Var("f", (2, 5)), c(1)), Var("x"), (3, 3))
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash(("x", App(Var("f"), c(1)), Var("x")))  # the dataclass value
+        assert hash(FunType(NUM, TT)) == hash(FunType(NUM, TT))
+        assert {a: 1}[b] == 1
+
+
 class TestExprHelpers:
     def test_values(self):
         assert is_value(c(1))

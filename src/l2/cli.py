@@ -112,23 +112,20 @@ def cmd_elaborate(args, config: Config) -> int:
 def cmd_run(args, config: Config) -> int:
     program = _read_program(args.file)
     if args.lang == "src":
-        src = syntax.erase_ascriptions(program.main)
-        outcome, rules, _ = source_interp.eval_source_trace(src, config.fuel)
-        kind = type(outcome).__name__
-        final = {
-            "Value": lambda o: syntax.print_expr(o.value),
-            "StuckAt": lambda o: f"{syntax.print_expr(o.expr)} ({o.reason})",
-            "FuelExhausted": lambda o: syntax.print_expr(o.expr),
-        }[kind](outcome)
+        outcome, rules, _ = source_interp.eval_source_trace(program.main, config.fuel)
+        show = syntax.print_expr
     else:
         result = elaborate_program(program, config.search_depth)
         outcome, rules, _ = target_interp.eval_target_trace(result.target, config.fuel)
-        kind = type(outcome).__name__.lstrip("T")
-        final = {
-            "Value": lambda o: print_target(o.value),
-            "StuckAt": lambda o: f"{print_target(o.expr)} ({o.reason})",
-            "FuelExhausted": lambda o: print_target(o.expr),
-        }[kind](outcome)
+        show = print_target
+    kind = type(outcome).__name__
+    match outcome:
+        case source_interp.Value(value):
+            final = show(value)
+        case source_interp.StuckAt(expr, reason):
+            final = f"{show(expr)} ({reason})"
+        case source_interp.FuelExhausted(expr):
+            final = show(expr)
     payload = {"outcome": kind, "result": final, "steps": len(rules), "trace": rules}
     lines = [*(rules if config.trace else []), f"{kind}: {final}", f"steps: {len(rules)}"]
     _emit(payload, config.json, "\n".join(lines))
@@ -194,7 +191,7 @@ def cmd_fuzz(args, config: Config) -> int:
     stats = harness.run_fuzz(
         trials=args.trials,
         seed=args.seed,
-        fuel=args.fuzz_fuel,
+        fuel=config.fuel,
         size_budget=args.budget,
         check_soundness=not args.no_soundness,
         shrink=args.shrink,
@@ -259,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz = sub.add_parser("fuzz", help="differential testing")
     p_fuzz.add_argument("--trials", type=int, default=100)
     p_fuzz.add_argument("--seed", type=int, default=0)
-    p_fuzz.add_argument("--fuel", type=int, default=10000, dest="fuzz_fuel",
-                        help="per-trial fuel")
     p_fuzz.add_argument("--budget", type=int, default=30)
     p_fuzz.add_argument("--no-soundness", action="store_true")
     p_fuzz.add_argument("--shrink", action="store_true")

@@ -7,7 +7,11 @@ the non-deterministic choices (which conjunct, which union arm, where to
 split).  Administrative projection chains over pairs are normalized away
 before matching.
 
-``lockstep_check`` runs a program in both languages and checks:
+``run_trial`` elaborates a program once and runs it once in each language;
+the checks below all read that one ``Trial``, and the fuzz loop and the
+shrinker build one per program.
+
+``lockstep_check`` compares the two runs of a trial and checks:
   (a) a terminal target value is matched by a terminal source value that
       elaborates to it at the program type,
   (b) every source intermediate elaborates to some target intermediate,
@@ -24,9 +28,10 @@ import random
 from dataclasses import dataclass, field
 
 from . import constants, source_interp, syntax, target_interp
-from .elaborate import ElabError, Elaborator, elaborate_program
+from .elaborate import ElabError, ElabResult, Elaborator, elaborate_program
 from .logic import LinTerm, VALUE_VAR, cmp_pred
 from .refine import PhaseOrderError, RefEnv, check_refined
+from .source_interp import FuelExhausted, Outcome, Stepped, StuckAt, Value
 from .syntax import (
     AndType,
     App,
@@ -274,50 +279,76 @@ class DiffReport:
         }
 
 
-def lockstep_check(program: Program, fuel: int = 10000) -> DiffReport:
-    text = print_program(program)
-    result = elaborate_program(program)
-    tau = result.type
-    src = syntax.erase_ascriptions(program.main)
-    s_out, s_rules, s_states = source_interp.eval_source_trace(src, fuel)
-    t_out, t_rules, t_states = target_interp.eval_target_trace(result.target, fuel)
+@dataclass(frozen=True)
+class Trial:
+    """A program elaborated once and run once in each language.
+
+    ``source`` and ``target`` are the interpreters' (outcome, rules, states);
+    ``normalized`` holds the target states with administrative projections
+    reduced, as ``elab_matches`` compares against them.
+    """
+
+    program: Program
+    elab: ElabResult
+    source: tuple[Outcome, list[str], list[SrcExpr]]
+    target: tuple[Outcome, list[str], list[TgtExpr]]
+    normalized: tuple[TgtExpr, ...]
+
+
+def run_trial(program: Program, fuel: int = 10000) -> Trial:
+    """Raises ElabError when the program does not pass phase 1."""
+    elab = elaborate_program(program)
+    source = source_interp.eval_source_trace(program.main, fuel)
+    target = target_interp.eval_target_trace(elab.target, fuel)
+    return Trial(program, elab, source, target, tuple(normalize_admin(w) for w in target[2]))
+
+
+def _witnesses(trial: Trial, every: int = 1):
+    """Scan the target trace forward for an elaboration witness of every
+    ``every``-th source state.  Yields (i, j): target state j witnesses
+    source state i; j is None, and the scan ends, when none is left."""
+    s_states, tau, normalized = trial.source[2], trial.elab.type, trial.normalized
+    j = 0
+    for i in range(0, len(s_states), every):
+        j = next(
+            (jj for jj in range(j, len(normalized))
+             if elab_matches({}, s_states[i], tau, normalized[jj])),
+            None,
+        )
+        yield i, j
+        if j is None:
+            return
+
+
+def lockstep_check(trial: Trial) -> DiffReport:
+    s_out, s_rules, s_states = trial.source
+    t_out, t_rules, t_states = trial.target
 
     def report(verdict: str, kind: str | None = None, idx: int | None = None, detail: str = ""):
-        return DiffReport(text, verdict, kind, idx, s_rules, t_rules, detail)
+        return DiffReport(print_program(trial.program), verdict, kind, idx, s_rules, t_rules,
+                          detail)
 
-    if isinstance(s_out, source_interp.FuelExhausted) or isinstance(
-        t_out, target_interp.TFuelExhausted
-    ):
+    if isinstance(s_out, FuelExhausted) or isinstance(t_out, FuelExhausted):
         return report("inconclusive", "fuel-exhausted")
 
-    normalized = [normalize_admin(wj) for wj in t_states]
-
     # (b) every source intermediate elaborates to some target intermediate
-    j = 0
-    for i, ei in enumerate(s_states):
-        found = None
-        for jj in range(j, len(normalized)):
-            if elab_matches({}, ei, tau, normalized[jj]):
-                found = jj
-                break
-        if found is None:
+    for i, j in _witnesses(trial):
+        if j is None:
             return report(
                 "counterexample", "reverse-consistency", i,
                 f"source state {i} has no elaboration witness in the target trace",
             )
-        j = found
 
     # (a)/(c) terminal agreement
-    s_stuck = isinstance(s_out, source_interp.StuckAt)
-    t_stuck = isinstance(t_out, target_interp.TStuckAt)
+    s_stuck = isinstance(s_out, StuckAt)
+    t_stuck = isinstance(t_out, StuckAt)
     if s_stuck != t_stuck:
         return report(
             "counterexample", "stuckness-mismatch", len(s_states) - 1,
             f"source {type(s_out).__name__} vs target {type(t_out).__name__}",
         )
     if t_stuck:
-        focus = target_interp.stuck_focus(t_out.expr)
-        if not target_interp.contains_dead_value(focus):
+        if not target_interp.contains_dead_value(t_out.focus):
             return report(
                 "counterexample", "stuck-without-dead", len(t_states) - 1,
                 "target stuck redex carries no DEAD value",
@@ -325,7 +356,7 @@ def lockstep_check(program: Program, fuel: int = 10000) -> DiffReport:
     else:
         # both values: the final alignment above already related them, but the
         # terminal target value must itself be matched by the source value
-        if not elab_matches({}, s_states[-1], tau, normalized[-1]):
+        if not elab_matches({}, s_states[-1], trial.elab.type, trial.normalized[-1]):
             return report(
                 "counterexample", "multistep-consistency", len(s_states) - 1,
                 "terminal values are not related by elaboration",
@@ -333,40 +364,24 @@ def lockstep_check(program: Program, fuel: int = 10000) -> DiffReport:
     return report("agree")
 
 
-def soundness_trial(program: Program, fuel: int = 10000, sample_every: int = 5) -> str:
+def soundness_trial(trial: Trial, sample_every: int = 5) -> str:
     """Accepted programs must run without getting stuck and stay accepted.
 
-    Returns "pass", "vacuous" (the program is not well two-typed), or a
+    Returns "pass", "vacuous" (the program is not accepted by phase 2), or a
     failure tag.
     """
     try:
-        result = elaborate_program(program)
-    except ElabError:
-        return "vacuous"
-    try:
-        if not check_refined(RefEnv(), result.target).accepted:
+        if not check_refined(RefEnv(), trial.elab.target).accepted:
             return "vacuous"
     except PhaseOrderError:
         return "fail:phase-order"
-    src = syntax.erase_ascriptions(program.main)
-    s_out, _, s_states = source_interp.eval_source_trace(src, fuel)
-    if isinstance(s_out, source_interp.StuckAt):
+    if isinstance(trial.source[0], StuckAt):
         return "fail:stuck"
-    tau = result.type
-    _, _, t_states = target_interp.eval_target_trace(result.target, fuel)
-    normalized = [normalize_admin(wj) for wj in t_states]
-    j = 0
-    for i in range(0, len(s_states), sample_every):
-        found = None
-        for jj in range(j, len(normalized)):
-            if elab_matches({}, s_states[i], tau, normalized[jj]):
-                found = jj
-                break
-        if found is None:
+    for _, j in _witnesses(trial, sample_every):
+        if j is None:
             return "fail:preservation-witness"
-        j = found
         try:
-            if not check_refined(RefEnv(), t_states[found]).accepted:
+            if not check_refined(RefEnv(), trial.target[2][j]).accepted:
                 return "fail:preservation"
         except PhaseOrderError:
             return "fail:phase-order"
@@ -388,14 +403,12 @@ def _prim_redexes(e: SrcExpr) -> list[tuple[Const, SrcExpr]]:
     ]
 
 
-def assumption1_check(program: Program, fuel: int = 10000) -> list[str]:
+def assumption1_check(trial: Trial) -> list[str]:
     """Primitive application agrees between the languages for non-DEAD values."""
     violations: list[str] = []
-    src = syntax.erase_ascriptions(program.main)
-    _, _, states = source_interp.eval_source_trace(src, fuel)
     seen: set[tuple[str, str]] = set()
     elaborator = Elaborator()
-    for state in states:
+    for state in trial.source[2]:
         for c, v in _prim_redexes(state):
             key = (c.con.name, syntax.print_expr(v))
             if key in seen:
@@ -403,7 +416,7 @@ def assumption1_check(program: Program, fuel: int = 10000) -> list[str]:
             seen.add(key)
             dom = c.con.source_type.dom
             step = source_interp.step_source(App(c, v))
-            if not isinstance(step, source_interp.Stepped):
+            if not isinstance(step, Stepped):
                 continue  # delta undefined: the assumption does not apply
             try:
                 w, _ = elaborator.check_expr({}, v, dom)
@@ -413,7 +426,7 @@ def assumption1_check(program: Program, fuel: int = 10000) -> list[str]:
             if target_interp.is_dead_value(normalize_admin(w)):
                 continue
             t_step = target_interp.step_target(TApp(TConst(c.con), w))
-            if not isinstance(t_step, target_interp.TStepped):
+            if not isinstance(t_step, Stepped):
                 violations.append(f"{key}: target application does not step")
                 continue
             if not elab_matches({}, step.next, c.con.source_type.cod, normalize_admin(t_step.next)):
@@ -421,19 +434,13 @@ def assumption1_check(program: Program, fuel: int = 10000) -> list[str]:
     return violations
 
 
-def canonical_forms_check(program: Program, fuel: int = 10000) -> list[str]:
+def canonical_forms_check(trial: Trial) -> list[str]:
     """Terminal target values at lambda/constant sources are the expected shapes."""
     violations: list[str] = []
-    try:
-        result = elaborate_program(program)
-    except ElabError:
+    s_out, t_out = trial.source[0], trial.target[0]
+    if not isinstance(s_out, Value) or not isinstance(t_out, Value):
         return violations
-    src = syntax.erase_ascriptions(program.main)
-    s_out, _, _ = source_interp.eval_source_trace(src, fuel)
-    t_out, _, _ = target_interp.eval_target_trace(result.target, fuel)
-    if not isinstance(s_out, source_interp.Value) or not isinstance(t_out, target_interp.TValue):
-        return violations
-    v, w = s_out.value, normalize_admin(t_out.value)
+    v, w = s_out.value, trial.normalized[-1]
     if isinstance(v, Lam):
         ok = isinstance(w, TLam) or target_interp.is_dead_value(w) or isinstance(w, TPair)
         if not ok:
@@ -449,23 +456,15 @@ def canonical_forms_check(program: Program, fuel: int = 10000) -> list[str]:
     return violations
 
 
-def substitution_spot_check(program: Program, fuel: int = 2000) -> list[str]:
+def substitution_spot_check(trial: Trial) -> list[str]:
     """Substitution commutes with elaboration along let reductions."""
     violations: list[str] = []
-    try:
-        result = elaborate_program(program)
-    except ElabError:
-        return violations
-    tau = result.type
-    src = syntax.erase_ascriptions(program.main)
-    _, _, s_states = source_interp.eval_source_trace(src, fuel)
-    _, _, t_states = target_interp.eval_target_trace(result.target, fuel)
-    normalized = [normalize_admin(wj) for wj in t_states]
-    for i, state in enumerate(s_states):
+    tau = trial.elab.type
+    for i, state in enumerate(trial.source[2]):
         if not isinstance(state, Let) or not is_value(state.bound):
             continue
         # Find the matching target state that is also a rooted let over a value.
-        for wj in normalized:
+        for wj in trial.normalized:
             if (
                 isinstance(wj, TLet)
                 and target_interp.is_target_value(wj.bound)
@@ -793,20 +792,22 @@ def _replace_child(e: SrcExpr, attr: str, new):
     return replace(e, **{attr: new})
 
 
-def shrink_counterexample(program: Program, fuel: int) -> Program:
-    current = program
+def shrink_counterexample(trial: Trial, fuel: int) -> Trial:
+    """The trial of a smallest program, by greedy shrinking, that still fails
+    the lockstep check."""
+    current = trial
     improved = True
     while improved:
         improved = False
-        for candidate_main in _shrink_candidates(current.main):
-            candidate = Program(current.type_aliases, candidate_main)
+        for candidate_main in _shrink_candidates(current.program.main):
             try:
-                if lockstep_check(candidate, fuel).verdict == "counterexample":
-                    current = candidate
-                    improved = True
-                    break
+                candidate = run_trial(Program(current.program.type_aliases, candidate_main), fuel)
             except ElabError:
                 continue
+            if lockstep_check(candidate).verdict == "counterexample":
+                current = candidate
+                improved = True
+                break
     return current
 
 
@@ -834,17 +835,17 @@ def run_fuzz(
     reports: list[DiffReport] = []
     a1 = canon = subst = sound_fail = accepted = 0
     for i in range(trials):
-        program = gen_program(seed + i, size_budget, dead_density)
-        report = lockstep_check(program, fuel)
+        trial = run_trial(gen_program(seed + i, size_budget, dead_density), fuel)
+        report = lockstep_check(trial)
         if report.verdict == "counterexample" and shrink:
-            program = shrink_counterexample(program, fuel)
-            report = lockstep_check(program, fuel)
+            trial = shrink_counterexample(trial, fuel)
+            report = lockstep_check(trial)
         reports.append(report)
-        a1 += len(assumption1_check(program, fuel))
-        canon += len(canonical_forms_check(program, fuel))
-        subst += len(substitution_spot_check(program))
+        a1 += len(assumption1_check(trial))
+        canon += len(canonical_forms_check(trial))
+        subst += len(substitution_spot_check(trial))
         if check_soundness:
-            verdict = soundness_trial(program, fuel)
+            verdict = soundness_trial(trial)
             if verdict == "pass":
                 accepted += 1
             elif verdict.startswith("fail"):

@@ -6,22 +6,30 @@ Six rules over left-to-right evaluation contexts:
 
 Stepping is deterministic; stuck terms are reported with a reason instead of
 raising.  Type ascriptions are erased before evaluation starts, they have no
-runtime meaning.
+runtime meaning.  The step results, the outcomes and the trace loop defined
+here serve the target interpreter as well.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import constants, syntax
 from .syntax import App, Ascribe, Const, FunType, If, Lam, Let, SrcExpr, Var
+
+if TYPE_CHECKING:
+    from .target import TgtExpr
+
+    Term = SrcExpr | TgtExpr
 
 DEFAULT_FUEL = 100000
 
 
 @dataclass(frozen=True)
 class Stepped:
-    next: SrcExpr
+    next: Term
     rule: str
 
 
@@ -33,7 +41,7 @@ class AlreadyValue:
 @dataclass(frozen=True)
 class Stuck:
     reason: str
-    focus: SrcExpr
+    focus: Term
 
 
 StepResult = Stepped | AlreadyValue | Stuck
@@ -41,18 +49,19 @@ StepResult = Stepped | AlreadyValue | Stuck
 
 @dataclass(frozen=True)
 class Value:
-    value: SrcExpr
+    value: Term
 
 
 @dataclass(frozen=True)
 class StuckAt:
-    expr: SrcExpr
+    expr: Term
     reason: str
+    focus: Term  # the innermost redex the term is blocked on
 
 
 @dataclass(frozen=True)
 class FuelExhausted:
-    expr: SrcExpr
+    expr: Term
 
 
 Outcome = Value | StuckAt | FuelExhausted
@@ -140,27 +149,28 @@ def step_source(e: SrcExpr) -> StepResult:
     raise TypeError(f"not a source expression: {e!r}")
 
 
-def eval_source(e: SrcExpr, fuel: int = DEFAULT_FUEL) -> Outcome:
-    outcome, _, _ = eval_source_trace(e, fuel)
-    return outcome
-
-
-def eval_source_trace(
-    e: SrcExpr, fuel: int = DEFAULT_FUEL
-) -> tuple[Outcome, list[str], list[SrcExpr]]:
-    """Evaluate and keep the applied rule names and every intermediate term."""
-    e = syntax.erase_ascriptions(e)
+def trace(
+    step: Callable[[Term], StepResult], e: Term, fuel: int
+) -> tuple[Outcome, list[str], list[Term]]:
+    """Step until a value, a stuck term or no fuel; keep the applied rule
+    names and every intermediate term."""
     rules: list[str] = []
-    states: list[SrcExpr] = [e]
+    states: list[Term] = [e]
     for _ in range(fuel):
-        result = step_source(e)
-        match result:
+        match step(e):
             case AlreadyValue():
                 return Value(e), rules, states
-            case Stuck(reason, _):
-                return StuckAt(e, reason), rules, states
+            case Stuck(reason, focus):
+                return StuckAt(e, reason, focus), rules, states
             case Stepped(next_e, rule):
                 rules.append(rule)
                 states.append(next_e)
                 e = next_e
     return FuelExhausted(e), rules, states
+
+
+def eval_source_trace(
+    e: SrcExpr, fuel: int = DEFAULT_FUEL
+) -> tuple[Outcome, list[str], list[SrcExpr]]:
+    """Evaluate with ascriptions erased and keep the trace."""
+    return trace(step_source, syntax.erase_ascriptions(e), fuel)

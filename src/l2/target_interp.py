@@ -5,14 +5,22 @@ case scrutinees, and DEAD-cast bodies.  A DEAD cast over a value is itself a
 value; the only rule that inspects DEAD is primitive application, which
 refuses DEAD arguments and gets stuck there.  Pairs are values with
 unevaluated components, so projection selects first and evaluation continues
-inside the selected component.
+inside the selected component.  Step results, outcomes and the trace loop are
+the source interpreter's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import constants
+from .source_interp import (
+    DEFAULT_FUEL,
+    AlreadyValue,
+    Outcome,
+    StepResult,
+    Stepped,
+    Stuck,
+    trace,
+)
 from .syntax import Const, FunType, SrcExpr
 from .target import (
     TApp,
@@ -32,47 +40,6 @@ from .target import (
     subst_target,
 )
 
-DEFAULT_FUEL = 100000
-
-
-@dataclass(frozen=True)
-class TStepped:
-    next: TgtExpr
-    rule: str
-
-
-@dataclass(frozen=True)
-class TAlreadyValue:
-    pass
-
-
-@dataclass(frozen=True)
-class TStuck:
-    reason: str
-    focus: TgtExpr
-
-
-TStepResult = TStepped | TAlreadyValue | TStuck
-
-
-@dataclass(frozen=True)
-class TValue:
-    value: TgtExpr
-
-
-@dataclass(frozen=True)
-class TStuckAt:
-    expr: TgtExpr
-    reason: str
-
-
-@dataclass(frozen=True)
-class TFuelExhausted:
-    expr: TgtExpr
-
-
-TOutcome = TValue | TStuckAt | TFuelExhausted
-
 
 def _lift_const(w: TgtExpr) -> SrcExpr | None:
     if isinstance(w, TConst):
@@ -80,23 +47,23 @@ def _lift_const(w: TgtExpr) -> SrcExpr | None:
     return None
 
 
-def step_target(w: TgtExpr) -> TStepResult:
+def step_target(w: TgtExpr) -> StepResult:
     if is_target_value(w):
-        return TAlreadyValue()
+        return AlreadyValue()
     match w:
         case TLet(name, bound, body, pos):
             if is_target_value(bound):
-                return TStepped(subst_target(body, name, bound), "E-Let")
+                return Stepped(subst_target(body, name, bound), "E-Let")
             return _in_context(bound, lambda b: TLet(name, b, body, pos))
         case TIf(cond, then, els, pos):
             if is_target_value(cond):
                 match cond:
                     case TConst(con) if con == constants.TRUE_CONST:
-                        return TStepped(then, "E-If-True")
+                        return Stepped(then, "E-If-True")
                     case TConst(con) if con == constants.FALSE_CONST:
-                        return TStepped(els, "E-If-False")
+                        return Stepped(els, "E-If-False")
                     case _:
-                        return TStuck("if-non-boolean", w)
+                        return Stuck("if-non-boolean", w)
             return _in_context(cond, lambda c: TIf(c, then, els, pos))
         case TApp(fn, arg, pos):
             if not is_target_value(fn):
@@ -105,32 +72,32 @@ def step_target(w: TgtExpr) -> TStepResult:
                 return _in_context(arg, lambda a: TApp(fn, a, pos))
             match fn:
                 case TLam(param, body):
-                    return TStepped(subst_target(body, param, arg), "E-Beta")
+                    return Stepped(subst_target(body, param, arg), "E-Beta")
                 case TConst(con):
                     if is_dead_value(arg):
-                        return TStuck("dead-argument", w)
+                        return Stuck("dead-argument", w)
                     src_arg = _lift_const(arg)
                     result = constants.delta_apply(con, src_arg) if src_arg else None
                     if result is not None:
                         assert isinstance(result, Const)
-                        return TStepped(TConst(result.con), "E-App-C")
+                        return Stepped(TConst(result.con), "E-App-C")
                     if isinstance(con.source_type, FunType):
-                        return TStuck("delta-undefined", w)
-                    return TStuck("apply-non-function", w)
+                        return Stuck("delta-undefined", w)
+                    return Stuck("apply-non-function", w)
                 case _:
-                    return TStuck("apply-non-function", w)
+                    return Stuck("apply-non-function", w)
         case TProj(index, t, pos):
             if isinstance(t, TPair):
-                return TStepped(t.first if index == 1 else t.second, "E-Proj")
+                return Stepped(t.first if index == 1 else t.second, "E-Proj")
             if is_target_value(t):
-                return TStuck("proj-non-pair", w)
+                return Stuck("proj-non-pair", w)
             return _in_context(t, lambda s: TProj(index, s, pos))
         case TCase(scrut, x1, b1, x2, b2, pos):
             if is_target_value(scrut):
                 if isinstance(scrut, TInj):
                     var, branch = (x1, b1) if scrut.index == 1 else (x2, b2)
-                    return TStepped(subst_target(branch, var, scrut.payload), "E-Case")
-                return TStuck("case-non-sum", w)
+                    return Stepped(subst_target(branch, var, scrut.payload), "E-Case")
+                return Stuck("case-non-sum", w)
             return _in_context(scrut, lambda s: TCase(s, x1, b1, x2, b2, pos))
         case TInj(index, payload, src_ann, pos):
             return _in_context(payload, lambda p: TInj(index, p, src_ann, pos))
@@ -139,38 +106,20 @@ def step_target(w: TgtExpr) -> TStepResult:
     raise TypeError(f"not a target expression: {w!r}")
 
 
-def _in_context(inner: TgtExpr, rebuild) -> TStepResult:
+def _in_context(inner: TgtExpr, rebuild) -> StepResult:
     result = step_target(inner)
-    if isinstance(result, TStepped):
-        return TStepped(rebuild(result.next), result.rule)
-    if isinstance(result, TAlreadyValue):
+    if isinstance(result, Stepped):
+        return Stepped(rebuild(result.next), result.rule)
+    if isinstance(result, AlreadyValue):
         # The caller believed this position needed a step; treat as stuck.
-        return TStuck("internal-no-step", inner)
+        return Stuck("internal-no-step", inner)
     return result
-
-
-def eval_target(w: TgtExpr, fuel: int = DEFAULT_FUEL) -> TOutcome:
-    outcome, _, _ = eval_target_trace(w, fuel)
-    return outcome
 
 
 def eval_target_trace(
     w: TgtExpr, fuel: int = DEFAULT_FUEL
-) -> tuple[TOutcome, list[str], list[TgtExpr]]:
-    rules: list[str] = []
-    states: list[TgtExpr] = [w]
-    for _ in range(fuel):
-        result = step_target(w)
-        match result:
-            case TAlreadyValue():
-                return TValue(w), rules, states
-            case TStuck(reason, _):
-                return TStuckAt(w, reason), rules, states
-            case TStepped(next_w, rule):
-                rules.append(rule)
-                states.append(next_w)
-                w = next_w
-    return TFuelExhausted(w), rules, states
+) -> tuple[Outcome, list[str], list[TgtExpr]]:
+    return trace(step_target, w, fuel)
 
 
 def contains_dead_value(w: TgtExpr) -> bool:
@@ -200,10 +149,3 @@ def contains_dead_value(w: TgtExpr) -> bool:
             return contains_dead_value(inner)
     raise TypeError(f"not a target expression: {w!r}")
 
-
-def stuck_focus(w: TgtExpr) -> TgtExpr:
-    """The innermost redex a stuck term is blocked on."""
-    result = step_target(w)
-    if not isinstance(result, TStuck):
-        raise ValueError("term is not stuck")
-    return result.focus

@@ -3,6 +3,8 @@ import pathlib
 import pytest
 
 from l2.logic import TRUE, VC, instantiate_kappas, pand, valid
+from l2.source_interp import DEFAULT_FUEL, eval_source_trace
+from l2.target_interp import eval_target_trace
 from l2.syntax import App, Ascribe, Const, If, Lam, Let, Var
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
@@ -26,6 +28,16 @@ def let_chain(n: int) -> str:
     lines = ["let x0 = 1 in"]
     lines += [f"let x{i} = add x{i - 1} {i % 10} in" for i in range(1, n)]
     return "\n".join(lines) + f"\nx{n - 1}\n"
+
+
+def eval_source(e, fuel: int = DEFAULT_FUEL):
+    """The outcome of a source run, without its trace."""
+    return eval_source_trace(e, fuel)[0]
+
+
+def eval_target(w, fuel: int = DEFAULT_FUEL):
+    """The outcome of a target run, without its trace."""
+    return eval_target_trace(w, fuel)[0]
 
 
 def alpha_equal(a, b) -> bool:

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from l2 import constants, elaborate, harness, infer, parser, syntax
+from l2 import constants, elaborate, harness, infer, parser
 from l2.cli import main as cli_main
 from l2.logic import (
     BVar,
@@ -37,7 +37,7 @@ from l2.logic import (
 from l2.refine import RefEnv, check_refined
 from l2.source_interp import StuckAt, eval_source_trace
 from l2.target import erase_src, print_target, simple_typecheck
-from l2.target_interp import TStuckAt, contains_dead_value, eval_target_trace, stuck_focus
+from l2.target_interp import contains_dead_value, eval_target_trace
 from tests.conftest import (
     DEAD_SEMANTICS,
     NEGATE_ERR_C,
@@ -151,14 +151,14 @@ def test_criterion_3_dead_placement(capsys):
 def test_criterion_4_dead_semantics(capsys):
     program = parser.parse_program(DEAD_SEMANTICS)
     result = elaborate.elaborate_program(program)
-    src_out, src_rules, _ = eval_source_trace(syntax.erase_ascriptions(program.main), FUEL)
+    src_out, src_rules, _ = eval_source_trace(program.main, FUEL)
     tgt_out, tgt_rules, _ = eval_target_trace(result.target, FUEL)
     checks = [
         isinstance(src_out, StuckAt),
-        isinstance(tgt_out, TStuckAt),
+        isinstance(tgt_out, StuckAt),
         src_rules == ["E-App-B"],
         tgt_rules == ["E-Beta"],  # stuck right after the one beta step
-        contains_dead_value(stuck_focus(tgt_out.expr)),
+        contains_dead_value(tgt_out.focus),
     ]
     with capsys.disabled():
         _verdict("criterion 4: both languages stuck after one beta, DEAD in focus",
@@ -171,13 +171,14 @@ def test_criterion_5_metatheory_fuzz(corpus, capsys):
     inconclusive = 0
     a1 = canon = 0
     for program, _result in corpus:
-        report = harness.lockstep_check(program, FUEL)
+        trial = harness.run_trial(program, FUEL)
+        report = harness.lockstep_check(trial)
         if report.verdict == "counterexample":
             counterexamples += 1
         elif report.verdict == "inconclusive":
             inconclusive += 1
-        a1 += len(harness.assumption1_check(program, FUEL))
-        canon += len(harness.canonical_forms_check(program, FUEL))
+        a1 += len(harness.assumption1_check(trial))
+        canon += len(harness.canonical_forms_check(trial))
     elapsed = time.time() - start
     ok = counterexamples == 0 and a1 == 0 and canon == 0 and elapsed < 60.0
     with capsys.disabled():
@@ -192,7 +193,7 @@ def test_criterion_5_metatheory_fuzz(corpus, capsys):
 def test_criterion_6_two_phase_soundness(corpus, capsys):
     accepted = failures = 0
     for program, _result in corpus:
-        verdict = harness.soundness_trial(program, FUEL)
+        verdict = harness.soundness_trial(harness.run_trial(program, FUEL))
         if verdict == "pass":
             accepted += 1
         elif verdict.startswith("fail"):

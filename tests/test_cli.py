@@ -150,6 +150,27 @@ class TestRun:
         )
         assert "FuelExhausted" in out
 
+    def test_target_stuck_outcome_carries_dead_focus(self, programs_dir, monkeypatch, capsys):
+        from l2 import source_interp, target_interp
+
+        outcomes = []
+        eval_target_trace = target_interp.eval_target_trace
+
+        def spy(w, fuel=source_interp.DEFAULT_FUEL):
+            result = eval_target_trace(w, fuel)
+            outcomes.append(result[0])
+            return result
+
+        monkeypatch.setattr(target_interp, "eval_target_trace", spy)
+        code, out, _ = run_cli(
+            ["run", "--lang", "tgt", str(programs_dir / "dead_semantics.l2")], capsys
+        )
+        assert code == 0
+        [outcome] = outcomes
+        assert isinstance(outcome, source_interp.StuckAt)
+        assert target_interp.contains_dead_value(outcome.focus)
+        assert out.startswith("StuckAt: ")
+
     def test_json(self, programs_dir, capsys):
         code, out, _ = run_cli(
             ["--json", "run", "--lang", "src", str(programs_dir / "negate_ok.l2")], capsys
@@ -244,6 +265,25 @@ class TestFuzz:
             assert payload["verdict"] == "agree"
         summary = json.loads(err.strip().splitlines()[-1])
         assert summary["counterexamples"] == 0
+
+    def test_global_fuel_reaches_fuzz(self, monkeypatch, capsys):
+        from l2 import harness
+
+        seen = {}
+        run_fuzz = harness.run_fuzz
+
+        def spy(**kwargs):
+            seen["fuel"] = kwargs["fuel"]
+            return run_fuzz(**kwargs)
+
+        monkeypatch.setattr(harness, "run_fuzz", spy)
+        code, _, _ = run_cli(["--fuel", "3", "fuzz", "--trials", "1"], capsys)
+        assert code in (0, 1)
+        assert seen == {"fuel": 3}
+
+    def test_fuzz_has_no_fuel_option_of_its_own(self, capsys):
+        code, _, _ = run_cli(["fuzz", "--trials", "1", "--fuel", "3"], capsys)
+        assert code == 64
 
 
 class TestEntryPoint:

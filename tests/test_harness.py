@@ -9,6 +9,7 @@ from l2.harness import (
     normalize_admin,
     reconstruct_src_type,
     run_fuzz,
+    run_trial,
     shrink_counterexample,
     soundness_trial,
 )
@@ -101,21 +102,21 @@ class TestElabMatches:
 
 class TestLockstep:
     def test_negate_agrees(self):
-        report = lockstep_check(parser.parse_program(NEGATE_OK), 10000)
+        report = lockstep_check(run_trial(parser.parse_program(NEGATE_OK), 10000))
         assert report.verdict == "agree"
 
     def test_dead_semantics_agrees_with_stuckness(self):
-        report = lockstep_check(parser.parse_program(DEAD_SEMANTICS), 10000)
+        report = lockstep_check(run_trial(parser.parse_program(DEAD_SEMANTICS), 10000))
         assert report.verdict == "agree"
         assert report.source_trace == ["E-App-B"]
         assert report.target_trace == ["E-Beta"]
 
     def test_fuel_exhaustion_is_inconclusive(self):
-        report = lockstep_check(parser.parse_program(NEGATE_OK), fuel=1)
+        report = lockstep_check(run_trial(parser.parse_program(NEGATE_OK), fuel=1))
         assert report.verdict == "inconclusive"
 
     def test_report_round_trips_to_json(self):
-        report = lockstep_check(parser.parse_program(NEGATE_OK), 10000)
+        report = lockstep_check(run_trial(parser.parse_program(NEGATE_OK), 10000))
         payload = report.to_json()
         assert payload["verdict"] == "agree"
         assert payload["program"].startswith("type tt")
@@ -123,26 +124,26 @@ class TestLockstep:
 
 class TestSoundness:
     def test_negate_passes(self):
-        assert soundness_trial(parser.parse_program(NEGATE_OK), 10000) == "pass"
+        assert soundness_trial(run_trial(parser.parse_program(NEGATE_OK), 10000)) == "pass"
 
     def test_rejected_program_is_vacuous(self):
         from tests.conftest import NEGATE_ERR_C
 
-        assert soundness_trial(parser.parse_program(NEGATE_ERR_C), 10000) == "vacuous"
+        assert soundness_trial(run_trial(parser.parse_program(NEGATE_ERR_C), 10000)) == "vacuous"
 
     def test_dead_semantics_is_vacuous(self):
-        assert soundness_trial(parser.parse_program(DEAD_SEMANTICS), 10000) == "vacuous"
+        assert soundness_trial(run_trial(parser.parse_program(DEAD_SEMANTICS), 10000)) == "vacuous"
 
 
 class TestChecks:
     def test_assumption1_on_negate(self):
-        assert harness.assumption1_check(parser.parse_program(NEGATE_OK)) == []
+        assert harness.assumption1_check(run_trial(parser.parse_program(NEGATE_OK))) == []
 
     def test_canonical_forms_on_negate(self):
-        assert harness.canonical_forms_check(parser.parse_program(NEGATE_OK)) == []
+        assert harness.canonical_forms_check(run_trial(parser.parse_program(NEGATE_OK))) == []
 
     def test_substitution_on_negate(self):
-        assert harness.substitution_spot_check(parser.parse_program(NEGATE_OK)) == []
+        assert harness.substitution_spot_check(run_trial(parser.parse_program(NEGATE_OK))) == []
 
 
 class TestShrinking:
@@ -153,6 +154,22 @@ class TestShrinking:
         shrunk = list(harness._shrink_candidates(p.main))
         assert any(syntax.print_expr(c) == "add 2 3" for c in shrunk)
 
+    def test_agreeing_trial_is_not_shrunk(self):
+        trial = run_trial(parser.parse_program("let dead = 1 in add 2 3"))
+        assert shrink_counterexample(trial, 10000) is trial
+
+    def test_shrunk_trial_is_the_trial_of_the_shrunk_program(self, monkeypatch):
+        # stand-in oracle: every program that still adds is a counterexample
+        def fake_lockstep(trial):
+            adds = "add" in print_program(trial.program)
+            return DiffReport("", "counterexample" if adds else "agree")
+
+        monkeypatch.setattr(harness, "lockstep_check", fake_lockstep)
+        trial = run_trial(parser.parse_program("let dead = 1 in add 2 3"))
+        shrunk = shrink_counterexample(trial, 10000)
+        assert print_program(shrunk.program).strip() == "add 0 0"
+        assert shrunk.source[2][-1] == Const(constants.int_const(0))
+
     def test_literals_shrink_toward_zero(self):
         p = parser.parse_program("add 2 3")
         shrunk = [syntax.print_expr(c) for c in harness._shrink_candidates(p.main)]
@@ -161,6 +178,28 @@ class TestShrinking:
 
 
 class TestFuzzLoop:
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_one_elaboration_and_one_run_per_language(self, seed, monkeypatch):
+        from l2 import source_interp, target_interp
+
+        calls = {"elaborate": 0, "source": 0, "target": 0}
+
+        def counted(name, fn):
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return spy
+
+        monkeypatch.setattr(harness, "elaborate_program",
+                            counted("elaborate", harness.elaborate_program))
+        monkeypatch.setattr(source_interp, "eval_source_trace",
+                            counted("source", source_interp.eval_source_trace))
+        monkeypatch.setattr(target_interp, "eval_target_trace",
+                            counted("target", target_interp.eval_target_trace))
+        run_fuzz(trials=1, seed=seed)
+        assert calls == {"elaborate": 1, "source": 1, "target": 1}
+
     def test_small_run_is_clean(self):
         stats = run_fuzz(trials=40, seed=123, fuel=5000)
         assert stats.counterexamples == 0
@@ -211,4 +250,4 @@ class TestCancellingCasts:
 
     @pytest.mark.parametrize("text", [WRONG_CLONE, SWAPPED_UNION])
     def test_vacuous_for_soundness(self, text):
-        assert soundness_trial(parser.parse_program(text), 5000) == "vacuous"
+        assert soundness_trial(run_trial(parser.parse_program(text), 5000)) == "vacuous"

@@ -207,7 +207,7 @@ class TestEmbedGuard:
         w = TApp(TApp(TConst(constants.LT), TVar("a")), TVar("b"))
         pred, exact = embed_guard(w, env)
         assert exact
-        from l2.source_interp import eval_source
+        from tests.conftest import eval_source
         from l2.syntax import App as SApp, Const as SConst
 
         for va, vb in itertools.product(range(-8, 9), repeat=2):

@@ -8,16 +8,16 @@ from l2.source_interp import (
     Stuck,
     StuckAt,
     Value,
-    eval_source,
     eval_source_trace,
     step_source,
     subst_source,
 )
 from l2.syntax import App, Const, If, Lam, Let, Var, erase_ascriptions
+from tests.conftest import eval_source
 
 
 def run(text, fuel=100):
-    return eval_source(erase_ascriptions(parser.parse_expr(text)), fuel)
+    return eval_source(parser.parse_expr(text), fuel)
 
 
 def step(text):

@@ -16,19 +16,9 @@ from l2.target import (
     is_target_value,
     print_target,
 )
-from l2.target_interp import (
-    TAlreadyValue,
-    TStepped,
-    TStuck,
-    TStuckAt,
-    TValue,
-    contains_dead_value,
-    eval_target,
-    eval_target_trace,
-    step_target,
-    stuck_focus,
-)
-from tests.conftest import NEGATE_OK
+from l2.source_interp import FuelExhausted, Stepped, Stuck, StuckAt, Value
+from l2.target_interp import contains_dead_value, eval_target_trace, step_target
+from tests.conftest import NEGATE_OK, eval_target
 
 
 def num(k):
@@ -49,39 +39,39 @@ class TestValues:
 
     def test_dead_over_value_does_not_step(self):
         w = TDead(NUM, BOOL, num(1))
-        assert eval_target(w, fuel=1) == TValue(w)
+        assert eval_target(w, fuel=1) == Value(w)
 
 
 class TestStep:
     def test_case_substitutes_payload(self):
         w = TCase(TInj(1, num(5), OrType(NUM, BOOL)), "x1", TVar("x1"), "x2", num(0))
         got = step_target(w)
-        assert got == TStepped(num(5), "E-Case")
+        assert got == Stepped(num(5), "E-Case")
 
     def test_primitive_rejects_dead_argument(self):
         w = TApp(TConst(constants.NOT), TDead(NUM, BOOL, num(3)))
         got = step_target(w)
-        assert isinstance(got, TStuck) and got.reason == "dead-argument"
+        assert isinstance(got, Stuck) and got.reason == "dead-argument"
 
     def test_projection(self):
         w = TProj(2, TPair(num(1), TRUE_W))
-        assert step_target(w) == TStepped(TRUE_W, "E-Proj")
+        assert step_target(w) == Stepped(TRUE_W, "E-Proj")
 
     def test_beta_accepts_dead_argument(self):
         lam = TLam("x", TVar("x"), FunType(NUM, NUM), elab_type(FunType(NUM, NUM)))
         dead = TDead(BOOL, NUM, TRUE_W)
-        assert step_target(TApp(lam, dead)) == TStepped(dead, "E-Beta")
+        assert step_target(TApp(lam, dead)) == Stepped(dead, "E-Beta")
 
     def test_evaluation_inside_dead(self):
         w = TDead(BOOL, NUM, TApp(TConst(constants.NOT), TRUE_W))
         got = step_target(w)
-        assert isinstance(got, TStepped) and got.rule == "E-App-C"
+        assert isinstance(got, Stepped) and got.rule == "E-App-C"
         assert got.next == TDead(BOOL, NUM, TConst(constants.FALSE_CONST))
 
     def test_if_on_dead_is_stuck(self):
         w = __class__._if_dead()
         got = step_target(w)
-        assert isinstance(got, TStuck) and got.reason == "if-non-boolean"
+        assert isinstance(got, Stuck) and got.reason == "if-non-boolean"
 
     @staticmethod
     def _if_dead():
@@ -100,9 +90,8 @@ class TestEval:
         result = elaborate.elaborate_program(p)
         out, rules, _ = eval_target_trace(result.target)
         assert rules == ["E-Beta"]
-        assert isinstance(out, TStuckAt)
-        focus = stuck_focus(out.expr)
-        assert contains_dead_value(focus)
+        assert isinstance(out, StuckAt)
+        assert contains_dead_value(out.focus)
 
     def test_negate_call_a_value(self):
         # call a computes 0 - 1: delta(sub, 0) then delta(sub@0, 1) gives -1
@@ -110,18 +99,16 @@ class TestEval:
         p = parser.parse_program(text)
         result = elaborate.elaborate_program(p)
         out = eval_target(result.target)
-        assert out == TValue(num(-1))
+        assert out == Value(num(-1))
 
     def test_negate_call_b_value(self):
         p = parser.parse_program(NEGATE_OK)
         result = elaborate.elaborate_program(p)
-        assert eval_target(result.target) == TValue(TConst(constants.FALSE_CONST))
+        assert eval_target(result.target) == Value(TConst(constants.FALSE_CONST))
 
     def test_fuel(self):
-        from l2.target_interp import TFuelExhausted
-
         w = TApp(TApp(TConst(constants.ADD), num(1)), num(2))
-        assert isinstance(eval_target(w, fuel=1), TFuelExhausted)
+        assert isinstance(eval_target(w, fuel=1), FuelExhausted)
 
     def test_stuck_focus_contains_dead_on_corpus(self):
         from l2 import harness
@@ -131,5 +118,5 @@ class TestEval:
             program = harness.gen_program(seed, 25)
             result = elaborate.elaborate_program(program)
             out, _, _ = eval_target_trace(result.target, 5000)
-            if isinstance(out, TStuckAt):
-                assert contains_dead_value(stuck_focus(out.expr))
+            if isinstance(out, StuckAt):
+                assert contains_dead_value(out.focus)

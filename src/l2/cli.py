@@ -195,6 +195,8 @@ def cmd_fuzz(args, config: Config) -> int:
         size_budget=args.budget,
         check_soundness=not args.no_soundness,
         shrink=args.shrink,
+        search_depth=config.search_depth,
+        clause_budget=config.clause_budget,
     )
     for report in stats.reports:
         print(json.dumps(report.to_json()))

@@ -225,16 +225,6 @@ NAMED_CONSTANTS: dict[str, PrimConst] = {
 }
 
 
-def lookup_const(name: str) -> PrimConst | None:
-    """Resolve a constant name as it appears in source text."""
-    if name in NAMED_CONSTANTS:
-        return NAMED_CONSTANTS[name]
-    try:
-        return int_const(int(name))
-    except ValueError:
-        return None
-
-
 def ty(c: PrimConst) -> RefType:
     """The refined type of a constant."""
     if c.refined_type is None:

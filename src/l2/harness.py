@@ -28,10 +28,10 @@ import random
 from dataclasses import dataclass, field
 
 from . import constants, source_interp, syntax, target_interp
-from .elaborate import ElabError, ElabResult, Elaborator, elaborate_program
+from .elaborate import DEFAULT_SEARCH_DEPTH, ElabError, ElabResult, Elaborator, elaborate_program
 from .logic import LinTerm, VALUE_VAR, cmp_pred
 from .refine import PhaseOrderError, RefEnv, check_refined
-from .source_interp import FuelExhausted, Outcome, Stepped, StuckAt, Value
+from .source_interp import DEFAULT_FUEL, FuelExhausted, Outcome, Stepped, StuckAt, Value
 from .syntax import (
     AndType,
     App,
@@ -51,6 +51,7 @@ from .syntax import (
     Var,
     is_value,
     print_program,
+    subst,
     tags_disjoint,
     types_equal_basic,
 )
@@ -67,7 +68,6 @@ from .target import (
     TProj,
     TVar,
     TgtExpr,
-    subst_target,
 )
 
 Env = dict[str, SrcType]
@@ -80,33 +80,13 @@ Env = dict[str, SrcType]
 
 def normalize_admin(w: TgtExpr) -> TgtExpr:
     """Reduce projection-over-pair chains everywhere; nothing else."""
-    match w:
-        case TConst() | TVar():
-            return w
-        case TLam(p, body, sa, ra, pos):
-            return TLam(p, normalize_admin(body), sa, ra, pos)
-        case TIf(c, t, f, pos):
-            return TIf(normalize_admin(c), normalize_admin(t), normalize_admin(f), pos)
-        case TApp(fn, arg, pos):
-            return TApp(normalize_admin(fn), normalize_admin(arg), pos)
-        case TLet(n, b, body, pos):
-            return TLet(n, normalize_admin(b), normalize_admin(body), pos)
-        case TPair(a, b, pos):
-            return TPair(normalize_admin(a), normalize_admin(b), pos)
-        case TProj(k, t, pos):
-            t2 = normalize_admin(t)
-            if isinstance(t2, TPair):
-                return t2.first if k == 1 else t2.second
-            return TProj(k, t2, pos)
-        case TInj(k, p, ann, pos):
-            return TInj(k, normalize_admin(p), ann, pos)
-        case TCase(s, x1, b1, x2, b2, pos):
-            return TCase(
-                normalize_admin(s), x1, normalize_admin(b1), x2, normalize_admin(b2), pos
-            )
-        case TDead(ft, tt, inner, pos):
-            return TDead(ft, tt, normalize_admin(inner), pos)
-    raise TypeError(f"not a target expression: {w!r}")
+
+    def reduce(p: TgtExpr) -> TgtExpr:
+        if isinstance(p, TProj) and isinstance(p.tuple_, TPair):
+            return p.tuple_.first if p.index == 1 else p.tuple_.second
+        return p
+
+    return syntax.map_up(w, reduce)
 
 
 def reconstruct_src_type(env: Env, w: TgtExpr) -> SrcType | None:
@@ -214,14 +194,14 @@ def elab_matches(env: Env, e: SrcExpr, tau: SrcType, w: TgtExpr, depth: int = 40
             if not isinstance(tau, FunType):
                 return False
             if p_e != p_w:
-                body_w = subst_target(body_w, p_w, TVar(p_e))
+                body_w = subst(body_w, p_w, TVar(p_e))
             return elab_matches({**env, p_e: tau.dom}, body_e, tau.cod, body_w, d)
         case (Let(n_e, bound_e, body_e), TLet(n_w, bound_w, body_w)):
             t1 = reconstruct_src_type(env, bound_w)
             if t1 is None or not elab_matches(env, bound_e, t1, bound_w, d):
                 return False
             if n_e != n_w:
-                body_w = subst_target(body_w, n_w, TVar(n_e))
+                body_w = subst(body_w, n_w, TVar(n_e))
             return elab_matches({**env, n_e: t1}, body_e, tau, body_w, d)
         case (If(c_e, t_e, f_e), TIf(c_w, t_w, f_w)):
             return (
@@ -295,9 +275,11 @@ class Trial:
     normalized: tuple[TgtExpr, ...]
 
 
-def run_trial(program: Program, fuel: int = 10000) -> Trial:
+def run_trial(
+    program: Program, fuel: int = DEFAULT_FUEL, search_depth: int = DEFAULT_SEARCH_DEPTH
+) -> Trial:
     """Raises ElabError when the program does not pass phase 1."""
-    elab = elaborate_program(program)
+    elab = elaborate_program(program, search_depth)
     source = source_interp.eval_source_trace(program.main, fuel)
     target = target_interp.eval_target_trace(elab.target, fuel)
     return Trial(program, elab, source, target, tuple(normalize_admin(w) for w in target[2]))
@@ -364,27 +346,30 @@ def lockstep_check(trial: Trial) -> DiffReport:
     return report("agree")
 
 
-def soundness_trial(trial: Trial, sample_every: int = 5) -> str:
+SOUNDNESS_SAMPLE = 5  # soundness_trial re-checks every 5th source state
+
+
+def soundness_trial(trial: Trial, clause_budget: int = 10000) -> str:
     """Accepted programs must run without getting stuck and stay accepted.
 
     Returns "pass", "vacuous" (the program is not accepted by phase 2), or a
     failure tag.
     """
+    def accepted(w: TgtExpr) -> bool:
+        return check_refined(RefEnv(), w, clause_budget=clause_budget).accepted
+
     try:
-        if not check_refined(RefEnv(), trial.elab.target).accepted:
+        if not accepted(trial.elab.target):
             return "vacuous"
+        if isinstance(trial.source[0], StuckAt):
+            return "fail:stuck"
+        for _, j in _witnesses(trial, SOUNDNESS_SAMPLE):
+            if j is None:
+                return "fail:preservation-witness"
+            if not accepted(trial.target[2][j]):
+                return "fail:preservation"
     except PhaseOrderError:
         return "fail:phase-order"
-    if isinstance(trial.source[0], StuckAt):
-        return "fail:stuck"
-    for _, j in _witnesses(trial, sample_every):
-        if j is None:
-            return "fail:preservation-witness"
-        try:
-            if not check_refined(RefEnv(), trial.target[2][j]).accepted:
-                return "fail:preservation"
-        except PhaseOrderError:
-            return "fail:phase-order"
     return "pass"
 
 
@@ -471,8 +456,8 @@ def substitution_spot_check(trial: Trial) -> list[str]:
                 and wj.name == state.name
                 and elab_matches({}, state, tau, wj)
             ):
-                reduced_src = source_interp.subst_source(state.body, state.name, state.bound)
-                reduced_tgt = subst_target(wj.body, wj.name, wj.bound)
+                reduced_src = subst(state.body, state.name, state.bound)
+                reduced_tgt = subst(wj.body, wj.name, wj.bound)
                 if not elab_matches({}, reduced_src, tau, normalize_admin(reduced_tgt)):
                     violations.append(f"substitution mismatch at source step {i}")
                 break
@@ -482,6 +467,8 @@ def substitution_spot_check(trial: Trial) -> list[str]:
 # ---------------------------------------------------------------------------
 # Program generation
 # ---------------------------------------------------------------------------
+
+DEAD_DENSITY = 0.12  # chance of a tag mismatch at each consumed position
 
 _TT = PrimType(syntax.NUMBER, cmp_pred(LinTerm.of_var(VALUE_VAR), "!=", LinTerm.of_const(0)))
 _FF = PrimType(syntax.NUMBER, cmp_pred(LinTerm.of_var(VALUE_VAR), "=", LinTerm.of_const(0)))
@@ -501,9 +488,8 @@ class _Gen:
     the target would get stuck where the source runs on.
     """
 
-    def __init__(self, rng: random.Random, dead_density: float):
+    def __init__(self, rng: random.Random):
         self.rng = rng
-        self.dead_density = dead_density
         self.fresh = 0
         self.union_arms: dict[str, int] = {}
         # Overloaded-call arguments must elaborate strictly so resolution
@@ -551,7 +537,7 @@ class _Gen:
         self, env: Env, tau: SrcType, budget: int, synth: bool, pure: bool
     ) -> SrcExpr:
         rng = self.rng
-        if not synth and not pure and budget > 1 and rng.random() < self.dead_density:
+        if not synth and not pure and budget > 1 and rng.random() < DEAD_DENSITY:
             other = self.mismatched_type(tau)
             if other is not None:
                 return self.expr_at(env, other, max(1, budget - 1), True, True)
@@ -753,14 +739,14 @@ def _cod_of(t: SrcType) -> SrcType:
     return t.cod
 
 
-def gen_program(seed: int, size_budget: int = 30, dead_density: float = 0.12) -> Program:
+def gen_program(seed: int, size_budget: int = 30) -> Program:
     """Deterministic per seed; the output always passes phase 1.
 
     The top level is synthesized, so the root is generated mismatch-free;
     DEAD casts appear in the checking positions beneath it.
     """
     rng = random.Random(seed)
-    gen = _Gen(rng, dead_density)
+    gen = _Gen(rng)
     top = gen.base_type() if size_budget > 1 else NUM
     main = gen.expr_at({}, top, size_budget, True, False)
     return Program((), syntax.uniquify(main))
@@ -779,20 +765,14 @@ def _shrink_candidates(e: SrcExpr):
             yield Const(constants.int_const(0))
         case _:
             pass
-    for attr in ("body", "bound", "cond", "then", "els", "fn", "arg", "expr"):
-        child = getattr(e, attr, None)
-        if child is not None and isinstance(child, (Const, Var, Lam, Ascribe, Let, If, App)):
-            for shrunk in _shrink_candidates(child):
-                yield _replace_child(e, attr, shrunk)
+    for child, _ in syntax.SHAPES[type(e)][0]:
+        for shrunk in _shrink_candidates(getattr(e, child)):
+            yield syntax.rebuild(e, {child: shrunk})
 
 
-def _replace_child(e: SrcExpr, attr: str, new):
-    from dataclasses import replace
-
-    return replace(e, **{attr: new})
-
-
-def shrink_counterexample(trial: Trial, fuel: int) -> Trial:
+def shrink_counterexample(
+    trial: Trial, fuel: int, search_depth: int = DEFAULT_SEARCH_DEPTH
+) -> Trial:
     """The trial of a smallest program, by greedy shrinking, that still fails
     the lockstep check."""
     current = trial
@@ -801,7 +781,9 @@ def shrink_counterexample(trial: Trial, fuel: int) -> Trial:
         improved = False
         for candidate_main in _shrink_candidates(current.program.main):
             try:
-                candidate = run_trial(Program(current.program.type_aliases, candidate_main), fuel)
+                candidate = run_trial(
+                    Program(current.program.type_aliases, candidate_main), fuel, search_depth
+                )
             except ElabError:
                 continue
             if lockstep_check(candidate).verdict == "counterexample":
@@ -826,26 +808,27 @@ class FuzzStats:
 def run_fuzz(
     trials: int,
     seed: int = 0,
-    fuel: int = 10000,
+    fuel: int = DEFAULT_FUEL,
     size_budget: int = 30,
-    dead_density: float = 0.12,
     check_soundness: bool = True,
     shrink: bool = False,
+    search_depth: int = DEFAULT_SEARCH_DEPTH,
+    clause_budget: int = 10000,
 ) -> FuzzStats:
     reports: list[DiffReport] = []
-    a1 = canon = subst = sound_fail = accepted = 0
+    a1 = canon = subst_fail = sound_fail = accepted = 0
     for i in range(trials):
-        trial = run_trial(gen_program(seed + i, size_budget, dead_density), fuel)
+        trial = run_trial(gen_program(seed + i, size_budget), fuel, search_depth)
         report = lockstep_check(trial)
         if report.verdict == "counterexample" and shrink:
-            trial = shrink_counterexample(trial, fuel)
+            trial = shrink_counterexample(trial, fuel, search_depth)
             report = lockstep_check(trial)
         reports.append(report)
         a1 += len(assumption1_check(trial))
         canon += len(canonical_forms_check(trial))
-        subst += len(substitution_spot_check(trial))
+        subst_fail += len(substitution_spot_check(trial))
         if check_soundness:
-            verdict = soundness_trial(trial)
+            verdict = soundness_trial(trial, clause_budget)
             if verdict == "pass":
                 accepted += 1
             elif verdict.startswith("fail"):
@@ -856,7 +839,7 @@ def run_fuzz(
         sum(1 for r in reports if r.verdict == "inconclusive"),
         a1,
         canon,
-        subst,
+        subst_fail,
         sound_fail,
         accepted,
     )

@@ -494,7 +494,6 @@ def _origin(kind: str, pos: Pos) -> str:
 def check_refined(
     env: RefEnv,
     w: TgtExpr,
-    expected: RefType | None = None,
     discharge: bool = True,
     clause_budget: int = 10000,
 ) -> CheckReport:
@@ -508,11 +507,7 @@ def check_refined(
     except IllTyped as exc:
         raise PhaseOrderError(str(exc)) from exc
     checker = RefChecker()
-    if expected is not None:
-        checker.check_at(env, w, expected, "expected type")
-        result_ty = expected
-    else:
-        result_ty, _ = checker.synth(env, w)
+    result_ty, _ = checker.synth(env, w)
     vcs = tuple(checker.vcs)
     verdicts = tuple(valid(vc, clause_budget) for vc in vcs) if discharge else None
     return CheckReport(result_ty, vcs, verdicts)

@@ -17,12 +17,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import constants, syntax
-from .syntax import App, Ascribe, Const, FunType, If, Lam, Let, SrcExpr, Var
+from .syntax import App, Ascribe, Const, FunType, If, Lam, Let, SrcExpr, subst
 
 if TYPE_CHECKING:
-    from .target import TgtExpr
-
-    Term = SrcExpr | TgtExpr
+    from .syntax import Term
 
 DEFAULT_FUEL = 100000
 
@@ -67,37 +65,6 @@ class FuelExhausted:
 Outcome = Value | StuckAt | FuelExhausted
 
 
-def subst_source(e: SrcExpr, x: str, v: SrcExpr) -> SrcExpr:
-    """Capture-avoiding substitution of v for x in e."""
-    match e:
-        case Const():
-            return e
-        case Var(name):
-            return v if name == x else e
-        case Lam(param, body, pos):
-            if param == x:
-                return e
-            if param in syntax.free_vars(v):
-                fresh = param + "'"
-                while fresh in syntax.free_vars(v) or fresh in syntax.free_vars(body):
-                    fresh += "'"
-                body = subst_source(body, param, Var(fresh))
-                return Lam(fresh, subst_source(body, x, v), pos)
-            return Lam(param, subst_source(body, x, v), pos)
-        case Ascribe(expr, ty, pos):
-            return Ascribe(subst_source(expr, x, v), ty, pos)
-        case Let(name, bound, body, pos):
-            bound2 = subst_source(bound, x, v)
-            if name == x:
-                return Let(name, bound2, body, pos)
-            return Let(name, bound2, subst_source(body, x, v), pos)
-        case If(c, t, f, pos):
-            return If(subst_source(c, x, v), subst_source(t, x, v), subst_source(f, x, v), pos)
-        case App(fn, arg, pos):
-            return App(subst_source(fn, x, v), subst_source(arg, x, v), pos)
-    raise TypeError(f"not a source expression: {e!r}")
-
-
 def step_source(e: SrcExpr) -> StepResult:
     if isinstance(e, Ascribe):
         raise ValueError("ascriptions must be erased before evaluation")
@@ -106,7 +73,7 @@ def step_source(e: SrcExpr) -> StepResult:
     match e:
         case Let(name, bound, body, pos):
             if syntax.is_value(bound):
-                return Stepped(subst_source(body, name, bound), "E-Let")
+                return Stepped(subst(body, name, bound), "E-Let")
             inner = step_source(bound)
             if isinstance(inner, Stepped):
                 return Stepped(Let(name, inner.next, body, pos), inner.rule)
@@ -136,7 +103,7 @@ def step_source(e: SrcExpr) -> StepResult:
                 return inner
             match fn:
                 case Lam(param, body):
-                    return Stepped(subst_source(body, param, arg), "E-App-B")
+                    return Stepped(subst(body, param, arg), "E-App-B")
                 case Const(con):
                     result = constants.delta_apply(con, arg)
                     if result is not None:

@@ -1,10 +1,14 @@
 """Source-language abstract syntax: types, terms, tags, well-formedness.
 
-Three shared walkers serve the rest of the checker: ``subexprs`` lists the
-subterms of an expression in preorder without recursion, ``map_ascriptions``
-rebuilds an expression with its ascribed types mapped, and ``map_prims``
-rebuilds a type with its base types mapped.  Both maps visit left to right,
-so kappa templates are numbered in a fixed order.
+Every term class, source here and target in ``target.py``, declares its
+shape with ``@shape``: its child fields, left to right, each with the field
+of the binder that scopes over it.  The term walkers read only that table,
+so one of each serves both languages: ``subexprs`` (preorder, without
+recursion), ``free_vars`` (without recursion), the capture-avoiding
+``subst`` and the bottom-up ``map_up``, which ``map_ascriptions`` and
+``erase_ascriptions`` use.  ``map_prims`` rebuilds a type with its base
+types mapped.  Both maps visit left to right, so kappa templates are
+numbered in a fixed order.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Callable, Iterator, Optional, TYPE_CHECKING
 from .logic import Pred, TRUE, is_true, render_pred
 
 if TYPE_CHECKING:
-    from .target import RefType
+    from .target import RefType, TgtExpr
 
 NUMBER = "number"
 BOOLEAN = "boolean"
@@ -209,7 +213,24 @@ class PrimConst:
 # Terms
 # ---------------------------------------------------------------------------
 
+# Term class -> (children, variable): the child fields left to right, each with
+# its binder's field or None, and whether it is a variable, named by ``name``.
+SHAPES: dict[type, tuple[tuple[tuple[str, str | None], ...], bool]] = {}
 
+
+def shape(*children: str | tuple[str, str], variable: bool = False):
+    """Class decorator declaring a term class's shape; a child is a field
+    name, or (field, binder) when the name in field ``binder`` scopes over it."""
+
+    def declare(cls):
+        kids = tuple((c, None) if isinstance(c, str) else c for c in children)
+        SHAPES[cls] = (kids, variable)
+        return cls
+
+    return declare
+
+
+@shape()
 @_cached_hash
 @dataclass(frozen=True)
 class Const:
@@ -217,6 +238,7 @@ class Const:
     pos: Pos = field(default=None, compare=False)
 
 
+@shape(variable=True)
 @_cached_hash
 @dataclass(frozen=True)
 class Var:
@@ -224,6 +246,7 @@ class Var:
     pos: Pos = field(default=None, compare=False)
 
 
+@shape(("body", "param"))
 @_cached_hash
 @dataclass(frozen=True)
 class Lam:
@@ -232,6 +255,7 @@ class Lam:
     pos: Pos = field(default=None, compare=False)
 
 
+@shape("expr")
 @_cached_hash
 @dataclass(frozen=True)
 class Ascribe:
@@ -240,6 +264,7 @@ class Ascribe:
     pos: Pos = field(default=None, compare=False)
 
 
+@shape("bound", ("body", "name"))
 @_cached_hash
 @dataclass(frozen=True)
 class Let:
@@ -249,6 +274,7 @@ class Let:
     pos: Pos = field(default=None, compare=False)
 
 
+@shape("cond", "then", "els")
 @_cached_hash
 @dataclass(frozen=True)
 class If:
@@ -258,6 +284,7 @@ class If:
     pos: Pos = field(default=None, compare=False)
 
 
+@shape("fn", "arg")
 @_cached_hash
 @dataclass(frozen=True)
 class App:
@@ -267,6 +294,9 @@ class App:
 
 
 SrcExpr = Const | Var | Lam | Ascribe | Let | If | App
+
+if TYPE_CHECKING:
+    Term = SrcExpr | TgtExpr  # a source or a target term
 
 
 @dataclass(frozen=True)
@@ -280,123 +310,123 @@ def is_value(e: SrcExpr) -> bool:
     return isinstance(e, (Const, Var, Lam))
 
 
-def free_vars(e: SrcExpr) -> frozenset[str]:
-    match e:
-        case Const():
-            return frozenset()
-        case Var(name):
-            return frozenset([name])
-        case Lam(param, body):
-            return free_vars(body) - {param}
-        case Ascribe(expr, _):
-            return free_vars(expr)
-        case Let(name, bound, body):
-            return free_vars(bound) | (free_vars(body) - {name})
-        case If(c, t, f):
-            return free_vars(c) | free_vars(t) | free_vars(f)
-        case App(fn, arg):
-            return free_vars(fn) | free_vars(arg)
-    raise TypeError(f"not a source expression: {e!r}")
+# ---------------------------------------------------------------------------
+# Walkers shared by source and target terms
+# ---------------------------------------------------------------------------
 
 
-def subexprs(e: SrcExpr) -> Iterator[SrcExpr]:
-    """Every subexpression of e in preorder, children left to right."""
+def subexprs(e: Term) -> Iterator[Term]:
+    """Every subterm of e in preorder, children left to right."""
     stack = [e]
     while stack:
         e = stack.pop()
         yield e
-        match e:
-            case Lam(_, body) | Ascribe(body, _):
-                stack.append(body)
-            case Let(_, bound, body):
-                stack += (body, bound)
-            case If(c, t, f):
-                stack += (f, t, c)
-            case App(fn, arg):
-                stack += (arg, fn)
+        for child, _ in reversed(SHAPES[type(e)][0]):
+            stack.append(getattr(e, child))
+
+
+def free_vars(e: Term) -> frozenset[str]:
+    free: set[str] = set()
+    bound: dict[str, int] = {}  # the binders in scope, with multiplicity
+    stack: list = [e]
+    while stack:
+        e = stack.pop()
+        if type(e) is tuple:  # (name, +1 or -1): entering or leaving a binder's scope
+            bound[e[0]] = bound.get(e[0], 0) + e[1]
+            continue
+        children, variable = SHAPES[type(e)]
+        if variable and not bound.get(e.name):
+            free.add(e.name)
+        for child, binder in reversed(children):
+            if binder is None:
+                stack.append(getattr(e, child))
+            else:
+                name = getattr(e, binder)
+                stack += ((name, -1), getattr(e, child), (name, 1))
+    return frozenset(free)
+
+
+def rebuild(e: Term, new: dict) -> Term:
+    """e with the fields in ``new`` replaced; e itself when none changed."""
+    for name, value in new.items():
+        if value is not getattr(e, name):
+            return type(e)(*[new.get(f, getattr(e, f)) for f in type(e).__match_args__])
+    return e
+
+
+def subst(e: Term, x: str, v: Term) -> Term:
+    """Capture-avoiding substitution of v for x in e.  A binder that would
+    capture a free variable of v is first primed (y', y'', ...) until it is
+    free in neither v nor its scope."""
+    return _subst(e, x, v, free_vars(v))
+
+
+def _subst(e: Term, x: str, v: Term | str, fv: frozenset[str] | set[str]) -> Term:
+    children, variable = SHAPES[type(e)]
+    if variable:
+        if e.name != x:
+            return e
+        return type(e)(v) if isinstance(v, str) else v  # a str v renames x
+    new = {}
+    for child, binder in children:
+        c = getattr(e, child)
+        if binder is not None:
+            b = getattr(e, binder)
+            if b == x:
+                continue  # x is shadowed here
+            if b in fv:
+                fresh, scope = b + "'", free_vars(c)
+                while fresh in fv or fresh in scope:
+                    fresh += "'"
+                c = _subst(c, b, fresh, {fresh})
+                new[binder] = fresh
+        new[child] = _subst(c, x, v, fv)
+    return rebuild(e, new)
+
+
+def map_up(e: Term, f: Callable[[Term], Term]) -> Term:
+    """Rebuild e bottom-up: each node from its children mapped left to right,
+    then f applied to it."""
+    new = {}
+    for child, _ in SHAPES[type(e)][0]:
+        new[child] = map_up(getattr(e, child), f)
+    return f(rebuild(e, new))
 
 
 def map_ascriptions(e: SrcExpr, f: Callable[[SrcType], SrcType]) -> SrcExpr:
-    """Rebuild e with f applied to every ascribed type.
-
-    Children are visited left to right, and an ascribed expression before its
-    type, so a stateful f sees the types in a fixed order.
-    """
-    match e:
-        case Const() | Var():
-            return e
-        case Lam(param, body, pos):
-            return Lam(param, map_ascriptions(body, f), pos)
-        case Ascribe(expr, ty, pos):
-            return Ascribe(map_ascriptions(expr, f), f(ty), pos)
-        case Let(name, bound, body, pos):
-            return Let(name, map_ascriptions(bound, f), map_ascriptions(body, f), pos)
-        case If(c, t, els, pos):
-            return If(map_ascriptions(c, f), map_ascriptions(t, f), map_ascriptions(els, f), pos)
-        case App(fn, arg, pos):
-            return App(map_ascriptions(fn, f), map_ascriptions(arg, f), pos)
-    raise TypeError(f"not a source expression: {e!r}")
+    """Rebuild e with f applied to every ascribed type, after the ascribed
+    expression and left to right, so a stateful f sees a fixed order."""
+    return map_up(e, lambda a: Ascribe(a.expr, f(a.ty), a.pos) if isinstance(a, Ascribe) else a)
 
 
 def erase_ascriptions(e: SrcExpr) -> SrcExpr:
     """Drop type ascriptions; the operational semantics has no rule for them."""
-    match e:
-        case Const() | Var():
-            return e
-        case Lam(param, body, pos):
-            return Lam(param, erase_ascriptions(body), pos)
-        case Ascribe(expr, _):
-            return erase_ascriptions(expr)
-        case Let(name, bound, body, pos):
-            return Let(name, erase_ascriptions(bound), erase_ascriptions(body), pos)
-        case If(c, t, f, pos):
-            return If(erase_ascriptions(c), erase_ascriptions(t), erase_ascriptions(f), pos)
-        case App(fn, arg, pos):
-            return App(erase_ascriptions(fn), erase_ascriptions(arg), pos)
-    raise TypeError(f"not a source expression: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# Alpha renaming
-# ---------------------------------------------------------------------------
+    return map_up(e, lambda a: a.expr if isinstance(a, Ascribe) else a)
 
 
 def uniquify(e: SrcExpr) -> SrcExpr:
-    """Rename binders so every bound name is distinct from all others."""
+    """Rename binders so every bound name is distinct from all others; a
+    node's binders are renamed before any of its children is visited."""
     used: set[str] = set(free_vars(e))
     counters: dict[str, int] = {}
 
     def fresh(base: str) -> str:
-        if base not in used:
-            used.add(base)
-            return base
-        n = counters.get(base, 1)
-        while f"{base}_{n}" in used:
-            n += 1
-        counters[base] = n + 1
-        name = f"{base}_{n}"
+        name, n = base, counters.get(base, 1)
+        while name in used:
+            name, n = f"{base}_{n}", n + 1
+            counters[base] = n
         used.add(name)
         return name
 
-    def go(e: SrcExpr, ren: dict[str, str]) -> SrcExpr:
-        match e:
-            case Const():
-                return e
-            case Var(name, pos):
-                return Var(ren.get(name, name), pos)
-            case Lam(param, body, pos):
-                p2 = fresh(param)
-                return Lam(p2, go(body, {**ren, param: p2}), pos)
-            case Ascribe(expr, ty, pos):
-                return Ascribe(go(expr, ren), ty, pos)
-            case Let(name, bound, body, pos):
-                n2 = fresh(name)
-                return Let(n2, go(bound, ren), go(body, {**ren, name: n2}), pos)
-            case If(c, t, f, pos):
-                return If(go(c, ren), go(t, ren), go(f, ren), pos)
-            case App(fn, arg, pos):
-                return App(go(fn, ren), go(arg, ren), pos)
-        raise TypeError(f"not a source expression: {e!r}")
+    def go(e: Term, ren: dict[str, str]) -> Term:
+        children, variable = SHAPES[type(e)]
+        if variable:
+            return type(e)(ren[e.name], pos=e.pos) if e.name in ren else e
+        new = {b: fresh(getattr(e, b)) for _, b in children if b is not None}
+        for child, b in children:
+            scope = ren if b is None else {**ren, getattr(e, b): new[b]}
+            new[child] = go(getattr(e, child), scope)
+        return rebuild(e, new)
 
     return go(e, {})
 

@@ -3,7 +3,9 @@
 Intersections elaborate to products, unions to tagged sums, and trust
 obligations appear as DEAD-cast nodes.  Refinement types keep source
 refinements attached to the translated skeleton; ``strip`` erases them again
-for the simple type checker that validates elaborator output.
+for the simple type checker that validates elaborator output.  Target terms
+declare their shapes with ``syntax.shape``, so substitution, free variables
+and the other term walkers are the source language's.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .syntax import (
     PrimConst,
     PrimType,
     SrcType,
+    shape,
 )
 
 
@@ -190,18 +193,21 @@ def _print_ref(t: RefType, prec: int) -> str:
 # ---------------------------------------------------------------------------
 
 
+@shape()
 @dataclass(frozen=True)
 class TConst:
     con: PrimConst
     pos: Pos = field(default=None, compare=False)
 
 
+@shape(variable=True)
 @dataclass(frozen=True)
 class TVar:
     name: str
     pos: Pos = field(default=None, compare=False)
 
 
+@shape(("body", "param"))
 @dataclass(frozen=True)
 class TLam:
     """Lambda with the arrow type recorded by elaboration.
@@ -218,6 +224,7 @@ class TLam:
     pos: Pos = field(default=None, compare=False)
 
 
+@shape("cond", "then", "els")
 @dataclass(frozen=True)
 class TIf:
     cond: TgtExpr
@@ -226,6 +233,7 @@ class TIf:
     pos: Pos = field(default=None, compare=False)
 
 
+@shape("fn", "arg")
 @dataclass(frozen=True)
 class TApp:
     fn: TgtExpr
@@ -233,6 +241,7 @@ class TApp:
     pos: Pos = field(default=None, compare=False)
 
 
+@shape("bound", ("body", "name"))
 @dataclass(frozen=True)
 class TLet:
     name: str
@@ -241,6 +250,7 @@ class TLet:
     pos: Pos = field(default=None, compare=False)
 
 
+@shape("first", "second")
 @dataclass(frozen=True)
 class TPair:
     first: TgtExpr
@@ -248,6 +258,7 @@ class TPair:
     pos: Pos = field(default=None, compare=False)
 
 
+@shape("tuple_")
 @dataclass(frozen=True)
 class TProj:
     index: int  # 1 | 2
@@ -255,6 +266,7 @@ class TProj:
     pos: Pos = field(default=None, compare=False)
 
 
+@shape("payload")
 @dataclass(frozen=True)
 class TInj:
     index: int  # 1 | 2
@@ -263,6 +275,7 @@ class TInj:
     pos: Pos = field(default=None, compare=False)
 
 
+@shape("scrutinee", ("branch1", "var1"), ("branch2", "var2"))
 @dataclass(frozen=True)
 class TCase:
     scrutinee: TgtExpr
@@ -273,6 +286,7 @@ class TCase:
     pos: Pos = field(default=None, compare=False)
 
 
+@shape("inner")
 @dataclass(frozen=True)
 class TDead:
     from_ty: SrcType
@@ -302,37 +316,6 @@ def is_target_value(w: TgtExpr) -> bool:
 
 def is_dead_value(w: TgtExpr) -> bool:
     return isinstance(w, TDead) and is_target_value(w.inner)
-
-
-def target_free_vars(w: TgtExpr) -> frozenset[str]:
-    match w:
-        case TConst():
-            return frozenset()
-        case TVar(name):
-            return frozenset([name])
-        case TLam(param, body):
-            return target_free_vars(body) - {param}
-        case TIf(c, t, f):
-            return target_free_vars(c) | target_free_vars(t) | target_free_vars(f)
-        case TApp(fn, arg):
-            return target_free_vars(fn) | target_free_vars(arg)
-        case TLet(name, bound, body):
-            return target_free_vars(bound) | (target_free_vars(body) - {name})
-        case TPair(a, b):
-            return target_free_vars(a) | target_free_vars(b)
-        case TProj(_, t):
-            return target_free_vars(t)
-        case TInj(_, p):
-            return target_free_vars(p)
-        case TCase(s, x1, b1, x2, b2):
-            return (
-                target_free_vars(s)
-                | (target_free_vars(b1) - {x1})
-                | (target_free_vars(b2) - {x2})
-            )
-        case TDead(_, _, inner):
-            return target_free_vars(inner)
-    raise TypeError(f"not a target expression: {w!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -426,52 +409,8 @@ def simple_typecheck(env: dict[str, ErasedType], w: TgtExpr) -> ErasedType:
 
 
 # ---------------------------------------------------------------------------
-# Substitution and printing
+# Printing
 # ---------------------------------------------------------------------------
-
-
-def subst_target(w: TgtExpr, x: str, value: TgtExpr) -> TgtExpr:
-    """Capture-avoiding substitution; substituted values are closed in practice."""
-    match w:
-        case TConst():
-            return w
-        case TVar(name):
-            return value if name == x else w
-        case TLam(param, body, src_ann, ref_ann, pos):
-            if param == x:
-                return w
-            if param in target_free_vars(value):
-                fresh = param + "'"
-                while fresh in target_free_vars(value) or fresh in target_free_vars(body):
-                    fresh += "'"
-                body = subst_target(body, param, TVar(fresh))
-                return TLam(fresh, subst_target(body, x, value), src_ann, ref_ann, pos)
-            return TLam(param, subst_target(body, x, value), src_ann, ref_ann, pos)
-        case TIf(c, t, f, pos):
-            return TIf(
-                subst_target(c, x, value), subst_target(t, x, value), subst_target(f, x, value), pos
-            )
-        case TApp(fn, arg, pos):
-            return TApp(subst_target(fn, x, value), subst_target(arg, x, value), pos)
-        case TLet(name, bound, body, pos):
-            bound2 = subst_target(bound, x, value)
-            if name == x:
-                return TLet(name, bound2, body, pos)
-            return TLet(name, bound2, subst_target(body, x, value), pos)
-        case TPair(a, b, pos):
-            return TPair(subst_target(a, x, value), subst_target(b, x, value), pos)
-        case TProj(index, t, pos):
-            return TProj(index, subst_target(t, x, value), pos)
-        case TInj(index, payload, src_ann, pos):
-            return TInj(index, subst_target(payload, x, value), src_ann, pos)
-        case TCase(s, x1, b1, x2, b2, pos):
-            s2 = subst_target(s, x, value)
-            b1n = b1 if x1 == x else subst_target(b1, x, value)
-            b2n = b2 if x2 == x else subst_target(b2, x, value)
-            return TCase(s2, x1, b1n, x2, b2n, pos)
-        case TDead(from_ty, to_ty, inner, pos):
-            return TDead(from_ty, to_ty, subst_target(inner, x, value), pos)
-    raise TypeError(f"not a target expression: {w!r}")
 
 
 def print_target(w: TgtExpr) -> str:

@@ -21,7 +21,7 @@ from .source_interp import (
     Stuck,
     trace,
 )
-from .syntax import Const, FunType, SrcExpr
+from .syntax import Const, FunType, SrcExpr, subexprs, subst
 from .target import (
     TApp,
     TCase,
@@ -33,11 +33,9 @@ from .target import (
     TLet,
     TPair,
     TProj,
-    TVar,
     TgtExpr,
     is_dead_value,
     is_target_value,
-    subst_target,
 )
 
 
@@ -53,7 +51,7 @@ def step_target(w: TgtExpr) -> StepResult:
     match w:
         case TLet(name, bound, body, pos):
             if is_target_value(bound):
-                return Stepped(subst_target(body, name, bound), "E-Let")
+                return Stepped(subst(body, name, bound), "E-Let")
             return _in_context(bound, lambda b: TLet(name, b, body, pos))
         case TIf(cond, then, els, pos):
             if is_target_value(cond):
@@ -72,7 +70,7 @@ def step_target(w: TgtExpr) -> StepResult:
                 return _in_context(arg, lambda a: TApp(fn, a, pos))
             match fn:
                 case TLam(param, body):
-                    return Stepped(subst_target(body, param, arg), "E-Beta")
+                    return Stepped(subst(body, param, arg), "E-Beta")
                 case TConst(con):
                     if is_dead_value(arg):
                         return Stuck("dead-argument", w)
@@ -96,7 +94,7 @@ def step_target(w: TgtExpr) -> StepResult:
             if is_target_value(scrut):
                 if isinstance(scrut, TInj):
                     var, branch = (x1, b1) if scrut.index == 1 else (x2, b2)
-                    return Stepped(subst_target(branch, var, scrut.payload), "E-Case")
+                    return Stepped(subst(branch, var, scrut.payload), "E-Case")
                 return Stuck("case-non-sum", w)
             return _in_context(scrut, lambda s: TCase(s, x1, b1, x2, b2, pos))
         case TInj(index, payload, src_ann, pos):
@@ -124,28 +122,4 @@ def eval_target_trace(
 
 def contains_dead_value(w: TgtExpr) -> bool:
     """Does any subterm carry a DEAD cast over a value?"""
-    if is_dead_value(w):
-        return True
-    match w:
-        case TConst() | TVar():
-            return False
-        case TLam(_, body):
-            return contains_dead_value(body)
-        case TIf(c, t, f):
-            return any(contains_dead_value(x) for x in (c, t, f))
-        case TApp(fn, arg):
-            return contains_dead_value(fn) or contains_dead_value(arg)
-        case TLet(_, bound, body):
-            return contains_dead_value(bound) or contains_dead_value(body)
-        case TPair(a, b):
-            return contains_dead_value(a) or contains_dead_value(b)
-        case TProj(_, t):
-            return contains_dead_value(t)
-        case TInj(_, p):
-            return contains_dead_value(p)
-        case TCase(s, _, b1, _, b2):
-            return any(contains_dead_value(x) for x in (s, b1, b2))
-        case TDead(_, _, inner):
-            return contains_dead_value(inner)
-    raise TypeError(f"not a target expression: {w!r}")
-
+    return any(is_dead_value(s) for s in subexprs(w))

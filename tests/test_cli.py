@@ -281,6 +281,35 @@ class TestFuzz:
         assert code in (0, 1)
         assert seen == {"fuel": 3}
 
+    def test_global_search_depth_reaches_fuzz(self, capsys):
+        # seed 0-2 include a program that needs more than one search level
+        code, out, _ = run_cli(["--search-depth", "1", "fuzz", "--trials", "3", "--seed", "0"],
+                               capsys)
+        assert code == 2
+        assert out.startswith("phase 1 error:")
+
+    def test_budgets_reach_fuzz_checks(self, monkeypatch, capsys):
+        from l2 import harness
+
+        seen = {"search_depth": set(), "clause_budget": set()}
+        elaborate_program, check_refined = harness.elaborate_program, harness.check_refined
+
+        def spy_elaborate(program, search_depth):
+            seen["search_depth"].add(search_depth)
+            return elaborate_program(program, search_depth)
+
+        def spy_check(env, w, clause_budget):
+            seen["clause_budget"].add(clause_budget)
+            return check_refined(env, w, clause_budget=clause_budget)
+
+        monkeypatch.setattr(harness, "elaborate_program", spy_elaborate)
+        monkeypatch.setattr(harness, "check_refined", spy_check)
+        code, _, _ = run_cli(
+            ["--search-depth", "40", "--clause-budget", "5000", "fuzz", "--trials", "2"], capsys
+        )
+        assert code == 0
+        assert seen == {"search_depth": {40}, "clause_budget": {5000}}
+
     def test_fuzz_has_no_fuel_option_of_its_own(self, capsys):
         code, _, _ = run_cli(["fuzz", "--trials", "1", "--fuel", "3"], capsys)
         assert code == 64

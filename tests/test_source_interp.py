@@ -10,9 +10,9 @@ from l2.source_interp import (
     Value,
     eval_source_trace,
     step_source,
-    subst_source,
 )
 from l2.syntax import App, Const, If, Lam, Let, Var, erase_ascriptions
+from l2.syntax import subst as subst_source
 from tests.conftest import eval_source
 
 

@@ -30,8 +30,8 @@ from l2.target import (
     print_target,
     simple_typecheck,
     strip,
-    subst_target,
 )
+from l2.syntax import subst as subst_target
 
 
 def unelab_type(t):

@@ -18,8 +18,8 @@ import sys
 from dataclasses import dataclass
 
 from . import harness, infer, source_interp, syntax, target_interp
-from .elaborate import ElabError, elaborate_program
-from .logic import ResourceLimit, pand, render_pred, to_smtlib
+from .elaborate import DEFAULT_SEARCH_DEPTH, ElabError, elaborate_program
+from .logic import DEFAULT_CLAUSE_BUDGET, ResourceLimit, pand, render_pred, to_smtlib
 from .parser import ParseError, parse_pred, parse_program
 from .refine import PhaseOrderError, RefEnv, check_refined
 from .target import IllTyped, print_ref_type, print_target
@@ -39,9 +39,9 @@ class ConfigError(Exception):
 
 @dataclass
 class Config:
-    fuel: int = 100000
-    search_depth: int = 64
-    clause_budget: int = 10000
+    fuel: int = source_interp.DEFAULT_FUEL
+    search_depth: int = DEFAULT_SEARCH_DEPTH
+    clause_budget: int = DEFAULT_CLAUSE_BUDGET
     trace: bool = False
     json: bool = False
 

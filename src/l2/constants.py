@@ -23,7 +23,7 @@ from .logic import (
     pnot,
 )
 from .syntax import BOOL, BOOLEAN, Const, FunType, NUM, NUMBER, PrimConst, SrcExpr
-from .target import RBase, RFun, RefType
+from .target import RBase, RFun, RefType, TConst, TgtExpr
 
 _NU = LinTerm.of_var(VALUE_VAR)
 
@@ -77,8 +77,9 @@ def bool_const(b: bool) -> PrimConst:
     return TRUE_CONST if b else FALSE_CONST
 
 
-def const_int_value(e: SrcExpr) -> int | None:
-    if isinstance(e, Const) and e.con.source_type == NUM and e.con.delta is None:
+def const_int_value(e: SrcExpr | TgtExpr) -> int | None:
+    """The integer of a source or target numeric literal, else None."""
+    if isinstance(e, (Const, TConst)) and e.con.source_type == NUM and e.con.delta is None:
         try:
             return int(e.con.name)
         except ValueError:
@@ -86,8 +87,9 @@ def const_int_value(e: SrcExpr) -> int | None:
     return None
 
 
-def const_bool_value(e: SrcExpr) -> bool | None:
-    if isinstance(e, Const):
+def const_bool_value(e: SrcExpr | TgtExpr) -> bool | None:
+    """The truth value of a source or target boolean literal, else None."""
+    if isinstance(e, (Const, TConst)):
         if e.con == TRUE_CONST:
             return True
         if e.con == FALSE_CONST:
@@ -232,8 +234,9 @@ def ty(c: PrimConst) -> RefType:
     return c.refined_type
 
 
-def delta_apply(c: PrimConst, v: SrcExpr) -> SrcExpr | None:
-    """delta(c, v); None when undefined for this constant and argument."""
+def delta_apply(c: PrimConst, v: SrcExpr | TgtExpr) -> SrcExpr | None:
+    """delta(c, v) for a source or target value v; None when undefined for
+    this constant and argument."""
     if c.delta is None:
         return None
     return c.delta(v)

@@ -9,8 +9,8 @@ at every node:
      value),
   3. intersection elimination, first conjunct before second,
   4. union introduction, first arm before second (flexible mode only),
-  5. union elimination over evaluation-context decompositions, leftmost
-     position first,
+  5. union elimination over evaluation-context decompositions
+     (``syntax.decompose``), leftmost position first,
   6. DEAD-cast insertion, last and in flexible mode only.
 
 Application nodes resolve overloads in two passes: every head candidate is
@@ -301,7 +301,7 @@ class Elaborator:
                             continue
                         yield TInj(k, w, expected, _pos_of(e)), flag, ("T-Up",) + tr
         # T-Down
-        for plug, e0 in self._decompositions(e):
+        for plug, e0 in syntax.decompose(e, is_value):
             for t0, w0, _, tr0 in self.synth(env, e0, mode, depth - 1):
                 if isinstance(t0, OrType) and wf_type(t0).ok:
                     yield from self._union_split(
@@ -502,30 +502,6 @@ class Elaborator:
                     flag,
                     ("T-Down",) + tr0 + tr1 + tr2,
                 )
-
-    @staticmethod
-    def _decompositions(
-        e: SrcExpr,
-    ) -> Iterator[tuple[Callable[[SrcExpr], SrcExpr], SrcExpr]]:
-        """Evaluation-context decompositions E[e0] of e, leftmost first.
-
-        The identity context comes first: splitting on the whole expression
-        replaces it by a case over fresh variables.
-        """
-        yield (lambda h: h), e
-        match e:
-            case Let(name, bound, body, pos):
-                for plug, e0 in Elaborator._decompositions(bound):
-                    yield (lambda h, p=plug: Let(name, p(h), body, pos)), e0
-            case If(cond, then, els, pos):
-                for plug, e0 in Elaborator._decompositions(cond):
-                    yield (lambda h, p=plug: If(p(h), then, els, pos)), e0
-            case App(fn, arg, pos):
-                for plug, e0 in Elaborator._decompositions(fn):
-                    yield (lambda h, p=plug: App(p(h), arg, pos)), e0
-                if is_value(fn):
-                    for plug, e0 in Elaborator._decompositions(arg):
-                        yield (lambda h, p=plug: App(fn, p(h), pos)), e0
 
 
 def _pos_of(e: SrcExpr) -> Pos:

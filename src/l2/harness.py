@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from . import constants, source_interp, syntax, target_interp
 from .elaborate import DEFAULT_SEARCH_DEPTH, ElabError, ElabResult, Elaborator, elaborate_program
-from .logic import LinTerm, VALUE_VAR, cmp_pred
+from .logic import DEFAULT_CLAUSE_BUDGET, LinTerm, VALUE_VAR, cmp_pred
 from .refine import PhaseOrderError, RefEnv, check_refined
 from .source_interp import DEFAULT_FUEL, FuelExhausted, Outcome, Stepped, StuckAt, Value
 from .syntax import (
@@ -174,7 +174,7 @@ def elab_matches(env: Env, e: SrcExpr, tau: SrcType, w: TgtExpr, depth: int = 40
             t0 = reconstruct_src_type(env, w0)
             if not isinstance(t0, OrType):
                 return False
-            for plug, e0 in Elaborator._decompositions(e):
+            for plug, e0 in syntax.decompose(e, is_value):
                 if not elab_matches(env, e0, t0, w0, d):
                     continue
                 env1 = {**env, x1: t0.left}
@@ -349,7 +349,7 @@ def lockstep_check(trial: Trial) -> DiffReport:
 SOUNDNESS_SAMPLE = 5  # soundness_trial re-checks every 5th source state
 
 
-def soundness_trial(trial: Trial, clause_budget: int = 10000) -> str:
+def soundness_trial(trial: Trial, clause_budget: int = DEFAULT_CLAUSE_BUDGET) -> str:
     """Accepted programs must run without getting stuck and stay accepted.
 
     Returns "pass", "vacuous" (the program is not accepted by phase 2), or a
@@ -813,7 +813,7 @@ def run_fuzz(
     check_soundness: bool = True,
     shrink: bool = False,
     search_depth: int = DEFAULT_SEARCH_DEPTH,
-    clause_budget: int = 10000,
+    clause_budget: int = DEFAULT_CLAUSE_BUDGET,
 ) -> FuzzStats:
     reports: list[DiffReport] = []
     a1 = canon = subst_fail = sound_fail = accepted = 0

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from . import elaborate
 from .logic import (
     Cmp,
+    DEFAULT_CLAUSE_BUDGET,
     LinTerm,
     PAtom,
     PKappa,
@@ -200,7 +201,7 @@ def _instantiate_head_candidate(head: PKappa, candidate: Pred) -> Pred:
 def houdini_solve(
     clauses: list[HornClause],
     candidates: dict[str, list[Pred]],
-    clause_budget: int = 10000,
+    clause_budget: int = DEFAULT_CLAUSE_BUDGET,
 ) -> Solution | Unsat:
     """Monomial predicate abstraction: weaken heads to a greatest fixpoint."""
     assignment: dict[str, tuple[Pred, ...]] = {k: tuple(v) for k, v in candidates.items()}
@@ -261,7 +262,7 @@ def apply_solution(program: Program, solution: Solution) -> Program:
 def infer_refinements(
     program: Program,
     preds: list[Pred] | None = None,
-    clause_budget: int = 10000,
+    clause_budget: int = DEFAULT_CLAUSE_BUDGET,
     search_depth: int = elaborate.DEFAULT_SEARCH_DEPTH,
 ) -> tuple[Solution | Unsat, list[HornClause], list[KappaVar], Program]:
     """End-to-end inference over the unrefined program.

@@ -36,6 +36,8 @@ from typing import Callable, Iterator
 
 VALUE_VAR = "v"
 
+DEFAULT_CLAUSE_BUDGET = 10000  # DNF cubes one VC may expand to
+
 
 class ResourceLimit(Exception):
     """DNF expansion exceeded the configured clause budget."""
@@ -608,7 +610,7 @@ def _dnf(node, budget: int) -> list[frozenset]:
     return cubes
 
 
-def dnf_cubes(p: Pred, budget: int = 10000) -> list[frozenset]:
+def dnf_cubes(p: Pred, budget: int = DEFAULT_CLAUSE_BUDGET) -> list[frozenset]:
     return _dnf(_nnf(p, False), budget)
 
 
@@ -791,27 +793,6 @@ def eval_atom(atom: Atom, env: dict[str, object]) -> bool:
     raise ValueError(atom.op)
 
 
-def eval_pred(p: Pred, env: dict[str, object]) -> bool:
-    match p:
-        case PBool(b):
-            return b
-        case PAtom(a):
-            return eval_atom(a, env)
-        case PNot(inner):
-            return not eval_pred(inner, env)
-        case PAnd(parts):
-            return all(eval_pred(q, env) for q in parts)
-        case POr(parts):
-            return any(eval_pred(q, env) for q in parts)
-        case PImp(a, b):
-            return (not eval_pred(a, env)) or eval_pred(b, env)
-        case PIff(a, b):
-            return eval_pred(a, env) == eval_pred(b, env)
-        case PKappa():
-            raise ValueError("kappa variable in evaluated predicate")
-    raise TypeError(f"not a predicate: {p!r}")
-
-
 def _cube_model(cube, bound: int = 8) -> dict[str, object] | None:
     int_names: set[str] = set()
     bool_env: dict[str, object] = {}
@@ -832,7 +813,7 @@ def _cube_model(cube, bound: int = 8) -> dict[str, object] | None:
     return None
 
 
-def valid(vc: VC, clause_budget: int = 10000) -> Verdict:
+def valid(vc: VC, clause_budget: int = DEFAULT_CLAUSE_BUDGET) -> Verdict:
     """Check a VC by refuting its negation cube by cube."""
     cubes = dnf_cubes(vc.negated(), clause_budget)
     for cube in cubes:

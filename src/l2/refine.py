@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from . import constants
 from .logic import (
     BVar,
+    DEFAULT_CLAUSE_BUDGET,
     LinTerm,
     PAtom,
     PBool,
@@ -201,11 +202,11 @@ _CMP_SYM = {"lt": "<", "le": "<=", "eq": "=", "ne": "!="}
 def embed_term(w: TgtExpr, env: RefEnv) -> LinTerm | bool | str | None:
     """Embed a target term as a linear integer term or boolean, if possible."""
     match w:
-        case TConst(con):
-            k = constants.const_int_value(_as_src(w))
+        case TConst():
+            k = constants.const_int_value(w)
             if k is not None:
                 return LinTerm.of_const(k)
-            b = constants.const_bool_value(_as_src(w))
+            b = constants.const_bool_value(w)
             if b is not None:
                 return b
             return None
@@ -245,13 +246,6 @@ def _combine(op: str, a: LinTerm, b: LinTerm) -> LinTerm | None:
     return None
 
 
-def _as_src(w: TgtExpr):
-    from .syntax import Const as SrcConst
-
-    assert isinstance(w, TConst)
-    return SrcConst(w.con)
-
-
 def embed_guard(w: TgtExpr, env: RefEnv | None = None) -> tuple[Pred, bool]:
     """Embed a boolean target expression as a predicate.
 
@@ -264,8 +258,8 @@ def embed_guard(w: TgtExpr, env: RefEnv | None = None) -> tuple[Pred, bool]:
         case TVar(name):
             if env.sort_of(name) in (BOOLEAN, None):
                 return PAtom(BVar(name)), True
-        case TConst(con):
-            b = constants.const_bool_value(_as_src(w))
+        case TConst():
+            b = constants.const_bool_value(w)
             if b is not None:
                 return PBool(b), True
         case TApp(TApp(TConst(con), a), b) if con.name in _CMP_SYM:
@@ -287,23 +281,11 @@ def embed_guard(w: TgtExpr, env: RefEnv | None = None) -> tuple[Pred, bool]:
 # ---------------------------------------------------------------------------
 
 
-def subtype(env: RefEnv, t1: RefType, t2: RefType, origin: str = "") -> list[VC]:
-    """Decompose a subtyping obligation into verification conditions.
-
-    Base against base yields one VC; arrows are contravariant in the domain
-    and covariant in the codomain with the binder pushed into scope; sums and
-    products decompose componentwise covariantly.  The returned list is raw:
-    trivial reflexive conditions are included.
-    """
-    return [
-        VC(env2.flatten(), p1, p2, origin2, env2.base_names())
-        for env2, p1, p2, origin2 in _obligations(env, t1, t2, origin)
-    ]
-
-
 def _obligations(env: RefEnv, t1: RefType, t2: RefType, origin: str):
-    """The base-type obligations of ``subtype`` as (env, antecedent,
-    consequent, origin), in order, before any hypothesis is built."""
+    """Decompose t1 <: t2 into base-type obligations (env, antecedent,
+    consequent, origin), in order, before any hypothesis is built.  Arrows
+    are contravariant in the domain and covariant in the codomain with the
+    binder pushed into scope; sums and products decompose componentwise."""
     if strip(t1) != strip(t2):
         raise ShapeMismatch(f"{strip(t1)} vs {strip(t2)}")
     match (t1, t2):
@@ -495,7 +477,7 @@ def check_refined(
     env: RefEnv,
     w: TgtExpr,
     discharge: bool = True,
-    clause_budget: int = 10000,
+    clause_budget: int = DEFAULT_CLAUSE_BUDGET,
 ) -> CheckReport:
     """Run refinement checking over a well-typed target term.
 

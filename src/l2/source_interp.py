@@ -4,10 +4,15 @@ Six rules over left-to-right evaluation contexts:
 
     E ::= [] | let x = E in e | if E then e1 else e2 | E e | v E
 
-Stepping is deterministic; stuck terms are reported with a reason instead of
-raising.  Type ascriptions are erased before evaluation starts, they have no
-runtime meaning.  The step results, the outcomes and the trace loop defined
-here serve the target interpreter as well.
+The contexts are not written here: each term class declares its evaluation
+positions next to its shape (``syntax.POSITIONS``), and ``step`` descends
+through them, without recursion, to the redex, contracts it with a
+per-language contraction and plugs the result back.  ``step_source`` is
+``step`` with the source redex rules.  Stepping is deterministic; stuck
+terms are reported with a reason instead of raising.  Type ascriptions are
+erased before evaluation starts, they have no runtime meaning.  The stepper,
+the step results, the outcomes and the trace loop defined here serve the
+target interpreter as well.
 """
 
 from __future__ import annotations
@@ -65,66 +70,66 @@ class FuelExhausted:
 Outcome = Value | StuckAt | FuelExhausted
 
 
-def step_source(e: SrcExpr) -> StepResult:
-    if isinstance(e, Ascribe):
-        raise ValueError("ascriptions must be erased before evaluation")
-    if syntax.is_value(e):
+def step(
+    e: Term, is_value: Callable[[Term], bool], contract: Callable[[Term], StepResult]
+) -> StepResult:
+    """One step of either language.  Descend into the leftmost evaluation
+    position that is not a value until a node's positions all are: that node
+    is the redex.  Contract it and plug the result back into its context."""
+    if is_value(e):
         return AlreadyValue()
+    ctx = None
+    while True:
+        positions = syntax.POSITIONS[type(e)]
+        child = next((c for c in positions if not is_value(getattr(e, c))), None)
+        if child is None:
+            break
+        ctx, e = (ctx, e, child), getattr(e, child)
+    result = contract(e)
+    if isinstance(result, Stepped):
+        return Stepped(syntax.plug(ctx, result.next), result.rule)
+    return result
+
+
+def _contract_source(e: SrcExpr) -> StepResult:
+    """The source redex rules; e is not a value, its positions are."""
     match e:
-        case Let(name, bound, body, pos):
-            if syntax.is_value(bound):
-                return Stepped(subst(body, name, bound), "E-Let")
-            inner = step_source(bound)
-            if isinstance(inner, Stepped):
-                return Stepped(Let(name, inner.next, body, pos), inner.rule)
-            return inner
-        case If(cond, then, els, pos):
-            if syntax.is_value(cond):
-                b = constants.const_bool_value(cond)
-                if b is True:
-                    return Stepped(then, "E-If-True")
-                if b is False:
-                    return Stepped(els, "E-If-False")
+        case Let(name, bound, body):
+            return Stepped(subst(body, name, bound), "E-Let")
+        case If(cond, then, els):
+            b = constants.const_bool_value(cond)
+            if b is None:
                 return Stuck("if-non-boolean", e)
-            inner = step_source(cond)
-            if isinstance(inner, Stepped):
-                return Stepped(If(inner.next, then, els, pos), inner.rule)
-            return inner
-        case App(fn, arg, pos):
-            if not syntax.is_value(fn):
-                inner = step_source(fn)
-                if isinstance(inner, Stepped):
-                    return Stepped(App(inner.next, arg, pos), inner.rule)
-                return inner
-            if not syntax.is_value(arg):
-                inner = step_source(arg)
-                if isinstance(inner, Stepped):
-                    return Stepped(App(fn, inner.next, pos), inner.rule)
-                return inner
-            match fn:
-                case Lam(param, body):
-                    return Stepped(subst(body, param, arg), "E-App-B")
-                case Const(con):
-                    result = constants.delta_apply(con, arg)
-                    if result is not None:
-                        return Stepped(result, "E-App-A")
-                    if isinstance(con.source_type, FunType):
-                        return Stuck("delta-undefined", e)
-                    return Stuck("apply-non-function", e)
-                case _:
-                    return Stuck("apply-non-function", e)
+            return Stepped(then, "E-If-True") if b else Stepped(els, "E-If-False")
+        case App(Lam(param, body), arg):
+            return Stepped(subst(body, param, arg), "E-App-B")
+        case App(Const(con), arg):
+            result = constants.delta_apply(con, arg)
+            if result is not None:
+                return Stepped(result, "E-App-A")
+            if isinstance(con.source_type, FunType):
+                return Stuck("delta-undefined", e)
+            return Stuck("apply-non-function", e)
+        case App():
+            return Stuck("apply-non-function", e)
+        case Ascribe():
+            raise ValueError("ascriptions must be erased before evaluation")
     raise TypeError(f"not a source expression: {e!r}")
 
 
+def step_source(e: SrcExpr) -> StepResult:
+    return step(e, syntax.is_value, _contract_source)
+
+
 def trace(
-    step: Callable[[Term], StepResult], e: Term, fuel: int
+    step_one: Callable[[Term], StepResult], e: Term, fuel: int
 ) -> tuple[Outcome, list[str], list[Term]]:
     """Step until a value, a stuck term or no fuel; keep the applied rule
     names and every intermediate term."""
     rules: list[str] = []
     states: list[Term] = [e]
     for _ in range(fuel):
-        match step(e):
+        match step_one(e):
             case AlreadyValue():
                 return Value(e), rules, states
             case Stuck(reason, focus):

@@ -2,18 +2,21 @@
 
 Every term class, source here and target in ``target.py``, declares its
 shape with ``@shape``: its child fields, left to right, each with the field
-of the binder that scopes over it.  The term walkers read only that table,
-so one of each serves both languages: ``subexprs`` (preorder, without
-recursion), ``free_vars`` (without recursion), the capture-avoiding
-``subst`` and the bottom-up ``map_up``, which ``map_ascriptions`` and
-``erase_ascriptions`` use.  ``map_prims`` rebuilds a type with its base
-types mapped.  Both maps visit left to right, so kappa templates are
-numbered in a fixed order.
+of the binder that scopes over it, and how many of the leading children are
+evaluation positions.  The term walkers read only those tables, so one of
+each serves both languages: ``subexprs`` (preorder, without recursion),
+``free_vars`` (without recursion), the capture-avoiding ``subst``, the
+bottom-up ``map_up``, which ``map_ascriptions`` and ``erase_ascriptions``
+use, and ``decompose``, which enumerates the evaluation contexts that both
+interpreters step under and that union elimination splits on.
+``map_prims`` rebuilds a type with its base types mapped.  Both maps visit
+left to right, so kappa templates are numbered in a fixed order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Callable, Iterator, Optional, TYPE_CHECKING
 
 from .logic import Pred, TRUE, is_true, render_pred
@@ -216,15 +219,20 @@ class PrimConst:
 # Term class -> (children, variable): the child fields left to right, each with
 # its binder's field or None, and whether it is a variable, named by ``name``.
 SHAPES: dict[type, tuple[tuple[tuple[str, str | None], ...], bool]] = {}
+# Term class -> its evaluation positions: the leading children an evaluation
+# context descends into, left to right, each once those before it are values.
+POSITIONS: dict[type, tuple[str, ...]] = {}
 
 
-def shape(*children: str | tuple[str, str], variable: bool = False):
+def shape(*children: str | tuple[str, str], variable: bool = False, evaluated: int = 0):
     """Class decorator declaring a term class's shape; a child is a field
-    name, or (field, binder) when the name in field ``binder`` scopes over it."""
+    name, or (field, binder) when the name in field ``binder`` scopes over it.
+    The first ``evaluated`` children are the evaluation positions."""
 
     def declare(cls):
         kids = tuple((c, None) if isinstance(c, str) else c for c in children)
         SHAPES[cls] = (kids, variable)
+        POSITIONS[cls] = tuple(c for c, _ in kids[:evaluated])
         return cls
 
     return declare
@@ -264,7 +272,7 @@ class Ascribe:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("bound", ("body", "name"))
+@shape("bound", ("body", "name"), evaluated=1)
 @_cached_hash
 @dataclass(frozen=True)
 class Let:
@@ -274,7 +282,7 @@ class Let:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("cond", "then", "els")
+@shape("cond", "then", "els", evaluated=1)
 @_cached_hash
 @dataclass(frozen=True)
 class If:
@@ -284,7 +292,7 @@ class If:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("fn", "arg")
+@shape("fn", "arg", evaluated=2)
 @_cached_hash
 @dataclass(frozen=True)
 class App:
@@ -352,6 +360,39 @@ def rebuild(e: Term, new: dict) -> Term:
         if value is not getattr(e, name):
             return type(e)(*[new.get(f, getattr(e, f)) for f in type(e).__match_args__])
     return e
+
+
+# An evaluation context: None for the empty one [], or (outer context, node,
+# field) for the outer context applied to node with its hole in field.
+Context = Optional[tuple]
+
+
+def plug(ctx: Context, h: Term) -> Term:
+    """The term ctx[h], rebuilt from the hole outwards."""
+    while ctx is not None:
+        ctx, node, child = ctx
+        h = rebuild(node, {child: h})
+    return h
+
+
+def decompose(
+    e: Term, is_value: Callable[[Term], bool]
+) -> Iterator[tuple[Callable[[Term], Term], Term]]:
+    """Every decomposition e = E[e0] into an evaluation context and a subterm,
+    as (h -> E[h], e0): the empty context first, then each position's
+    decompositions left to right, a position only once those before it are
+    values."""
+    stack: list[tuple[Context, Term]] = [(None, e)]
+    while stack:
+        ctx, e = stack.pop()
+        yield partial(plug, ctx), e
+        reachable = []
+        for child in POSITIONS[type(e)]:
+            inner = getattr(e, child)
+            reachable.append(((ctx, e, child), inner))
+            if not is_value(inner):
+                break
+        stack += reversed(reachable)
 
 
 def subst(e: Term, x: str, v: Term) -> Term:

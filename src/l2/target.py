@@ -224,7 +224,7 @@ class TLam:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("cond", "then", "els")
+@shape("cond", "then", "els", evaluated=1)
 @dataclass(frozen=True)
 class TIf:
     cond: TgtExpr
@@ -233,7 +233,7 @@ class TIf:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("fn", "arg")
+@shape("fn", "arg", evaluated=2)
 @dataclass(frozen=True)
 class TApp:
     fn: TgtExpr
@@ -241,7 +241,7 @@ class TApp:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("bound", ("body", "name"))
+@shape("bound", ("body", "name"), evaluated=1)
 @dataclass(frozen=True)
 class TLet:
     name: str
@@ -258,7 +258,7 @@ class TPair:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("tuple_")
+@shape("tuple_", evaluated=1)
 @dataclass(frozen=True)
 class TProj:
     index: int  # 1 | 2
@@ -266,7 +266,7 @@ class TProj:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("payload")
+@shape("payload", evaluated=1)
 @dataclass(frozen=True)
 class TInj:
     index: int  # 1 | 2
@@ -275,7 +275,7 @@ class TInj:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("scrutinee", ("branch1", "var1"), ("branch2", "var2"))
+@shape("scrutinee", ("branch1", "var1"), ("branch2", "var2"), evaluated=1)
 @dataclass(frozen=True)
 class TCase:
     scrutinee: TgtExpr
@@ -286,7 +286,7 @@ class TCase:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("inner")
+@shape("inner", evaluated=1)
 @dataclass(frozen=True)
 class TDead:
     from_ty: SrcType

@@ -2,7 +2,22 @@ import pathlib
 
 import pytest
 
-from l2.logic import TRUE, VC, instantiate_kappas, pand, valid
+from l2.logic import (
+    PAnd,
+    PAtom,
+    PBool,
+    PIff,
+    PImp,
+    PKappa,
+    PNot,
+    POr,
+    TRUE,
+    VC,
+    eval_atom,
+    instantiate_kappas,
+    pand,
+    valid,
+)
 from l2.source_interp import DEFAULT_FUEL, eval_source_trace
 from l2.target_interp import eval_target_trace
 from l2.syntax import App, Ascribe, Const, If, Lam, Let, Var
@@ -69,3 +84,25 @@ def clause_valid(clause, assignment, clause_budget: int = 10000) -> bool:
     body = tuple(instantiate_kappas(p, pred_map) for p in clause.body)
     head = instantiate_kappas(clause.head, pred_map)
     return valid(VC(body, TRUE, head, clause.origin), clause_budget).is_valid
+
+
+def eval_pred(p, env: dict[str, object]) -> bool:
+    """The truth value of a kappa-free predicate under an assignment."""
+    match p:
+        case PBool(b):
+            return b
+        case PAtom(a):
+            return eval_atom(a, env)
+        case PNot(inner):
+            return not eval_pred(inner, env)
+        case PAnd(parts):
+            return all(eval_pred(q, env) for q in parts)
+        case POr(parts):
+            return any(eval_pred(q, env) for q in parts)
+        case PImp(a, b):
+            return (not eval_pred(a, env)) or eval_pred(b, env)
+        case PIff(a, b):
+            return eval_pred(a, env) == eval_pred(b, env)
+        case PKappa():
+            raise ValueError("kappa variable in evaluated predicate")
+    raise TypeError(f"not a predicate: {p!r}")

@@ -28,7 +28,6 @@ from l2.logic import (
     VALUE_VAR,
     VC,
     cmp_pred,
-    eval_pred,
     pand,
     pnot,
     pred_key,
@@ -46,6 +45,7 @@ from tests.conftest import (
     NEGATE_OK,
     PROGRAMS,
     clause_valid,
+    eval_pred,
 )
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"

@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
-from l2.cli import main
+from l2.cli import Config, main
+from l2.elaborate import DEFAULT_SEARCH_DEPTH
+from l2.logic import DEFAULT_CLAUSE_BUDGET
+from l2.source_interp import DEFAULT_FUEL
 from tests.conftest import let_chain
 
 
@@ -72,6 +75,13 @@ class TestCheck:
     def test_missing_file(self, capsys):
         code, _, _ = run_cli(["check", "no-such-file.l2"], capsys)
         assert code == 64
+
+
+def test_config_defaults_are_the_library_defaults():
+    config = Config()
+    assert config.fuel == DEFAULT_FUEL
+    assert config.search_depth == DEFAULT_SEARCH_DEPTH
+    assert config.clause_budget == DEFAULT_CLAUSE_BUDGET
 
 
 class TestUnreadableInputs:

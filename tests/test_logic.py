@@ -22,7 +22,6 @@ from l2.logic import (
     VC,
     cmp_pred,
     dnf_cubes,
-    eval_pred,
     fm_unsat,
     instantiate_kappas,
     is_tautology,
@@ -37,6 +36,7 @@ from l2.logic import (
     to_smtlib,
     valid,
 )
+from tests.conftest import eval_pred
 
 x = LinTerm.of_var("x")
 y = LinTerm.of_var("y")

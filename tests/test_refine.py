@@ -11,8 +11,8 @@ from l2.logic import (
     PAtom,
     PBool,
     TRUE,
+    VC,
     cmp_pred,
-    eval_pred,
     pred_key,
     render_pred,
     subst_pred,
@@ -22,12 +22,12 @@ from l2.refine import (
     PhaseOrderError,
     RefEnv,
     ShapeMismatch,
+    _obligations,
     check_refined,
     dead_type,
     embed_guard,
     embed_term,
     selfify,
-    subtype,
 )
 from l2.syntax import BOOL, FunType, NUM, OrType
 from l2.target import (
@@ -40,7 +40,16 @@ from l2.target import (
     fbot,
     strip,
 )
-from tests.conftest import NEGATE_ERR_C, NEGATE_OK, let_chain
+from tests.conftest import NEGATE_ERR_C, NEGATE_OK, eval_pred, let_chain
+
+
+def subtype(env: RefEnv, t1, t2, origin: str = "") -> list[VC]:
+    """Every VC of t1 <: t2, trivial reflexive ones included."""
+    return [
+        VC(env2.flatten(), p1, p2, origin2, env2.base_names())
+        for env2, p1, p2, origin2 in _obligations(env, t1, t2, origin)
+    ]
+
 
 nu = LinTerm.of_var("v")
 

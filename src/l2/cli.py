@@ -42,8 +42,6 @@ class Config:
     fuel: int = source_interp.DEFAULT_FUEL
     search_depth: int = DEFAULT_SEARCH_DEPTH
     clause_budget: int = DEFAULT_CLAUSE_BUDGET
-    trace: bool = False
-    json: bool = False
 
 
 def _read_program(path: str):
@@ -88,7 +86,7 @@ def cmd_check(args, config: Config) -> int:
         for vc, verdict in shown:
             lines.append(f"[{verdict.kind}] {vc.origin}: {vc.render()}")
     lines.append("accepted" if report.accepted else "rejected")
-    _emit(payload, config.json, "\n".join(lines))
+    _emit(payload, args.json, "\n".join(lines))
     return EXIT_OK if report.accepted else EXIT_REJECTED
 
 
@@ -105,7 +103,7 @@ def cmd_elaborate(args, config: Config) -> int:
         f"type: {payload['type']}\nflag: {payload['flag']}\n"
         f"target: {payload['target']}\ntrace: {' '.join(result.trace)}"
     )
-    _emit(payload, config.json, text)
+    _emit(payload, args.json, text)
     return EXIT_OK
 
 
@@ -127,8 +125,8 @@ def cmd_run(args, config: Config) -> int:
         case source_interp.FuelExhausted(expr):
             final = show(expr)
     payload = {"outcome": kind, "result": final, "steps": len(rules), "trace": rules}
-    lines = [*(rules if config.trace else []), f"{kind}: {final}", f"steps: {len(rules)}"]
-    _emit(payload, config.json, "\n".join(lines))
+    lines = [*(rules if args.trace else []), f"{kind}: {final}", f"steps: {len(rules)}"]
+    _emit(payload, args.json, "\n".join(lines))
     return EXIT_OK
 
 
@@ -153,7 +151,7 @@ def cmd_vcs(args, config: Config) -> int:
         f"[{v.kind}] {vc.origin}: {vc.render()}"
         for vc, v in zip(report.vcs, report.verdicts)
     ]
-    _emit(payload, config.json, "\n".join(lines) if lines else "no verification conditions")
+    _emit(payload, args.json, "\n".join(lines) if lines else "no verification conditions")
     return EXIT_OK
 
 
@@ -169,7 +167,7 @@ def cmd_infer(args, config: Config) -> int:
     if isinstance(outcome, infer.Unsat):
         _emit(
             {"status": "unsat", "clause": outcome.clause.render()},
-            config.json,
+            args.json,
             f"no solution: clause fails under the weakest assignment\n"
             f"  {outcome.clause.render()}",
         )
@@ -183,7 +181,7 @@ def cmd_infer(args, config: Config) -> int:
     }
     lines = [f"{k} := {render_pred(pand(v))}" for k, v in sorted(outcome.assignment.items())]
     lines.append(syntax.print_program(solved))
-    _emit(payload, config.json, "\n".join(lines))
+    _emit(payload, args.json, "\n".join(lines))
     return EXIT_OK
 
 
@@ -290,8 +288,6 @@ def _load_config(args) -> Config:
         fuel=pick(args.fuel, "fuel", defaults.fuel),
         search_depth=pick(args.search_depth, "search_depth", defaults.search_depth),
         clause_budget=pick(args.clause_budget, "clause_budget", defaults.clause_budget),
-        trace=getattr(args, "trace", False),
-        json=args.json,
     )
 
 

@@ -2,7 +2,8 @@
 
 Application of a binary primitive to its first argument yields a derived
 constant (for example ``add`` applied to 1 yields ``add@1``) whose delta
-finishes the job.  The derived constant's refined type is exact and linear,
+finishes the job.  It records the operator and literal as ``partial``
+(``("add", 1)``), so no other module reads them from its name.  The derived constant's refined type is exact and linear,
 which is what makes ``mul`` usable: the outer ``mul`` type promises nothing,
 but ``mul@k`` records multiplication by the known literal k.
 """
@@ -122,6 +123,7 @@ def _arith_stage2(op: str, k: int) -> PrimConst:
         source_type=FunType(NUM, NUM),
         refined_type=_fun("$b", _num(), _num(ref)),
         delta=delta,
+        partial=(op, k),
     )
 
 
@@ -180,6 +182,7 @@ def cmp_stage2(op: str, k: int) -> PrimConst:
         source_type=FunType(NUM, BOOL),
         refined_type=_fun("$b", _num(), _bool(ref)),
         delta=delta,
+        partial=(op, k),
     )
 
 

@@ -62,7 +62,6 @@ from .target import (
     TProj,
     TVar,
     TgtExpr,
-    elab_type,
 )
 
 STRICT = "strict"
@@ -330,7 +329,7 @@ class Elaborator:
                 if isinstance(expected, FunType) and wf_type(expected).ok:
                     inner = self.extend(env, param, expected.dom)
                     for w, _, tr in self.check(inner, body, expected.cod, mode, depth):
-                        ann = TLam(param, w, expected, elab_type(expected), pos)
+                        ann = TLam(param, w, expected, pos)
                         yield ann, FLAG_PLAIN, ("T-Lam",) + tr
             case Ascribe(expr, ty, _):
                 if types_equal_basic(ty, expected):

@@ -265,7 +265,9 @@ class Trial:
 
     ``source`` and ``target`` are the interpreters' (outcome, rules, states);
     ``normalized`` holds the target states with administrative projections
-    reduced, as ``elab_matches`` compares against them.
+    reduced, as ``elab_matches`` compares against them.  ``search_depth`` is
+    the depth the program was elaborated with, which the checks that
+    elaborate again reuse.
     """
 
     program: Program
@@ -273,6 +275,7 @@ class Trial:
     source: tuple[Outcome, list[str], list[SrcExpr]]
     target: tuple[Outcome, list[str], list[TgtExpr]]
     normalized: tuple[TgtExpr, ...]
+    search_depth: int
 
 
 def run_trial(
@@ -282,7 +285,8 @@ def run_trial(
     elab = elaborate_program(program, search_depth)
     source = source_interp.eval_source_trace(program.main, fuel)
     target = target_interp.eval_target_trace(elab.target, fuel)
-    return Trial(program, elab, source, target, tuple(normalize_admin(w) for w in target[2]))
+    normalized = tuple(normalize_admin(w) for w in target[2])
+    return Trial(program, elab, source, target, normalized, search_depth)
 
 
 def _witnesses(trial: Trial, every: int = 1):
@@ -392,7 +396,7 @@ def assumption1_check(trial: Trial) -> list[str]:
     """Primitive application agrees between the languages for non-DEAD values."""
     violations: list[str] = []
     seen: set[tuple[str, str]] = set()
-    elaborator = Elaborator()
+    elaborator = Elaborator(trial.search_depth)
     for state in trial.source[2]:
         for c, v in _prim_redexes(state):
             key = (c.con.name, syntax.print_expr(v))
@@ -770,20 +774,17 @@ def _shrink_candidates(e: SrcExpr):
             yield syntax.rebuild(e, {child: shrunk})
 
 
-def shrink_counterexample(
-    trial: Trial, fuel: int, search_depth: int = DEFAULT_SEARCH_DEPTH
-) -> Trial:
+def shrink_counterexample(trial: Trial, fuel: int) -> Trial:
     """The trial of a smallest program, by greedy shrinking, that still fails
-    the lockstep check."""
+    the lockstep check; candidates are elaborated at the trial's depth."""
     current = trial
     improved = True
     while improved:
         improved = False
         for candidate_main in _shrink_candidates(current.program.main):
+            program = Program(current.program.type_aliases, candidate_main)
             try:
-                candidate = run_trial(
-                    Program(current.program.type_aliases, candidate_main), fuel, search_depth
-                )
+                candidate = run_trial(program, fuel, current.search_depth)
             except ElabError:
                 continue
             if lockstep_check(candidate).verdict == "counterexample":
@@ -821,7 +822,7 @@ def run_fuzz(
         trial = run_trial(gen_program(seed + i, size_budget), fuel, search_depth)
         report = lockstep_check(trial)
         if report.verdict == "counterexample" and shrink:
-            trial = shrink_counterexample(trial, fuel, search_depth)
+            trial = shrink_counterexample(trial, fuel)
             report = lockstep_check(trial)
         reports.append(report)
         a1 += len(assumption1_check(trial))

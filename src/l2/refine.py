@@ -11,11 +11,15 @@ false antecedent or hypothesis) are not reported; they carry no content.
 Dependent application results substitute the argument into the codomain only
 when the argument lies in the logical fragment; anything else is bound to a
 fresh ghost name carrying the argument's synthesized type.
+
+Refinement types decorate phase 1's basic types: ``target.strip`` maps one
+back onto its basic type (``syntax.erase_refinements`` of the source type it
+was translated from), which the skeleton check before refinement checking
+and every subtyping obligation compare.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from . import constants
@@ -39,10 +43,8 @@ from .logic import (
     subst_pred,
     valid,
 )
-from .syntax import BOOLEAN, NUMBER, Pos, SrcType, tags_disjoint
+from .syntax import BOOLEAN, FunType, NUMBER, Pos, SrcType, print_type, tags_disjoint
 from .target import (
-    EPrim,
-    ErasedType,
     IllTyped,
     RBase,
     RFun,
@@ -138,7 +140,8 @@ class RefEnv:
             return None
         return t.base if isinstance(t, RBase) else None
 
-    def erased(self) -> dict[str, ErasedType]:
+    def erased(self) -> dict[str, SrcType]:
+        """Each binder's basic type, as phase 1 assigns it."""
         frames = [f for f in self._frames() if f.name is not None]
         return {f.name: strip(f.ty) for f in reversed(frames)}
 
@@ -185,8 +188,8 @@ def rename_binder(t: RFun, new_name: str) -> RFun:
     """Rename an arrow binder; used to align annotations with program names."""
     if t.binder == new_name:
         return t
-    dom = strip(t.dom)
-    repl: object = LinTerm.of_var(new_name) if dom == EPrim(NUMBER) else new_name
+    numeric = isinstance(t.dom, RBase) and t.dom.base == NUMBER
+    repl: object = LinTerm.of_var(new_name) if numeric else new_name
     return RFun(new_name, t.dom, subst_ref(t.cod, t.binder, repl))
 
 
@@ -194,7 +197,7 @@ def rename_binder(t: RFun, new_name: str) -> RFun:
 # Term embedding into the logical fragment
 # ---------------------------------------------------------------------------
 
-_STAGE2 = re.compile(r"^(add|sub|mul|lt|le|eq|ne)@(-?\d+)$")
+_ARITH = ("add", "sub", "mul")
 
 _CMP_SYM = {"lt": "<", "le": "<=", "eq": "=", "ne": "!="}
 
@@ -217,21 +220,28 @@ def embed_term(w: TgtExpr, env: RefEnv) -> LinTerm | bool | str | None:
             if sort == BOOLEAN:
                 return name
             return None
-        case TApp(TApp(TConst(con), a), b):
-            if con.name in ("add", "sub", "mul"):
-                ta, tb = embed_term(a, env), embed_term(b, env)
-                if isinstance(ta, LinTerm) and isinstance(tb, LinTerm):
-                    return _combine(con.name, ta, tb)
-            return None
-        case TApp(TConst(con), b):
-            m = _STAGE2.match(con.name)
-            if m and m.group(1) in ("add", "sub", "mul"):
-                tb = embed_term(b, env)
-                if isinstance(tb, LinTerm):
-                    return _combine(m.group(1), LinTerm.of_const(int(m.group(2))), tb)
-            return None
+        case TApp():
+            operands = _linear_operands(w, env, _ARITH)
+            return None if operands is None else _combine(*operands)
         case _:
             return None
+
+
+def _linear_operands(w: TApp, env: RefEnv, ops) -> tuple[str, LinTerm, LinTerm] | None:
+    """(op, a, b) for ``op a b``, or for ``op`` partially applied to the
+    literal a and then to b, when op is one of ops and both operands embed
+    as linear terms; else None."""
+    match w:
+        case TApp(TApp(TConst(con), a), b) if con.name in ops:
+            op, ta = con.name, embed_term(a, env)
+        case TApp(TConst(con), b) if con.partial is not None and con.partial[0] in ops:
+            op, ta = con.partial[0], LinTerm.of_const(con.partial[1])
+        case _:
+            return None
+    tb = embed_term(b, env)
+    if isinstance(ta, LinTerm) and isinstance(tb, LinTerm):
+        return op, ta, tb
+    return None
 
 
 def _combine(op: str, a: LinTerm, b: LinTerm) -> LinTerm | None:
@@ -262,17 +272,11 @@ def embed_guard(w: TgtExpr, env: RefEnv | None = None) -> tuple[Pred, bool]:
             b = constants.const_bool_value(w)
             if b is not None:
                 return PBool(b), True
-        case TApp(TApp(TConst(con), a), b) if con.name in _CMP_SYM:
-            ta, tb = embed_term(a, env), embed_term(b, env)
-            if isinstance(ta, LinTerm) and isinstance(tb, LinTerm):
-                return cmp_pred(ta, _CMP_SYM[con.name], tb), True
-        case TApp(TConst(con), b):
-            m = _STAGE2.match(con.name)
-            if m and m.group(1) in _CMP_SYM:
-                tb = embed_term(b, env)
-                if isinstance(tb, LinTerm):
-                    k = LinTerm.of_const(int(m.group(2)))
-                    return cmp_pred(k, _CMP_SYM[m.group(1)], tb), True
+        case TApp():
+            operands = _linear_operands(w, env, _CMP_SYM)
+            if operands is not None:
+                op, ta, tb = operands
+                return cmp_pred(ta, _CMP_SYM[op], tb), True
     return TRUE, False
 
 
@@ -287,7 +291,7 @@ def _obligations(env: RefEnv, t1: RefType, t2: RefType, origin: str):
     are contravariant in the domain and covariant in the codomain with the
     binder pushed into scope; sums and products decompose componentwise."""
     if strip(t1) != strip(t2):
-        raise ShapeMismatch(f"{strip(t1)} vs {strip(t2)}")
+        raise ShapeMismatch(f"{print_type(strip(t1))} vs {print_type(strip(t2))}")
     match (t1, t2):
         case (RBase(_, p1), RBase(_, p2)):
             yield env, p1, p2, origin
@@ -357,10 +361,10 @@ class RefChecker:
                 except KeyError:
                     raise PhaseOrderError(f"unbound variable {name}") from None
                 return selfify(t, name), env
-            case TLam(param, body, _, ref_ann):
-                if not isinstance(ref_ann, RFun):
+            case TLam(param, body, src_ann):
+                if not isinstance(src_ann, FunType):
                     raise PhaseOrderError("lambda without an arrow annotation")
-                ann = rename_binder(ref_ann, param)
+                ann = rename_binder(elab_type(src_ann), param)
                 inner = env.bind(param, ann.dom)
                 self.check_at(inner, body, ann.cod, _origin("function body", w.pos))
                 return ann, env

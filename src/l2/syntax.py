@@ -190,13 +190,15 @@ class PrimConst:
 
     ``delta`` implements curried primitive application; it returns the result
     constant for a value argument and None where application is undefined.
-    Instances are identified by name.
+    ``partial`` is (op, k) for the binary primitive op already applied to the
+    literal k.  Instances are identified by name.
     """
 
     name: str
     source_type: SrcType
     refined_type: "RefType | None" = None
     delta: Callable[["SrcExpr"], "SrcExpr | None"] | None = None
+    partial: tuple[str, int] | None = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimConst) and other.name == self.name

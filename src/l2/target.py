@@ -1,11 +1,14 @@
-"""Target language: terms, refinement types, type translation, erased checking.
+"""Target language: terms, refinement types, type translation, simple checking.
 
 Intersections elaborate to products, unions to tagged sums, and trust
 obligations appear as DEAD-cast nodes.  Refinement types keep source
-refinements attached to the translated skeleton; ``strip`` erases them again
-for the simple type checker that validates elaborator output.  Target terms
-declare their shapes with ``syntax.shape``, so substitution, free variables
-and the other term walkers are the source language's.
+refinements attached to the translated skeleton.  The target's simple types
+are phase 1's basic types (refinement-erased source types, reading a product
+as an intersection and a sum as a union): ``strip`` maps a refinement type
+onto them, and the simple type checker that validates elaborator output
+computes and compares them.  Target terms declare their shapes with
+``syntax.shape``, so substitution, free variables and the other term walkers
+are the source language's.
 """
 
 from __future__ import annotations
@@ -30,12 +33,13 @@ from .syntax import (
     PrimConst,
     PrimType,
     SrcType,
+    erase_refinements,
     shape,
 )
 
 
 # ---------------------------------------------------------------------------
-# Refinement types and erased skeletons
+# Refinement types
 # ---------------------------------------------------------------------------
 
 
@@ -67,32 +71,6 @@ class RProd:
 RefType = RBase | RFun | RSum | RProd
 
 
-@dataclass(frozen=True)
-class EPrim:
-    base: str
-
-
-@dataclass(frozen=True)
-class EFun:
-    dom: ErasedType
-    cod: ErasedType
-
-
-@dataclass(frozen=True)
-class ESum:
-    left: ErasedType
-    right: ErasedType
-
-
-@dataclass(frozen=True)
-class EProd:
-    left: ErasedType
-    right: ErasedType
-
-
-ErasedType = EPrim | EFun | ESum | EProd
-
-
 class _FreshBinders:
     def __init__(self) -> None:
         self.n = 0
@@ -121,31 +99,20 @@ def elab_type(t: SrcType, _fresh: Optional[_FreshBinders] = None) -> RefType:
     raise TypeError(f"not a source type: {t!r}")
 
 
-def strip(t: RefType) -> ErasedType:
+def strip(t: RefType) -> SrcType:
+    """The basic type under t: refinements dropped, a product read as an
+    intersection and a sum as a union, the inverse of ``elab_type``'s
+    skeleton, so it is the type phase 1 assigns."""
     match t:
         case RBase(base, _):
-            return EPrim(base)
+            return PrimType(base)
         case RFun(_, dom, cod):
-            return EFun(strip(dom), strip(cod))
+            return FunType(strip(dom), strip(cod))
         case RSum(left, right):
-            return ESum(strip(left), strip(right))
+            return OrType(strip(left), strip(right))
         case RProd(left, right):
-            return EProd(strip(left), strip(right))
+            return AndType(strip(left), strip(right))
     raise TypeError(f"not a refinement type: {t!r}")
-
-
-def erase_src(t: SrcType) -> ErasedType:
-    """Source type straight to the erased skeleton, bypassing refinements."""
-    match t:
-        case PrimType(base, _):
-            return EPrim(base)
-        case FunType(dom, cod):
-            return EFun(erase_src(dom), erase_src(cod))
-        case AndType(left, right):
-            return EProd(erase_src(left), erase_src(right))
-        case OrType(left, right):
-            return ESum(erase_src(left), erase_src(right))
-    raise TypeError(f"not a source type: {t!r}")
 
 
 def ftx(t: RefType, r: Pred) -> RefType:
@@ -210,17 +177,16 @@ class TVar:
 @shape(("body", "param"))
 @dataclass(frozen=True)
 class TLam:
-    """Lambda with the arrow type recorded by elaboration.
+    """Lambda with the source arrow type it was checked against.
 
-    The annotation is required by both the erased checker and refinement
-    checking; lambdas only appear in elaborator output, which always knows
-    the arrow type it checked against.
+    The annotation is required by both the simple checker and refinement
+    checking, which translates it with ``elab_type``; lambdas only appear in
+    elaborator output, which always knows the arrow type it checked against.
     """
 
     param: str
     body: TgtExpr
     src_ann: SrcType | None = None
-    ref_ann: RefType | None = None
     pos: Pos = field(default=None, compare=False)
 
 
@@ -301,17 +267,12 @@ TgtExpr = TConst | TVar | TLam | TIf | TApp | TLet | TPair | TProj | TInj | TCas
 def is_target_value(w: TgtExpr) -> bool:
     """w ::= c | x | \\x.W | inj_k w | (W, W) | DEAD(t,s,w)
 
-    Pair components need not be values; injection payloads and DEAD bodies do.
+    Pair components need not be values; injection payloads and DEAD bodies
+    do, so the check walks down through those (a loop: they can nest deeply).
     """
-    match w:
-        case TConst() | TVar() | TLam() | TPair():
-            return True
-        case TInj(_, payload):
-            return is_target_value(payload)
-        case TDead(_, _, inner):
-            return is_target_value(inner)
-        case _:
-            return False
+    while isinstance(w, (TInj, TDead)):
+        w = w.payload if isinstance(w, TInj) else w.inner
+    return isinstance(w, (TConst, TVar, TLam, TPair))
 
 
 def is_dead_value(w: TgtExpr) -> bool:
@@ -319,7 +280,7 @@ def is_dead_value(w: TgtExpr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Erased type checking of elaborator output
+# Simple type checking of elaborator output
 # ---------------------------------------------------------------------------
 
 
@@ -331,32 +292,33 @@ class IllTyped(Exception):
         super().__init__(f"ill-typed target node: expected {expected}, got {actual}")
 
 
-def simple_typecheck(env: dict[str, ErasedType], w: TgtExpr) -> ErasedType:
-    """Simply-typed checking over the erased skeleton.
+def simple_typecheck(env: dict[str, SrcType], w: TgtExpr) -> SrcType:
+    """Simply-typed checking over phase 1's basic types
+    (``syntax.erase_refinements``), a pair typed as an intersection and an
+    injection as a union.
 
     A failure on elaborator output signals a bug in the first phase, not a
     problem with the checked program.
     """
     match w:
         case TConst(con):
-            return erase_src(con.source_type)
+            return erase_refinements(con.source_type)
         case TVar(name):
             if name not in env:
                 raise IllTyped(w, "bound variable", f"unbound {name}")
             return env[name]
-        case TLam(param, body, src_ann, _):
-            if src_ann is None or not isinstance(src_ann, FunType):
+        case TLam(param, body, src_ann):
+            if not isinstance(src_ann, FunType):
                 raise IllTyped(w, "annotated lambda", src_ann)
-            dom = erase_src(src_ann.dom)
-            cod = simple_typecheck({**env, param: dom}, body)
-            expected_cod = erase_src(src_ann.cod)
-            if cod != expected_cod:
-                raise IllTyped(w, expected_cod, cod)
-            return EFun(dom, cod)
+            arrow = erase_refinements(src_ann)
+            cod = simple_typecheck({**env, param: arrow.dom}, body)
+            if cod != arrow.cod:
+                raise IllTyped(w, arrow.cod, cod)
+            return arrow
         case TIf(c, t, f):
             c_ty = simple_typecheck(env, c)
-            if c_ty != EPrim(syntax.BOOLEAN):
-                raise IllTyped(w, EPrim(syntax.BOOLEAN), c_ty)
+            if c_ty != syntax.BOOL:
+                raise IllTyped(w, syntax.BOOL, c_ty)
             tt = simple_typecheck(env, t)
             ft = simple_typecheck(env, f)
             if tt != ft:
@@ -364,7 +326,7 @@ def simple_typecheck(env: dict[str, ErasedType], w: TgtExpr) -> ErasedType:
             return tt
         case TApp(fn, arg):
             fn_ty = simple_typecheck(env, fn)
-            if not isinstance(fn_ty, EFun):
+            if not isinstance(fn_ty, FunType):
                 raise IllTyped(w, "function", fn_ty)
             arg_ty = simple_typecheck(env, arg)
             if arg_ty != fn_ty.dom:
@@ -374,17 +336,16 @@ def simple_typecheck(env: dict[str, ErasedType], w: TgtExpr) -> ErasedType:
             bound_ty = simple_typecheck(env, bound)
             return simple_typecheck({**env, name: bound_ty}, body)
         case TPair(a, b):
-            return EProd(simple_typecheck(env, a), simple_typecheck(env, b))
+            return AndType(simple_typecheck(env, a), simple_typecheck(env, b))
         case TProj(index, t):
             t_ty = simple_typecheck(env, t)
-            if not isinstance(t_ty, EProd):
+            if not isinstance(t_ty, AndType):
                 raise IllTyped(w, "product", t_ty)
             return t_ty.left if index == 1 else t_ty.right
         case TInj(index, payload, src_ann):
-            if src_ann is None or not isinstance(src_ann, OrType):
+            if not isinstance(src_ann, OrType):
                 raise IllTyped(w, "annotated injection", src_ann)
-            sum_ty = erase_src(src_ann)
-            assert isinstance(sum_ty, ESum)
+            sum_ty = erase_refinements(src_ann)
             arm = sum_ty.left if index == 1 else sum_ty.right
             payload_ty = simple_typecheck(env, payload)
             if payload_ty != arm:
@@ -392,7 +353,7 @@ def simple_typecheck(env: dict[str, ErasedType], w: TgtExpr) -> ErasedType:
             return sum_ty
         case TCase(s, x1, b1, x2, b2):
             s_ty = simple_typecheck(env, s)
-            if not isinstance(s_ty, ESum):
+            if not isinstance(s_ty, OrType):
                 raise IllTyped(w, "sum", s_ty)
             t1 = simple_typecheck({**env, x1: s_ty.left}, b1)
             t2 = simple_typecheck({**env, x2: s_ty.right}, b2)
@@ -401,10 +362,10 @@ def simple_typecheck(env: dict[str, ErasedType], w: TgtExpr) -> ErasedType:
             return t1
         case TDead(from_ty, to_ty, inner):
             inner_ty = simple_typecheck(env, inner)
-            expected = erase_src(from_ty)
+            expected = erase_refinements(from_ty)
             if inner_ty != expected:
                 raise IllTyped(w, expected, inner_ty)
-            return erase_src(to_ty)
+            return erase_refinements(to_ty)
     raise TypeError(f"not a target expression: {w!r}")
 
 

@@ -35,7 +35,8 @@ from l2.logic import (
 )
 from l2.refine import RefEnv, check_refined
 from l2.source_interp import StuckAt, eval_source_trace
-from l2.target import erase_src, print_target, simple_typecheck
+from l2.syntax import erase_refinements
+from l2.target import print_target, simple_typecheck
 from l2.target_interp import contains_dead_value, eval_target_trace
 from tests.conftest import (
     DEAD_SEMANTICS,
@@ -210,11 +211,11 @@ def test_criterion_6_two_phase_soundness(corpus, capsys):
 def test_criterion_7_elaboration_type_soundness(corpus, capsys):
     failures = 0
     for _program, result in corpus:
-        if simple_typecheck({}, result.target) != erase_src(result.type):
+        if simple_typecheck({}, result.target) != erase_refinements(result.type):
             failures += 1
     for text in (NEGATE_OK, NEGATE_ERR_C, NEGATE_FULL, DEAD_SEMANTICS):
         result = elaborate.elaborate_program(parser.parse_program(text))
-        if simple_typecheck({}, result.target) != erase_src(result.type):
+        if simple_typecheck({}, result.target) != erase_refinements(result.type):
             failures += 1
     ok = failures == 0
     with capsys.disabled():

@@ -320,6 +320,22 @@ class TestFuzz:
         assert code == 0
         assert seen == {"search_depth": {40}, "clause_budget": {5000}}
 
+    def test_search_depth_reaches_every_fuzz_elaborator(self, monkeypatch, capsys):
+        # the assumption-1 check elaborates arguments again, at the trial's depth
+        from l2.elaborate import Elaborator
+
+        depths = set()
+        init = Elaborator.__init__
+
+        def spy_init(self, search_depth=DEFAULT_SEARCH_DEPTH):
+            depths.add(search_depth)
+            init(self, search_depth)
+
+        monkeypatch.setattr(Elaborator, "__init__", spy_init)
+        code, _, _ = run_cli(["--search-depth", "30", "fuzz", "--trials", "3"], capsys)
+        assert code == 0
+        assert depths == {30}
+
     def test_fuzz_has_no_fuel_option_of_its_own(self, capsys):
         code, _, _ = run_cli(["fuzz", "--trials", "1", "--fuel", "3"], capsys)
         assert code == 64

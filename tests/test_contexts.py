@@ -18,11 +18,13 @@ from l2.syntax import (
     SHAPES,
     App,
     Ascribe,
+    BOOL,
     Const,
     FunType,
     If,
     Lam,
     Let,
+    NUM,
     Var,
     decompose,
     is_value,
@@ -275,3 +277,19 @@ def test_deep_target_let_chain_steps_without_recursion():
     one = TConst(constants.int_const(1))
     deep = _bound_chain(lambda x, b: TLet(x, b, TVar(x)), one, 5000)
     _assert_innermost_let_stepped(step_target(deep), deep, 5000, one)
+
+
+def test_deep_injections_around_a_redex_step_without_recursion():
+    # Value-ness looks through injection payloads and DEAD bodies.
+    redex = TApp(TConst(constants.NOT), TConst(constants.TRUE_CONST))
+    deep = redex
+    for i in range(5000):
+        deep = TInj(1, deep) if i % 2 else TDead(NUM, BOOL, deep)
+    result = step_target(deep)
+    assert isinstance(result, Stepped)
+    e, old = result.next, deep
+    for _ in range(5000):
+        assert type(e) is type(old)
+        e, old = (e.payload, old.payload) if isinstance(e, TInj) else (e.inner, old.inner)
+    assert e == TConst(constants.FALSE_CONST)
+    assert is_target_value(result.next) and not is_target_value(deep)

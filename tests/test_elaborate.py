@@ -38,7 +38,6 @@ from l2.target import (
     TPair,
     TProj,
     TVar,
-    erase_src,
     print_target,
     simple_typecheck,
     strip,
@@ -85,7 +84,7 @@ class TestNegate:
 
     def test_erased_type_soundness(self):
         result = elaborate_program(parser.parse_program(NEGATE_FULL))
-        assert simple_typecheck({}, result.target) == erase_src(result.type)
+        assert simple_typecheck({}, result.target) == erase_refinements(result.type)
 
 
 class TestCheckExpr:
@@ -235,7 +234,7 @@ class TestInvariants:
         for seed in range(120):
             program = harness.gen_program(seed, 25)
             result = elaborate_program(program)
-            assert simple_typecheck({}, result.target) == erase_src(result.type)
+            assert simple_typecheck({}, result.target) == erase_refinements(result.type)
 
     def test_search_depth_limits_runaway(self):
         p = parser.parse_program(NEGATE_OK)

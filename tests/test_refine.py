@@ -1,6 +1,6 @@
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -235,6 +235,16 @@ class TestEmbedGuard:
         t = embed_term(w, env)
         assert t == LinTerm.of_var("x") + LinTerm.of_var("x").scale(3)
 
+    def test_stage_two_arithmetic_embeds_from_the_recorded_operator(self):
+        # the embedding reads (op, k) off the constant, never its name
+        env, x = RefEnv().bind("x", num()), LinTerm.of_var("x")
+        sub5, mul = constants.arith_stage2("sub", 5), constants.arith_stage2("mul", -4)
+        assert sub5.partial == ("sub", 5)
+        assert embed_term(TApp(TConst(sub5), TVar("x")), env) == lit(5) - x
+        assert embed_term(TApp(TConst(mul), TVar("x")), env) == x.scale(-4)
+        renamed = replace(sub5, name="five-minus")
+        assert embed_term(TApp(TConst(renamed), TVar("x")), env) == lit(5) - x
+
 
 class TestEnvironments:
     def test_flatten_order_and_substitution(self):
@@ -410,13 +420,13 @@ class TestCorrespondence:
     def test_synthesized_type_strips_to_the_elaborated_skeleton(self):
         # phase 2's type agrees with phase 1's through refinement erasure
         from l2 import harness
-        from l2.target import erase_src
+        from l2.syntax import erase_refinements
 
         for seed in range(120):
             program = harness.gen_program(seed, 25)
             result = elaborate.elaborate_program(program)
             report = check_refined(RefEnv(), result.target, discharge=False)
-            assert strip(report.type) == erase_src(result.type)
+            assert strip(report.type) == erase_refinements(result.type)
 
     def test_accepted_intermediates_stay_accepted(self):
         # refinement type safety at desk scale: accepted programs remain

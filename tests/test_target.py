@@ -4,12 +4,8 @@ import pytest
 
 from l2 import constants, parser
 from l2.logic import FALSE, LinTerm, PBool, TRUE, cmp_pred, pnot
-from l2.syntax import AndType, BOOL, FunType, NUM, OrType, PrimType
+from l2.syntax import AndType, BOOL, FunType, NUM, OrType, PrimType, erase_refinements
 from l2.target import (
-    EFun,
-    EPrim,
-    EProd,
-    ESum,
     IllTyped,
     RBase,
     RFun,
@@ -24,7 +20,6 @@ from l2.target import (
     TProj,
     TVar,
     elab_type,
-    erase_src,
     fbot,
     ftx,
     print_target,
@@ -93,18 +88,18 @@ def _random_type(rng, depth):
 class TestStrip:
     def test_erase_refinement(self):
         assert strip(RBase("number", cmp_pred(LinTerm.of_var("v"), "!=", LinTerm.of_const(0)))) \
-            == EPrim("number")
+            == NUM
 
     def test_erase_binders(self):
         t = RFun("x", RBase("number", FALSE), RBase("number", FALSE))
-        assert strip(t) == EFun(EPrim("number"), EPrim("number"))
+        assert strip(t) == FunType(NUM, NUM)
 
     def test_strip_of_elab_matches_direct_erasure(self):
-        # oracle: an independent structural recursion from source types
+        # oracle: phase 1's erasure, a map over the source type's base types
         rng = random.Random(11)
         for _ in range(200):
             t = _random_type(rng, 3)
-            assert strip(elab_type(t)) == erase_src(t)
+            assert strip(elab_type(t)) == erase_refinements(t)
 
     def test_unelab_inverts_elab_up_to_binders(self):
         rng = random.Random(12)
@@ -143,11 +138,11 @@ class TestFtx:
 class TestSimpleTypecheck:
     def test_pair(self):
         w = TPair(num(1), TConst(constants.TRUE_CONST))
-        assert simple_typecheck({}, w) == EProd(EPrim("number"), EPrim("boolean"))
+        assert simple_typecheck({}, w) == AndType(NUM, BOOL)
 
     def test_dead_changes_type(self):
         w = TDead(NUM, FunType(NUM, NUM), num(0))
-        assert simple_typecheck({}, w) == EFun(EPrim("number"), EPrim("number"))
+        assert simple_typecheck({}, w) == FunType(NUM, NUM)
 
     def test_projection_of_sum_ill_typed(self):
         w = TProj(1, TInj(1, num(1), OrType(NUM, BOOL)))
@@ -159,11 +154,11 @@ class TestSimpleTypecheck:
             simple_typecheck({}, TLam("x", TVar("x")))
 
     def test_application(self):
-        lam = TLam("x", TVar("x"), FunType(NUM, NUM), elab_type(FunType(NUM, NUM)))
-        assert simple_typecheck({}, TApp(lam, num(1))) == EPrim("number")
+        lam = TLam("x", TVar("x"), FunType(NUM, NUM))
+        assert simple_typecheck({}, TApp(lam, num(1))) == NUM
 
     def test_argument_mismatch(self):
-        lam = TLam("x", TVar("x"), FunType(NUM, NUM), elab_type(FunType(NUM, NUM)))
+        lam = TLam("x", TVar("x"), FunType(NUM, NUM))
         with pytest.raises(IllTyped):
             simple_typecheck({}, TApp(lam, TConst(constants.TRUE_CONST)))
 
@@ -186,7 +181,7 @@ class TestTargetSyntax:
         assert print_target(w) == "(1, DEAD[number => boolean](2))"
 
     def test_subst_shadowing(self):
-        lam = TLam("x", TVar("x"), FunType(NUM, NUM), elab_type(FunType(NUM, NUM)))
+        lam = TLam("x", TVar("x"), FunType(NUM, NUM))
         assert subst_target(lam, "x", num(1)) == lam
 
     def test_subst_in_case_branches(self):
@@ -210,7 +205,7 @@ class TestConstantTable:
             constants.cmp_stage2("lt", 2),
         ]
         for con in table:
-            assert strip(con.refined_type) == erase_src(con.source_type), con.name
+            assert strip(con.refined_type) == erase_refinements(con.source_type), con.name
 
     def test_delta_defined_exactly_on_the_domain(self):
         from l2.syntax import Const as SConst

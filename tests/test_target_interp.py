@@ -12,7 +12,6 @@ from l2.target import (
     TPair,
     TProj,
     TVar,
-    elab_type,
     is_target_value,
     print_target,
 )
@@ -58,7 +57,7 @@ class TestStep:
         assert step_target(w) == Stepped(TRUE_W, "E-Proj")
 
     def test_beta_accepts_dead_argument(self):
-        lam = TLam("x", TVar("x"), FunType(NUM, NUM), elab_type(FunType(NUM, NUM)))
+        lam = TLam("x", TVar("x"), FunType(NUM, NUM))
         dead = TDead(BOOL, NUM, TRUE_W)
         assert step_target(TApp(lam, dead)) == Stepped(dead, "E-Beta")
 

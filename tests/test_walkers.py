@@ -43,7 +43,6 @@ from l2.target import (
     TPair,
     TProj,
     TVar,
-    elab_type,
 )
 from l2.target_interp import contains_dead_value, eval_target_trace
 
@@ -156,7 +155,7 @@ def subst_target(w, x, value):
             return w
         case TVar(name):
             return value if name == x else w
-        case TLam(param, body, src_ann, ref_ann, pos):
+        case TLam(param, body, src_ann, pos):
             if param == x:
                 return w
             if param in target_free_vars(value):
@@ -164,8 +163,8 @@ def subst_target(w, x, value):
                 while fresh in target_free_vars(value) or fresh in target_free_vars(body):
                     fresh += "'"
                 body = subst_target(body, param, TVar(fresh))
-                return TLam(fresh, subst_target(body, x, value), src_ann, ref_ann, pos)
-            return TLam(param, subst_target(body, x, value), src_ann, ref_ann, pos)
+                return TLam(fresh, subst_target(body, x, value), src_ann, pos)
+            return TLam(param, subst_target(body, x, value), src_ann, pos)
         case TIf(c, t, f, pos):
             return TIf(
                 subst_target(c, x, value), subst_target(t, x, value), subst_target(f, x, value), pos
@@ -197,8 +196,8 @@ def ref_normalize_admin(w):
     match w:
         case TConst() | TVar():
             return w
-        case TLam(p, body, sa, ra, pos):
-            return TLam(p, ref_normalize_admin(body), sa, ra, pos)
+        case TLam(p, body, sa, pos):
+            return TLam(p, ref_normalize_admin(body), sa, pos)
         case TIf(c, t, f, pos):
             return TIf(ref_normalize_admin(c), ref_normalize_admin(t), ref_normalize_admin(f), pos)
         case TApp(fn, arg, pos):
@@ -315,9 +314,9 @@ def test_lambda_binder_is_primed_past_value_and_scope():
     assert got == Lam("y''", App(App(Var("y"), Var("y''")), Var("y'")))
     assert got == subst_source(e, "x", Var("y"))
     ann = FunType(NUM, NUM)
-    w = TLam("y", TApp(TVar("x"), TVar("y")), ann, elab_type(ann))
+    w = TLam("y", TApp(TVar("x"), TVar("y")), ann)
     got_w = subst(w, "x", TVar("y"))
-    assert got_w == TLam("y'", TApp(TVar("y"), TVar("y'")), ann, elab_type(ann))
+    assert got_w == TLam("y'", TApp(TVar("y"), TVar("y'")), ann)
     assert got_w == subst_target(w, "x", TVar("y"))
 
 

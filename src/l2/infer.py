@@ -6,7 +6,10 @@ opaque kappa atoms turns every would-be verification condition into a Horn
 clause.  The solver performs monomial predicate abstraction: start each
 kappa at the conjunction of all its candidate predicates and drop candidates
 from clause heads until every clause is valid.  Valid assignments are closed
-under union, so the loop converges on the unique greatest fixpoint.
+under union, so the loop converges on the unique greatest fixpoint.  It
+re-checks only clauses whose kappas shrank, tries each head's candidates as
+one conjunction first, and shares instantiations and a discharge memo
+within one solve.
 """
 
 from __future__ import annotations
@@ -28,8 +31,10 @@ from .logic import (
     contains_kappa,
     instantiate_kappas,
     kappas_of,
+    map_pred,
     pand,
     pred_leaves,
+    ResourceLimit,
     valid,
 )
 from .refine import RefEnv, check_refined
@@ -61,11 +66,11 @@ class HornClause:
     def head_kappa(self) -> str | None:
         return self.head.kappa if isinstance(self.head, PKappa) else None
 
+    def body_kappas(self) -> frozenset[str]:
+        return frozenset().union(*map(kappas_of, self.body))
+
     def kappas(self) -> frozenset[str]:
-        out = kappas_of(self.head)
-        for p in self.body:
-            out |= kappas_of(p)
-        return out
+        return kappas_of(self.head) | self.body_kappas()
 
     def render(self) -> str:
         from .logic import render_pred
@@ -128,22 +133,13 @@ def gen_horn(
 def _assign_scopes(kappas: list[KappaVar], clauses: list[HornClause]) -> list[KappaVar]:
     """A kappa's scope is the set of integer program variables available at
     every occurrence, inferred from the clauses that mention it."""
-    int_names_per_clause: dict[int, frozenset[str]] = {}
-    for i, clause in enumerate(clauses):
-        names: set[str] = set()
-        for p in list(clause.body) + [clause.head]:
-            names |= _int_names(p)
-        int_names_per_clause[i] = frozenset(n for n in names if not n.startswith("$") and n != VALUE_VAR)
-    scopes: dict[str, frozenset[str] | None] = {k.id: None for k in kappas}
-    for i, clause in enumerate(clauses):
+    scopes: dict[str, frozenset[str]] = {}
+    for clause in clauses:
+        names = frozenset().union(*map(_int_names, (*clause.body, clause.head)))
+        names = frozenset(n for n in names if not n.startswith("$") and n != VALUE_VAR)
         for k in clause.kappas():
-            if scopes.get(k) is None:
-                scopes[k] = int_names_per_clause[i]
-            else:
-                scopes[k] = scopes[k] & int_names_per_clause[i]
-    return [
-        replace(k, scope=tuple(sorted(scopes[k.id] or frozenset()))) for k in kappas
-    ]
+            scopes[k] = scopes[k] & names if k in scopes else names
+    return [replace(k, scope=tuple(sorted(scopes.get(k.id, ())))) for k in kappas]
 
 
 def _int_names(p: Pred) -> set[str]:
@@ -194,49 +190,81 @@ def default_candidates(program: Program, kappa: KappaVar) -> list[Pred]:
 # ---------------------------------------------------------------------------
 
 
-def _instantiate_head_candidate(head: PKappa, candidate: Pred) -> Pred:
-    return instantiate_kappas(head, {head.kappa: candidate})
-
-
 def houdini_solve(
     clauses: list[HornClause],
     candidates: dict[str, list[Pred]],
     clause_budget: int = DEFAULT_CLAUSE_BUDGET,
 ) -> Solution | Unsat:
-    """Monomial predicate abstraction: weaken heads to a greatest fixpoint."""
+    """Monomial predicate abstraction: weaken heads to a greatest fixpoint.
+
+    Each sweep skips a clause unless a kappa it reads (its body's, and a
+    fixed head's) shrank since its last check: under an unchanged body, a
+    subset of heads that held still holds."""
     assignment: dict[str, tuple[Pred, ...]] = {k: tuple(v) for k, v in candidates.items()}
     for clause in clauses:
         for k in clause.kappas():
             assignment.setdefault(k, ())
-    pred_map = {k: pand(v) for k, v in assignment.items()}
+    version = dict.fromkeys(assignment, 0)  # bumped whenever the assignment shrinks
+    reads = [sorted(c.body_kappas() if c.head_kappa() else c.kappas()) for c in clauses]
+    checked: list[tuple | None] = [None] * len(clauses)
+    memo: dict = {}  # shared by every valid() call of this solve
+    instances: dict[tuple[PKappa, Pred], Pred] = {}  # (kappa use, candidate) -> instance
+    leaves: dict[tuple[PKappa, int], Pred] = {}  # (kappa use, version) -> instance
+
+    def instance(q: PKappa, c: Pred) -> Pred:
+        if (q, c) not in instances:
+            instances[q, c] = instantiate_kappas(q, {q.kappa: c})
+        return instances[q, c]
+
+    def leaf(q: Pred) -> Pred:  # instantiated as the conjunction of its instances
+        if not isinstance(q, PKappa):
+            return q
+        key = (q, version[q.kappa])
+        if key not in leaves:
+            leaves[key] = pand(instance(q, c) for c in assignment[q.kappa])
+        return leaves[key]
 
     changed = True
     while changed:
         changed = False
-        for clause in clauses:
+        for i, clause in enumerate(clauses):
+            stamp = tuple(version[k] for k in reads[i])
+            if stamp == checked[i]:
+                continue
+            checked[i] = stamp
+            body = tuple(map_pred(p, leaf) for p in clause.body)
+
+            def holds(head: Pred) -> bool:
+                vc = VC(body, TRUE, head, clause.origin)
+                return valid(vc, clause_budget, memo).is_valid
+
             head_k = clause.head_kappa()
-            body = tuple(instantiate_kappas(p, pred_map) for p in clause.body)
             if head_k is None:
-                head = instantiate_kappas(clause.head, pred_map)
-                if not valid(VC(body, TRUE, head, clause.origin), clause_budget).is_valid:
+                if not holds(map_pred(clause.head, leaf)):
                     # Shrinking assignments only weaken hypotheses, so a
                     # failing fixed head can never recover.
                     return Unsat(clause)
                 continue
-            assert isinstance(clause.head, PKappa)
-            keep = tuple(
-                c
-                for c in assignment[head_k]
-                if valid(
-                    VC(body, TRUE, _instantiate_head_candidate(clause.head, c), clause.origin),
-                    clause_budget,
-                ).is_valid
-            )
-            if len(keep) != len(assignment[head_k]):
+            cands = assignment[head_k]
+            keep = _holding(cands, [instance(clause.head, c) for c in cands], holds)
+            if len(keep) != len(cands):
                 assignment[head_k] = keep
-                pred_map[head_k] = pand(keep)
+                version[head_k] += 1
                 changed = True
     return Solution(assignment)
+
+
+def _holding(cands: tuple[Pred, ...], heads: list[Pred], holds) -> tuple[Pred, ...]:
+    """The candidates whose head holds.  Their conjunction is checked first:
+    its negation's cubes are the union of theirs, so it holds exactly when
+    each does.  Over the clause budget, each is checked alone."""
+    if len(cands) > 1:
+        try:
+            if holds(pand(heads)):
+                return cands
+        except ResourceLimit:
+            pass
+    return tuple(c for c, head in zip(cands, heads) if holds(head))
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,14 @@ sound: a reported tautology has no integer counter-model.  Cubes that are
 satisfiable over the rationals but not the integers are conservatively
 reported as invalid.
 
-Discharge does no work it can avoid.  A disequality is split into its two
-strict halves only while the rows without it are still satisfiable, so a
-cube whose bounds already contradict is refuted by one elimination rather
-than one per leaf.  Elimination keeps its rows reduced by their exact gcd
-and holds only the tightest of rows with the same coefficients.  An invalid
-verdict keeps its cube and builds the rendered cube and the counter-model
-only when they are read.
+Discharge does no work it can avoid.  A cube is decided one component of
+variable-sharing literals at a time, and a disequality is split into its two
+strict halves only while the rows without it are still satisfiable.  A memo
+shared by the ``valid`` calls of one Houdini solve or refinement check keeps
+each literal's rows and each component's verdict.  Elimination keeps its
+rows reduced by their exact gcd and holds only the tightest of rows with the
+same coefficients.  An invalid verdict keeps its cube and builds the
+rendered cube and the counter-model only when they are read.
 
 SMT-LIB2 emission is provided so the same conditions can be cross-checked
 with an external solver.
@@ -29,7 +30,7 @@ SMT-LIB declarations are written on top of them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from math import gcd
 from typing import Callable, Iterator
@@ -41,6 +42,29 @@ DEFAULT_CLAUSE_BUDGET = 10000  # DNF cubes one VC may expand to
 
 class ResourceLimit(Exception):
     """DNF expansion exceeded the configured clause budget."""
+
+
+def cached_hash(cls):
+    """Give a frozen node class a structural hash that is computed once.
+
+    The elaborator keys its memo on whole subterms and types, discharge on
+    literals.  With the hash kept on the node, hashing a node whose children
+    are hashed costs O(1), not O(size of the subtree), as in hash-consing.
+    The value is the one the dataclass would compute (the compared fields as
+    a tuple), and it is computed on first use only.
+    """
+    names = tuple(f.name for f in fields(cls) if f.compare)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(tuple([getattr(self, name) for name in names]))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls._hash = None  # until the instance sets its own
+    cls.__hash__ = __hash__
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +145,7 @@ CMP_OPS = ("<", "<=", "=", "!=", ">=", ">")
 _FLIP = {"<": ">=", "<=": ">", "=": "!=", "!=": "=", ">=": "<", ">": "<="}
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Cmp:
     """Comparison of two linear integer terms."""
@@ -619,42 +644,74 @@ def dnf_cubes(p: Pred, budget: int = DEFAULT_CLAUSE_BUDGET) -> list[frozenset]:
 # ---------------------------------------------------------------------------
 
 
-def fm_unsat(literals) -> bool:
+def fm_unsat(literals, memo: dict | None = None) -> bool:
     """Decide a conjunction of comparison and boolean literals.
 
     Returns True only when a genuine contradiction is derived, so a True
     answer means no integer model exists.  Strict inequalities are tightened
-    over the integers, disequalities are split only while the rows without
-    them stay satisfiable, and the rows go through Fourier-Motzkin
-    elimination.
+    over the integers.  Each component of literals sharing variables is
+    decided alone, fewest disequalities first: they are split only while the
+    rows without them stay satisfiable, and the rows go through
+    Fourier-Motzkin elimination.  ``memo`` keeps each literal's rows and each
+    component's verdict for later calls.
     """
+    memo = {} if memo is None else memo
     bools: dict[str, bool] = {}
-    rows: list[LinTerm] = []  # each row means: row <= 0
-    neqs: list[LinTerm] = []  # each means: term != 0
-    for atom, positive in literals:
+    forms = []
+    for literal in literals:
+        atom, positive = literal
         if isinstance(atom, BVar):
             prev = bools.get(atom.name)
             if prev is not None and prev != positive:
                 return True
             bools[atom.name] = positive
             continue
-        c = atom if positive else atom.flip()
-        t = c.lhs - c.rhs
-        match c.op:
-            case "<":
-                rows.append(t + LinTerm.of_const(1))
-            case "<=":
-                rows.append(t)
-            case ">":
-                rows.append(t.scale(-1) + LinTerm.of_const(1))
-            case ">=":
-                rows.append(t.scale(-1))
-            case "=":
-                rows.append(t)
-                rows.append(t.scale(-1))
-            case "!=":
-                neqs.append(t)
-    return _split_neqs(rows, neqs)
+        form = memo.get(literal)
+        if form is None:
+            form = memo[literal] = _literal_rows(atom if positive else atom.flip())
+        forms.append((literal, form))
+    for component, rows, neqs in sorted(_components(forms), key=lambda part: len(part[2])):
+        if component not in memo:
+            memo[component] = _split_neqs(rows, neqs)
+        if memo[component]:
+            return True
+    return False
+
+
+def _literal_rows(c: Cmp) -> tuple[tuple[LinTerm, ...], tuple[LinTerm, ...], tuple[str, ...]]:
+    """The rows (``row <= 0``) and disequalities (``term != 0``) of c, and
+    the variables they mention."""
+    t = c.lhs - c.rhs if c.op in ("<", "<=", "=", "!=") else c.rhs - c.lhs
+    names = tuple(n for n, _ in t.coeffs)
+    if c.op in ("<", ">"):
+        return (t + LinTerm.of_const(1),), (), names
+    if c.op == "=":
+        return (t, t.scale(-1)), (), names
+    return ((), (t,), names) if c.op == "!=" else ((t,), (), names)
+
+
+def _components(forms) -> list[tuple[frozenset, list[LinTerm], list[LinTerm]]]:
+    """Group literals linked by shared variables into components, each with
+    its literals, rows and disequalities.  Feasibility over disjoint
+    variables factorises and a disequality split stays in its component, so
+    the conjunction is refuted exactly when one component is."""
+    root: dict[str, str] = {}
+
+    def find(name: str) -> str:
+        while (up := root.get(name, name)) != name:
+            name = up
+        return name
+
+    for _, (_, _, names) in forms:
+        for name in names[1:]:
+            root[find(name)] = find(names[0])
+    parts: dict[object, tuple[list, list, list]] = {}
+    for i, (literal, (rows, neqs, names)) in enumerate(forms):
+        part = parts.setdefault(find(names[0]) if names else i, ([], [], []))
+        part[0].append(literal)
+        part[1].extend(rows)
+        part[2].extend(neqs)
+    return [(frozenset(literals), rows, neqs) for literals, rows, neqs in parts.values()]
 
 
 def _split_neqs(rows: list[LinTerm], neqs: list[LinTerm]) -> bool:
@@ -813,11 +870,14 @@ def _cube_model(cube, bound: int = 8) -> dict[str, object] | None:
     return None
 
 
-def valid(vc: VC, clause_budget: int = DEFAULT_CLAUSE_BUDGET) -> Verdict:
-    """Check a VC by refuting its negation cube by cube."""
+def valid(
+    vc: VC, clause_budget: int = DEFAULT_CLAUSE_BUDGET, memo: dict | None = None
+) -> Verdict:
+    """Check a VC by refuting its negation cube by cube.  ``memo`` is passed
+    to every ``fm_unsat`` call, so calls sharing it share their work."""
     cubes = dnf_cubes(vc.negated(), clause_budget)
     for cube in cubes:
-        if not fm_unsat(cube):
+        if not fm_unsat(cube, memo):
             return Verdict("invalid", cube)
     return VALID
 

@@ -495,5 +495,6 @@ def check_refined(
     checker = RefChecker()
     result_ty, _ = checker.synth(env, w)
     vcs = tuple(checker.vcs)
-    verdicts = tuple(valid(vc, clause_budget) for vc in vcs) if discharge else None
+    memo: dict = {}  # shared by this check's valid() calls
+    verdicts = tuple(valid(vc, clause_budget, memo) for vc in vcs) if discharge else None
     return CheckReport(result_ty, vcs, verdicts)

@@ -15,11 +15,11 @@ left to right, so kappa templates are numbered in a fixed order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator, Optional, TYPE_CHECKING
 
-from .logic import Pred, TRUE, is_true, render_pred
+from .logic import Pred, TRUE, cached_hash, is_true, render_pred
 
 if TYPE_CHECKING:
     from .target import RefType, TgtExpr
@@ -34,57 +34,33 @@ TAG_FUNCTION = "function"
 Pos = Optional[tuple[int, int]]
 
 
-def _cached_hash(cls):
-    """Give a frozen node class a structural hash that is computed once.
-
-    The elaborator keys its memo on whole subterms and types.  With the hash
-    kept on the node, hashing a node whose children are hashed costs O(1),
-    not O(size of the subtree), as in hash-consing.  The value is the one
-    the dataclass would compute (the compared fields as a tuple), and it is
-    computed on first use only: most nodes are never hashed.
-    """
-    names = tuple(f.name for f in fields(cls) if f.compare)
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            pass  # hash the children outside the handler, not under its context
-        h = hash(tuple(getattr(self, name) for name in names))
-        object.__setattr__(self, "_hash", h)
-        return h
-
-    cls.__hash__ = __hash__
-    return cls
-
-
 # ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
 
 
-@_cached_hash
+@cached_hash
 @dataclass(frozen=True)
 class PrimType:
     base: str  # "number" | "boolean"
     refinement: Pred = TRUE
 
 
-@_cached_hash
+@cached_hash
 @dataclass(frozen=True)
 class FunType:
     dom: SrcType
     cod: SrcType
 
 
-@_cached_hash
+@cached_hash
 @dataclass(frozen=True)
 class AndType:
     left: SrcType
     right: SrcType
 
 
-@_cached_hash
+@cached_hash
 @dataclass(frozen=True)
 class OrType:
     left: SrcType
@@ -241,7 +217,7 @@ def shape(*children: str | tuple[str, str], variable: bool = False, evaluated: i
 
 
 @shape()
-@_cached_hash
+@cached_hash
 @dataclass(frozen=True)
 class Const:
     con: PrimConst
@@ -249,7 +225,7 @@ class Const:
 
 
 @shape(variable=True)
-@_cached_hash
+@cached_hash
 @dataclass(frozen=True)
 class Var:
     name: str
@@ -257,7 +233,7 @@ class Var:
 
 
 @shape(("body", "param"))
-@_cached_hash
+@cached_hash
 @dataclass(frozen=True)
 class Lam:
     param: str
@@ -266,7 +242,7 @@ class Lam:
 
 
 @shape("expr")
-@_cached_hash
+@cached_hash
 @dataclass(frozen=True)
 class Ascribe:
     expr: SrcExpr
@@ -275,7 +251,7 @@ class Ascribe:
 
 
 @shape("bound", ("body", "name"), evaluated=1)
-@_cached_hash
+@cached_hash
 @dataclass(frozen=True)
 class Let:
     name: str
@@ -285,7 +261,7 @@ class Let:
 
 
 @shape("cond", "then", "els", evaluated=1)
-@_cached_hash
+@cached_hash
 @dataclass(frozen=True)
 class If:
     cond: SrcExpr
@@ -295,7 +271,7 @@ class If:
 
 
 @shape("fn", "arg", evaluated=2)
-@_cached_hash
+@cached_hash
 @dataclass(frozen=True)
 class App:
     fn: SrcExpr

@@ -298,7 +298,8 @@ def simple_typecheck(env: dict[str, SrcType], w: TgtExpr) -> SrcType:
     injection as a union.
 
     A failure on elaborator output signals a bug in the first phase, not a
-    problem with the checked program.
+    problem with the checked program.  Binders extend ``env`` in place for
+    their scope (``_scoped``), so no binder copies the environment.
     """
     match w:
         case TConst(con):
@@ -311,7 +312,7 @@ def simple_typecheck(env: dict[str, SrcType], w: TgtExpr) -> SrcType:
             if not isinstance(src_ann, FunType):
                 raise IllTyped(w, "annotated lambda", src_ann)
             arrow = erase_refinements(src_ann)
-            cod = simple_typecheck({**env, param: arrow.dom}, body)
+            cod = _scoped(env, param, arrow.dom, body)
             if cod != arrow.cod:
                 raise IllTyped(w, arrow.cod, cod)
             return arrow
@@ -333,8 +334,7 @@ def simple_typecheck(env: dict[str, SrcType], w: TgtExpr) -> SrcType:
                 raise IllTyped(w, fn_ty.dom, arg_ty)
             return fn_ty.cod
         case TLet(name, bound, body):
-            bound_ty = simple_typecheck(env, bound)
-            return simple_typecheck({**env, name: bound_ty}, body)
+            return _scoped(env, name, simple_typecheck(env, bound), body)
         case TPair(a, b):
             return AndType(simple_typecheck(env, a), simple_typecheck(env, b))
         case TProj(index, t):
@@ -355,8 +355,8 @@ def simple_typecheck(env: dict[str, SrcType], w: TgtExpr) -> SrcType:
             s_ty = simple_typecheck(env, s)
             if not isinstance(s_ty, OrType):
                 raise IllTyped(w, "sum", s_ty)
-            t1 = simple_typecheck({**env, x1: s_ty.left}, b1)
-            t2 = simple_typecheck({**env, x2: s_ty.right}, b2)
+            t1 = _scoped(env, x1, s_ty.left, b1)
+            t2 = _scoped(env, x2, s_ty.right, b2)
             if t1 != t2:
                 raise IllTyped(w, t1, t2)
             return t1
@@ -367,6 +367,19 @@ def simple_typecheck(env: dict[str, SrcType], w: TgtExpr) -> SrcType:
                 raise IllTyped(w, expected, inner_ty)
             return erase_refinements(to_ty)
     raise TypeError(f"not a target expression: {w!r}")
+
+
+def _scoped(env: dict[str, SrcType], name: str, ty: SrcType, body: TgtExpr) -> SrcType:
+    """Type ``body`` with ``name`` bound to ``ty``, then restore ``env``."""
+    outer = env.get(name)
+    env[name] = ty
+    try:
+        return simple_typecheck(env, body)
+    finally:
+        if outer is None:
+            del env[name]
+        else:
+            env[name] = outer
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from l2 import elaborate, infer, parser, syntax
+from l2 import elaborate, infer, logic, parser, syntax
 from l2.infer import (
     HornClause,
     Solution,
@@ -20,13 +20,19 @@ from l2.logic import (
     PAtom,
     PBool,
     PKappa,
+    ResourceLimit,
     TRUE,
     VALUE_VAR,
+    VC,
     cmp_pred,
+    dnf_cubes,
+    instantiate_kappas,
     kappas_of,
     pand,
+    por,
     pred_key,
     render_pred,
+    valid,
 )
 from l2.refine import RefEnv, check_refined
 from l2.syntax import AndType, BOOL, FunType, NUM, OrType, PrimType
@@ -298,3 +304,182 @@ class TestChainedClauses:
         # both occurrences carry their substitutions
         clause = chained[0]
         assert isinstance(clause.head, PKappa)
+
+
+# ---------------------------------------------------------------------------
+# The incremental solver against the plain sweep
+# ---------------------------------------------------------------------------
+
+
+def reference_houdini(clauses, candidates, clause_budget=logic.DEFAULT_CLAUSE_BUDGET):
+    """Houdini as a plain sweep: every round re-instantiates and re-checks
+    every clause, one valid() call per candidate."""
+    assignment = {k: tuple(v) for k, v in candidates.items()}
+    for clause in clauses:
+        for k in clause.kappas():
+            assignment.setdefault(k, ())
+    pred_map = {k: pand(v) for k, v in assignment.items()}
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses:
+            head_k = clause.head_kappa()
+            body = tuple(instantiate_kappas(p, pred_map) for p in clause.body)
+            if head_k is None:
+                head = instantiate_kappas(clause.head, pred_map)
+                if not valid(VC(body, TRUE, head, clause.origin), clause_budget).is_valid:
+                    return Unsat(clause)
+                continue
+            keep = tuple(
+                c
+                for c in assignment[head_k]
+                if valid(
+                    VC(body, TRUE, instantiate_kappas(clause.head, {head_k: c}), clause.origin),
+                    clause_budget,
+                ).is_valid
+            )
+            if len(keep) != len(assignment[head_k]):
+                assignment[head_k] = keep
+                pred_map[head_k] = pand(keep)
+                changed = True
+    return Solution(assignment)
+
+
+_NEG = (
+    "((\\flag => \\x => if ne flag 0 then sub 0 x else not x)\n"
+    "        : (number -> number -> number) /\\ (number -> boolean -> boolean))"
+)
+
+
+def negate_infer_program(c: int) -> str:
+    return f"let neg = {_NEG} in\nlet a = neg {c} {c} in\nlet b = neg 0 true in\nb\n"
+
+
+def width2_program(c: int) -> str:
+    return (
+        f"let neg = {_NEG} in\nlet neg2 = {_NEG} in\n"
+        f"let a = neg {c} {c} in\nlet b = neg 0 true in\n"
+        f"let d = neg2 {c} {c} in\nlet e = neg2 0 false in\ne\n"
+    )
+
+
+def dependent_program(c: int) -> str:
+    return (
+        f"let neg = {_NEG} in\n"
+        "let twice = ((\\flag => \\x => if ne flag 0 then neg 1 (neg 1 x) else neg 0 (neg 0 x))\n"
+        "        : (number -> number -> number) /\\ (number -> boolean -> boolean)) in\n"
+        f"let a = twice {c} {c} in\nlet b = twice 0 true in\nb\n"
+    )
+
+
+def width_program(m: int) -> str:
+    """m independent copies of the overloaded neg, each called once per clone."""
+    lines = [f"let neg{i} = {_NEG} in" for i in range(m)]
+    for i in range(m):
+        lines += [f"let a{i} = neg{i} 3 3 in", f"let b{i} = neg{i} 0 true in"]
+    return "\n".join(lines) + f"\nb{m - 1}\n"
+
+
+def _default_problem(text):
+    program = parser.parse_program(text)
+    clauses, kappas, _ = gen_horn(program)
+    return clauses, {k.id: default_candidates(program, k) for k in kappas}
+
+
+def _same_outcome(clauses, candidates, clause_budget=logic.DEFAULT_CLAUSE_BUDGET):
+    got = houdini_solve(clauses, candidates, clause_budget)
+    want = reference_houdini(clauses, candidates, clause_budget)
+    assert type(got) is type(want)
+    if isinstance(want, Unsat):
+        assert got.clause == want.clause
+    else:
+        assert list(got.assignment.items()) == list(want.assignment.items())
+    return got
+
+
+class TestIncrementalHoudini:
+    # With c = 0 the numeric call `neg 0 0` reaches the numeric clone's dead
+    # branch, so no assignment makes it unreachable.
+    @pytest.mark.parametrize("c", range(10))
+    def test_negate_family(self, c):
+        outcome = _same_outcome(*_default_problem(negate_infer_program(c)))
+        assert isinstance(outcome, Unsat if c == 0 else Solution)
+
+    @pytest.mark.parametrize("c", [0, 3, 7])
+    def test_width2_family(self, c):
+        outcome = _same_outcome(*_default_problem(width2_program(c)))
+        assert isinstance(outcome, Unsat if c == 0 else Solution)
+
+    @pytest.mark.parametrize("c", [0, 5])
+    def test_dependent_family(self, c):
+        outcome = _same_outcome(*_default_problem(dependent_program(c)))
+        assert isinstance(outcome, Unsat if c == 0 else Solution)
+
+    def test_preds_style_candidates(self):
+        # as `infer --preds`: every numeric kappa gets the same list
+        program = parser.parse_program(NEGATE_INFER)
+        clauses, kappas, _ = gen_horn(program)
+        preds = [cmp_pred(nu, op, lit(k)) for k in (0, 1, 2) for op in ("=", "!=", ">=", "<")]
+        preds.append(pand([cmp_pred(nu, ">=", lit(1)), cmp_pred(nu, "<=", lit(5))]))
+        candidates = {k.id: list(preds) if k.sort == "number" else [] for k in kappas}
+        assert isinstance(_same_outcome(clauses, candidates), Solution)
+
+    def test_empty_candidates_unsat(self):
+        program = parser.parse_program(NEGATE_INFER)
+        clauses, kappas, _ = gen_horn(program)
+        assert isinstance(_same_outcome(clauses, {k.id: [] for k in kappas}), Unsat)
+
+    def test_conflicting_calls_unsat(self):
+        text = NEGATE_INFER.replace("neg 0 true", "neg 0 1")
+        assert "neg 0 1" in text
+        assert isinstance(_same_outcome(*_default_problem(text)), Unsat)
+
+    def test_head_conjunction_over_budget_falls_back(self, monkeypatch):
+        # two body cubes times four negated candidates exceed a budget of 4,
+        # while each candidate alone has two cubes
+        body = (por([cmp_pred(nu, "=", lit(1)), cmp_pred(nu, "=", lit(2))]),)
+        cands = [cmp_pred(nu, ">=", lit(1)), cmp_pred(nu, "<=", lit(2)),
+                 cmp_pred(nu, "!=", lit(0)), cmp_pred(nu, "=", lit(1))]
+        clause = HornClause(body, PKappa("k1"), "test")
+        with pytest.raises(ResourceLimit):
+            dnf_cubes(VC(body, TRUE, pand(cands), "").negated(), 4)
+        limits = []
+        checked = infer.valid
+
+        def spy(*args):
+            try:
+                return checked(*args)
+            except ResourceLimit:
+                limits.append(args[0])
+                raise
+
+        monkeypatch.setattr(infer, "valid", spy)
+        got = _same_outcome([clause], {"k1": cands}, clause_budget=4)
+        assert got.assignment["k1"] == tuple(cands[:3])
+        assert len(limits) == 1
+
+
+def _count_valid_calls(monkeypatch, text):
+    calls = []
+    checked = infer.valid
+
+    def spy(*args):
+        calls.append(args[0])
+        return checked(*args)
+
+    monkeypatch.setattr(infer, "valid", spy)
+    outcome, *_ = infer_refinements(parser.parse_program(text))
+    assert isinstance(outcome, Solution)
+    return len(calls)
+
+
+class TestValidCallCounts:
+    def test_negate_infer(self, monkeypatch):
+        # the plain sweep makes 99 calls
+        assert _count_valid_calls(monkeypatch, NEGATE_INFER) <= 50
+
+    def test_independent_copies_grow_near_linearly(self, monkeypatch):
+        # the plain sweep makes 798 calls for m=4 alone
+        one = _count_valid_calls(monkeypatch, width_program(1))
+        eight = _count_valid_calls(monkeypatch, width_program(8))
+        assert eight <= 12 * one

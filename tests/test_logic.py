@@ -79,6 +79,13 @@ class TestFmUnsat:
     def test_bool_conflict(self):
         assert fm_unsat([(BVar("b"), True), (BVar("b"), False)])
 
+    def test_constant_literals_are_components_alone(self):
+        free = [(Cmp(x, "!=", const(0)), True), (Cmp(y, ">=", x), True)]
+        assert fm_unsat(free + [(Cmp(const(1), "<", const(0)), True)])
+        assert fm_unsat(free + [(Cmp(x - x, "!=", const(0)), True)])
+        assert not fm_unsat(free + [(Cmp(const(1), "!=", const(0)), True)])
+        assert not fm_unsat(free + [(Cmp(const(0), "<=", const(0)), True)])
+
     def test_integer_tightening(self):
         # 0 < x < 1 has rational solutions but no integer ones
         assert fm_unsat([(Cmp(const(0), "<", x), True), (Cmp(x, "<", const(1)), True)])
@@ -206,6 +213,36 @@ class TestFmAgainstEagerReference:
             unsat += expected
         assert 100 < unsat < 1400  # both answers are exercised
 
+    def test_random_component_sets_agree(self):
+        # Each literal mentions one of two disjoint variable pools, so most
+        # sets split into several components; one memo serves every set, as
+        # in one Houdini solve.
+        rng = random.Random(12)
+        pools = (["w", "x"], ["y", "z"])
+        memo: dict = {}
+        unsat = split = 0
+        for _ in range(1500):
+            lits = []
+            for op_pool, count in (
+                (["<", "<=", "=", ">=", ">"], rng.randint(1, 7)),
+                (["!="], rng.randint(0, 4)),
+            ):
+                for _ in range(count):
+                    pool = rng.choice(pools)
+                    used = sorted(rng.sample(pool, rng.randint(1, 2)))
+                    lhs = LinTerm(
+                        tuple((n, rng.choice([-2, -1, 1, 2])) for n in used), rng.randint(-4, 4)
+                    )
+                    lits.append((Cmp(lhs, rng.choice(op_pool), const(rng.randint(-3, 3))), True))
+            rng.shuffle(lits)
+            forms = [(lit, logic._literal_rows(lit[0])) for lit in lits]
+            split += len(logic._components(forms)) > 1
+            expected = _eager_fm_unsat(lits)
+            assert fm_unsat(lits) == expected, lits
+            assert fm_unsat(frozenset(lits), memo) == expected, lits
+            unsat += expected
+        assert 100 < unsat < 1400 and split > 700
+
     def test_contradictory_bounds_refuted_before_splitting(self, monkeypatch):
         calls = []
         rows_unsat = logic._fm_rows_unsat
@@ -219,6 +256,24 @@ class TestFmAgainstEagerReference:
         lits += [(Cmp(y, "!=", const(i)), True) for i in range(12)]
         assert fm_unsat(lits)
         assert calls == [2]
+
+    def test_independent_component_refuted_without_splitting_the_other(self, monkeypatch):
+        # x's twelve disequalities come first; splitting them with y's
+        # system takes thousands of eliminations, y's system alone five
+        calls = []
+        rows_unsat = logic._fm_rows_unsat
+
+        def counting(rows):
+            calls.append(len(rows))
+            return rows_unsat(rows)
+
+        monkeypatch.setattr(logic, "_fm_rows_unsat", counting)
+        lits = [(Cmp(x, "!=", const(i)), True) for i in range(12)]
+        lits += [(Cmp(y, ">=", const(0)), True), (Cmp(y, "<=", const(1)), True)]
+        lits += [(Cmp(y, "!=", const(0)), True), (Cmp(y, "!=", const(1)), True)]
+        assert _eager_fm_unsat(lits[12:])
+        assert fm_unsat(lits)
+        assert len(calls) <= 10
 
 
 def _vc(hyps, p, q):

@@ -12,10 +12,12 @@ from l2.target import (
     RProd,
     RSum,
     TApp,
+    TCase,
     TConst,
     TDead,
     TInj,
     TLam,
+    TLet,
     TPair,
     TProj,
     TVar,
@@ -148,6 +150,36 @@ class TestSimpleTypecheck:
         w = TProj(1, TInj(1, num(1), OrType(NUM, BOOL)))
         with pytest.raises(IllTyped):
             simple_typecheck({}, w)
+
+    def test_binders_shadow_and_restore_the_outer_name(self):
+        # x is a number outside; let, lambda and both case arms rebind it
+        # as a boolean, and each sibling after them sees the number again
+        true = TConst(constants.TRUE_CONST)
+        x = TVar("x")
+        shadowing = [
+            TLet("x", true, x),
+            TLam("x", x, FunType(BOOL, BOOL)),
+            TCase(TInj(1, true, OrType(BOOL, BOOL)), "x", x, "x", x),
+        ]
+        expected = [BOOL, FunType(BOOL, BOOL), BOOL]
+        w = x
+        for inner in reversed(shadowing):
+            w = TPair(inner, TPair(x, w))
+        env = {"x": NUM}
+        want = NUM
+        for ty in reversed(expected):
+            want = AndType(ty, AndType(NUM, want))
+        assert simple_typecheck(env, w) == want
+        assert env == {"x": NUM}
+
+    def test_binders_leave_no_binding_behind(self):
+        env = {}
+        w = TPair(TLet("y", num(1), TVar("y")), TVar("y"))
+        with pytest.raises(IllTyped):
+            simple_typecheck(env, w)
+        assert env == {}
+        assert simple_typecheck(env, TLet("y", num(1), TVar("y"))) == NUM
+        assert env == {}
 
     def test_lambda_needs_annotation(self):
         with pytest.raises(IllTyped):

@@ -4,9 +4,9 @@ Subcommands: check, elaborate, run, vcs, infer, fuzz.  Every subcommand
 accepts --json for structured output.  Exit codes: 0 success/accepted,
 1 rejected by refinement checking, 2 elaboration error, 3 no verdict (the
 input nests deeper than the checker's recursion limit), 64 usage error
-(an unreadable FILE or config, or a config that is not a JSON object of
-integer fuel, search_depth and clause_budget), 65 parse error, 70 internal
-invariant violation.
+(an unreadable FILE or config, a config that is not a JSON object of
+integer fuel, search_depth and clause_budget, or a setting below its least
+sensible value), 65 parse error, 70 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from . import harness, infer, source_interp, syntax, target_interp
 from .elaborate import DEFAULT_SEARCH_DEPTH, ElabError, elaborate_program
 from .logic import DEFAULT_CLAUSE_BUDGET, ResourceLimit, pand, render_pred, to_smtlib
 from .parser import ParseError, parse_pred, parse_program
-from .refine import PhaseOrderError, RefEnv, check_refined
-from .target import IllTyped, print_ref_type, print_target
+from .refine import PhaseOrderError, RefEnv, check_refined, print_ref_type
+from .target import IllTyped, print_target
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -42,6 +42,11 @@ class Config:
     fuel: int = source_interp.DEFAULT_FUEL
     search_depth: int = DEFAULT_SEARCH_DEPTH
     clause_budget: int = DEFAULT_CLAUSE_BUDGET
+
+
+# The least value of each setting that asks for a meaningful run, from a flag
+# or the config file; fuzz's --trials and --budget are flags only.
+LEAST = {"fuel": 0, "search_depth": 1, "clause_budget": 1, "trials": 0, "budget": 0}
 
 
 def _read_program(path: str):
@@ -284,11 +289,16 @@ def _load_config(args) -> Config:
             return flag
         return file_values.get(key, fallback)
 
-    return Config(
+    config = Config(
         fuel=pick(args.fuel, "fuel", defaults.fuel),
         search_depth=pick(args.search_depth, "search_depth", defaults.search_depth),
         clause_budget=pick(args.clause_budget, "clause_budget", defaults.clause_budget),
     )
+    settings = {**vars(args), **vars(config)}
+    for key, least in LEAST.items():
+        if key in settings and settings[key] < least:
+            raise ConfigError(f"{key} must be at least {least}, got {settings[key]}")
+    return config
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,11 +1,13 @@
-"""Primitive constants: source types, refined types, and curried semantics.
+"""Primitive constants: refined types and curried semantics.
 
-Application of a binary primitive to its first argument yields a derived
-constant (for example ``add`` applied to 1 yields ``add@1``) whose delta
-finishes the job.  It records the operator and literal as ``partial``
-(``("add", 1)``), so no other module reads them from its name.  The derived constant's refined type is exact and linear,
-which is what makes ``mul`` usable: the outer ``mul`` type promises nothing,
-but ``mul@k`` records multiplication by the known literal k.
+Each constant states its refined type once; phase 1 reads its erasure,
+``PrimConst.source_type``.  Application of a binary primitive to its first
+argument yields a derived constant (for example ``add`` applied to 1 yields
+``add@1``) whose delta finishes the job.  It records the operator and
+literal as ``partial`` (``("add", 1)``), so no other module reads them from
+its name.  The derived constant's refined type is exact and linear, which is
+what makes ``mul`` usable: the outer ``mul`` type promises nothing, but
+``mul@k`` records multiplication by the known literal k.
 """
 
 from __future__ import annotations
@@ -23,22 +25,18 @@ from .logic import (
     piff,
     pnot,
 )
-from .syntax import BOOL, BOOLEAN, Const, FunType, NUM, NUMBER, PrimConst, SrcExpr
-from .target import RBase, RFun, RefType, TConst, TgtExpr
+from .syntax import BOOLEAN, Const, FunType, NUM, NUMBER, PrimConst, PrimType, SrcExpr
+from .target import TConst, TgtExpr
 
 _NU = LinTerm.of_var(VALUE_VAR)
 
 
-def _num(ref: Pred = TRUE) -> RBase:
-    return RBase(NUMBER, ref)
+def _num(ref: Pred = TRUE) -> PrimType:
+    return PrimType(NUMBER, ref)
 
 
-def _bool(ref: Pred = TRUE) -> RBase:
-    return RBase(BOOLEAN, ref)
-
-
-def _fun(binder: str, dom: RefType, cod: RefType) -> RFun:
-    return RFun(binder, dom, cod)
+def _bool(ref: Pred = TRUE) -> PrimType:
+    return PrimType(BOOLEAN, ref)
 
 
 def _var(name: str) -> LinTerm:
@@ -51,27 +49,11 @@ def _const_term(k: int) -> LinTerm:
 
 @lru_cache(maxsize=None)
 def int_const(k: int) -> PrimConst:
-    return PrimConst(
-        name=str(k),
-        source_type=NUM,
-        refined_type=_num(cmp_pred(_NU, "=", _const_term(k))),
-        delta=None,
-    )
+    return PrimConst(str(k), _num(cmp_pred(_NU, "=", _const_term(k))))
 
 
-TRUE_CONST = PrimConst(
-    name="true",
-    source_type=BOOL,
-    refined_type=_bool(PAtom(BVar(VALUE_VAR))),
-    delta=None,
-)
-
-FALSE_CONST = PrimConst(
-    name="false",
-    source_type=BOOL,
-    refined_type=_bool(pnot(PAtom(BVar(VALUE_VAR)))),
-    delta=None,
-)
+TRUE_CONST = PrimConst("true", _bool(PAtom(BVar(VALUE_VAR))))
+FALSE_CONST = PrimConst("false", _bool(pnot(PAtom(BVar(VALUE_VAR)))))
 
 
 def bool_const(b: bool) -> PrimConst:
@@ -118,13 +100,7 @@ def _arith_stage2(op: str, k: int) -> PrimConst:
             return None
         return Const(int_const(fn(m)))
 
-    return PrimConst(
-        name=f"{op}@{k}",
-        source_type=FunType(NUM, NUM),
-        refined_type=_fun("$b", _num(), _num(ref)),
-        delta=delta,
-        partial=(op, k),
-    )
+    return PrimConst(f"{op}@{k}", FunType(_num(), _num(ref), "$b"), delta, partial=(op, k))
 
 
 @lru_cache(maxsize=None)
@@ -139,13 +115,8 @@ def _arith_const(op: str, exact: Pred | None) -> PrimConst:
             return None
         return Const(arith_stage2(op, k))
 
-    cod = _fun("$b", _num(), _num(exact if exact is not None else TRUE))
-    return PrimConst(
-        name=op,
-        source_type=FunType(NUM, FunType(NUM, NUM)),
-        refined_type=_fun("$a", _num(), cod),
-        delta=delta,
-    )
+    cod = FunType(_num(), _num(exact if exact is not None else TRUE), "$b")
+    return PrimConst(op, FunType(_num(), cod, "$a"), delta)
 
 
 ADD = _arith_const("add", cmp_pred(_NU, "=", _var("$a") + _var("$b")))
@@ -177,13 +148,7 @@ def cmp_stage2(op: str, k: int) -> PrimConst:
         return Const(bool_const(fn(k, m)))
 
     ref = piff(PAtom(BVar(VALUE_VAR)), cmp_pred(_const_term(k), sym, _var("$b")))
-    return PrimConst(
-        name=f"{op}@{k}",
-        source_type=FunType(NUM, BOOL),
-        refined_type=_fun("$b", _num(), _bool(ref)),
-        delta=delta,
-        partial=(op, k),
-    )
+    return PrimConst(f"{op}@{k}", FunType(_num(), _bool(ref), "$b"), delta, partial=(op, k))
 
 
 def _cmp_const(op: str) -> PrimConst:
@@ -196,12 +161,7 @@ def _cmp_const(op: str) -> PrimConst:
         return Const(cmp_stage2(op, k))
 
     ref = piff(PAtom(BVar(VALUE_VAR)), cmp_pred(_var("$a"), sym, _var("$b")))
-    return PrimConst(
-        name=op,
-        source_type=FunType(NUM, FunType(NUM, BOOL)),
-        refined_type=_fun("$a", _num(), _fun("$b", _num(), _bool(ref))),
-        delta=delta,
-    )
+    return PrimConst(op, FunType(_num(), FunType(_num(), _bool(ref), "$b"), "$a"), delta)
 
 
 LT = _cmp_const("lt")
@@ -217,24 +177,13 @@ def _not_delta(arg: SrcExpr) -> SrcExpr | None:
     return Const(bool_const(not b))
 
 
-NOT = PrimConst(
-    name="not",
-    source_type=FunType(BOOL, BOOL),
-    refined_type=_fun("$a", _bool(), _bool(piff(PAtom(BVar(VALUE_VAR)), pnot(PAtom(BVar("$a")))))),
-    delta=_not_delta,
-)
+_NOT_REF = piff(PAtom(BVar(VALUE_VAR)), pnot(PAtom(BVar("$a"))))
+NOT = PrimConst("not", FunType(_bool(), _bool(_NOT_REF), "$a"), _not_delta)
 
 
 NAMED_CONSTANTS: dict[str, PrimConst] = {
     c.name: c for c in (TRUE_CONST, FALSE_CONST, ADD, SUB, MUL, LT, LE, EQ, NE, NOT)
 }
-
-
-def ty(c: PrimConst) -> RefType:
-    """The refined type of a constant."""
-    if c.refined_type is None:
-        raise ValueError(f"constant {c.name} has no refined type")
-    return c.refined_type
 
 
 def delta_apply(c: PrimConst, v: SrcExpr | TgtExpr) -> SrcExpr | None:

@@ -49,6 +49,7 @@ from .syntax import (
     SrcExpr,
     SrcType,
     Var,
+    erase_refinements,
     is_value,
     print_program,
     subst,
@@ -56,6 +57,7 @@ from .syntax import (
     types_equal_basic,
 )
 from .target import (
+    IllTyped,
     TApp,
     TCase,
     TConst,
@@ -68,13 +70,14 @@ from .target import (
     TProj,
     TVar,
     TgtExpr,
+    simple_typecheck,
 )
 
 Env = dict[str, SrcType]
 
 
 # ---------------------------------------------------------------------------
-# Administrative normalization and type reconstruction
+# Administrative normalization
 # ---------------------------------------------------------------------------
 
 
@@ -89,45 +92,12 @@ def normalize_admin(w: TgtExpr) -> TgtExpr:
     return syntax.map_up(w, reduce)
 
 
-def reconstruct_src_type(env: Env, w: TgtExpr) -> SrcType | None:
-    """The source type a target term was elaborated at, read off its shape."""
-    match w:
-        case TConst(con):
-            return con.source_type
-        case TVar(name):
-            return env.get(name)
-        case TLam():
-            return w.src_ann
-        case TApp(fn, _):
-            t = reconstruct_src_type(env, fn)
-            return t.cod if isinstance(t, FunType) else None
-        case TLet(name, bound, body):
-            t1 = reconstruct_src_type(env, bound)
-            if t1 is None:
-                return None
-            return reconstruct_src_type({**env, name: t1}, body)
-        case TIf(_, then, _):
-            return reconstruct_src_type(env, then)
-        case TPair(a, b):
-            ta, tb = reconstruct_src_type(env, a), reconstruct_src_type(env, b)
-            if ta is None or tb is None:
-                return None
-            return AndType(ta, tb)
-        case TProj(k, t):
-            tt = reconstruct_src_type(env, t)
-            if not isinstance(tt, AndType):
-                return None
-            return tt.left if k == 1 else tt.right
-        case TInj():
-            return w.src_ann
-        case TCase(s, x1, b1, _, _):
-            ts = reconstruct_src_type(env, s)
-            if not isinstance(ts, OrType):
-                return None
-            return reconstruct_src_type({**env, x1: ts.left}, b1)
-        case TDead(_, to_ty, _):
-            return to_ty
-    raise TypeError(f"not a target expression: {w!r}")
+def _basic_type(env: Env, w: TgtExpr) -> SrcType | None:
+    """The basic type w was elaborated at, or None when w is ill-typed."""
+    try:
+        return simple_typecheck(env, w)
+    except IllTyped:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +110,9 @@ def elab_matches(env: Env, e: SrcExpr, tau: SrcType, w: TgtExpr, depth: int = 40
 
     Each target constructor pins down the rule that introduced it, so the
     check is a deterministic replay except for union splits, which search the
-    source term's evaluation-context decompositions.
+    source term's evaluation-context decompositions.  ``env`` holds basic
+    types, as the target's simple type checker reads a witness subterm's
+    type; an ill-typed subterm matches nothing.
     """
     if depth <= 0:
         return False
@@ -160,7 +132,7 @@ def elab_matches(env: Env, e: SrcExpr, tau: SrcType, w: TgtExpr, depth: int = 40
                 and elab_matches(env, e, tau.right, w2, d)
             )
         case TProj(k, w0):
-            t0 = reconstruct_src_type(env, w0)
+            t0 = _basic_type(env, w0)
             if not isinstance(t0, AndType):
                 return False
             arm = t0.left if k == 1 else t0.right
@@ -171,7 +143,7 @@ def elab_matches(env: Env, e: SrcExpr, tau: SrcType, w: TgtExpr, depth: int = 40
             arm = tau.left if k == 1 else tau.right
             return elab_matches(env, e, arm, w0, d)
         case TCase(w0, x1, w1, x2, w2):
-            t0 = reconstruct_src_type(env, w0)
+            t0 = _basic_type(env, w0)
             if not isinstance(t0, OrType):
                 return False
             for plug, e0 in syntax.decompose(e, is_value):
@@ -195,9 +167,10 @@ def elab_matches(env: Env, e: SrcExpr, tau: SrcType, w: TgtExpr, depth: int = 40
                 return False
             if p_e != p_w:
                 body_w = subst(body_w, p_w, TVar(p_e))
-            return elab_matches({**env, p_e: tau.dom}, body_e, tau.cod, body_w, d)
+            env = {**env, p_e: erase_refinements(tau.dom)}
+            return elab_matches(env, body_e, tau.cod, body_w, d)
         case (Let(n_e, bound_e, body_e), TLet(n_w, bound_w, body_w)):
-            t1 = reconstruct_src_type(env, bound_w)
+            t1 = _basic_type(env, bound_w)
             if t1 is None or not elab_matches(env, bound_e, t1, bound_w, d):
                 return False
             if n_e != n_w:
@@ -210,7 +183,7 @@ def elab_matches(env: Env, e: SrcExpr, tau: SrcType, w: TgtExpr, depth: int = 40
                 and elab_matches(env, f_e, tau, f_w, d)
             )
         case (App(fn_e, arg_e), TApp(fn_w, arg_w)):
-            t_fn = reconstruct_src_type(env, fn_w)
+            t_fn = _basic_type(env, fn_w)
             if not isinstance(t_fn, FunType) or not types_equal_basic(t_fn.cod, tau):
                 return False
             return elab_matches(env, fn_e, t_fn, fn_w, d) and elab_matches(

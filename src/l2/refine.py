@@ -12,20 +12,24 @@ Dependent application results substitute the argument into the codomain only
 when the argument lies in the logical fragment; anything else is bound to a
 fresh ghost name carrying the argument's synthesized type.
 
-Refinement types decorate phase 1's basic types: ``target.strip`` maps one
-back onto its basic type (``syntax.erase_refinements`` of the source type it
-was translated from), which the skeleton check before refinement checking
-and every subtyping obligation compare.
+A refinement type is a phase-1 type whose arrows name their arguments:
+``elab_type`` gives an annotation's arrows fresh binders, and from here on
+an intersection is read as a product and a union as a sum.  Its erasure
+(``syntax.erase_refinements``) is the basic type phase 1 assigns, which the
+skeleton check before refinement checking and every subtyping obligation
+compare.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import constants
 from .logic import (
     BVar,
     DEFAULT_CLAUSE_BUDGET,
+    FALSE,
     LinTerm,
     PAtom,
     PBool,
@@ -37,20 +41,26 @@ from .logic import (
     cmp_pred,
     is_tautology,
     is_true,
-    piff,
     pnot,
     por,
     subst_pred,
     valid,
 )
-from .syntax import BOOLEAN, FunType, NUMBER, Pos, SrcType, print_type, tags_disjoint
+from .syntax import (
+    AndType,
+    BOOLEAN,
+    FunType,
+    NUMBER,
+    OrType,
+    Pos,
+    PrimType,
+    SrcType,
+    erase_refinements,
+    print_type,
+    tags_disjoint,
+)
 from .target import (
     IllTyped,
-    RBase,
-    RFun,
-    RProd,
-    RSum,
-    RefType,
     TApp,
     TCase,
     TConst,
@@ -63,10 +73,7 @@ from .target import (
     TProj,
     TVar,
     TgtExpr,
-    elab_type,
-    fbot,
     simple_typecheck,
-    strip,
 )
 
 
@@ -96,15 +103,15 @@ class RefEnv:
     __slots__ = ("parent", "name", "ty", "hyp")
 
     def __init__(self, parent: RefEnv | None = None, name: str | None = None,
-                 ty: RefType | None = None, hyp: Pred | None = None):
+                 ty: SrcType | None = None, hyp: Pred | None = None):
         self.parent = parent
         self.name = name  # None for a guard
         self.ty = ty
         self.hyp = hyp  # None for a binder that carries no hypothesis
 
-    def bind(self, name: str, ty: RefType) -> RefEnv:
+    def bind(self, name: str, ty: SrcType) -> RefEnv:
         hyp = None
-        if isinstance(ty, RBase):
+        if isinstance(ty, PrimType):
             repl: object = LinTerm.of_var(name) if ty.base == NUMBER else name
             hyp = subst_pred(ty.refinement, VALUE_VAR, repl)
         return RefEnv(self, name, ty, hyp)
@@ -119,7 +126,7 @@ class RefEnv:
             yield env
             env = env.parent
 
-    def lookup(self, name: str) -> RefType:
+    def lookup(self, name: str) -> SrcType:
         for frame in self._frames():
             if frame.name == name:
                 return frame.ty
@@ -131,19 +138,19 @@ class RefEnv:
         return tuple(reversed([f.hyp for f in self._frames() if f.hyp is not None]))
 
     def base_names(self) -> tuple[str, ...]:
-        return tuple(reversed([f.name for f in self._frames() if isinstance(f.ty, RBase)]))
+        return tuple(reversed([f.name for f in self._frames() if isinstance(f.ty, PrimType)]))
 
     def sort_of(self, name: str) -> str | None:
         try:
             t = self.lookup(name)
         except KeyError:
             return None
-        return t.base if isinstance(t, RBase) else None
+        return t.base if isinstance(t, PrimType) else None
 
     def erased(self) -> dict[str, SrcType]:
         """Each binder's basic type, as phase 1 assigns it."""
         frames = [f for f in self._frames() if f.name is not None]
-        return {f.name: strip(f.ty) for f in reversed(frames)}
+        return {f.name: erase_refinements(f.ty) for f in reversed(frames)}
 
 
 # ---------------------------------------------------------------------------
@@ -151,46 +158,101 @@ class RefEnv:
 # ---------------------------------------------------------------------------
 
 
-def selfify(t: RefType, x: str) -> RefType:
-    """A variable occurrence is typed at {b | v = x} for base types."""
+def elab_type(t: SrcType) -> SrcType:
+    """t with a fresh binder on every arrow, ``$d1``, ``$d2``, ... in preorder.
+
+    The names are reserved, so they cannot collide with program variables.
+    """
+    counter = itertools.count(1)
+
+    def name(t: SrcType) -> SrcType:
+        match t:
+            case PrimType():
+                return t
+            case FunType(dom, cod):
+                binder = f"$d{next(counter)}"
+                return FunType(name(dom), name(cod), binder)
+            case AndType(left, right) | OrType(left, right):
+                return type(t)(name(left), name(right))
+        raise TypeError(f"not a type: {t!r}")
+
+    return name(t)
+
+
+def ftx(t: SrcType, r: Pred) -> SrcType:
+    """Replace every base refinement with r, negating across arrow domains."""
     match t:
-        case RBase(NUMBER, _):
-            return RBase(NUMBER, cmp_pred(LinTerm.of_var(VALUE_VAR), "=", LinTerm.of_var(x)))
-        case RBase(BOOLEAN, _):
-            return RBase(BOOLEAN, piff(PAtom(BVar(VALUE_VAR)), PAtom(BVar(x))))
-        case _:
-            return t
+        case PrimType(base):
+            return PrimType(base, r)
+        case FunType(dom, cod, binder):
+            return FunType(ftx(dom, pnot(r)), ftx(cod, r), binder)
+        case AndType(left, right) | OrType(left, right):
+            return type(t)(ftx(left, r), ftx(right, r))
+    raise TypeError(f"not a type: {t!r}")
 
 
-def dead_type(from_ty: SrcType, to_ty: SrcType) -> RFun:
+def fbot(t: SrcType) -> SrcType:
+    return ftx(t, FALSE)
+
+
+def selfify(t: SrcType, x: str) -> SrcType:
+    """A variable occurrence of a base type is typed at {v = x}.
+
+    The equation is the linear one for a boolean too, where v <=> x is meant.
+    """
+    if isinstance(t, PrimType):
+        return PrimType(t.base, cmp_pred(LinTerm.of_var(VALUE_VAR), "=", LinTerm.of_var(x)))
+    return t
+
+
+def dead_type(from_ty: SrcType, to_ty: SrcType) -> FunType:
     """DEAD casts behave like calls to a function of type fbot(|t|) -> fbot(|s|)."""
     assert tags_disjoint(from_ty, to_ty), "DEAD cast over overlapping tags"
-    return RFun("$dead", fbot(elab_type(from_ty)), fbot(elab_type(to_ty)))
+    return FunType(fbot(elab_type(from_ty)), fbot(elab_type(to_ty)), "$dead")
 
 
-def subst_ref(t: RefType, name: str, repl) -> RefType:
+def subst_ref(t: SrcType, name: str, repl) -> SrcType:
     match t:
-        case RBase(base, refinement):
-            return RBase(base, subst_pred(refinement, name, repl))
-        case RFun(binder, dom, cod):
-            dom2 = subst_ref(dom, name, repl)
-            if binder == name:
-                return RFun(binder, dom2, cod)
-            return RFun(binder, dom2, subst_ref(cod, name, repl))
-        case RSum(left, right):
-            return RSum(subst_ref(left, name, repl), subst_ref(right, name, repl))
-        case RProd(left, right):
-            return RProd(subst_ref(left, name, repl), subst_ref(right, name, repl))
-    raise TypeError(f"not a refinement type: {t!r}")
+        case PrimType(base, refinement):
+            return PrimType(base, subst_pred(refinement, name, repl))
+        case FunType(dom, cod, binder):
+            if binder != name:
+                cod = subst_ref(cod, name, repl)
+            return FunType(subst_ref(dom, name, repl), cod, binder)
+        case AndType(left, right) | OrType(left, right):
+            return type(t)(subst_ref(left, name, repl), subst_ref(right, name, repl))
+    raise TypeError(f"not a type: {t!r}")
 
 
-def rename_binder(t: RFun, new_name: str) -> RFun:
+def rename_binder(t: FunType, new_name: str) -> FunType:
     """Rename an arrow binder; used to align annotations with program names."""
     if t.binder == new_name:
         return t
-    numeric = isinstance(t.dom, RBase) and t.dom.base == NUMBER
+    numeric = isinstance(t.dom, PrimType) and t.dom.base == NUMBER
     repl: object = LinTerm.of_var(new_name) if numeric else new_name
-    return RFun(new_name, t.dom, subst_ref(t.cod, t.binder, repl))
+    return FunType(t.dom, subst_ref(t.cod, t.binder, repl), new_name)
+
+
+def print_ref_type(t: SrcType) -> str:
+    """Each arrow with its binder, a union as a sum (+), an intersection as a
+    product (*)."""
+    return _print_ref(t, 0)
+
+
+def _print_ref(t: SrcType, prec: int) -> str:
+    match t:
+        case PrimType():
+            return print_type(t)
+        case FunType(dom, cod, binder):
+            s = f"({binder}:{_print_ref(dom, 0)}) -> {_print_ref(cod, 0)}"
+            return f"({s})" if prec > 0 else s
+        case OrType(left, right):
+            s = f"{_print_ref(left, 2)} + {_print_ref(right, 2)}"
+            return f"({s})" if prec > 1 else s
+        case AndType(left, right):
+            s = f"{_print_ref(left, 3)} * {_print_ref(right, 3)}"
+            return f"({s})" if prec > 2 else s
+    raise TypeError(f"not a type: {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -285,29 +347,25 @@ def embed_guard(w: TgtExpr, env: RefEnv | None = None) -> tuple[Pred, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _obligations(env: RefEnv, t1: RefType, t2: RefType, origin: str):
+def _obligations(env: RefEnv, t1: SrcType, t2: SrcType, origin: str):
     """Decompose t1 <: t2 into base-type obligations (env, antecedent,
     consequent, origin), in order, before any hypothesis is built.  Arrows
     are contravariant in the domain and covariant in the codomain with the
     binder pushed into scope; sums and products decompose componentwise."""
-    if strip(t1) != strip(t2):
-        raise ShapeMismatch(f"{print_type(strip(t1))} vs {print_type(strip(t2))}")
+    basic1, basic2 = erase_refinements(t1), erase_refinements(t2)
+    if basic1 != basic2:
+        raise ShapeMismatch(f"{print_type(basic1)} vs {print_type(basic2)}")
     match (t1, t2):
-        case (RBase(_, p1), RBase(_, p2)):
+        case (PrimType(_, p1), PrimType(_, p2)):
             yield env, p1, p2, origin
-        case (RFun() as f1, RFun() as f2):
+        case (FunType() as f1, FunType() as f2):
             yield from _obligations(env, f2.dom, f1.dom, origin + " (domain)")
             f1r = rename_binder(f1, f2.binder)
             inner = env.bind(f2.binder, f2.dom)
             yield from _obligations(inner, f1r.cod, f2.cod, origin + " (codomain)")
-        case (RSum() as s1, RSum() as s2):
-            yield from _obligations(env, s1.left, s2.left, origin)
-            yield from _obligations(env, s1.right, s2.right, origin)
-        case (RProd() as p1, RProd() as p2):
-            yield from _obligations(env, p1.left, p2.left, origin)
-            yield from _obligations(env, p1.right, p2.right, origin)
-        case _:
-            raise ShapeMismatch(f"{t1!r} vs {t2!r}")
+        case (AndType(l1, r1), AndType(l2, r2)) | (OrType(l1, r1), OrType(l2, r2)):
+            yield from _obligations(env, l1, l2, origin)
+            yield from _obligations(env, r1, r2, origin)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +375,7 @@ def _obligations(env: RefEnv, t1: RefType, t2: RefType, origin: str):
 
 @dataclass
 class CheckReport:
-    type: RefType
+    type: SrcType
     vcs: tuple[VC, ...]
     verdicts: tuple[Verdict, ...] | None
 
@@ -341,7 +399,7 @@ class RefChecker:
         self._ghosts += 1
         return f"$g{self._ghosts}"
 
-    def emit(self, env: RefEnv, t1: RefType, t2: RefType, origin: str) -> None:
+    def emit(self, env: RefEnv, t1: SrcType, t2: SrcType, origin: str) -> None:
         for env2, p1, p2, origin2 in _obligations(env, t1, t2, origin):
             if is_true(p2):
                 continue  # a tautology; skip building its hypotheses
@@ -351,10 +409,10 @@ class RefChecker:
 
     # -- synthesis -----------------------------------------------------------
 
-    def synth(self, env: RefEnv, w: TgtExpr) -> tuple[RefType, RefEnv]:
+    def synth(self, env: RefEnv, w: TgtExpr) -> tuple[SrcType, RefEnv]:
         match w:
             case TConst(con):
-                return constants.ty(con), env
+                return con.refined_type, env
             case TVar(name):
                 try:
                     t = env.lookup(name)
@@ -385,24 +443,24 @@ class RefChecker:
             case TPair(a, b):
                 ta, _ = self.synth(env, a)
                 tb, _ = self.synth(env, b)
-                return RProd(ta, tb), env
+                return AndType(ta, tb), env
             case TProj(index, t):
                 tt, env = self.synth(env, t)
-                if not isinstance(tt, RProd):
+                if not isinstance(tt, AndType):
                     raise PhaseOrderError("projection from a non-product")
                 return (tt.left if index == 1 else tt.right), env
             case TInj(index, payload, src_ann):
                 if src_ann is None:
                     raise PhaseOrderError("injection without a union annotation")
                 sum_ty = elab_type(src_ann)
-                assert isinstance(sum_ty, RSum)
+                assert isinstance(sum_ty, OrType)
                 tp, env = self.synth(env, payload)
                 arm = sum_ty.left if index == 1 else sum_ty.right
                 self.emit(env, tp, arm, _origin("injection", w.pos))
                 return sum_ty, env
             case TCase(scrut, x1, b1, x2, b2):
                 ts, env = self.synth(env, scrut)
-                if not isinstance(ts, RSum):
+                if not isinstance(ts, OrType):
                     raise PhaseOrderError("case over a non-sum")
                 t1, _ = self.synth(env.bind(x1, ts.left), b1)
                 t2, env_b2 = self.synth(env.bind(x2, ts.right), b2)
@@ -414,13 +472,13 @@ class RefChecker:
                 return dt.cod, env
         raise TypeError(f"not a target expression: {w!r}")
 
-    def _synth_app(self, env: RefEnv, w: TApp) -> tuple[RefType, RefEnv]:
+    def _synth_app(self, env: RefEnv, w: TApp) -> tuple[SrcType, RefEnv]:
         tf, env = self.synth(env, w.fn)
-        if not isinstance(tf, RFun):
+        if not isinstance(tf, FunType):
             raise PhaseOrderError("application of a non-function")
         ta, env = self.synth(env, w.arg)
         self.emit(env, ta, tf.dom, _origin("argument", w.pos))
-        if isinstance(tf.dom, RBase):
+        if isinstance(tf.dom, PrimType):
             repl = embed_term(w.arg, env)
             if repl is None:
                 ghost = self._ghost()
@@ -429,18 +487,18 @@ class RefChecker:
             return subst_ref(tf.cod, tf.binder, repl), env
         return tf.cod, env
 
-    def _join(self, env: RefEnv, t1: RefType, t2: RefType, origin: str) -> RefType:
+    def _join(self, env: RefEnv, t1: SrcType, t2: SrcType, origin: str) -> SrcType:
         if t1 == t2:
             return t1
-        if isinstance(t1, RBase) and isinstance(t2, RBase) and t1.base == t2.base:
-            return RBase(t1.base, por([t1.refinement, t2.refinement]))
+        if isinstance(t1, PrimType) and isinstance(t2, PrimType) and t1.base == t2.base:
+            return PrimType(t1.base, por([t1.refinement, t2.refinement]))
         # Structured types must agree; require the second branch below the first.
         self.emit(env, t2, t1, origin)
         return t1
 
     # -- checking against an expected type -------------------------------------
 
-    def check_at(self, env: RefEnv, w: TgtExpr, expected: RefType, origin: str) -> RefEnv:
+    def check_at(self, env: RefEnv, w: TgtExpr, expected: SrcType, origin: str) -> RefEnv:
         match w:
             case TLet(name, bound, body):
                 t1, env = self.synth(env, bound)
@@ -456,12 +514,12 @@ class RefChecker:
                 return env
             case TCase(scrut, x1, b1, x2, b2):
                 ts, env = self.synth(env, scrut)
-                if not isinstance(ts, RSum):
+                if not isinstance(ts, OrType):
                     raise PhaseOrderError("case over a non-sum")
                 self.check_at(env.bind(x1, ts.left), b1, expected, origin)
                 self.check_at(env.bind(x2, ts.right), b2, expected, origin)
                 return env
-            case TPair(a, b) if isinstance(expected, RProd):
+            case TPair(a, b) if isinstance(expected, AndType):
                 self.check_at(env, a, expected.left, origin)
                 self.check_at(env, b, expected.right, origin)
                 return env

@@ -1,5 +1,8 @@
 """Source-language abstract syntax: types, terms, tags, well-formedness.
 
+The types here are both phases' types: phase 2's refinement types are the
+same classes with each arrow's argument named (``FunType.binder``).
+
 Every term class, source here and target in ``target.py``, declares its
 shape with ``@shape``: its child fields, left to right, each with the field
 of the binder that scopes over it, and how many of the leading children are
@@ -22,7 +25,7 @@ from typing import Callable, Iterator, Optional, TYPE_CHECKING
 from .logic import Pred, TRUE, cached_hash, is_true, render_pred
 
 if TYPE_CHECKING:
-    from .target import RefType, TgtExpr
+    from .target import TgtExpr
 
 NUMBER = "number"
 BOOLEAN = "boolean"
@@ -49,8 +52,12 @@ class PrimType:
 @cached_hash
 @dataclass(frozen=True)
 class FunType:
+    """An arrow.  Phase 2 names its argument ``binder`` so the codomain's
+    refinements can mention it; phase 1's types leave the binder empty."""
+
     dom: SrcType
     cod: SrcType
+    binder: str = ""
 
 
 @cached_hash
@@ -125,7 +132,8 @@ def wf_type(t: SrcType) -> WfReport:
 
 
 def map_prims(t: SrcType, f: Callable[[PrimType], SrcType]) -> SrcType:
-    """Rebuild t with f applied to every base type, left to right."""
+    """Rebuild t with f applied to every base type, left to right, and the
+    arrow binders dropped."""
     match t:
         case PrimType():
             return f(t)
@@ -143,6 +151,7 @@ def _erase_prim(t: PrimType) -> PrimType:
 
 
 def erase_refinements(t: SrcType) -> SrcType:
+    """Phase 1's basic type under t: no refinements and no arrow binders."""
     return map_prims(t, _erase_prim)
 
 
@@ -162,19 +171,24 @@ def tags_disjoint(a: SrcType, b: SrcType) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class PrimConst:
-    """A primitive constant: its source type, refined type, and semantics.
+    """A primitive constant: its refined type and semantics.
 
-    ``delta`` implements curried primitive application; it returns the result
-    constant for a value argument and None where application is undefined.
-    ``partial`` is (op, k) for the binary primitive op already applied to the
-    literal k.  Instances are identified by name.
+    ``source_type``, the type phase 1 reads, is the refined type's erasure,
+    computed once here.  ``delta`` implements curried primitive application;
+    it returns the result constant for a value argument and None where
+    application is undefined.  ``partial`` is (op, k) for the binary
+    primitive op already applied to the literal k.  Instances are identified
+    by name.
     """
 
     name: str
-    source_type: SrcType
-    refined_type: "RefType | None" = None
+    refined_type: SrcType
     delta: Callable[["SrcExpr"], "SrcExpr | None"] | None = None
     partial: tuple[str, int] | None = None
+    source_type: SrcType = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "source_type", erase_refinements(self.refined_type))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimConst) and other.name == self.name

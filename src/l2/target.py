@@ -1,29 +1,18 @@
-"""Target language: terms, refinement types, type translation, simple checking.
+"""Target language: terms and simple type checking.
 
 Intersections elaborate to products, unions to tagged sums, and trust
-obligations appear as DEAD-cast nodes.  Refinement types keep source
-refinements attached to the translated skeleton.  The target's simple types
-are phase 1's basic types (refinement-erased source types, reading a product
-as an intersection and a sum as a union): ``strip`` maps a refinement type
-onto them, and the simple type checker that validates elaborator output
-computes and compares them.  Target terms declare their shapes with
-``syntax.shape``, so substitution, free variables and the other term walkers
-are the source language's.
+obligations appear as DEAD-cast nodes.  The target's simple types are phase
+1's basic types (refinement-erased source types, reading a product as an
+intersection and a sum as a union), which the simple type checker that
+validates elaborator output computes and compares.  Target terms declare
+their shapes with ``syntax.shape``, so substitution, free variables and the
+other term walkers are the source language's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from .logic import (
-    FALSE,
-    Pred,
-    TRUE,
-    is_true,
-    pnot,
-    render_pred,
-)
 from . import syntax
 from .syntax import (
     AndType,
@@ -31,128 +20,10 @@ from .syntax import (
     OrType,
     Pos,
     PrimConst,
-    PrimType,
     SrcType,
     erase_refinements,
     shape,
 )
-
-
-# ---------------------------------------------------------------------------
-# Refinement types
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RBase:
-    base: str  # "number" | "boolean"
-    refinement: Pred = TRUE
-
-
-@dataclass(frozen=True)
-class RFun:
-    binder: str
-    dom: RefType
-    cod: RefType
-
-
-@dataclass(frozen=True)
-class RSum:
-    left: RefType
-    right: RefType
-
-
-@dataclass(frozen=True)
-class RProd:
-    left: RefType
-    right: RefType
-
-
-RefType = RBase | RFun | RSum | RProd
-
-
-class _FreshBinders:
-    def __init__(self) -> None:
-        self.n = 0
-
-    def __call__(self) -> str:
-        self.n += 1
-        return f"$d{self.n}"
-
-
-def elab_type(t: SrcType, _fresh: Optional[_FreshBinders] = None) -> RefType:
-    """Translate a source type; intersections become products, unions sums.
-
-    Refinements ride along unchanged.  Arrow binders get fresh names in a
-    reserved namespace so they cannot collide with program variables.
-    """
-    fresh = _fresh or _FreshBinders()
-    match t:
-        case PrimType(base, refinement):
-            return RBase(base, refinement)
-        case FunType(dom, cod):
-            return RFun(fresh(), elab_type(dom, fresh), elab_type(cod, fresh))
-        case AndType(left, right):
-            return RProd(elab_type(left, fresh), elab_type(right, fresh))
-        case OrType(left, right):
-            return RSum(elab_type(left, fresh), elab_type(right, fresh))
-    raise TypeError(f"not a source type: {t!r}")
-
-
-def strip(t: RefType) -> SrcType:
-    """The basic type under t: refinements dropped, a product read as an
-    intersection and a sum as a union, the inverse of ``elab_type``'s
-    skeleton, so it is the type phase 1 assigns."""
-    match t:
-        case RBase(base, _):
-            return PrimType(base)
-        case RFun(_, dom, cod):
-            return FunType(strip(dom), strip(cod))
-        case RSum(left, right):
-            return OrType(strip(left), strip(right))
-        case RProd(left, right):
-            return AndType(strip(left), strip(right))
-    raise TypeError(f"not a refinement type: {t!r}")
-
-
-def ftx(t: RefType, r: Pred) -> RefType:
-    """Replace every base refinement with r, negating across arrow domains."""
-    match t:
-        case RBase(base, _):
-            return RBase(base, r)
-        case RFun(binder, dom, cod):
-            return RFun(binder, ftx(dom, pnot(r)), ftx(cod, r))
-        case RSum(left, right):
-            return RSum(ftx(left, r), ftx(right, r))
-        case RProd(left, right):
-            return RProd(ftx(left, r), ftx(right, r))
-    raise TypeError(f"not a refinement type: {t!r}")
-
-
-def fbot(t: RefType) -> RefType:
-    return ftx(t, FALSE)
-
-
-def print_ref_type(t: RefType) -> str:
-    return _print_ref(t, 0)
-
-
-def _print_ref(t: RefType, prec: int) -> str:
-    match t:
-        case RBase(base, refinement):
-            if is_true(refinement):
-                return base
-            return f"{{v:{base} | {render_pred(refinement)}}}"
-        case RFun(binder, dom, cod):
-            s = f"({binder}:{_print_ref(dom, 0)}) -> {_print_ref(cod, 0)}"
-            return f"({s})" if prec > 0 else s
-        case RSum(left, right):
-            s = f"{_print_ref(left, 2)} + {_print_ref(right, 2)}"
-            return f"({s})" if prec > 1 else s
-        case RProd(left, right):
-            s = f"{_print_ref(left, 3)} * {_print_ref(right, 3)}"
-            return f"({s})" if prec > 2 else s
-    raise TypeError(f"not a refinement type: {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +51,9 @@ class TLam:
     """Lambda with the source arrow type it was checked against.
 
     The annotation is required by both the simple checker and refinement
-    checking, which translates it with ``elab_type``; lambdas only appear in
-    elaborator output, which always knows the arrow type it checked against.
+    checking, which names its arrows' binders (``refine.elab_type``); lambdas
+    only appear in elaborator output, which always knows the arrow type it
+    checked against.
     """
 
     param: str
@@ -303,7 +175,7 @@ def simple_typecheck(env: dict[str, SrcType], w: TgtExpr) -> SrcType:
     """
     match w:
         case TConst(con):
-            return erase_refinements(con.source_type)
+            return con.source_type
         case TVar(name):
             if name not in env:
                 raise IllTyped(w, "bound variable", f"unbound {name}")

@@ -109,8 +109,11 @@ class TestUnreadableInputs:
         self.assert_usage_error(["check", str(tmp_path)], capsys)
 
     @pytest.mark.parametrize(
-        "contents", ["[1]", '{"fuel": "x"}', '{"search_depth": "x"}'],
-        ids=["not-an-object", "string-fuel", "string-search-depth"],
+        "contents",
+        ["[1]", '{"fuel": "x"}', '{"search_depth": "x"}', '{"search_depth": 0}',
+         '{"clause_budget": 0}', '{"fuel": -1}'],
+        ids=["not-an-object", "string-fuel", "string-search-depth", "zero-search-depth",
+             "zero-clause-budget", "negative-fuel"],
     )
     def test_unusable_config_contents(self, programs_dir, tmp_path, capsys, contents):
         config = tmp_path / "config.json"
@@ -118,6 +121,22 @@ class TestUnreadableInputs:
         self.assert_usage_error(
             ["--config", str(config), "run", str(programs_dir / "negate_ok.l2")], capsys
         )
+
+
+    @pytest.mark.parametrize("args, setting", [
+        (["--search-depth", "-3", "check", "NEGATE_OK"], "search_depth"),
+        (["--search-depth", "0", "check", "NEGATE_OK"], "search_depth"),
+        (["--clause-budget", "0", "check", "NEGATE_OK"], "clause_budget"),
+        (["--fuel", "-1", "run", "NEGATE_OK"], "fuel"),
+        (["fuzz", "--trials", "-1"], "trials"),
+        (["fuzz", "--budget", "-1"], "budget"),
+    ], ids=["negative-search-depth", "zero-search-depth", "zero-clause-budget",
+            "negative-fuel", "negative-trials", "negative-budget"])
+    def test_senseless_setting_flags(self, programs_dir, capsys, args, setting):
+        path = str(programs_dir / "negate_ok.l2")
+        code, out, err = run_cli([path if a == "NEGATE_OK" else a for a in args], capsys)
+        assert (code, out) == (64, "")
+        assert err.startswith(f"error: {setting} must be at least ")
 
 
 class TestDeepInput:
@@ -132,6 +151,45 @@ class TestDeepInput:
         assert out == ""
         assert err == (
             "error: input nests too deeply for this checker (recursion limit reached)\n"
+        )
+
+
+class TestRefinementTypes:
+    """The printed refinement types and VCs are part of the output contract:
+    binders, ``+`` for a sum, ``*`` for a product, and the ``$dN`` names an
+    annotation's arrows get, numbered in preorder."""
+
+    @pytest.mark.parametrize("text, printed", [
+        ("((\\x => x) : (number -> number) /\\ (boolean -> boolean))",
+         "((x:number) -> number) * ((x:boolean) -> boolean)"),
+        ("((\\x => if x then 1 else false) : boolean -> number \\/ boolean)",
+         "(x:boolean) -> number + boolean"),
+        ("add 1", "($b:number) -> {v:number | v = $b + 1}"),
+        ("type pos = {v:number | v > 0}\n((\\f => f 1) : (pos -> pos) -> pos)",
+         "(f:($d2:{v:number | v > 0}) -> {v:number | v > 0}) -> {v:number | v > 0}"),
+    ], ids=["intersection", "union-codomain", "partial-add", "higher-order"])
+    def test_json_type(self, tmp_path, capsys, text, printed):
+        program = tmp_path / "p.l2"
+        program.write_text(text + "\n")
+        code, out, _ = run_cli(["--json", "check", str(program)], capsys)
+        assert code == 0
+        assert json.loads(out)["type"] == printed
+
+    def test_codomain_vc_names_the_annotation_binder(self, tmp_path, capsys):
+        program = tmp_path / "p.l2"
+        program.write_text(
+            "type pos = {v:number | v > 0}\n"
+            "let app = ((\\f => f 1) : (pos -> pos) -> pos) in\n"
+            "app (\\y => add y 1)\n"
+        )
+        code, out, _ = run_cli(["vcs", str(program)], capsys)
+        assert code == 0
+        assert out == (
+            "[valid] argument at 2:21: (true) => (v = 1 => v > 0)\n"
+            "[valid] function body at 2:13: (true) => (v > 0 => v > 0)\n"
+            "[valid] function body at 3:6: (y > 0) => (v = y + 1 => v > 0)\n"
+            "[valid] argument at 3:5 (domain): (true) => (v > 0 => v > 0)\n"
+            "[valid] argument at 3:5 (codomain): ($d2 > 0) => (v > 0 => v > 0)\n"
         )
 
 

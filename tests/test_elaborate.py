@@ -40,7 +40,6 @@ from l2.target import (
     TVar,
     print_target,
     simple_typecheck,
-    strip,
 )
 from tests.conftest import NEGATE_FULL, NEGATE_OK
 

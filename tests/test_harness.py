@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 
 from l2 import constants, elaborate, harness, parser, syntax
@@ -7,15 +9,16 @@ from l2.harness import (
     gen_program,
     lockstep_check,
     normalize_admin,
-    reconstruct_src_type,
     run_fuzz,
     run_trial,
     shrink_counterexample,
     soundness_trial,
 )
-from l2.syntax import BOOL, Const, FunType, NUM, OrType, print_program
-from l2.target import TConst, TDead, TInj, TPair, TProj
-from tests.conftest import DEAD_SEMANTICS, NEGATE_OK, alpha_equal
+from l2.syntax import BOOL, Const, FunType, If, Let, NUM, OrType, Var, print_program
+from l2.target import TConst, TDead, TIf, TInj, TLet, TPair, TProj, TVar, print_target
+from tests.conftest import DEAD_SEMANTICS, NEGATE_FULL, NEGATE_OK, alpha_equal
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def num(k):
@@ -71,14 +74,26 @@ class TestNormalization:
         chain = TPair(TProj(1, pair), TProj(2, pair))
         assert normalize_admin(chain) == pair
 
-    def test_reconstruction(self):
-        w = TPair(num(1), TConst(constants.TRUE_CONST))
-        from l2.syntax import AndType
-
-        assert reconstruct_src_type({}, w) == AndType(NUM, BOOL)
-
 
 class TestElabMatches:
+    def test_ill_typed_witness_subterm_matches_nothing(self):
+        # the bound's condition is a number: no type to replay the let at
+        cond = If(Const(constants.int_const(1)), Const(constants.int_const(1)),
+                  Const(constants.int_const(1)))
+        e = Let("x", cond, Var("x"))
+        w = TLet("x", TIf(num(1), num(1), num(1)), TVar("x"))
+        assert not elab_matches({}, e, NUM, w)
+
+    def test_negate_full_golden_target_matches(self):
+        # projections dispatch the overload: their pairs' types are read
+        # with the target's simple type checker
+        p = parser.parse_program(NEGATE_FULL)
+        result = elaborate.elaborate_program(p)
+        golden = (GOLDEN / "negate_full.target.golden").read_text().strip()
+        assert print_target(result.target) == golden
+        src = syntax.erase_ascriptions(p.main)
+        assert elab_matches({}, src, result.type, normalize_admin(result.target))
+
     def test_initial_program_matches_its_target(self):
         for text in (NEGATE_OK, DEAD_SEMANTICS):
             p = parser.parse_program(text)

@@ -25,21 +25,14 @@ from l2.refine import (
     _obligations,
     check_refined,
     dead_type,
+    elab_type,
     embed_guard,
     embed_term,
+    fbot,
     selfify,
 )
-from l2.syntax import BOOL, FunType, NUM, OrType
-from l2.target import (
-    RBase,
-    RFun,
-    TApp,
-    TConst,
-    TVar,
-    elab_type,
-    fbot,
-    strip,
-)
+from l2.syntax import BOOL, FunType, NUM, OrType, PrimType, erase_refinements
+from l2.target import TApp, TConst, TVar
 from tests.conftest import NEGATE_ERR_C, NEGATE_OK, eval_pred, let_chain
 
 
@@ -59,7 +52,7 @@ def lit(k):
 
 
 def num(p=TRUE):
-    return RBase("number", p)
+    return PrimType("number", p)
 
 
 def canon(vc):
@@ -106,20 +99,20 @@ class TestNegate:
     def test_constant_synthesis_has_no_vcs(self):
         report = check_refined(RefEnv(), TConst(constants.int_const(5)))
         assert report.vcs == ()
-        assert report.type == RBase("number", cmp_pred(nu, "=", lit(5)))
+        assert report.type == PrimType("number", cmp_pred(nu, "=", lit(5)))
 
 
 class TestSelfify:
     def test_number(self):
-        t = RBase("number", cmp_pred(nu, "!=", lit(0)))
-        assert selfify(t, "flag") == RBase("number", cmp_pred(nu, "=", LinTerm.of_var("flag")))
+        t = PrimType("number", cmp_pred(nu, "!=", lit(0)))
+        assert selfify(t, "flag") == PrimType("number", cmp_pred(nu, "=", LinTerm.of_var("flag")))
 
     def test_function_unchanged(self):
         t = elab_type(FunType(NUM, NUM))
         assert selfify(t, "f") is t
 
     def test_idempotent(self):
-        t = RBase("number", cmp_pred(nu, "!=", lit(0)))
+        t = PrimType("number", cmp_pred(nu, "!=", lit(0)))
         once = selfify(t, "x")
         assert selfify(once, "x") == once
 
@@ -127,14 +120,14 @@ class TestSelfify:
 class TestDeadType:
     def test_base_to_base(self):
         t = dead_type(NUM, BOOL)
-        assert t.dom == RBase("number", PBool(False))
-        assert t.cod == RBase("boolean", PBool(False))
+        assert t.dom == PrimType("number", PBool(False))
+        assert t.cod == PrimType("boolean", PBool(False))
 
     def test_arrow_target(self):
         t = dead_type(NUM, FunType(NUM, NUM))
-        assert t.dom == RBase("number", PBool(False))
+        assert t.dom == PrimType("number", PBool(False))
         # contravariant flip inside the arrow image
-        assert isinstance(t.cod, RFun)
+        assert isinstance(t.cod, FunType)
         assert t.cod.dom.refinement == PBool(True)
         assert t.cod.cod.refinement == PBool(False)
         assert t.cod == fbot(elab_type(FunType(NUM, NUM)))
@@ -146,15 +139,15 @@ class TestDeadType:
 
 class TestSubtype:
     def test_base_emits_single_vc(self):
-        env = RefEnv().bind("flag", RBase("number", cmp_pred(nu, "!=", lit(0))))
+        env = RefEnv().bind("flag", PrimType("number", cmp_pred(nu, "!=", lit(0))))
         vcs = subtype(env, num(cmp_pred(nu, "=", LinTerm.of_var("x"))), num(PBool(False)))
         assert len(vcs) == 1
         assert vcs[0].hyps == (cmp_pred(LinTerm.of_var("flag"), "!=", lit(0)),)
 
     def test_function_contravariance(self):
         # (x:{num|true}) -> {num|v=x}  <:  (x:{num|v=0}) -> {num|v>=0}
-        t1 = RFun("x", num(), num(cmp_pred(nu, "=", LinTerm.of_var("x"))))
-        t2 = RFun("x", num(cmp_pred(nu, "=", lit(0))), num(cmp_pred(nu, ">=", lit(0))))
+        t1 = FunType(num(), num(cmp_pred(nu, "=", LinTerm.of_var("x"))), "x")
+        t2 = FunType(num(cmp_pred(nu, "=", lit(0))), num(cmp_pred(nu, ">=", lit(0))), "x")
         vcs = subtype(RefEnv(), t1, t2)
         assert len(vcs) == 2
         dom, cod = vcs
@@ -201,7 +194,7 @@ class TestEmbedGuard:
         assert pred == cmp_pred(LinTerm.of_var("flag"), "!=", lit(0))
 
     def test_bool_variable(self):
-        env = RefEnv().bind("b", RBase("boolean"))
+        env = RefEnv().bind("b", PrimType("boolean"))
         pred, exact = embed_guard(TVar("b"), env)
         assert exact and pred == PAtom(BVar("b"))
 
@@ -250,7 +243,7 @@ class TestEnvironments:
     def test_flatten_order_and_substitution(self):
         env = (
             RefEnv()
-            .bind("flag", RBase("number", cmp_pred(nu, "!=", lit(0))))
+            .bind("flag", PrimType("number", cmp_pred(nu, "!=", lit(0))))
             .bind("x", num())
             .guard(cmp_pred(LinTerm.of_var("flag"), "=", lit(0)))
         )
@@ -317,18 +310,18 @@ class ReferenceEnv:
             match entry:
                 case Guard(pred):
                     out.append(pred)
-                case Bind(name, RBase(base, refinement)):
+                case Bind(name, PrimType(base, refinement)):
                     repl = LinTerm.of_var(name) if base == "number" else name
                     out.append(subst_pred(refinement, "v", repl))
         return tuple(out)
 
     def base_names(self):
         return tuple(
-            e.name for e in self.entries if isinstance(e, Bind) and isinstance(e.ty, RBase)
+            e.name for e in self.entries if isinstance(e, Bind) and isinstance(e.ty, PrimType)
         )
 
     def erased(self):
-        return {e.name: strip(e.ty) for e in self.entries if isinstance(e, Bind)}
+        return {e.name: erase_refinements(e.ty) for e in self.entries if isinstance(e, Bind)}
 
 
 class TestPersistentEnvironment:
@@ -340,7 +333,7 @@ class TestPersistentEnvironment:
         if kind == 0:
             return num(cmp_pred(nu, rng.choice(("<", "=", "!=")), LinTerm.of_var(name)))
         if kind == 1:
-            return RBase("boolean", PAtom(BVar(rng.choice(("v", name)))))
+            return PrimType("boolean", PAtom(BVar(rng.choice(("v", name)))))
         if kind == 2:
             return num()
         return elab_type(FunType(NUM, NUM))
@@ -402,7 +395,7 @@ class TestDependentApplication:
         w = TApp(TApp(TConst(constants.ADD), TConst(constants.int_const(1))),
                  TConst(constants.int_const(2)))
         report = check_refined(RefEnv(), w)
-        assert report.type == RBase("number", cmp_pred(nu, "=", lit(3)))
+        assert report.type == PrimType("number", cmp_pred(nu, "=", lit(3)))
 
     def test_out_of_fragment_argument_gets_ghost(self):
         # the argument is an application that does not embed; the result type
@@ -411,7 +404,7 @@ class TestDependentApplication:
         env = RefEnv().bind("y", num())
         w = TApp(TApp(TConst(constants.ADD), TConst(constants.int_const(1))), inner)
         report = check_refined(env, w)
-        assert isinstance(report.type, RBase)
+        assert isinstance(report.type, PrimType)
         names = render_pred(report.type.refinement)
         assert "$g" in names
 
@@ -420,13 +413,12 @@ class TestCorrespondence:
     def test_synthesized_type_strips_to_the_elaborated_skeleton(self):
         # phase 2's type agrees with phase 1's through refinement erasure
         from l2 import harness
-        from l2.syntax import erase_refinements
 
         for seed in range(120):
             program = harness.gen_program(seed, 25)
             result = elaborate.elaborate_program(program)
             report = check_refined(RefEnv(), result.target, discharge=False)
-            assert strip(report.type) == erase_refinements(result.type)
+            assert erase_refinements(report.type) == erase_refinements(result.type)
 
     def test_accepted_intermediates_stay_accepted(self):
         # refinement type safety at desk scale: accepted programs remain
@@ -488,6 +480,6 @@ class TestRandomReflexivity:
     def test_boolean_binder_flattening(self):
         from l2.logic import BVar, PAtom, piff
 
-        env = RefEnv().bind("b", RBase("boolean", PAtom(BVar(VALUE_VAR := "v"))))
+        env = RefEnv().bind("b", PrimType("boolean", PAtom(BVar(VALUE_VAR := "v"))))
         flat = env.flatten()
         assert flat == (PAtom(BVar("b")),)

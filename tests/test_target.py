@@ -4,13 +4,19 @@ import pytest
 
 from l2 import constants, parser
 from l2.logic import FALSE, LinTerm, PBool, TRUE, cmp_pred, pnot
-from l2.syntax import AndType, BOOL, FunType, NUM, OrType, PrimType, erase_refinements
+from l2.refine import elab_type, fbot, ftx
+from l2.syntax import (
+    AndType,
+    BOOL,
+    FunType,
+    NUM,
+    OrType,
+    PrimType,
+    erase_refinements,
+    map_prims,
+)
 from l2.target import (
     IllTyped,
-    RBase,
-    RFun,
-    RProd,
-    RSum,
     TApp,
     TCase,
     TConst,
@@ -21,28 +27,20 @@ from l2.target import (
     TPair,
     TProj,
     TVar,
-    elab_type,
-    fbot,
-    ftx,
     print_target,
     simple_typecheck,
-    strip,
 )
 from l2.syntax import subst as subst_target
 
 
-def unelab_type(t):
-    """Inverse of elab_type up to binder names; products back to intersections."""
+def binders(t):
+    """The arrow binders of t in preorder."""
     match t:
-        case RBase(base, refinement):
-            return PrimType(base, refinement)
-        case RFun(_, dom, cod):
-            return FunType(unelab_type(dom), unelab_type(cod))
-        case RSum(left, right):
-            return OrType(unelab_type(left), unelab_type(right))
-        case RProd(left, right):
-            return AndType(unelab_type(left), unelab_type(right))
-    raise TypeError(f"not a refinement type: {t!r}")
+        case FunType(dom, cod, binder):
+            return [binder, *binders(dom), *binders(cod)]
+        case AndType(left, right) | OrType(left, right):
+            return [*binders(left), *binders(right)]
+    return []
 
 
 TT = PrimType("number", cmp_pred(LinTerm.of_var("v"), "!=", LinTerm.of_const(0)))
@@ -54,23 +52,23 @@ def num(k):
 
 class TestElabType:
     def test_union_to_sum(self):
-        t = elab_type(OrType(NUM, BOOL))
-        assert t == RSum(RBase("number"), RBase("boolean"))
+        # phase 2 reads the same union as a sum
+        assert elab_type(OrType(NUM, BOOL)) == OrType(NUM, BOOL)
 
     def test_intersection_to_product_with_refinements(self):
         src = AndType(FunType(TT, FunType(NUM, NUM)), FunType(TT, FunType(BOOL, BOOL)))
         t = elab_type(src)
-        assert isinstance(t, RProd)
-        assert isinstance(t.left, RFun)
-        assert t.left.dom == RBase("number", TT.refinement)
+        assert isinstance(t, AndType)
+        assert isinstance(t.left, FunType)
+        assert t.left.dom == PrimType("number", TT.refinement)
 
     def test_base(self):
-        assert elab_type(NUM) == RBase("number", TRUE)
+        assert elab_type(NUM) == PrimType("number", TRUE)
 
     def test_fresh_binders_reserved(self):
         t = elab_type(FunType(NUM, FunType(BOOL, NUM)))
-        assert isinstance(t, RFun) and t.binder.startswith("$d")
-        assert isinstance(t.cod, RFun) and t.cod.binder != t.binder
+        assert isinstance(t, FunType) and t.binder.startswith("$d")
+        assert isinstance(t.cod, FunType) and t.cod.binder != t.binder
 
 
 def _random_type(rng, depth):
@@ -88,31 +86,36 @@ def _random_type(rng, depth):
 
 
 class TestStrip:
+    """Erasure drops refinements and arrow binders, and nothing else."""
+
     def test_erase_refinement(self):
-        assert strip(RBase("number", cmp_pred(LinTerm.of_var("v"), "!=", LinTerm.of_const(0)))) \
-            == NUM
+        assert erase_refinements(TT) == NUM
 
     def test_erase_binders(self):
-        t = RFun("x", RBase("number", FALSE), RBase("number", FALSE))
-        assert strip(t) == FunType(NUM, NUM)
+        t = FunType(PrimType("number", FALSE), PrimType("number", FALSE), "x")
+        assert erase_refinements(t) == FunType(NUM, NUM)
 
     def test_strip_of_elab_matches_direct_erasure(self):
-        # oracle: phase 1's erasure, a map over the source type's base types
         rng = random.Random(11)
         for _ in range(200):
             t = _random_type(rng, 3)
-            assert strip(elab_type(t)) == erase_refinements(t)
+            assert erase_refinements(elab_type(t)) == erase_refinements(t)
 
-    def test_unelab_inverts_elab_up_to_binders(self):
+    def test_binders_distinct_in_preorder(self):
+        # elab_type only names the arrows: $d1, $d2, ... in preorder, counted
+        # afresh on each call; the refinements stay where they were
         rng = random.Random(12)
         for _ in range(100):
             t = _random_type(rng, 3)
-            assert unelab_type(elab_type(t)) == t
+            named = elab_type(t)
+            assert binders(named) == [f"$d{i}" for i in range(1, len(binders(t)) + 1)]
+            assert map_prims(named, lambda p: p) == t
+            assert elab_type(t) == named
 
 
 class TestFtx:
     def test_base(self):
-        assert fbot(RBase("number", TRUE)) == RBase("number", FALSE)
+        assert fbot(PrimType("number", TRUE)) == PrimType("number", FALSE)
 
     def test_arrow_contravariant(self):
         t = elab_type(FunType(NUM, NUM))
@@ -123,18 +126,17 @@ class TestFtx:
     def test_sum_componentwise(self):
         t = elab_type(OrType(NUM, BOOL))
         out = fbot(t)
-        assert out == RSum(RBase("number", FALSE), RBase("boolean", FALSE))
+        assert out == OrType(PrimType("number", FALSE), PrimType("boolean", FALSE))
 
     def test_replaces_existing_refinements(self):
-        t = RBase("number", cmp_pred(LinTerm.of_var("v"), "!=", LinTerm.of_const(0)))
-        assert ftx(t, TRUE) == RBase("number", TRUE)
+        assert ftx(TT, TRUE) == PrimType("number", TRUE)
 
     def test_strip_invariant(self):
         rng = random.Random(13)
         for _ in range(100):
             t = elab_type(_random_type(rng, 3))
-            assert strip(ftx(t, FALSE)) == strip(t)
-            assert strip(ftx(t, TRUE)) == strip(t)
+            assert erase_refinements(ftx(t, FALSE)) == erase_refinements(t)
+            assert erase_refinements(ftx(t, TRUE)) == erase_refinements(t)
 
 
 class TestSimpleTypecheck:
@@ -228,16 +230,24 @@ class TestTargetSyntax:
 
 class TestConstantTable:
     def test_source_types_are_refinement_erasures(self):
-        # each constant's source type is exactly its refined type's skeleton
-        table = list(constants.NAMED_CONSTANTS.values()) + [
-            constants.int_const(5),
-            constants.int_const(-2),
-            constants.arith_stage2("add", 3),
-            constants.arith_stage2("mul", -4),
-            constants.cmp_stage2("lt", 2),
+        # each constant states only its refined type; phase 1 reads its erasure
+        num_num = FunType(NUM, NUM)
+        table = [
+            (constants.int_const(5), NUM),
+            (constants.int_const(-2), NUM),
+            (constants.TRUE_CONST, BOOL),
+            (constants.FALSE_CONST, BOOL),
+            (constants.ADD, FunType(NUM, num_num)),
+            (constants.MUL, FunType(NUM, num_num)),
+            (constants.LT, FunType(NUM, FunType(NUM, BOOL))),
+            (constants.NOT, FunType(BOOL, BOOL)),
+            (constants.arith_stage2("add", 3), num_num),
+            (constants.arith_stage2("mul", -4), num_num),
+            (constants.cmp_stage2("lt", 2), FunType(NUM, BOOL)),
         ]
-        for con in table:
-            assert strip(con.refined_type) == erase_refinements(con.source_type), con.name
+        for con, basic in table:
+            assert con.source_type == basic, con.name
+            assert con.source_type == erase_refinements(con.refined_type), con.name
 
     def test_delta_defined_exactly_on_the_domain(self):
         from l2.syntax import Const as SConst

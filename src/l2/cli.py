@@ -61,36 +61,39 @@ def _emit(payload: dict, as_json: bool, text: str) -> None:
         print(text, end="" if text.endswith("\n") else "\n")
 
 
-def _vc_payload(vc, verdict=None) -> dict:
-    out = {
+def _vc_payload(vc, verdict) -> dict:
+    return {
         "origin": vc.origin,
         "hypotheses": [render_pred(h) for h in vc.hyps],
         "antecedent": render_pred(vc.antecedent),
         "consequent": render_pred(vc.consequent),
         "rendered": vc.render(),
+        "verdict": verdict.kind,
     }
-    if verdict is not None:
-        out["verdict"] = verdict.kind
-    return out
 
 
-def cmd_check(args, config: Config) -> int:
+def _vc_line(payload: dict) -> str:
+    return f"[{payload['verdict']}] {payload['origin']}: {payload['rendered']}"
+
+
+def _check_file(args, config: Config):
+    """Both phases over the program in args.file: the refinement report and
+    each VC's payload, with its verdict."""
     program = _read_program(args.file)
     result = elaborate_program(program, config.search_depth)
     report = check_refined(RefEnv(), result.target, clause_budget=config.clause_budget)
+    return report, [_vc_payload(vc, v) for vc, v in zip(report.vcs, report.verdicts)]
+
+
+def cmd_check(args, config: Config) -> int:
+    report, vcs = _check_file(args, config)
     payload = {
         "status": "accepted" if report.accepted else "rejected",
         "type": print_ref_type(report.type),
-        "vcs": [_vc_payload(vc, v) for vc, v in zip(report.vcs, report.verdicts)],
+        "vcs": vcs,
     }
-    lines = []
-    if args.explain or not report.accepted:
-        shown = report.failures() if (report.failures() and not args.explain) else list(
-            zip(report.vcs, report.verdicts)
-        )
-        for vc, verdict in shown:
-            lines.append(f"[{verdict.kind}] {vc.origin}: {vc.render()}")
-    lines.append("accepted" if report.accepted else "rejected")
+    shown = vcs if args.explain else [vc for vc in vcs if vc["verdict"] != "valid"]
+    lines = [*map(_vc_line, shown), "accepted" if report.accepted else "rejected"]
     _emit(payload, args.json, "\n".join(lines))
     return EXIT_OK if report.accepted else EXIT_REJECTED
 
@@ -140,9 +143,7 @@ def _slug(text: str) -> str:
 
 
 def cmd_vcs(args, config: Config) -> int:
-    program = _read_program(args.file)
-    result = elaborate_program(program, config.search_depth)
-    report = check_refined(RefEnv(), result.target, clause_budget=config.clause_budget)
+    report, vcs = _check_file(args, config)
     if args.smtlib:
         import os
 
@@ -151,12 +152,8 @@ def cmd_vcs(args, config: Config) -> int:
             name = f"vc{i:03d}_{_slug(vc.origin)}.smt2"
             with open(os.path.join(args.smtlib, name), "w", encoding="utf-8") as handle:
                 handle.write(to_smtlib(vc))
-    payload = {"vcs": [_vc_payload(vc, v) for vc, v in zip(report.vcs, report.verdicts)]}
-    lines = [
-        f"[{v.kind}] {vc.origin}: {vc.render()}"
-        for vc, v in zip(report.vcs, report.verdicts)
-    ]
-    _emit(payload, args.json, "\n".join(lines) if lines else "no verification conditions")
+    lines = "\n".join(map(_vc_line, vcs)) or "no verification conditions"
+    _emit({"vcs": vcs}, args.json, lines)
     return EXIT_OK
 
 

@@ -126,23 +126,26 @@ def gen_horn(
     clauses = [
         HornClause(vc.hyps + (vc.antecedent,), vc.consequent, vc.origin) for vc in report.vcs
     ]
-    kappas = _assign_scopes(kappas, clauses)
+    kappas = _assign_scopes(kappas, report.vcs)
     return clauses, kappas, templated
 
 
-def _assign_scopes(kappas: list[KappaVar], clauses: list[HornClause]) -> list[KappaVar]:
+def _assign_scopes(kappas: list[KappaVar], vcs: tuple[VC, ...]) -> list[KappaVar]:
     """A kappa's scope is the set of integer program variables available at
-    every occurrence, inferred from the clauses that mention it."""
+    every occurrence: the names that each VC mentioning it reads and binds at
+    a number type (``VC.scope``)."""
     scopes: dict[str, frozenset[str]] = {}
-    for clause in clauses:
-        names = frozenset().union(*map(_int_names, (*clause.body, clause.head)))
+    for vc in vcs:
+        preds = (*vc.hyps, vc.antecedent, vc.consequent)
+        names = frozenset().union(*map(_term_names, preds)) & frozenset(vc.scope)
         names = frozenset(n for n in names if not n.startswith("$") and n != VALUE_VAR)
-        for k in clause.kappas():
+        for k in frozenset().union(*map(kappas_of, preds)):
             scopes[k] = scopes[k] & names if k in scopes else names
     return [replace(k, scope=tuple(sorted(scopes.get(k.id, ())))) for k in kappas]
 
 
-def _int_names(p: Pred) -> set[str]:
+def _term_names(p: Pred) -> set[str]:
+    """The names of p's linear terms, kappa substitutions included."""
     out: set[str] = set()
     for q in pred_leaves(p):
         match q:
@@ -150,8 +153,7 @@ def _int_names(p: Pred) -> set[str]:
                 out |= lhs.names() | rhs.names()
             case PKappa(_, subst):
                 for _, v in subst:
-                    if isinstance(v, LinTerm):
-                        out |= v.names()
+                    out |= v.names()
     return out
 
 

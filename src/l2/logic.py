@@ -1,6 +1,9 @@
 """Predicate language and validity checking for verification conditions.
 
-The logic is quantifier-free linear integer arithmetic plus boolean atoms.
+The logic is quantifier-free linear integer arithmetic over one sort.  A
+boolean is the integer 1 (true) or 0 (false), and the atom ``b`` means
+``b = 1``, so substitution, discharge and SMT-LIB emission treat every name
+alike.
 A verification condition ``H1 ... Hn => (p => q)`` is discharged in-process:
 negate it, normalize to disjunctive normal form, and refute every cube with
 an integer-tightened Fourier-Motzkin elimination.  "valid" verdicts are
@@ -30,6 +33,7 @@ SMT-LIB declarations are written on top of them.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from math import gcd
@@ -221,12 +225,11 @@ class PKappa:
     """Opaque refinement-variable application, resolved by inference.
 
     ``subst`` maps template names (the value variable and scope names) to the
-    terms they were instantiated with; values are LinTerm, bool, or a boolean
-    variable name.
+    linear terms they were instantiated with.
     """
 
     kappa: str
-    subst: tuple[tuple[str, object], ...] = ()
+    subst: tuple[tuple[str, LinTerm], ...] = ()
 
 
 Pred = PBool | PAtom | PNot | PAnd | POr | PImp | PIff | PKappa
@@ -351,40 +354,26 @@ def kappas_of(p: Pred) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
-def _subst_value(value, name: str, repl):
-    """Substitute inside a kappa-substitution payload."""
-    if isinstance(value, LinTerm):
-        if isinstance(repl, LinTerm):
-            return value.subst_var(name, repl)
-        return value
-    if isinstance(value, str) and value == name:
-        return repl
-    return value
+def subst_pred(p: Pred, name: str, repl: LinTerm) -> Pred:
+    """Substitute the linear term ``repl`` for ``name`` in p.
 
-
-def subst_pred(p: Pred, name: str, repl) -> Pred:
-    """Substitute ``repl`` for ``name`` in p.
-
-    ``repl`` is a LinTerm (integer positions), a bool, or a boolean variable
-    name (string).  Integer substitution rewrites linear terms; boolean
-    substitution rewrites BVar atoms.
+    A boolean is the integer 1 or 0, so the atom ``name`` becomes the atom of
+    a variable term, the truth value of a constant one, and ``repl = 1`` for
+    any other term.
     """
 
     def leaf(q: Pred) -> Pred:
         match q:
-            case PBool():
-                return q
             case PAtom(Cmp(lhs, op, rhs)):
-                if isinstance(repl, LinTerm):
-                    return PAtom(Cmp(lhs.subst_var(name, repl), op, rhs.subst_var(name, repl)))
-                return q
-            case PAtom(BVar(n)):
-                if n != name:
-                    return q
-                if isinstance(repl, bool):
-                    return PBool(repl)
-                if isinstance(repl, str):
-                    return PAtom(BVar(repl))
+                return PAtom(Cmp(lhs.subst_var(name, repl), op, rhs.subst_var(name, repl)))
+            case PAtom(BVar(n)) if n == name:
+                match repl:
+                    case LinTerm(((var, 1),), 0):
+                        return PAtom(BVar(var))
+                    case LinTerm((), k):
+                        return PBool(k == 1)
+                return cmp_pred(repl, "=", LinTerm.of_const(1))
+            case PBool() | PAtom(BVar()):
                 return q
             case PKappa(k, subst):
                 # Rewrite recorded values, and record the new entry unless the
@@ -392,7 +381,7 @@ def subst_pred(p: Pred, name: str, repl) -> Pred:
                 # in the reserved $ namespace never occur in solved refinements
                 # (candidates range over the value variable and program names),
                 # so substitutions for them are dropped rather than recorded.
-                entries = tuple((n, _subst_value(v, name, repl)) for n, v in subst)
+                entries = tuple((n, v.subst_var(name, repl)) for n, v in subst)
                 if not name.startswith("$") and name not in (n for n, _ in subst):
                     entries += ((name, repl),)
                 return PKappa(k, entries)
@@ -413,7 +402,6 @@ def instantiate_kappas(p: Pred, assignment: dict[str, Pred]) -> Pred:
         for n, _ in q.subst:
             tmp = temps[n]
             body = subst_pred(body, n, LinTerm.of_var(tmp))
-            body = subst_pred(body, n, tmp)  # boolean position
         for n, value in q.subst:
             body = subst_pred(body, temps[n], value)
         return body
@@ -446,17 +434,9 @@ def render_pred(p: Pred) -> str:
         case PKappa(k, subst):
             if not subst:
                 return k
-            inner = ", ".join(f"{_render_value(v)}/{n}" for n, v in subst)
+            inner = ", ".join(f"{v.render()}/{n}" for n, v in subst)
             return f"{k}[{inner}]"
     raise TypeError(f"not a predicate: {p!r}")
-
-
-def _render_value(v) -> str:
-    if isinstance(v, LinTerm):
-        return v.render()
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return str(v)
 
 
 def _render_nested(p: Pred) -> str:
@@ -517,7 +497,7 @@ def pred_key(p: Pred):
         case PIff(a, b):
             return ("iff",) + tuple(sorted([pred_key(a), pred_key(b)]))
         case PKappa(k, subst):
-            return ("kappa", k, tuple((n, _render_value(v)) for n, v in subst))
+            return ("kappa", k, tuple((n, v.render()) for n, v in subst))
     raise TypeError(f"not a predicate: {p!r}")
 
 
@@ -542,7 +522,7 @@ class VC:
     antecedent: Pred
     consequent: Pred
     origin: str = ""
-    scope: tuple[str, ...] = field(default=(), compare=False)
+    scope: tuple[str, ...] = field(default=(), compare=False)  # names bound at a number type
 
     def negated(self) -> Pred:
         return pand(list(self.hyps) + [self.antecedent, pnot(self.consequent)])
@@ -582,6 +562,15 @@ def is_tautology(vc: VC) -> bool:
 
 # Literal: (atom, positive). Comparison negation is folded into the operator,
 # so cmp literals are always positive; boolean variables keep a sign.
+
+
+def _literal_cmp(literal) -> Cmp:
+    """The comparison a literal asserts: ``b`` is ``b = 1`` and ``!b`` is
+    ``b = 0``."""
+    atom, positive = literal
+    if isinstance(atom, BVar):
+        return Cmp(LinTerm.of_var(atom.name), "=", LinTerm.of_const(int(positive)))
+    return atom if positive else atom.flip()
 
 
 def _nnf(p: Pred, neg: bool):
@@ -648,27 +637,20 @@ def fm_unsat(literals, memo: dict | None = None) -> bool:
     """Decide a conjunction of comparison and boolean literals.
 
     Returns True only when a genuine contradiction is derived, so a True
-    answer means no integer model exists.  Strict inequalities are tightened
-    over the integers.  Each component of literals sharing variables is
+    answer means no integer model exists.  A boolean literal is the row
+    ``b = 1`` or ``b = 0`` (``_literal_cmp``), and strict inequalities are
+    tightened over the integers.  Each component of literals sharing variables is
     decided alone, fewest disequalities first: they are split only while the
     rows without them stay satisfiable, and the rows go through
     Fourier-Motzkin elimination.  ``memo`` keeps each literal's rows and each
     component's verdict for later calls.
     """
     memo = {} if memo is None else memo
-    bools: dict[str, bool] = {}
     forms = []
     for literal in literals:
-        atom, positive = literal
-        if isinstance(atom, BVar):
-            prev = bools.get(atom.name)
-            if prev is not None and prev != positive:
-                return True
-            bools[atom.name] = positive
-            continue
         form = memo.get(literal)
         if form is None:
-            form = memo[literal] = _literal_rows(atom if positive else atom.flip())
+            form = memo[literal] = _literal_rows(_literal_cmp(literal))
         forms.append((literal, form))
     for component, rows, neqs in sorted(_components(forms), key=lambda part: len(part[2])):
         if component not in memo:
@@ -810,7 +792,7 @@ class Verdict:
         return rendered or "true"
 
     @cached_property
-    def model(self) -> dict[str, object] | None:
+    def model(self) -> dict[str, int] | None:
         return None if self.cube is None else _cube_model(self.cube)
 
     def render(self) -> str:
@@ -825,47 +807,28 @@ class Verdict:
 VALID = Verdict("valid")
 
 
+_COMPARE = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
+            "!=": operator.ne, ">=": operator.ge, ">": operator.gt}
+
+
 def _eval_term(t: LinTerm, env: dict[str, int]) -> int:
     return t.const + sum(c * env.get(n, 0) for n, c in t.coeffs)
 
 
-def eval_atom(atom: Atom, env: dict[str, object]) -> bool:
-    if isinstance(atom, BVar):
-        return bool(env.get(atom.name, False))
-    ienv = {n: v for n, v in env.items() if isinstance(v, int) and not isinstance(v, bool)}
-    a, b = _eval_term(atom.lhs, ienv), _eval_term(atom.rhs, ienv)
-    match atom.op:
-        case "<":
-            return a < b
-        case "<=":
-            return a <= b
-        case "=":
-            return a == b
-        case "!=":
-            return a != b
-        case ">=":
-            return a >= b
-        case ">":
-            return a > b
-    raise ValueError(atom.op)
+def eval_atom(atom: Atom, env: dict[str, int]) -> bool:
+    """The truth of an atom under an assignment; an unassigned name is 0."""
+    atom = _literal_cmp((atom, True))
+    return _COMPARE[atom.op](_eval_term(atom.lhs, env), _eval_term(atom.rhs, env))
 
 
-def _cube_model(cube, bound: int = 8) -> dict[str, object] | None:
-    int_names: set[str] = set()
-    bool_env: dict[str, object] = {}
-    for atom, positive in cube:
-        if isinstance(atom, BVar):
-            bool_env[atom.name] = positive
-        else:
-            int_names.update(atom.lhs.names() | atom.rhs.names())
-    names = sorted(int_names)
+def _cube_model(cube, bound: int = 8) -> dict[str, int] | None:
+    cmps = [_literal_cmp(literal) for literal in cube]
+    names = sorted(set().union(*(c.lhs.names() | c.rhs.names() for c in cmps)))
     if len(names) > 3:
         return None
-    cmps = [a for a, _ in cube if isinstance(a, Cmp)]
     for combo in itertools.product(range(-bound, bound + 1), repeat=len(names)):
-        env: dict[str, object] = dict(bool_env)
-        env.update(zip(names, combo))
-        if all(eval_atom(a, env) for a in cmps):
+        env = dict(zip(names, combo))
+        if all(eval_atom(c, env) for c in cmps):
             return env
     return None
 
@@ -914,7 +877,7 @@ def _sexp_pred(p: Pred) -> str:
                 return f"(not (= {a} {b}))"
             return f"({op} {a} {b})"
         case PAtom(BVar(n)):
-            return n
+            return f"(= {n} 1)"
         case PNot(inner):
             return f"(not {_sexp_pred(inner)})"
         case PAnd(parts):
@@ -931,21 +894,24 @@ def _sexp_pred(p: Pred) -> str:
 
 
 def to_smtlib(vc: VC) -> str:
-    """Emit the VC as an SMT-LIB2 refutation query (unsat means valid)."""
-    sorts: dict[str, str] = {}  # in order of first occurrence
+    """Emit the VC as an SMT-LIB2 refutation query (unsat means valid).
+
+    Every name is an ``Int``, in order of first occurrence, and a name used
+    as a boolean atom is bounded to [0, 1]."""
+    names: dict[str, bool] = {}  # name -> used as a boolean atom
     for p in (*vc.hyps, vc.antecedent, vc.consequent):
         for q in pred_leaves(p):
             match q:
                 case PAtom(Cmp(lhs, _, rhs)):
                     for n, _ in lhs.coeffs + rhs.coeffs:
-                        sorts.setdefault(n, "Int")
+                        names.setdefault(n, False)
                 case PAtom(BVar(n)):
-                    sorts.setdefault(n, "Bool")
+                    names[n] = True
                 case PKappa():
                     raise ValueError("kappa variable in SMT-LIB emission")
     lines = ["(set-logic QF_LIA)"]
-    for name, sort in sorts.items():
-        lines.append(f"(declare-const {name} {sort})")
+    lines += [f"(declare-const {name} Int)" for name in names]
+    lines += [f"(assert (and (<= 0 {name}) (<= {name} 1)))" for name, flag in names.items() if flag]
     hyp = _sexp_pred(pand(vc.hyps)) if vc.hyps else "true"
     body = f"(=> {hyp} (=> {_sexp_pred(vc.antecedent)} {_sexp_pred(vc.consequent)}))"
     lines.append(f"(assert (not {body}))")

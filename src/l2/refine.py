@@ -112,8 +112,7 @@ class RefEnv:
     def bind(self, name: str, ty: SrcType) -> RefEnv:
         hyp = None
         if isinstance(ty, PrimType):
-            repl: object = LinTerm.of_var(name) if ty.base == NUMBER else name
-            hyp = subst_pred(ty.refinement, VALUE_VAR, repl)
+            hyp = subst_pred(ty.refinement, VALUE_VAR, LinTerm.of_var(name))
         return RefEnv(self, name, ty, hyp)
 
     def guard(self, pred: Pred) -> RefEnv:
@@ -137,8 +136,10 @@ class RefEnv:
         the binder name, plus guard predicates, in binding order."""
         return tuple(reversed([f.hyp for f in self._frames() if f.hyp is not None]))
 
-    def base_names(self) -> tuple[str, ...]:
-        return tuple(reversed([f.name for f in self._frames() if isinstance(f.ty, PrimType)]))
+    def number_names(self) -> tuple[str, ...]:
+        """The names bound at a number type, in binding order."""
+        frames = [f for f in self._frames() if isinstance(f.ty, PrimType) and f.ty.base == NUMBER]
+        return tuple(reversed([f.name for f in frames]))
 
     def sort_of(self, name: str) -> str | None:
         try:
@@ -198,7 +199,8 @@ def fbot(t: SrcType) -> SrcType:
 def selfify(t: SrcType, x: str) -> SrcType:
     """A variable occurrence of a base type is typed at {v = x}.
 
-    The equation is the linear one for a boolean too, where v <=> x is meant.
+    For a boolean the equation is exact too: the logic reads a boolean as the
+    integer 1 or 0, so v = x says v <=> x.
     """
     if isinstance(t, PrimType):
         return PrimType(t.base, cmp_pred(LinTerm.of_var(VALUE_VAR), "=", LinTerm.of_var(x)))
@@ -211,7 +213,7 @@ def dead_type(from_ty: SrcType, to_ty: SrcType) -> FunType:
     return FunType(fbot(elab_type(from_ty)), fbot(elab_type(to_ty)), "$dead")
 
 
-def subst_ref(t: SrcType, name: str, repl) -> SrcType:
+def subst_ref(t: SrcType, name: str, repl: LinTerm) -> SrcType:
     match t:
         case PrimType(base, refinement):
             return PrimType(base, subst_pred(refinement, name, repl))
@@ -228,9 +230,7 @@ def rename_binder(t: FunType, new_name: str) -> FunType:
     """Rename an arrow binder; used to align annotations with program names."""
     if t.binder == new_name:
         return t
-    numeric = isinstance(t.dom, PrimType) and t.dom.base == NUMBER
-    repl: object = LinTerm.of_var(new_name) if numeric else new_name
-    return FunType(t.dom, subst_ref(t.cod, t.binder, repl), new_name)
+    return FunType(t.dom, subst_ref(t.cod, t.binder, LinTerm.of_var(new_name)), new_name)
 
 
 def print_ref_type(t: SrcType) -> str:
@@ -264,24 +264,18 @@ _ARITH = ("add", "sub", "mul")
 _CMP_SYM = {"lt": "<", "le": "<=", "eq": "=", "ne": "!="}
 
 
-def embed_term(w: TgtExpr, env: RefEnv) -> LinTerm | bool | str | None:
-    """Embed a target term as a linear integer term or boolean, if possible."""
+def embed_term(w: TgtExpr, env: RefEnv) -> LinTerm | None:
+    """Embed a target term as a linear integer term, if possible; a boolean
+    is the integer 1 or 0."""
     match w:
         case TConst():
             k = constants.const_int_value(w)
             if k is not None:
                 return LinTerm.of_const(k)
             b = constants.const_bool_value(w)
-            if b is not None:
-                return b
-            return None
+            return None if b is None else LinTerm.of_const(int(b))
         case TVar(name):
-            sort = env.sort_of(name)
-            if sort == NUMBER:
-                return LinTerm.of_var(name)
-            if sort == BOOLEAN:
-                return name
-            return None
+            return None if env.sort_of(name) is None else LinTerm.of_var(name)
         case TApp():
             operands = _linear_operands(w, env, _ARITH)
             return None if operands is None else _combine(*operands)
@@ -385,10 +379,6 @@ class CheckReport:
             raise ValueError("report was built without discharging VCs")
         return all(v.is_valid for v in self.verdicts)
 
-    def failures(self) -> list[tuple[VC, Verdict]]:
-        assert self.verdicts is not None
-        return [(vc, v) for vc, v in zip(self.vcs, self.verdicts) if not v.is_valid]
-
 
 class RefChecker:
     def __init__(self) -> None:
@@ -403,7 +393,7 @@ class RefChecker:
         for env2, p1, p2, origin2 in _obligations(env, t1, t2, origin):
             if is_true(p2):
                 continue  # a tautology; skip building its hypotheses
-            vc = VC(env2.flatten(), p1, p2, origin2, env2.base_names())
+            vc = VC(env2.flatten(), p1, p2, origin2, env2.number_names())
             if not is_tautology(vc):
                 self.vcs.append(vc)
 
@@ -483,7 +473,7 @@ class RefChecker:
             if repl is None:
                 ghost = self._ghost()
                 env = env.bind(ghost, ta)
-                repl = LinTerm.of_var(ghost) if tf.dom.base == NUMBER else ghost
+                repl = LinTerm.of_var(ghost)
             return subst_ref(tf.cod, tf.binder, repl), env
         return tf.cod, env
 

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -265,6 +266,131 @@ class TestVcs:
         text = files[0].read_text()
         assert text.startswith("(set-logic QF_LIA)")
         assert text.rstrip().endswith("(check-sat)")
+
+
+# A boolean is the integer 1 or 0 in the logic, so a boolean binder's
+# selfified type {v = b} says v <=> b.
+BOOL_ALIAS = "type t = {v:boolean | v}\n"
+BOOL_FOUND = BOOL_ALIAS + "let f = ((\\x => x) : t -> boolean) in ((\\b => f b) : t -> boolean)\n"
+BOOL_LET = (
+    BOOL_ALIAS
+    + "let g = ((\\z => z) : t -> boolean) in ((\\x => let y = x in g false) : t -> boolean)\n"
+)
+BOOL_REFINEMENTS = {
+    "{v:boolean | v}": lambda v: v,
+    "{v:boolean | !v}": lambda v: not v,
+    "boolean": lambda v: True,
+}
+
+
+class TestBooleanBinders:
+    def test_selfified_boolean_argument_is_accepted(self, tmp_path, capsys):
+        path = tmp_path / "found.l2"
+        path.write_text(BOOL_FOUND)
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        assert (code, out) == (0, "accepted\n")
+
+    def test_let_bound_boolean_does_not_capture_the_value_variable(self, tmp_path, capsys):
+        # y's hypothesis is y = x; left on v, it would make !v contradict x
+        path = tmp_path / "let.l2"
+        path.write_text(BOOL_LET)
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        assert code == 1
+        assert out == "[invalid] argument at 2:62: (x && y = x) => (!(v) => v)\nrejected\n"
+
+    @pytest.mark.parametrize("result", BOOL_REFINEMENTS)
+    @pytest.mark.parametrize("param", BOOL_REFINEMENTS)
+    def test_truth_table(self, tmp_path, capsys, param, result):
+        # accepted exactly when the parameter's refinement implies the result's
+        arrow = f"{param} -> {result}"
+        path = tmp_path / "table.l2"
+        path.write_text(f"let f = ((\\x => x) : {arrow}) in ((\\b => f b) : {arrow})\n")
+        holds = all(BOOL_REFINEMENTS[result](v) for v in (True, False) if BOOL_REFINEMENTS[param](v))
+        code, _, _ = run_cli(["check", str(path)], capsys)
+        assert code == (0 if holds else 1)
+
+
+def _sexps(text: str) -> list:
+    """The s-expressions of text, each a symbol or a list."""
+    stack: list[list] = [[]]
+    for token in re.findall(r"[()]|[^\s()]+", text):
+        if token == "(":
+            stack.append([])
+        elif token == ")":
+            done = stack.pop()
+            stack[-1].append(done)
+        else:
+            stack[-1].append(token)
+    assert len(stack) == 1, "unbalanced parentheses"
+    return stack[0]
+
+
+# operator -> (argument sort, least and most arguments, result sort); "=" is polymorphic
+SMT_OPS = {
+    "+": ("Int", 2, None, "Int"), "*": ("Int", 2, 2, "Int"), "-": ("Int", 1, 1, "Int"),
+    "<": ("Int", 2, 2, "Bool"), "<=": ("Int", 2, 2, "Bool"),
+    ">=": ("Int", 2, 2, "Bool"), ">": ("Int", 2, 2, "Bool"),
+    "not": ("Bool", 1, 1, "Bool"), "=>": ("Bool", 2, 2, "Bool"),
+    "and": ("Bool", 1, None, "Bool"), "or": ("Bool", 1, None, "Bool"),
+}
+
+
+def _smt_sort(term, declared: dict[str, str]) -> str:
+    if isinstance(term, str):
+        if term in ("true", "false"):
+            return "Bool"
+        return "Int" if term.isdigit() else declared[term]
+    op, *args = term
+    sorts = [_smt_sort(a, declared) for a in args]
+    if op == "=":
+        assert len(sorts) == 2 and sorts[0] == sorts[1], term
+        return "Bool"
+    arg, least, most, result = SMT_OPS[op]
+    assert least <= len(sorts) <= (most or len(sorts)) and set(sorts) <= {arg}, term
+    return result
+
+
+def check_smtlib_sorts(text: str) -> None:
+    """Each symbol declared once, as Int, before use; each assertion a
+    well-sorted Bool."""
+    commands = _sexps(text)
+    assert commands[0] == ["set-logic", "QF_LIA"] and commands[-1] == ["check-sat"]
+    declared: dict[str, str] = {}
+    for command in commands[1:-1]:
+        match command:
+            case ["declare-const", name, sort]:
+                assert name not in declared and sort == "Int", command
+                declared[name] = sort
+            case ["assert", term]:
+                assert _smt_sort(term, declared) == "Bool", command
+            case _:
+                raise AssertionError(f"unexpected command {command}")
+
+
+class TestSmtlibSorts:
+    def test_reader_rejects_a_boolean_use_of_an_int(self):
+        with pytest.raises(AssertionError):
+            check_smtlib_sorts(
+                "(set-logic QF_LIA)\n(declare-const b Int)\n(assert (not (=> b b)))\n(check-sat)\n"
+            )
+
+    def test_every_emitted_query_is_well_sorted(self, programs_dir, tmp_path, capsys):
+        from l2 import harness, syntax
+
+        texts = [p.read_text() for p in sorted(programs_dir.glob("*.l2"))]
+        texts += [BOOL_FOUND, BOOL_LET]
+        texts += [syntax.print_program(harness.gen_program(s, 30)) + "\n" for s in range(100)]
+        checked = listed = 0
+        for i, text in enumerate(texts):
+            path, out_dir = tmp_path / f"p{i}.l2", tmp_path / f"smt{i}"
+            path.write_text(text)
+            code, out, _ = run_cli(["vcs", str(path), "--smtlib", str(out_dir)], capsys)
+            assert code == 0
+            listed += sum(line.startswith("[") for line in out.splitlines())
+            for smt in sorted(out_dir.glob("*.smt2")):
+                check_smtlib_sorts(smt.read_text())
+                checked += 1
+        assert checked == listed > 50
 
 
 class TestInfer:

@@ -79,6 +79,43 @@ class TestFmUnsat:
     def test_bool_conflict(self):
         assert fm_unsat([(BVar("b"), True), (BVar("b"), False)])
 
+    def test_boolean_is_one_or_zero(self):
+        b, c = LinTerm.of_var("b"), LinTerm.of_var("c")
+        assert fm_unsat([(BVar("b"), True), (BVar("c"), False), (Cmp(b, "=", c), True)])
+        assert fm_unsat([(BVar("b"), True), (Cmp(b, "=", const(0)), True)])
+        assert not fm_unsat([(BVar("b"), False), (Cmp(b, "=", c), True)])
+
+    def test_mixed_sorts_against_enumeration(self):
+        # fm_unsat may refute a cube of boolean literals and comparisons over
+        # shared names only when no assignment of booleans in {0, 1} and
+        # integers in [-3, 3] satisfies it
+        rng = random.Random(11)
+        bools, ints = ("b", "c"), ("x", "y")
+        names = bools + ints
+
+        def term():
+            picked = sorted(rng.sample(names, rng.randint(1, 2)))
+            return LinTerm(tuple((n, rng.choice((-2, -1, 1, 2))) for n in picked), rng.randint(-2, 2))
+
+        def literal():
+            if rng.random() < 0.4:
+                return BVar(rng.choice(bools)), rng.random() < 0.5
+            rhs = LinTerm.of_var(rng.choice(names)) if rng.random() < 0.5 else const(rng.randint(-2, 2))
+            return Cmp(term(), rng.choice(["<", "<=", "=", "!=", ">=", ">"]), rhs), True
+
+        envs = [
+            dict(zip(names, combo))
+            for combo in itertools.product((0, 1), (0, 1), range(-3, 4), range(-3, 4))
+        ]
+        refuted = 0
+        for _ in range(400):
+            lits = [literal() for _ in range(rng.randint(1, 4))]
+            if fm_unsat(lits):
+                refuted += 1
+                for env in envs:
+                    assert not all(eval_pred(PAtom(a), env) == pos for a, pos in lits), (lits, env)
+        assert refuted > 40
+
     def test_constant_literals_are_components_alone(self):
         free = [(Cmp(x, "!=", const(0)), True), (Cmp(y, ">=", x), True)]
         assert fm_unsat(free + [(Cmp(const(1), "<", const(0)), True)])
@@ -439,8 +476,15 @@ class TestSmtlib:
         assert "(assert (not (=>" in text
 
     def test_bool_sorts(self):
+        # a boolean is the integer 1 or 0: declared Int, bounded, read as b = 1
         vc = _vc([PAtom(BVar("b"))], TRUE, PAtom(BVar("b")))
-        assert "(declare-const b Bool)" in to_smtlib(vc)
+        assert to_smtlib(vc) == (
+            "(set-logic QF_LIA)\n"
+            "(declare-const b Int)\n"
+            "(assert (and (<= 0 b) (<= b 1)))\n"
+            "(assert (not (=> (= b 1) (=> true (= b 1)))))\n"
+            "(check-sat)\n"
+        )
 
     def test_byte_stable(self):
         vc = _vc([cmp_pred(x + y, "<=", const(1))], TRUE, cmp_pred(x, "<=", const(1)))
@@ -460,15 +504,18 @@ class TestSmtlib:
         )
         assert to_smtlib(vc) == (
             "(set-logic QF_LIA)\n"
-            "(declare-const p Bool)\n"
+            "(declare-const p Int)\n"
             "(declare-const y Int)\n"
             "(declare-const x Int)\n"
             "(declare-const z Int)\n"
-            "(declare-const q Bool)\n"
+            "(declare-const q Int)\n"
             "(declare-const w Int)\n"
-            "(declare-const a Bool)\n"
-            "(assert (not (=> (and p (<= y x)) (=> (and (= z 1) q) "
-            "(or (not p) (not (= (+ w x) 0)) a)))))\n"
+            "(declare-const a Int)\n"
+            "(assert (and (<= 0 p) (<= p 1)))\n"
+            "(assert (and (<= 0 q) (<= q 1)))\n"
+            "(assert (and (<= 0 a) (<= a 1)))\n"
+            "(assert (not (=> (and (= p 1) (<= y x)) (=> (and (= z 1) (= q 1)) "
+            "(or (not (= p 1)) (not (= (+ w x) 0)) (= a 1))))))\n"
             "(check-sat)\n"
         )
 

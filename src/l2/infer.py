@@ -18,10 +18,8 @@ from dataclasses import dataclass, replace
 
 from . import elaborate
 from .logic import (
-    Cmp,
     DEFAULT_CLAUSE_BUDGET,
     LinTerm,
-    PAtom,
     PKappa,
     Pred,
     TRUE,
@@ -33,7 +31,7 @@ from .logic import (
     kappas_of,
     map_pred,
     pand,
-    pred_leaves,
+    pred_names,
     ResourceLimit,
     valid,
 )
@@ -137,24 +135,11 @@ def _assign_scopes(kappas: list[KappaVar], vcs: tuple[VC, ...]) -> list[KappaVar
     scopes: dict[str, frozenset[str]] = {}
     for vc in vcs:
         preds = (*vc.hyps, vc.antecedent, vc.consequent)
-        names = frozenset().union(*map(_term_names, preds)) & frozenset(vc.scope)
+        names = frozenset().union(*map(pred_names, preds)) & frozenset(vc.scope)
         names = frozenset(n for n in names if not n.startswith("$") and n != VALUE_VAR)
         for k in frozenset().union(*map(kappas_of, preds)):
             scopes[k] = scopes[k] & names if k in scopes else names
     return [replace(k, scope=tuple(sorted(scopes.get(k.id, ())))) for k in kappas]
-
-
-def _term_names(p: Pred) -> set[str]:
-    """The names of p's linear terms, kappa substitutions included."""
-    out: set[str] = set()
-    for q in pred_leaves(p):
-        match q:
-            case PAtom(Cmp(lhs, _, rhs)):
-                out |= lhs.names() | rhs.names()
-            case PKappa(_, subst):
-                for _, v in subst:
-                    out |= v.names()
-    return out
 
 
 # ---------------------------------------------------------------------------

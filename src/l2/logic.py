@@ -5,20 +5,23 @@ boolean is the integer 1 (true) or 0 (false), and the atom ``b`` means
 ``b = 1``, so substitution, discharge and SMT-LIB emission treat every name
 alike.
 A verification condition ``H1 ... Hn => (p => q)`` is discharged in-process:
-negate it, normalize to disjunctive normal form, and refute every cube with
-an integer-tightened Fourier-Motzkin elimination.  "valid" verdicts are
-sound: a reported tautology has no integer counter-model.  Cubes that are
-satisfiable over the rationals but not the integers are conservatively
-reported as invalid.
+negate it, group its conjuncts into components that share no names, and
+refute some component: normalize it to disjunctive normal form and refute
+every cube with an integer-tightened Fourier-Motzkin elimination.  "valid"
+verdicts are sound: a reported tautology has no integer counter-model.
+Cubes that are satisfiable over the rationals but not the integers are
+conservatively reported as invalid.
 
-Discharge does no work it can avoid.  A cube is decided one component of
-variable-sharing literals at a time, and a disequality is split into its two
-strict halves only while the rows without it are still satisfiable.  A memo
-shared by the ``valid`` calls of one Houdini solve or refinement check keeps
-each literal's rows and each component's verdict.  Elimination keeps its
-rows reduced by their exact gcd and holds only the tightest of rows with the
-same coefficients.  An invalid verdict keeps its cube and builds the
-rendered cube and the counter-model only when they are read.
+Discharge does no work it can avoid.  DNF size is a sum over components,
+not a product.  A cube, too, is decided one component of variable-sharing
+literals at a time, and a disequality is split into its two strict halves
+only while the rows without it are still satisfiable.  A memo shared by the
+``valid`` calls of one Houdini solve or refinement check keeps each
+conjunct's names, literal's rows and component's outcome, so hypotheses
+shared between VCs are decided once.  Elimination keeps its rows reduced
+by their exact gcd and holds only the tightest of rows with the same
+coefficients.  An invalid verdict keeps its cube and builds the rendered
+cube and the counter-model (searched per component) only when read.
 
 SMT-LIB2 emission is provided so the same conditions can be cross-checked
 with an external solver.
@@ -41,7 +44,7 @@ from typing import Callable, Iterator
 
 VALUE_VAR = "v"
 
-DEFAULT_CLAUSE_BUDGET = 10000  # DNF cubes one VC may expand to
+DEFAULT_CLAUSE_BUDGET = 10000  # DNF cubes one component of a VC may expand to
 
 
 class ResourceLimit(Exception):
@@ -52,7 +55,7 @@ def cached_hash(cls):
     """Give a frozen node class a structural hash that is computed once.
 
     The elaborator keys its memo on whole subterms and types, discharge on
-    literals.  With the hash kept on the node, hashing a node whose children
+    conjuncts and literals.  With the hash kept on the node, hashing a node whose children
     are hashed costs O(1), not O(size of the subtree), as in hash-consing.
     The value is the one the dataclass would compute (the compared fields as
     a tuple), and it is computed on first use only.
@@ -76,6 +79,7 @@ def cached_hash(cls):
 # ---------------------------------------------------------------------------
 
 
+@cached_hash
 @dataclass(frozen=True)
 class LinTerm:
     """Integer-linear term: sum of coeff*name plus a constant."""
@@ -165,6 +169,7 @@ class Cmp:
         return f"{self.lhs.render()} {self.op} {self.rhs.render()}"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class BVar:
     """A boolean variable used as an atom."""
@@ -188,38 +193,45 @@ class PBool:
     value: bool
 
 
+@cached_hash
 @dataclass(frozen=True)
 class PAtom:
     atom: Atom
 
 
+@cached_hash
 @dataclass(frozen=True)
 class PNot:
     inner: Pred
 
 
+@cached_hash
 @dataclass(frozen=True)
 class PAnd:
     parts: tuple[Pred, ...]
 
 
+@cached_hash
 @dataclass(frozen=True)
 class POr:
     parts: tuple[Pred, ...]
 
 
+@cached_hash
 @dataclass(frozen=True)
 class PImp:
     hyp: Pred
     concl: Pred
 
 
+@cached_hash
 @dataclass(frozen=True)
 class PIff:
     left: Pred
     right: Pred
 
 
+@cached_hash
 @dataclass(frozen=True)
 class PKappa:
     """Opaque refinement-variable application, resolved by inference.
@@ -347,6 +359,20 @@ def contains_kappa(p: Pred) -> bool:
 
 def kappas_of(p: Pred) -> frozenset[str]:
     return frozenset(q.kappa for q in pred_leaves(p) if isinstance(q, PKappa))
+
+
+def pred_names(p: Pred) -> set[str]:
+    """The names of p's atoms and of its kappa substitutions' terms."""
+    out: set[str] = set()
+    for q in pred_leaves(p):
+        match q:
+            case PAtom(Cmp(lhs, _, rhs)):
+                out.update([n for n, _ in lhs.coeffs + rhs.coeffs])
+            case PAtom(BVar(n)):
+                out.add(n)
+            case PKappa(_, subst):
+                out.update(n for _, v in subst for n, _ in v.coeffs)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -652,10 +678,13 @@ def fm_unsat(literals, memo: dict | None = None) -> bool:
         if form is None:
             form = memo[literal] = _literal_rows(_literal_cmp(literal))
         forms.append((literal, form))
-    for component, rows, neqs in sorted(_components(forms), key=lambda part: len(part[2])):
-        if component not in memo:
-            memo[component] = _split_neqs(rows, neqs)
-        if memo[component]:
+    parts = _components((pair, pair[1][2]) for pair in forms)
+    for part in sorted(parts, key=lambda part: sum(len(form[1]) for _, form in part)):
+        key = frozenset(literal for literal, _ in part)
+        if key not in memo:
+            rows = [row for _, form in part for row in form[0]]
+            memo[key] = _split_neqs(rows, [t for _, form in part for t in form[1]])
+        if memo[key]:
             return True
     return False
 
@@ -672,11 +701,12 @@ def _literal_rows(c: Cmp) -> tuple[tuple[LinTerm, ...], tuple[LinTerm, ...], tup
     return ((), (t,), names) if c.op == "!=" else ((t,), (), names)
 
 
-def _components(forms) -> list[tuple[frozenset, list[LinTerm], list[LinTerm]]]:
-    """Group literals linked by shared variables into components, each with
-    its literals, rows and disequalities.  Feasibility over disjoint
-    variables factorises and a disequality split stays in its component, so
-    the conjunction is refuted exactly when one component is."""
+def _components(named) -> list[list]:
+    """Group (item, names) pairs linked by shared names, in order of each
+    group's first item; an item with no names is alone.  Satisfiability over
+    disjoint names factorises and a disequality split stays in its group,
+    so a conjunction is refuted exactly when one group is."""
+    named = list(named)
     root: dict[str, str] = {}
 
     def find(name: str) -> str:
@@ -684,16 +714,13 @@ def _components(forms) -> list[tuple[frozenset, list[LinTerm], list[LinTerm]]]:
             name = up
         return name
 
-    for _, (_, _, names) in forms:
+    for _, names in named:
         for name in names[1:]:
             root[find(name)] = find(names[0])
-    parts: dict[object, tuple[list, list, list]] = {}
-    for i, (literal, (rows, neqs, names)) in enumerate(forms):
-        part = parts.setdefault(find(names[0]) if names else i, ([], [], []))
-        part[0].append(literal)
-        part[1].extend(rows)
-        part[2].extend(neqs)
-    return [(frozenset(literals), rows, neqs) for literals, rows, neqs in parts.values()]
+    parts: dict[object, list] = {}
+    for i, (item, names) in enumerate(named):
+        parts.setdefault(find(names[0]) if names else i, []).append(item)
+    return list(parts.values())
 
 
 def _split_neqs(rows: list[LinTerm], neqs: list[LinTerm]) -> bool:
@@ -793,7 +820,12 @@ class Verdict:
 
     @cached_property
     def model(self) -> dict[str, int] | None:
-        return None if self.cube is None else _cube_model(self.cube)
+        """A small model of the cube, searched per name-disjoint component."""
+        if self.cube is None:
+            return None
+        parts = _components((lit, _literal_rows(_literal_cmp(lit))[2]) for lit in self.cube)
+        models = [_cube_model(part) for part in parts]
+        return None if None in models else dict(sorted(kv for m in models for kv in m.items()))
 
     def render(self) -> str:
         if self.kind == "valid":
@@ -823,7 +855,7 @@ def eval_atom(atom: Atom, env: dict[str, int]) -> bool:
 
 def _cube_model(cube, bound: int = 8) -> dict[str, int] | None:
     cmps = [_literal_cmp(literal) for literal in cube]
-    names = sorted(set().union(*(c.lhs.names() | c.rhs.names() for c in cmps)))
+    names = sorted({n for c in cmps for n, _ in (c.lhs - c.rhs).coeffs})
     if len(names) > 3:
         return None
     for combo in itertools.product(range(-bound, bound + 1), repeat=len(names)):
@@ -836,13 +868,43 @@ def _cube_model(cube, bound: int = 8) -> dict[str, int] | None:
 def valid(
     vc: VC, clause_budget: int = DEFAULT_CLAUSE_BUDGET, memo: dict | None = None
 ) -> Verdict:
-    """Check a VC by refuting its negation cube by cube.  ``memo`` is passed
-    to every ``fm_unsat`` call, so calls sharing it share their work."""
-    cubes = dnf_cubes(vc.negated(), clause_budget)
-    for cube in cubes:
-        if not fm_unsat(cube, memo):
-            return Verdict("invalid", cube)
-    return VALID
+    """Check a VC by refuting its negation one component at a time.
+
+    The conjuncts of ``hyps && antecedent && !consequent`` are grouped by
+    shared names before any case split, and each group goes to DNF alone:
+    the VC is valid once one group has no satisfiable cube, and an invalid
+    verdict's cube is the union of each group's first satisfiable one.  The
+    clause budget bounds one group; ``ResourceLimit`` is raised only when no
+    other group refutes the VC.  ``memo`` keeps each conjunct's names and
+    each group's outcome, and reaches every ``fm_unsat`` call.
+    """
+    memo = {} if memo is None else memo
+    negated = vc.negated()
+    named = []
+    for p in negated.parts if isinstance(negated, PAnd) else (negated,):
+        names = memo.get(p)
+        if names is None:
+            names = memo[p] = tuple(pred_names(p))
+        named.append((p, names))
+    cube: frozenset = frozenset()
+    limit = None
+    # The smallest components first; among equals the negated consequent's,
+    # the likeliest to be refuted.
+    for part in sorted(reversed(_components(named)), key=len):
+        key = frozenset(part)
+        if key not in memo:
+            try:
+                cubes = dnf_cubes(PAnd(tuple(part)) if len(part) > 1 else part[0], clause_budget)
+            except ResourceLimit as exc:
+                limit = exc
+                continue
+            memo[key] = next((c for c in cubes if not fm_unsat(c, memo)), None)
+        if memo[key] is None:
+            return VALID
+        cube |= memo[key]
+    if limit is not None:
+        raise limit
+    return Verdict("invalid", cube)
 
 
 # ---------------------------------------------------------------------------

@@ -146,13 +146,24 @@ def map_prims(t: SrcType, f: Callable[[PrimType], SrcType]) -> SrcType:
     raise TypeError(f"not a source type: {t!r}")
 
 
-def _erase_prim(t: PrimType) -> PrimType:
-    return PrimType(t.base, TRUE)
-
-
 def erase_refinements(t: SrcType) -> SrcType:
-    """Phase 1's basic type under t: no refinements and no arrow binders."""
-    return map_prims(t, _erase_prim)
+    """Phase 1's basic type under t: no refinements and no arrow binders.
+    Kept on the node once computed, as ``cached_hash`` keeps the hash; an
+    already basic type is its own erasure."""
+    basic = getattr(t, "_basic", None)
+    if basic is None:
+        match t:
+            case PrimType(base, refinement):
+                basic = t if refinement == TRUE else PrimType(base)
+            case FunType(dom, cod, binder):
+                parts = erase_refinements(dom), erase_refinements(cod)
+                basic = t if parts[0] is dom and parts[1] is cod and not binder else FunType(*parts)
+            case AndType(left, right) | OrType(left, right):
+                parts = erase_refinements(left), erase_refinements(right)
+                basic = t if parts[0] is left and parts[1] is right else type(t)(*parts)
+        object.__setattr__(t, "_basic", basic)
+        object.__setattr__(basic, "_basic", basic)
+    return basic
 
 
 def types_equal_basic(a: SrcType, b: SrcType) -> bool:

@@ -380,6 +380,14 @@ def width_program(m: int) -> str:
     return "\n".join(lines) + f"\nb{m - 1}\n"
 
 
+def width_distinct_program(m: int) -> str:
+    """As ``width_program``, with a distinct literal in each numeric call."""
+    lines = [f"let neg{i} = {_NEG} in" for i in range(m)]
+    for i in range(m):
+        lines += [f"let a{i} = neg{i} {i + 1} {i + 1} in", f"let b{i} = neg{i} 0 true in"]
+    return "\n".join(lines) + f"\nb{m - 1}\n"
+
+
 def _default_problem(text):
     program = parser.parse_program(text)
     clauses, kappas, _ = gen_horn(program)
@@ -483,3 +491,25 @@ class TestValidCallCounts:
         one = _count_valid_calls(monkeypatch, width_program(1))
         eight = _count_valid_calls(monkeypatch, width_program(8))
         assert eight <= 12 * one
+
+
+class TestComponentDischarge:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_distinct_width_family(self, m):
+        assert isinstance(_same_outcome(*_default_problem(width_distinct_program(m))), Solution)
+
+    def test_distinct_width_cube_and_literal_counts(self, monkeypatch):
+        # one product DNF per VC decides 5,256 cubes of 644,444 literals at m = 8
+        cubes, literals = [], []
+        fm_unsat = logic.fm_unsat
+
+        def counting(cube, memo=None):
+            cubes.append(cube)
+            literals.append(len(cube))
+            return fm_unsat(cube, memo)
+
+        monkeypatch.setattr(logic, "fm_unsat", counting)
+        outcome, *_ = infer_refinements(parser.parse_program(width_distinct_program(8)))
+        assert isinstance(outcome, Solution)
+        assert 3 * len(cubes) <= 5256
+        assert 6 * sum(literals) <= 644444

@@ -272,8 +272,8 @@ class TestFmAgainstEagerReference:
                     )
                     lits.append((Cmp(lhs, rng.choice(op_pool), const(rng.randint(-3, 3))), True))
             rng.shuffle(lits)
-            forms = [(lit, logic._literal_rows(lit[0])) for lit in lits]
-            split += len(logic._components(forms)) > 1
+            named = [(lit, logic._literal_rows(lit[0])[2]) for lit in lits]
+            split += len(logic._components(named)) > 1
             expected = _eager_fm_unsat(lits)
             assert fm_unsat(lits) == expected, lits
             assert fm_unsat(frozenset(lits), memo) == expected, lits
@@ -392,6 +392,95 @@ class TestValid:
                 for vy in range(-8, 9):
                     env = {"x": vx, "y": vy}
                     assert not (eval_pred(hyp, env) and not eval_pred(con, env))
+
+
+def _product_dnf_kind(vc) -> str:
+    """The verdict kind of one DNF over the whole negated VC, cube by cube."""
+    cubes = dnf_cubes(vc.negated(), budget=10**6)
+    return "valid" if all(fm_unsat(cube) for cube in cubes) else "invalid"
+
+
+_INT_NAMES = ("x", "y", "z")
+
+
+@st.composite
+def _atoms(draw):
+    if draw(st.integers(0, 4)) == 0:
+        return PAtom(BVar(draw(st.sampled_from(["a", "b"]))))
+    used = draw(st.lists(st.sampled_from(_INT_NAMES), min_size=1, max_size=2, unique=True))
+    lhs = LinTerm(tuple((n, draw(st.sampled_from([-2, -1, 1, 2]))) for n in sorted(used)),
+                  draw(st.integers(-2, 2)))
+    return cmp_pred(lhs, draw(st.sampled_from(logic.CMP_OPS)), const(draw(st.integers(-2, 2))))
+
+
+_preds = st.recursive(
+    _atoms(),
+    lambda kids: st.one_of(
+        st.lists(kids, min_size=2, max_size=3).map(pand),
+        st.lists(kids, min_size=2, max_size=3).map(por),
+        kids.map(pnot),
+        st.tuples(kids, kids).map(lambda pq: pimp(*pq)),
+        st.tuples(kids, kids).map(lambda pq: logic.piff(*pq)),
+    ),
+    max_leaves=4,
+)
+
+
+class TestComponentDischarge:
+    def test_independent_disjunctions_past_the_budget(self):
+        # 2^14 cubes in one product DNF, over the default budget of 10,000,
+        # but fourteen components of two cubes each
+        names = [LinTerm.of_var(f"x{i}") for i in range(14)]
+        hyps = [por([cmp_pred(n, "=", const(0)), cmp_pred(n, "=", const(1))]) for n in names]
+        vc = _vc(hyps, TRUE, cmp_pred(names[0], ">=", const(0)))
+        with pytest.raises(ResourceLimit):
+            dnf_cubes(vc.negated())
+        assert valid(vc).is_valid
+        twin = valid(_vc(hyps, TRUE, cmp_pred(names[0], ">=", const(1))))
+        assert twin.kind == "invalid"
+        assert not fm_unsat(twin.cube)
+        assert twin.model is not None and twin.model["x0"] == 0
+
+    def test_over_budget_component_does_not_hide_a_refutation(self):
+        parts = [por([cmp_pred(x, "=", const(i)), cmp_pred(y, "=", const(i))]) for i in range(20)]
+        vc = _vc(parts, cmp_pred(z, ">=", const(1)), cmp_pred(z, ">=", const(0)))
+        assert valid(vc, clause_budget=16).is_valid
+
+    def test_shared_hypotheses_decided_once(self, monkeypatch):
+        calls = []
+        cubes = logic.dnf_cubes
+
+        def counting(p, budget=logic.DEFAULT_CLAUSE_BUDGET):
+            calls.append(p)
+            return cubes(p, budget)
+
+        monkeypatch.setattr(logic, "dnf_cubes", counting)
+        hyp = por([cmp_pred(x, "=", const(0)), cmp_pred(x, "=", const(1))])
+        memo: dict = {}
+        for k in range(5):
+            assert valid(_vc([hyp], TRUE, cmp_pred(y, "!=", const(k))), memo=memo).kind == "invalid"
+        # the hypothesis once, then each negated consequent once
+        assert len(calls) == 6
+
+    def test_model_merged_over_components(self):
+        vc = _vc([cmp_pred(x + y, "=", const(3)), cmp_pred(z, ">", const(2))], TRUE,
+                 cmp_pred(LinTerm.of_var("w"), "!=", const(5)))
+        verdict = valid(vc)
+        # four names: out of reach of one search over at most three
+        assert verdict.kind == "invalid" and verdict.model is not None
+        assert list(verdict.model) == sorted(verdict.model)
+        assert all(logic.eval_atom(a, verdict.model) == pos for a, pos in verdict.cube)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_preds, max_size=3), _preds, _preds)
+    def test_kind_matches_product_dnf(self, hyps, antecedent, consequent):
+        vc = _vc(hyps, antecedent, consequent)
+        verdict = valid(vc)
+        assert verdict.kind == _product_dnf_kind(vc)
+        if verdict.kind == "invalid":
+            assert not fm_unsat(verdict.cube)
+            if verdict.model is not None:
+                assert eval_pred(vc.negated(), verdict.model)
 
 
 class TestTautologyFilter:

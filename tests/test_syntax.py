@@ -101,6 +101,24 @@ class TestBasicEquality:
     def test_erase(self):
         assert erase_refinements(FunType(TT, FF)) == FunType(NUM, NUM)
 
+    def test_basic_type_is_its_own_erasure(self):
+        basic = AndType(FunType(NUM, BOOL), OrType(NUM, FunType(BOOL, NUM)))
+        assert erase_refinements(basic) is basic
+        assert erase_refinements(FunType(NUM, NUM, "x")) == FunType(NUM, NUM)
+
+    def test_erasure_kept_on_the_node(self, monkeypatch):
+        t = FunType(TT, AndType(FF, NUM), "x")
+        first = erase_refinements(t)
+        assert first == FunType(NUM, AndType(NUM, NUM)) and first.cod.right is NUM
+
+        def fail(*args):
+            raise AssertionError("rebuilt")
+
+        monkeypatch.setattr(syntax, "PrimType", fail)
+        monkeypatch.setattr(syntax, "FunType", fail)
+        assert erase_refinements(t) is first
+        assert types_equal_basic(t, first)
+
 
 def c(k):
     return Const(constants.int_const(k))

@@ -3,7 +3,8 @@
 Subcommands: check, elaborate, run, vcs, infer, fuzz.  Every subcommand
 accepts --json for structured output.  Exit codes: 0 success/accepted,
 1 rejected by refinement checking, 2 elaboration error, 3 no verdict (the
-input nests deeper than the checker's recursion limit), 64 usage error
+input nests deeper than the checker's recursion limit, or an obligation's
+DNF outgrows the clause budget; stderr names the obligation), 64 usage error
 (an unreadable FILE or config, a config that is not a JSON object of
 integer fuel, search_depth and clause_budget, or a setting below its least
 sensible value), 65 parse error, 70 internal invariant violation.
@@ -321,7 +322,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (IllTyped, PhaseOrderError, ResourceLimit) as exc:
+    except ResourceLimit as exc:
+        print(f"no verdict: {exc}", file=sys.stderr)
+        return EXIT_NO_VERDICT
+    except (IllTyped, PhaseOrderError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except RecursionError:

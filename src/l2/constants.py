@@ -1,27 +1,35 @@
 """Primitive constants: refined types and curried semantics.
 
 Each constant states its refined type once; phase 1 reads its erasure,
-``PrimConst.source_type``.  Application of a binary primitive to its first
-argument yields a derived constant (for example ``add`` applied to 1 yields
-``add@1``) whose delta finishes the job.  It records the operator and
-literal as ``partial`` (``("add", 1)``), so no other module reads them from
-its name.  The derived constant's refined type is exact and linear, which is
-what makes ``mul`` usable: the outer ``mul`` type promises nothing, but
-``mul@k`` records multiplication by the known literal k.
+``PrimConst.source_type``.  A binary primitive's meaning is stated once too,
+in ``BINARY``, as a function of two linear terms: its outer refined type
+applies it to the binders ``$a`` and ``$b``, and phase 2 to the embedded
+operands of an application.  Application to the first argument yields a
+derived constant (``add`` applied to 1 yields ``add@1``, from ``stage2``)
+whose refined type applies the meaning to the literal and ``$b`` and whose
+delta evaluates it on the literal and a second one.  It records the operator
+and literal as ``partial`` (``("add", 1)``), so no other module reads them
+from its name.  The derived constant's refined type is exact and linear,
+which is what makes ``mul`` usable: the outer ``mul`` type promises nothing,
+but ``mul@k`` records multiplication by the known literal k.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
+from typing import Callable
 
 from .logic import (
     BVar,
+    Cmp,
     LinTerm,
     PAtom,
     Pred,
     TRUE,
     VALUE_VAR,
     cmp_pred,
+    eval_atom,
     piff,
     pnot,
 )
@@ -43,13 +51,9 @@ def _var(name: str) -> LinTerm:
     return LinTerm.of_var(name)
 
 
-def _const_term(k: int) -> LinTerm:
-    return LinTerm.of_const(k)
-
-
 @lru_cache(maxsize=None)
 def int_const(k: int) -> PrimConst:
-    return PrimConst(str(k), _num(cmp_pred(_NU, "=", _const_term(k))))
+    return PrimConst(str(k), _num(cmp_pred(_NU, "=", LinTerm.of_const(k))))
 
 
 TRUE_CONST = PrimConst("true", _bool(PAtom(BVar(VALUE_VAR))))
@@ -80,94 +84,71 @@ def const_bool_value(e: SrcExpr | TgtExpr) -> bool | None:
     return None
 
 
-# Arithmetic: number -> number -> number
+# Binary primitives: number -> number -> number or boolean
 
 
-def _arith_stage2(op: str, k: int) -> PrimConst:
-    """The derived constant ``op@k``: already applied to its first argument."""
-    if op == "add":
-        fn, ref = (lambda m: k + m), cmp_pred(_NU, "=", _const_term(k) + _var("$b"))
-    elif op == "sub":
-        fn, ref = (lambda m: k - m), cmp_pred(_NU, "=", _const_term(k) - _var("$b"))
-    elif op == "mul":
-        fn, ref = (lambda m: k * m), cmp_pred(_NU, "=", _var("$b").scale(k))
-    else:
-        raise ValueError(op)
-
-    def delta(arg: SrcExpr) -> SrcExpr | None:
-        m = const_int_value(arg)
-        if m is None:
-            return None
-        return Const(int_const(fn(m)))
-
-    return PrimConst(f"{op}@{k}", FunType(_num(), _num(ref), "$b"), delta, partial=(op, k))
+def _times(a: LinTerm, b: LinTerm) -> LinTerm | None:
+    """a * b, linear only when a factor is a known constant."""
+    if a.is_const():
+        return b.scale(a.const)
+    if b.is_const():
+        return a.scale(b.const)
+    return None
 
 
-@lru_cache(maxsize=None)
-def arith_stage2(op: str, k: int) -> PrimConst:
-    return _arith_stage2(op, k)
-
-
-def _arith_const(op: str, exact: Pred | None) -> PrimConst:
-    def delta(arg: SrcExpr) -> SrcExpr | None:
-        k = const_int_value(arg)
-        if k is None:
-            return None
-        return Const(arith_stage2(op, k))
-
-    cod = FunType(_num(), _num(exact if exact is not None else TRUE), "$b")
-    return PrimConst(op, FunType(_num(), cod, "$a"), delta)
-
-
-ADD = _arith_const("add", cmp_pred(_NU, "=", _var("$a") + _var("$b")))
-SUB = _arith_const("sub", cmp_pred(_NU, "=", _var("$a") - _var("$b")))
-# v = $a * $b is not linear, so the outer type of mul promises only a number;
-# mul@k carries the exact linear refinement once the literal is known.
-MUL = _arith_const("mul", None)
-
-
-# Comparisons: number -> number -> boolean
-
-
-_CMP_FNS = {
-    "lt": ("<", lambda a, b: a < b),
-    "le": ("<=", lambda a, b: a <= b),
-    "eq": ("=", lambda a, b: a == b),
-    "ne": ("!=", lambda a, b: a != b),
+# Each binary primitive's one meaning, as a function of its operands' linear
+# terms: a term for arithmetic, a comparison for a test, and None where the
+# result is not linear.  The refined types, the deltas and phase 2's embedding
+# of an application (``refine.embed_term``, ``embed_guard``) all apply it.
+BINARY: dict[str, Callable[[LinTerm, LinTerm], LinTerm | Cmp | None]] = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": _times,
+    "lt": lambda a, b: Cmp(a, "<", b),
+    "le": lambda a, b: Cmp(a, "<=", b),
+    "eq": lambda a, b: Cmp(a, "=", b),
+    "ne": lambda a, b: Cmp(a, "!=", b),
 }
 
 
+def _result(r: LinTerm | Cmp | None) -> PrimType:
+    """The result type whose values are r: a number equal to a term, a
+    boolean equivalent to a comparison, any number where r is not linear."""
+    if isinstance(r, Cmp):
+        return _bool(piff(PAtom(BVar(VALUE_VAR)), PAtom(r)))
+    return _num(TRUE if r is None else cmp_pred(_NU, "=", r))
+
+
 @lru_cache(maxsize=None)
-def cmp_stage2(op: str, k: int) -> PrimConst:
-    sym, fn = _CMP_FNS[op]
+def _value(op: str, k: int, m: int) -> PrimConst:
+    """The constant ``op k m``: the meaning evaluated on two literals, once
+    per (op, k, m), as both interpreters apply it at every primitive step."""
+    r = BINARY[op](LinTerm.of_const(k), LinTerm.of_const(m))
+    return bool_const(eval_atom(r, {})) if isinstance(r, Cmp) else int_const(r.const)
+
+
+@lru_cache(maxsize=None)
+def stage2(op: str, k: int) -> PrimConst:
+    """The derived constant ``op@k``: op already applied to the literal k."""
 
     def delta(arg: SrcExpr) -> SrcExpr | None:
         m = const_int_value(arg)
-        if m is None:
-            return None
-        return Const(bool_const(fn(k, m)))
+        return None if m is None else Const(_value(op, k, m))
 
-    ref = piff(PAtom(BVar(VALUE_VAR)), cmp_pred(_const_term(k), sym, _var("$b")))
-    return PrimConst(f"{op}@{k}", FunType(_num(), _bool(ref), "$b"), delta, partial=(op, k))
+    ty = FunType(_num(), _result(BINARY[op](LinTerm.of_const(k), _var("$b"))), "$b")
+    return PrimConst(f"{op}@{k}", ty, delta, partial=(op, k))
 
 
-def _cmp_const(op: str) -> PrimConst:
-    sym, _ = _CMP_FNS[op]
-
+def _binary(op: str) -> PrimConst:
     def delta(arg: SrcExpr) -> SrcExpr | None:
         k = const_int_value(arg)
-        if k is None:
-            return None
-        return Const(cmp_stage2(op, k))
+        return None if k is None else Const(stage2(op, k))
 
-    ref = piff(PAtom(BVar(VALUE_VAR)), cmp_pred(_var("$a"), sym, _var("$b")))
-    return PrimConst(op, FunType(_num(), FunType(_num(), _bool(ref), "$b"), "$a"), delta)
+    cod = FunType(_num(), _result(BINARY[op](_var("$a"), _var("$b"))), "$b")
+    return PrimConst(op, FunType(_num(), cod, "$a"), delta)
 
 
-LT = _cmp_const("lt")
-LE = _cmp_const("le")
-EQ = _cmp_const("eq")
-NE = _cmp_const("ne")
+ADD, SUB, MUL, LT, LE, EQ, NE = map(_binary, BINARY)
 
 
 def _not_delta(arg: SrcExpr) -> SrcExpr | None:

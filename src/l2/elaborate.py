@@ -106,18 +106,18 @@ class TypeEnv:
     """A typing environment: one binding over a shared parent frame.
 
     Extending an environment adds one frame and copies nothing.  Frames are
-    made by ``Elaborator.extend``, which interns them so that environments
-    with equal mappings are one object: a memo key then hashes and compares
-    its environment in O(1), by identity, instead of sorting its bindings.
+    made by ``Elaborator.extend``, one per (parent, name, type), so a memo key
+    hashes and compares its environment in O(1), by identity.  Environments
+    with equal mappings built in another order stay distinct frames: parsed
+    programs rename binders apart, so they do not arise there.
     """
 
-    __slots__ = ("parent", "name", "type", "weight")
+    __slots__ = ("parent", "name", "type")
 
-    def __init__(self, parent: TypeEnv | None, name: str, type_: SrcType | None, weight: int):
+    def __init__(self, parent: TypeEnv | None, name: str, type_: SrcType | None):
         self.parent = parent
         self.name = name
         self.type = type_
-        self.weight = weight  # sum of hash((name, type)) over the mapping
 
     def get(self, name: str) -> SrcType | None:
         env = self
@@ -127,53 +127,21 @@ class TypeEnv:
             env = env.parent
         return None
 
-    def mapping(self) -> dict[str, SrcType]:
-        out: dict[str, SrcType] = {}
-        env = self
-        while env.parent is not None:
-            out.setdefault(env.name, env.type)
-            env = env.parent
-        return out
-
 
 class Elaborator:
     def __init__(self, search_depth: int = DEFAULT_SEARCH_DEPTH):
         self.search_depth = search_depth
         self._fresh = 0
         self._memo: dict = {}
-        self.empty_env = TypeEnv(None, "", None, 0)
-        self._frames: dict = {}  # (parent, name, type) -> interned frame
-        self._by_weight: dict[int, list[TypeEnv]] = {}
-        self._bound: set[str] = set()  # every name some frame binds
+        self.empty_env = TypeEnv(None, "", None)
+        self._frames: dict = {}  # (parent, name, type) -> frame
 
     def extend(self, env: TypeEnv, name: str, t: SrcType) -> TypeEnv:
-        """env with name bound to t; the same object for equal mappings."""
+        """env with name bound to t; the same frame for the same extension."""
         key = (env, name, t)
         frame = self._frames.get(key)
         if frame is None:
-            frame = self._frames[key] = self._intern(env, name, t)
-        return frame
-
-    def _intern(self, env: TypeEnv, name: str, t: SrcType) -> TypeEnv:
-        # Only a name some frame already binds is looked up (a walk).  In a
-        # parsed program every binder has its own name, so shadowing and
-        # equal mappings built in another order (the full comparison below)
-        # occur only in terms built by hand; handling them keeps memo keys
-        # equal exactly when the mappings are.
-        old = env.get(name) if name in self._bound else None
-        if old == t:
-            return env
-        self._bound.add(name)
-        weight = env.weight + hash((name, t)) - (0 if old is None else hash((name, old)))
-        same = self._by_weight.setdefault(weight, [])
-        if same:  # a mapping with this weight exists; compare in full
-            mapping = env.mapping()
-            mapping[name] = t
-            for frame in same:
-                if frame.mapping() == mapping:
-                    return frame
-        frame = TypeEnv(env, name, t, weight)
-        same.append(frame)
+            frame = self._frames[key] = TypeEnv(env, name, t)
         return frame
 
     def env_of(self, bindings: dict[str, SrcType]) -> TypeEnv:

@@ -875,8 +875,9 @@ def valid(
     the VC is valid once one group has no satisfiable cube, and an invalid
     verdict's cube is the union of each group's first satisfiable one.  The
     clause budget bounds one group; ``ResourceLimit`` is raised only when no
-    other group refutes the VC.  ``memo`` keeps each conjunct's names and
-    each group's outcome, and reaches every ``fm_unsat`` call.
+    other group refutes the VC, and names the VC's origin.  ``memo`` keeps
+    each conjunct's names and each group's outcome, and reaches every
+    ``fm_unsat`` call.
     """
     memo = {} if memo is None else memo
     negated = vc.negated()
@@ -903,7 +904,7 @@ def valid(
             return VALID
         cube |= memo[key]
     if limit is not None:
-        raise limit
+        raise ResourceLimit(f"{vc.origin}: {limit}" if vc.origin else str(limit))
     return Verdict("invalid", cube)
 
 

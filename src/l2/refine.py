@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from . import constants
 from .logic import (
     BVar,
+    Cmp,
     DEFAULT_CLAUSE_BUDGET,
     FALSE,
     LinTerm,
@@ -259,11 +260,6 @@ def _print_ref(t: SrcType, prec: int) -> str:
 # Term embedding into the logical fragment
 # ---------------------------------------------------------------------------
 
-_ARITH = ("add", "sub", "mul")
-
-_CMP_SYM = {"lt": "<", "le": "<=", "eq": "=", "ne": "!="}
-
-
 def embed_term(w: TgtExpr, env: RefEnv) -> LinTerm | None:
     """Embed a target term as a linear integer term, if possible; a boolean
     is the integer 1 or 0."""
@@ -277,39 +273,27 @@ def embed_term(w: TgtExpr, env: RefEnv) -> LinTerm | None:
         case TVar(name):
             return None if env.sort_of(name) is None else LinTerm.of_var(name)
         case TApp():
-            operands = _linear_operands(w, env, _ARITH)
-            return None if operands is None else _combine(*operands)
+            r = _apply_binary(w, env)
+            return r if isinstance(r, LinTerm) else None
         case _:
             return None
 
 
-def _linear_operands(w: TApp, env: RefEnv, ops) -> tuple[str, LinTerm, LinTerm] | None:
-    """(op, a, b) for ``op a b``, or for ``op`` partially applied to the
-    literal a and then to b, when op is one of ops and both operands embed
-    as linear terms; else None."""
+def _apply_binary(w: TApp, env: RefEnv) -> LinTerm | Cmp | None:
+    """The meaning (``constants.BINARY``) of ``op a b``, or of ``op``
+    partially applied to the literal a and then to b, at the embedded
+    operands; None when w is neither or an operand does not embed."""
     match w:
-        case TApp(TApp(TConst(con), a), b) if con.name in ops:
+        case TApp(TApp(TConst(con), a), b) if con.name in constants.BINARY:
             op, ta = con.name, embed_term(a, env)
-        case TApp(TConst(con), b) if con.partial is not None and con.partial[0] in ops:
+        case TApp(TConst(con), b) if con.partial is not None:
             op, ta = con.partial[0], LinTerm.of_const(con.partial[1])
         case _:
             return None
     tb = embed_term(b, env)
-    if isinstance(ta, LinTerm) and isinstance(tb, LinTerm):
-        return op, ta, tb
-    return None
-
-
-def _combine(op: str, a: LinTerm, b: LinTerm) -> LinTerm | None:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if a.is_const():
-        return b.scale(a.const)
-    if b.is_const():
-        return a.scale(b.const)
-    return None
+    if ta is None or tb is None:
+        return None
+    return constants.BINARY[op](ta, tb)
 
 
 def embed_guard(w: TgtExpr, env: RefEnv | None = None) -> tuple[Pred, bool]:
@@ -329,10 +313,9 @@ def embed_guard(w: TgtExpr, env: RefEnv | None = None) -> tuple[Pred, bool]:
             if b is not None:
                 return PBool(b), True
         case TApp():
-            operands = _linear_operands(w, env, _CMP_SYM)
-            if operands is not None:
-                op, ta, tb = operands
-                return cmp_pred(ta, _CMP_SYM[op], tb), True
+            r = _apply_binary(w, env)
+            if isinstance(r, Cmp):
+                return PAtom(r), True
     return TRUE, False
 
 

@@ -11,15 +11,19 @@ each serves both languages: ``subexprs`` (preorder, without recursion),
 ``free_vars`` (without recursion), the capture-avoiding ``subst``, the
 bottom-up ``map_up``, which ``map_ascriptions`` and ``erase_ascriptions``
 use, and ``decompose``, which enumerates the evaluation contexts that both
-interpreters step under and that union elimination splits on.
+interpreters step under and that union elimination splits on.  A shape
+also declares the class's concrete syntax, a template with its precedence,
+so one printer without recursion, ``print_expr``, prints both languages.
 ``map_prims`` rebuilds a type with its base types mapped.  Both maps visit
 left to right, so kappa templates are numbered in a fixed order.
 """
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
 from typing import Callable, Iterator, Optional, TYPE_CHECKING
 
 from .logic import Pred, TRUE, cached_hash, is_true, render_pred
@@ -225,23 +229,44 @@ SHAPES: dict[type, tuple[tuple[tuple[str, str | None], ...], bool]] = {}
 # Term class -> its evaluation positions: the leading children an evaluation
 # context descends into, left to right, each once those before it are values.
 POSITIONS: dict[type, tuple[str, ...]] = {}
+# Term class -> (parts, loosest): its concrete syntax as literal strings and
+# (field getter, precedence) pairs, the precedence None for a field that is
+# not a child, and its own precedence (see ``shape``).
+SYNTAX: dict[type, tuple[tuple, int]] = {}
 
 
-def shape(*children: str | tuple[str, str], variable: bool = False, evaluated: int = 0):
+def shape(*children: str | tuple[str, str], show: str, variable: bool = False,
+          evaluated: int = 0, loosest: int = 2):
     """Class decorator declaring a term class's shape; a child is a field
     name, or (field, binder) when the name in field ``binder`` scopes over it.
-    The first ``evaluated`` children are the evaluation positions."""
+    The first ``evaluated`` children are the evaluation positions.
+
+    ``show`` is the concrete syntax: each ``{field}`` prints the field, a
+    child at the precedence its position asks for (``{arg:2}``; 0 when not
+    given), a type with ``print_type`` and anything else with ``str``.
+    ``loosest`` is the term's own precedence: 0 for a term that extends as
+    far right as it can, 1 for an application, 2 for the rest.  A term in a
+    position that asks for more is parenthesised.
+    """
 
     def declare(cls):
         kids = tuple((c, None) if isinstance(c, str) else c for c in children)
         SHAPES[cls] = (kids, variable)
         POSITIONS[cls] = tuple(c for c, _ in kids[:evaluated])
+        parts: list = []
+        for literal, name, spec, _ in string.Formatter().parse(show):
+            if literal:
+                parts.append(literal)
+            if name is not None:
+                child = any(name == c for c, _ in kids)
+                parts.append((attrgetter(name), int(spec or 0) if child else None))
+        SYNTAX[cls] = (tuple(parts), loosest)
         return cls
 
     return declare
 
 
-@shape()
+@shape(show="{con.name}")
 @cached_hash
 @dataclass(frozen=True)
 class Const:
@@ -249,7 +274,7 @@ class Const:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape(variable=True)
+@shape(variable=True, show="{name}")
 @cached_hash
 @dataclass(frozen=True)
 class Var:
@@ -257,7 +282,7 @@ class Var:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape(("body", "param"))
+@shape(("body", "param"), show="\\{param} => {body}", loosest=0)
 @cached_hash
 @dataclass(frozen=True)
 class Lam:
@@ -266,7 +291,7 @@ class Lam:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("expr")
+@shape("expr", show="({expr} : {ty})")
 @cached_hash
 @dataclass(frozen=True)
 class Ascribe:
@@ -275,7 +300,8 @@ class Ascribe:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("bound", ("body", "name"), evaluated=1)
+@shape("bound", ("body", "name"), evaluated=1, show="let {name} = {bound} in {body}",
+       loosest=0)
 @cached_hash
 @dataclass(frozen=True)
 class Let:
@@ -285,7 +311,8 @@ class Let:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("cond", "then", "els", evaluated=1)
+@shape("cond", "then", "els", evaluated=1, show="if {cond} then {then} else {els}",
+       loosest=0)
 @cached_hash
 @dataclass(frozen=True)
 class If:
@@ -295,7 +322,7 @@ class If:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("fn", "arg", evaluated=2)
+@shape("fn", "arg", evaluated=2, show="{fn:1} {arg:2}", loosest=1)
 @cached_hash
 @dataclass(frozen=True)
 class App:
@@ -504,33 +531,31 @@ def _print_type(t: SrcType, prec: int) -> str:
     raise TypeError(f"not a source type: {t!r}")
 
 
-def print_expr(e: SrcExpr) -> str:
-    return _print_expr(e, 0)
-
-
-def _print_expr(e: SrcExpr, prec: int) -> str:
-    # prec 0: anywhere, 1: application operand position
-    match e:
-        case Const(con):
-            return con.name
-        case Var(name):
-            return name
-        case Lam(param, body):
-            s = f"\\{param} => {_print_expr(body, 0)}"
-            return f"({s})" if prec > 0 else s
-        case Ascribe(expr, ty):
-            return f"({_print_expr(expr, 0)} : {print_type(ty)})"
-        case Let(name, bound, body):
-            s = f"let {name} = {_print_expr(bound, 0)} in {_print_expr(body, 0)}"
-            return f"({s})" if prec > 0 else s
-        case If(c, t, f):
-            s = f"if {_print_expr(c, 0)} then {_print_expr(t, 0)} else {_print_expr(f, 0)}"
-            return f"({s})" if prec > 0 else s
-        case App(fn, arg):
-            fn_s = _print_expr(fn, 1) if not isinstance(fn, App) else _print_expr(fn, 0)
-            s = f"{fn_s} {_print_expr(arg, 2)}"
-            return f"({s})" if prec > 1 else s
-    raise TypeError(f"not a source expression: {e!r}")
+def print_expr(e: Term) -> str:
+    """A source or target term in concrete syntax, read off each class's
+    ``show`` template, without recursion."""
+    out: list[str] = []
+    stack: list = [(e, 0)]  # text to emit, or (term, precedence) to print
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        e, prec = item
+        parts, loosest = SYNTAX[type(e)]
+        if prec > loosest:
+            stack.append(")")
+        for part in reversed(parts):
+            if type(part) is str:
+                stack.append(part)
+            elif part[1] is not None:
+                stack.append((part[0](e), part[1]))
+            else:
+                value = part[0](e)
+                stack.append(print_type(value) if isinstance(value, SrcType) else str(value))
+        if prec > loosest:
+            stack.append("(")
+    return "".join(out)
 
 
 def print_program(p: Program) -> str:

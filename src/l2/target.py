@@ -5,8 +5,9 @@ obligations appear as DEAD-cast nodes.  The target's simple types are phase
 1's basic types (refinement-erased source types, reading a product as an
 intersection and a sum as a union), which the simple type checker that
 validates elaborator output computes and compares.  Target terms declare
-their shapes with ``syntax.shape``, so substitution, free variables and the
-other term walkers are the source language's.
+their shapes and concrete syntax with ``syntax.shape``, so substitution,
+free variables, the other term walkers and the printer are the source
+language's.
 """
 
 from __future__ import annotations
@@ -31,21 +32,21 @@ from .syntax import (
 # ---------------------------------------------------------------------------
 
 
-@shape()
+@shape(show="{con.name}")
 @dataclass(frozen=True)
 class TConst:
     con: PrimConst
     pos: Pos = field(default=None, compare=False)
 
 
-@shape(variable=True)
+@shape(variable=True, show="{name}")
 @dataclass(frozen=True)
 class TVar:
     name: str
     pos: Pos = field(default=None, compare=False)
 
 
-@shape(("body", "param"))
+@shape(("body", "param"), show="\\{param} => {body}", loosest=0)
 @dataclass(frozen=True)
 class TLam:
     """Lambda with the source arrow type it was checked against.
@@ -62,7 +63,8 @@ class TLam:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("cond", "then", "els", evaluated=1)
+@shape("cond", "then", "els", evaluated=1, show="if {cond} then {then} else {els}",
+       loosest=0)
 @dataclass(frozen=True)
 class TIf:
     cond: TgtExpr
@@ -71,7 +73,7 @@ class TIf:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("fn", "arg", evaluated=2)
+@shape("fn", "arg", evaluated=2, show="{fn:1} {arg:2}", loosest=1)
 @dataclass(frozen=True)
 class TApp:
     fn: TgtExpr
@@ -79,7 +81,8 @@ class TApp:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("bound", ("body", "name"), evaluated=1)
+@shape("bound", ("body", "name"), evaluated=1, show="let {name} = {bound} in {body}",
+       loosest=0)
 @dataclass(frozen=True)
 class TLet:
     name: str
@@ -88,7 +91,7 @@ class TLet:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("first", "second")
+@shape("first", "second", show="({first}, {second})")
 @dataclass(frozen=True)
 class TPair:
     first: TgtExpr
@@ -96,7 +99,7 @@ class TPair:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("tuple_", evaluated=1)
+@shape("tuple_", evaluated=1, show="proj{index}({tuple_})")
 @dataclass(frozen=True)
 class TProj:
     index: int  # 1 | 2
@@ -104,7 +107,7 @@ class TProj:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("payload", evaluated=1)
+@shape("payload", evaluated=1, show="inj{index}({payload})")
 @dataclass(frozen=True)
 class TInj:
     index: int  # 1 | 2
@@ -113,7 +116,8 @@ class TInj:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("scrutinee", ("branch1", "var1"), ("branch2", "var2"), evaluated=1)
+@shape("scrutinee", ("branch1", "var1"), ("branch2", "var2"), evaluated=1,
+       show="case {scrutinee} of {var1} => {branch1} | {var2} => {branch2}", loosest=0)
 @dataclass(frozen=True)
 class TCase:
     scrutinee: TgtExpr
@@ -124,7 +128,7 @@ class TCase:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("inner", evaluated=1)
+@shape("inner", evaluated=1, show="DEAD[{from_ty} => {to_ty}]({inner})")
 @dataclass(frozen=True)
 class TDead:
     from_ty: SrcType
@@ -254,52 +258,4 @@ def _scoped(env: dict[str, SrcType], name: str, ty: SrcType, body: TgtExpr) -> S
             env[name] = outer
 
 
-# ---------------------------------------------------------------------------
-# Printing
-# ---------------------------------------------------------------------------
-
-
-def print_target(w: TgtExpr) -> str:
-    return _print_target(w, 0)
-
-
-def _print_target(w: TgtExpr, prec: int) -> str:
-    match w:
-        case TConst(con):
-            return con.name
-        case TVar(name):
-            return name
-        case TLam(param, body):
-            s = f"\\{param} => {_print_target(body, 0)}"
-            return f"({s})" if prec > 0 else s
-        case TIf(c, t, f):
-            s = (
-                f"if {_print_target(c, 0)} then {_print_target(t, 0)} "
-                f"else {_print_target(f, 0)}"
-            )
-            return f"({s})" if prec > 0 else s
-        case TApp(fn, arg):
-            fn_s = _print_target(fn, 0) if isinstance(fn, TApp) else _print_target(fn, 1)
-            s = f"{fn_s} {_print_target(arg, 2)}"
-            return f"({s})" if prec > 1 else s
-        case TLet(name, bound, body):
-            s = f"let {name} = {_print_target(bound, 0)} in {_print_target(body, 0)}"
-            return f"({s})" if prec > 0 else s
-        case TPair(a, b):
-            return f"({_print_target(a, 0)}, {_print_target(b, 0)})"
-        case TProj(index, t):
-            return f"proj{index}({_print_target(t, 0)})"
-        case TInj(index, payload):
-            return f"inj{index}({_print_target(payload, 0)})"
-        case TCase(s, x1, b1, x2, b2):
-            body = (
-                f"case {_print_target(s, 0)} of {x1} => {_print_target(b1, 0)} "
-                f"| {x2} => {_print_target(b2, 0)}"
-            )
-            return f"({body})" if prec > 0 else body
-        case TDead(from_ty, to_ty, inner):
-            return (
-                f"DEAD[{syntax.print_type(from_ty)} => {syntax.print_type(to_ty)}]"
-                f"({_print_target(inner, 0)})"
-            )
-    raise TypeError(f"not a target expression: {w!r}")
+print_target = syntax.print_expr  # one printer, from the shapes, for both term languages

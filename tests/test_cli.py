@@ -155,6 +155,38 @@ class TestDeepInput:
         )
 
 
+def disj_program(k: int) -> str:
+    """k parameters refined to 0 or 1, summed and checked against v >= 0:
+    valid, and the last obligation's negation has 2**k DNF cubes."""
+    params = " => ".join(f"\\p{i}" for i in range(k))
+    total = "add p0 p1"
+    for i in range(2, k):
+        total = f"add ({total}) p{i}"
+    arrows = " -> ".join(["b01"] * k)
+    return (f"type b01 = {{v:number | v = 0 || v = 1}}\n"
+            f"(({params} => {total}) : {arrows} -> {{v:number | v >= 0}})\n")
+
+
+class TestClauseBudget:
+    """An obligation whose DNF outgrows the clause budget has no verdict: it is
+    neither "rejected" nor an internal invariant violation."""
+
+    def test_overrun_names_the_obligation_and_the_budget(self, tmp_path, capsys):
+        path = tmp_path / "disj15.l2"
+        path.write_text(disj_program(15))
+        code, out, err = run_cli(["check", str(path)], capsys)
+        assert (code, out) == (3, "")
+        assert re.fullmatch(
+            rf"no verdict: function body at \d+:\d+: DNF clause budget {DEFAULT_CLAUSE_BUDGET} "
+            r"exceeded\n", err
+        )
+
+    def test_under_the_budget_is_accepted(self, tmp_path, capsys):
+        path = tmp_path / "disj6.l2"
+        path.write_text(disj_program(6))
+        assert run_cli(["check", str(path)], capsys) == (0, "accepted\n", "")
+
+
 class TestRefinementTypes:
     """The printed refinement types and VCs are part of the output contract:
     binders, ``+`` for a sum, ``*`` for a product, and the ``$dN`` names an

@@ -320,15 +320,15 @@ class TestEnvironments:
         assert result.type == NUM
         assert print_target(result.target) == "let x = true in (\\x => add x 1) 1"
 
-    def test_equal_mappings_are_one_environment(self):
+    def test_extend_makes_one_frame_per_extension(self):
         elab = Elaborator()
-        empty = elab.empty_env
-        ab = elab.extend(elab.extend(empty, "a", NUM), "b", BOOL)
-        ba = elab.extend(elab.extend(empty, "b", BOOL), "a", NUM)
-        assert ab is ba
-        assert elab.extend(ab, "a", NUM) is ab  # rebinding at the same type
-        shadowed = elab.extend(elab.extend(ab, "a", BOOL), "a", NUM)
-        assert shadowed is ab
-        assert elab.extend(ab, "a", BOOL) is not ab
-        assert elab.env_of({"b": BOOL, "a": NUM}) is ab
-        assert ab.get("a") == NUM and ab.get("c") is None
+        a = elab.extend(elab.empty_env, "a", NUM)
+        ab = elab.extend(a, "b", BOOL)
+        assert elab.extend(elab.empty_env, "a", NUM) is a
+        assert elab.extend(a, "b", BOOL) is ab
+        assert elab.env_of({"a": NUM, "b": BOOL}) is ab
+        assert elab.env_of({"a": NUM, "b": BOOL}) is elab.env_of({"a": NUM, "b": BOOL})
+        shadowed = elab.extend(ab, "a", BOOL)
+        assert shadowed is not ab
+        assert shadowed.get("a") == BOOL and ab.get("a") == NUM
+        assert shadowed.get("b") == BOOL and ab.get("c") is None

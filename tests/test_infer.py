@@ -467,6 +467,12 @@ class TestIncrementalHoudini:
         assert len(limits) == 1
 
 
+    def test_fixed_head_over_budget_names_the_clause(self):
+        body = (por([cmp_pred(nu, "=", lit(1)), cmp_pred(nu, "=", lit(2))]),)
+        clause = HornClause(body, cmp_pred(nu, ">=", lit(1)), "argument at 3:4")
+        with pytest.raises(ResourceLimit, match="^argument at 3:4: DNF clause budget 1 exceeded$"):
+            infer.houdini_solve([clause], {}, clause_budget=1)
+
 def _count_valid_calls(monkeypatch, text):
     calls = []
     checked = infer.valid

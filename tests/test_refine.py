@@ -231,7 +231,7 @@ class TestEmbedGuard:
     def test_stage_two_arithmetic_embeds_from_the_recorded_operator(self):
         # the embedding reads (op, k) off the constant, never its name
         env, x = RefEnv().bind("x", num()), LinTerm.of_var("x")
-        sub5, mul = constants.arith_stage2("sub", 5), constants.arith_stage2("mul", -4)
+        sub5, mul = constants.stage2("sub", 5), constants.stage2("mul", -4)
         assert sub5.partial == ("sub", 5)
         assert embed_term(TApp(TConst(sub5), TVar("x")), env) == lit(5) - x
         assert embed_term(TApp(TConst(mul), TVar("x")), env) == x.scale(-4)
@@ -456,7 +456,7 @@ class TestGuardEmbeddingProperty:
         # partially applied comparisons appear in re-checked intermediate
         # states; their guards must stay exact
         env = RefEnv().bind("b", num())
-        w = TApp(TConst(constants.cmp_stage2("lt", 2)), TVar("b"))
+        w = TApp(TConst(constants.stage2("lt", 2)), TVar("b"))
         pred, exact = embed_guard(w, env)
         assert exact
         for vb in range(-5, 6):

@@ -45,7 +45,7 @@ class TestStep:
     def test_delta_application(self):
         result = step("add 1 2")
         assert isinstance(result, Stepped) and result.rule == "E-App-A"
-        assert result.next == App(Const(constants.arith_stage2("add", 1)),
+        assert result.next == App(Const(constants.stage2("add", 1)),
                                   Const(constants.int_const(2)))
 
     def test_let_substitutes_values_only(self):

@@ -264,6 +264,19 @@ class TestRoundTrip:
         reparsed = parser.parse_expr(printed)
         assert alpha_equal(uniquify(closed), reparsed), printed
 
+    def test_deep_terms_print(self):
+        # The printer keeps its own stack, so depth is bounded by memory only.
+        n = 5000
+        chain = Var(f"x{n - 1}")
+        for i in reversed(range(n)):
+            chain = Let(f"x{i}", c(i), chain)
+        expected = "".join(f"let x{i} = {i} in " for i in range(n)) + f"x{n - 1}"
+        assert print_expr(chain) == expected
+        nested = c(0)
+        for _ in range(n):
+            nested = App(Var("f"), nested)
+        assert print_expr(nested) == "f (" * (n - 1) + "f 0" + ")" * (n - 1)
+
     def test_program_round_trip(self):
         from tests.conftest import NEGATE_OK
 

@@ -214,6 +214,19 @@ class TestTargetSyntax:
         w = TPair(num(1), TDead(NUM, BOOL, num(2)))
         assert print_target(w) == "(1, DEAD[number => boolean](2))"
 
+    def test_deep_terms_print(self):
+        n = 5000
+        chain = TVar(f"x{n - 1}")
+        for i in reversed(range(n)):
+            chain = TLet(f"x{i}", num(i), chain)
+        expected = "".join(f"let x{i} = {i} in " for i in range(n)) + f"x{n - 1}"
+        assert print_target(chain) == expected
+        nested, expected = num(0), "0"
+        for i in range(n):
+            nested = TInj(1 + i % 2, TPair(nested, num(i)))
+            expected = f"inj{1 + i % 2}(({expected}, {i}))"
+        assert print_target(nested) == expected
+
     def test_subst_shadowing(self):
         lam = TLam("x", TVar("x"), FunType(NUM, NUM))
         assert subst_target(lam, "x", num(1)) == lam
@@ -241,9 +254,9 @@ class TestConstantTable:
             (constants.MUL, FunType(NUM, num_num)),
             (constants.LT, FunType(NUM, FunType(NUM, BOOL))),
             (constants.NOT, FunType(BOOL, BOOL)),
-            (constants.arith_stage2("add", 3), num_num),
-            (constants.arith_stage2("mul", -4), num_num),
-            (constants.cmp_stage2("lt", 2), FunType(NUM, BOOL)),
+            (constants.stage2("add", 3), num_num),
+            (constants.stage2("mul", -4), num_num),
+            (constants.stage2("lt", 2), FunType(NUM, BOOL)),
         ]
         for con, basic in table:
             assert con.source_type == basic, con.name

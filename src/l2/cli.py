@@ -8,15 +8,22 @@ DNF outgrows the clause budget; stderr names the obligation), 64 usage error
 (an unreadable FILE or config, a config that is not a JSON object of
 integer fuel, search_depth and clause_budget, or a setting below its least
 sensible value), 65 parse error, 70 internal invariant violation.
+
+``main`` runs each command with Python's cyclic garbage collector paused and
+restores the caller's setting afterwards.  Nothing l2 builds is a reference
+cycle, so reference counting frees a command's working state as it goes,
+and no collector pass walks it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import re
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from . import harness, infer, source_interp, syntax, target_interp
 from .elaborate import DEFAULT_SEARCH_DEPTH, ElabError, elaborate_program
@@ -55,11 +62,13 @@ def _read_program(path: str):
         return parse_program(handle.read())
 
 
-def _emit(payload: dict, as_json: bool, text: str) -> None:
+def _emit(as_json: bool, payload: Callable[[], dict], text: Callable[[], str]) -> None:
+    """Print the JSON payload or the text; only the one printed is built."""
     if as_json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload(), indent=2))
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        out = text()
+        print(out, end="" if out.endswith("\n") else "\n")
 
 
 def _vc_payload(vc, verdict) -> dict:
@@ -73,29 +82,27 @@ def _vc_payload(vc, verdict) -> dict:
     }
 
 
-def _vc_line(payload: dict) -> str:
-    return f"[{payload['verdict']}] {payload['origin']}: {payload['rendered']}"
+def _vc_line(vc, verdict) -> str:
+    return f"[{verdict.kind}] {vc.origin}: {vc.render()}"
 
 
 def _check_file(args, config: Config):
     """Both phases over the program in args.file: the refinement report and
-    each VC's payload, with its verdict."""
+    each VC with its verdict."""
     program = _read_program(args.file)
     result = elaborate_program(program, config.search_depth)
     report = check_refined(RefEnv(), result.target, clause_budget=config.clause_budget)
-    return report, [_vc_payload(vc, v) for vc, v in zip(report.vcs, report.verdicts)]
+    return report, list(zip(report.vcs, report.verdicts))
 
 
 def cmd_check(args, config: Config) -> int:
     report, vcs = _check_file(args, config)
-    payload = {
-        "status": "accepted" if report.accepted else "rejected",
-        "type": print_ref_type(report.type),
-        "vcs": vcs,
-    }
-    shown = vcs if args.explain else [vc for vc in vcs if vc["verdict"] != "valid"]
-    lines = [*map(_vc_line, shown), "accepted" if report.accepted else "rejected"]
-    _emit(payload, args.json, "\n".join(lines))
+    status = "accepted" if report.accepted else "rejected"
+    shown = vcs if args.explain else [(vc, v) for vc, v in vcs if v.kind != "valid"]
+    _emit(args.json,
+          lambda: {"status": status, "type": print_ref_type(report.type),
+                   "vcs": [_vc_payload(vc, v) for vc, v in vcs]},
+          lambda: "\n".join([*(_vc_line(vc, v) for vc, v in shown), status]))
     return EXIT_OK if report.accepted else EXIT_REJECTED
 
 
@@ -112,7 +119,7 @@ def cmd_elaborate(args, config: Config) -> int:
         f"type: {payload['type']}\nflag: {payload['flag']}\n"
         f"target: {payload['target']}\ntrace: {' '.join(result.trace)}"
     )
-    _emit(payload, args.json, text)
+    _emit(args.json, lambda: payload, lambda: text)
     return EXIT_OK
 
 
@@ -135,7 +142,7 @@ def cmd_run(args, config: Config) -> int:
             final = show(expr)
     payload = {"outcome": kind, "result": final, "steps": len(rules), "trace": rules}
     lines = [*(rules if args.trace else []), f"{kind}: {final}", f"steps: {len(rules)}"]
-    _emit(payload, args.json, "\n".join(lines))
+    _emit(args.json, lambda: payload, lambda: "\n".join(lines))
     return EXIT_OK
 
 
@@ -153,8 +160,8 @@ def cmd_vcs(args, config: Config) -> int:
             name = f"vc{i:03d}_{_slug(vc.origin)}.smt2"
             with open(os.path.join(args.smtlib, name), "w", encoding="utf-8") as handle:
                 handle.write(to_smtlib(vc))
-    lines = "\n".join(map(_vc_line, vcs)) or "no verification conditions"
-    _emit({"vcs": vcs}, args.json, lines)
+    _emit(args.json, lambda: {"vcs": [_vc_payload(vc, v) for vc, v in vcs]},
+          lambda: "\n".join(_vc_line(vc, v) for vc, v in vcs) or "no verification conditions")
     return EXIT_OK
 
 
@@ -168,23 +175,16 @@ def cmd_infer(args, config: Config) -> int:
         program, preds, config.clause_budget, config.search_depth
     )
     if isinstance(outcome, infer.Unsat):
-        _emit(
-            {"status": "unsat", "clause": outcome.clause.render()},
-            args.json,
-            f"no solution: clause fails under the weakest assignment\n"
-            f"  {outcome.clause.render()}",
-        )
+        clause = outcome.clause.render()
+        _emit(args.json, lambda: {"status": "unsat", "clause": clause},
+              lambda: f"no solution: clause fails under the weakest assignment\n  {clause}")
         return EXIT_REJECTED
-    solved = infer.apply_solution(templated, outcome)
-    payload = {
-        "status": "solved",
-        "solution": {k: render_pred(pand(v)) for k, v in sorted(outcome.assignment.items())},
-        "clauses": [c.render() for c in clauses],
-        "program": syntax.print_program(solved),
-    }
-    lines = [f"{k} := {render_pred(pand(v))}" for k, v in sorted(outcome.assignment.items())]
-    lines.append(syntax.print_program(solved))
-    _emit(payload, args.json, "\n".join(lines))
+    solution = {k: render_pred(pand(v)) for k, v in sorted(outcome.assignment.items())}
+    program = syntax.print_program(infer.apply_solution(templated, outcome))
+    _emit(args.json,
+          lambda: {"status": "solved", "solution": solution,
+                   "clauses": [c.render() for c in clauses], "program": program},
+          lambda: "\n".join([*(f"{k} := {p}" for k, p in solution.items()), program]))
     return EXIT_OK
 
 
@@ -300,6 +300,18 @@ def _load_config(args) -> Config:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command with the cyclic collector paused (see the module
+    docstring); the caller's setting is restored afterwards."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -308,7 +320,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args, _load_config(args))
     except ElabError as exc:
-        _emit({"status": "elab-error", "message": str(exc)}, args.json, f"phase 1 error: {exc}")
+        message = str(exc)
+        _emit(args.json, lambda: {"status": "elab-error", "message": message},
+              lambda: f"phase 1 error: {message}")
         return EXIT_ELAB_ERROR
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -72,7 +72,24 @@ FLAG_PLAIN = "∘"
 
 DEFAULT_SEARCH_DEPTH = 64
 
-Trace = tuple[str, ...]
+# A rule trace as a tree: each node is a tuple of rule names and subtraces,
+# read left to right.  A node shares its subtraces instead of copying them,
+# so traces stay linear in derivation size; ``flatten_trace`` spells a trace
+# out once, for ``ElabResult``.
+Trace = tuple
+
+
+def flatten_trace(trace: Trace) -> tuple[str, ...]:
+    """The rule names of a trace tree in order, without recursion."""
+    out: list[str] = []
+    stack: list = [trace]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            stack += reversed(item)
+    return tuple(out)
 
 
 class ElabError(Exception):
@@ -89,7 +106,7 @@ class ElabResult:
     type: SrcType
     target: TgtExpr
     flag: str
-    trace: Trace
+    trace: tuple[str, ...]
 
 
 class _MemoEntry:
@@ -184,6 +201,14 @@ class Elaborator:
                 entry.running = False
             entry.items.append(nxt)
 
+    def release(self) -> None:
+        """Drop the memo and the frames.  A memoised stream is a suspended
+        generator whose frame holds this elaborator, so each memo entry is a
+        reference cycle; once they are dropped, everything the search built
+        is freed by reference counting, without the cyclic collector."""
+        self._memo.clear()
+        self._frames.clear()
+
     # -- public entry points -------------------------------------------------
 
     def elaborate_program(self, program: Program) -> ElabResult:
@@ -195,12 +220,16 @@ class Elaborator:
                     f"ill-formed annotation {syntax.print_type(a.ty)}: {report.reason}", a.pos
                 )
         first = None
-        candidates = self.synth(self.empty_env, program.main, FLEXIBLE, self.search_depth)
-        for t, w, flag, trace in candidates:
-            if flag == FLAG_PLAIN:
-                return ElabResult(t, w, flag, ("T-TopLevel",) + trace)
-            if first is None:
-                first = ElabResult(t, w, flag, ("T-TopLevel",) + trace)
+        try:
+            for t, w, flag, trace in self.synth(
+                self.empty_env, program.main, FLEXIBLE, self.search_depth
+            ):
+                if flag == FLAG_PLAIN:
+                    return ElabResult(t, w, flag, flatten_trace(("T-TopLevel", trace)))
+                if first is None:
+                    first = ElabResult(t, w, flag, flatten_trace(("T-TopLevel", trace)))
+        finally:
+            self.release()
         if first is not None:
             return first
         raise ElabError(
@@ -250,7 +279,7 @@ class Elaborator:
             for w1, f1, tr1 in self.check(env, e, expected.left, mode, depth - 1):
                 for w2, f2, tr2 in self.check(env, e, expected.right, mode, depth - 1):
                     flag = f1 if f1 == f2 else FLAG_PLAIN
-                    yield TPair(w1, w2, _pos_of(e)), flag, ("T-And-Intro",) + tr1 + tr2
+                    yield TPair(w1, w2, _pos_of(e)), flag, ("T-And-Intro", tr1, tr2)
         # T-And-Elim
         for t, w, _, tr in self.synth(env, e, mode, depth - 1):
             if isinstance(t, AndType):
@@ -266,7 +295,7 @@ class Elaborator:
                     for w, flag, tr in self.check(env, e, arm, FLEXIBLE, depth - 1):
                         if isinstance(w, TDead) == cast_free:
                             continue
-                        yield TInj(k, w, expected, _pos_of(e)), flag, ("T-Up",) + tr
+                        yield TInj(k, w, expected, _pos_of(e)), flag, ("T-Up", tr)
         # T-Down
         for plug, e0 in syntax.decompose(e, is_value):
             for t0, w0, _, tr0 in self.synth(env, e0, mode, depth - 1):
@@ -280,7 +309,7 @@ class Elaborator:
             for t0, w0, flag, tr in self.synth(env, e, FLEXIBLE, depth - 1):
                 if syntax.tags_disjoint(t0, expected):
                     dead = TDead(t0, expected, w0, _pos_of(e))
-                    yield dead, flag, ("T-Dead",) + tr
+                    yield dead, flag, ("T-Dead", tr)
 
     def _check_syntax_directed(
         self, env: TypeEnv, e: SrcExpr, expected: SrcType, mode: str, depth: int
@@ -298,16 +327,16 @@ class Elaborator:
                     inner = self.extend(env, param, expected.dom)
                     for w, _, tr in self.check(inner, body, expected.cod, mode, depth):
                         ann = TLam(param, w, expected, pos)
-                        yield ann, FLAG_PLAIN, ("T-Lam",) + tr
+                        yield ann, FLAG_PLAIN, ("T-Lam", tr)
             case Ascribe(expr, ty, _):
                 if types_equal_basic(ty, expected):
                     for w, flag, tr in self.check(env, expr, ty, mode, depth):
-                        yield w, flag, ("T-Ascribe",) + tr
+                        yield w, flag, ("T-Ascribe", tr)
             case Let(name, bound, body, pos):
                 for t1, w1, _, tr1 in self.synth(env, bound, mode, depth):
                     inner = self.extend(env, name, t1)
                     for w2, flag, tr2 in self.check(inner, body, expected, mode, depth):
-                        yield TLet(name, w1, w2, pos), flag, ("T-Let",) + tr1 + tr2
+                        yield TLet(name, w1, w2, pos), flag, ("T-Let", tr1, tr2)
             case If(cond, then, els, pos):
                 for wc, fc, trc in self.check(env, cond, BOOL, FLEXIBLE, depth):
                     if fc != FLAG_PLAIN:
@@ -318,7 +347,7 @@ class Elaborator:
                             yield (
                                 TIf(wc, wt, wf_, pos),
                                 flag,
-                                ("T-Ite",) + trc + trt + trf,
+                                ("T-Ite", trc, trt, trf),
                             )
             case App():
                 yield from self._app_candidates(env, e, expected, mode, depth)
@@ -329,7 +358,7 @@ class Elaborator:
         assert isinstance(t, AndType)
         for k, part in ((1, t.left), (2, t.right)):
             proj = TProj(k, w)
-            tr_k = tr + ("T-And-Elim",)
+            tr_k = (tr, "T-And-Elim")
             if types_equal_basic(part, expected):
                 yield proj, FLAG_INTER, tr_k
             elif isinstance(part, AndType):
@@ -357,12 +386,12 @@ class Elaborator:
                     yield t, TVar(name, pos), FLAG_PLAIN, ("T-Var",)
             case Ascribe(expr, ty, _):
                 for w, flag, tr in self.check(env, expr, ty, mode, depth):
-                    yield ty, w, flag, ("T-Ascribe",) + tr
+                    yield ty, w, flag, ("T-Ascribe", tr)
             case Let(name, bound, body, pos):
                 for t1, w1, _, tr1 in self.synth(env, bound, mode, depth):
                     inner = self.extend(env, name, t1)
                     for t2, w2, flag, tr2 in self.synth(inner, body, mode, depth):
-                        yield t2, TLet(name, w1, w2, pos), flag, ("T-Let",) + tr1 + tr2
+                        yield t2, TLet(name, w1, w2, pos), flag, ("T-Let", tr1, tr2)
             case If(cond, then, els, pos):
                 for wc, fc, trc in self.check(env, cond, BOOL, FLEXIBLE, depth):
                     if fc != FLAG_PLAIN:
@@ -371,7 +400,7 @@ class Elaborator:
                         for t2, we, f2, trf in self.synth(env, els, mode, depth):
                             if types_equal_basic(t1, t2):
                                 flag = f1 if f1 == f2 else FLAG_PLAIN
-                                yield t1, TIf(wc, wt, we, pos), flag, ("T-Ite",) + trc + trt + trf
+                                yield t1, TIf(wc, wt, we, pos), flag, ("T-Ite", trc, trt, trf)
             case App():
                 yield from self._app(env, e, mode, depth)
             case Lam():
@@ -406,7 +435,7 @@ class Elaborator:
             yield t, w, flag, tr
         elif isinstance(t, AndType):
             for k, part in ((1, t.left), (2, t.right)):
-                yield from self._arrows_of(part, TProj(k, w), FLAG_INTER, tr + ("T-And-Elim",))
+                yield from self._arrows_of(part, TProj(k, w), FLAG_INTER, (tr, "T-And-Elim"))
 
     def _app(
         self, env: TypeEnv, e: App, mode: str, depth: int, cod: SrcType | None = None
@@ -415,13 +444,13 @@ class Elaborator:
         # Pass 1: strict arguments for every head candidate.
         for arrow, w1, _, tr1 in self._heads(env, e.fn, mode, depth, cod):
             for w2, _, tr2 in self.check(env, e.arg, arrow.dom, STRICT, depth):
-                yield arrow.cod, TApp(w1, w2, e.pos), FLAG_PLAIN, ("T-App",) + tr1 + tr2
+                yield arrow.cod, TApp(w1, w2, e.pos), FLAG_PLAIN, ("T-App", tr1, tr2)
         # Pass 2: flexible arguments, only where no overload was chosen.
         for arrow, w1, f1, tr1 in self._heads(env, e.fn, mode, depth, cod):
             if f1 == FLAG_INTER:
                 continue
             for w2, _, tr2 in self.check(env, e.arg, arrow.dom, FLEXIBLE, depth):
-                yield arrow.cod, TApp(w1, w2, e.pos), FLAG_PLAIN, ("T-App",) + tr1 + tr2
+                yield arrow.cod, TApp(w1, w2, e.pos), FLAG_PLAIN, ("T-App", tr1, tr2)
 
     def _app_candidates(
         self, env: TypeEnv, e: App, expected: SrcType, mode: str, depth: int
@@ -440,7 +469,7 @@ class Elaborator:
                     yield (
                         TApp(dead, wa, e.pos),
                         FLAG_PLAIN,
-                        ("T-App", "T-Dead") + tr0 + tra,
+                        ("T-App", "T-Dead", tr0, tra),
                     )
 
     # -- union elimination -------------------------------------------------
@@ -467,7 +496,7 @@ class Elaborator:
                 yield (
                     TCase(w0, x1, w1, x2, w2, _pos_of(e0)),
                     flag,
-                    ("T-Down",) + tr0 + tr1 + tr2,
+                    ("T-Down", tr0, tr1, tr2),
                 )
 
 
@@ -483,4 +512,8 @@ def check_expr(
     env: dict[str, SrcType], e: SrcExpr, expected: SrcType, mode: str = FLEXIBLE,
     search_depth: int = DEFAULT_SEARCH_DEPTH,
 ) -> tuple[TgtExpr, str]:
-    return Elaborator(search_depth).check_expr(env, e, expected, mode)
+    elaborator = Elaborator(search_depth)
+    try:
+        return elaborator.check_expr(env, e, expected, mode)
+    finally:
+        elaborator.release()

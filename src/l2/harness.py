@@ -369,30 +369,34 @@ def assumption1_check(trial: Trial) -> list[str]:
     """Primitive application agrees between the languages for non-DEAD values."""
     violations: list[str] = []
     seen: set[tuple[str, str]] = set()
-    elaborator = Elaborator(trial.search_depth)
-    for state in trial.source[2]:
-        for c, v in _prim_redexes(state):
-            key = (c.con.name, syntax.print_expr(v))
-            if key in seen:
-                continue
-            seen.add(key)
-            dom = c.con.source_type.dom
-            step = source_interp.step_source(App(c, v))
-            if not isinstance(step, Stepped):
-                continue  # delta undefined: the assumption does not apply
-            try:
-                w, _ = elaborator.check_expr({}, v, dom)
-            except ElabError:
-                violations.append(f"{key}: argument does not elaborate at the domain")
-                continue
-            if target_interp.is_dead_value(normalize_admin(w)):
-                continue
-            t_step = target_interp.step_target(TApp(TConst(c.con), w))
-            if not isinstance(t_step, Stepped):
-                violations.append(f"{key}: target application does not step")
-                continue
-            if not elab_matches({}, step.next, c.con.source_type.cod, normalize_admin(t_step.next)):
-                violations.append(f"{key}: results are not related by elaboration")
+    elaborator = Elaborator(trial.search_depth)  # one memo for every argument
+    try:
+        for state in trial.source[2]:
+            for c, v in _prim_redexes(state):
+                key = (c.con.name, syntax.print_expr(v))
+                if key in seen:
+                    continue
+                seen.add(key)
+                dom = c.con.source_type.dom
+                step = source_interp.step_source(App(c, v))
+                if not isinstance(step, Stepped):
+                    continue  # delta undefined: the assumption does not apply
+                try:
+                    w, _ = elaborator.check_expr({}, v, dom)
+                except ElabError:
+                    violations.append(f"{key}: argument does not elaborate at the domain")
+                    continue
+                if target_interp.is_dead_value(normalize_admin(w)):
+                    continue
+                t_step = target_interp.step_target(TApp(TConst(c.con), w))
+                if not isinstance(t_step, Stepped):
+                    violations.append(f"{key}: target application does not step")
+                    continue
+                cod = c.con.source_type.cod
+                if not elab_matches({}, step.next, cod, normalize_admin(t_step.next)):
+                    violations.append(f"{key}: results are not related by elaboration")
+    finally:
+        elaborator.release()
     return violations
 
 

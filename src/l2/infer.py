@@ -31,6 +31,7 @@ from .logic import (
     kappas_of,
     map_pred,
     pand,
+    pred_leaves,
     pred_names,
     ResourceLimit,
     valid,
@@ -131,14 +132,21 @@ def gen_horn(
 def _assign_scopes(kappas: list[KappaVar], vcs: tuple[VC, ...]) -> list[KappaVar]:
     """A kappa's scope is the set of integer program variables available at
     every occurrence: the names that each VC mentioning it reads and binds at
-    a number type (``VC.scope``)."""
+    a number type (``VC.scope``), less the names in the terms its
+    applications substitute for the value variable.  ``k[a/v]`` refines
+    ``a`` itself, so a candidate over ``a`` would relate ``a`` to itself."""
     scopes: dict[str, frozenset[str]] = {}
     for vc in vcs:
         preds = (*vc.hyps, vc.antecedent, vc.consequent)
         names = frozenset().union(*map(pred_names, preds)) & frozenset(vc.scope)
         names = frozenset(n for n in names if not n.startswith("$") and n != VALUE_VAR)
-        for k in frozenset().union(*map(kappas_of, preds)):
-            scopes[k] = scopes[k] & names if k in scopes else names
+        own: dict[str, set[str]] = {}  # kappa -> the names substituted for its v
+        for q in (q for p in preds for q in pred_leaves(p) if isinstance(q, PKappa)):
+            value = own.setdefault(q.kappa, set())
+            value.update(n for x, term in q.subst if x == VALUE_VAR for n, _ in term.coeffs)
+        for k, value in own.items():
+            mine = names - value
+            scopes[k] = scopes[k] & mine if k in scopes else mine
     return [replace(k, scope=tuple(sorted(scopes.get(k.id, ())))) for k in kappas]
 
 

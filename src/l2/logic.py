@@ -897,7 +897,7 @@ def valid(
             try:
                 cubes = dnf_cubes(PAnd(tuple(part)) if len(part) > 1 else part[0], clause_budget)
             except ResourceLimit as exc:
-                limit = exc
+                limit = str(exc)  # not exc: its traceback would keep the DNF alive
                 continue
             memo[key] = next((c for c in cubes if not fm_unsat(c, memo)), None)
         if memo[key] is None:

@@ -84,7 +84,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     kind: str  # "int" | "name" | "sym" | "eof"
     text: str

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import constants
 from .logic import (
@@ -165,20 +166,19 @@ def elab_type(t: SrcType) -> SrcType:
 
     The names are reserved, so they cannot collide with program variables.
     """
-    counter = itertools.count(1)
+    return _name_arrows(t, itertools.count(1))
 
-    def name(t: SrcType) -> SrcType:
-        match t:
-            case PrimType():
-                return t
-            case FunType(dom, cod):
-                binder = f"$d{next(counter)}"
-                return FunType(name(dom), name(cod), binder)
-            case AndType(left, right) | OrType(left, right):
-                return type(t)(name(left), name(right))
-        raise TypeError(f"not a type: {t!r}")
 
-    return name(t)
+def _name_arrows(t: SrcType, counter: Iterator[int]) -> SrcType:
+    match t:
+        case PrimType():
+            return t
+        case FunType(dom, cod):
+            binder = f"$d{next(counter)}"
+            return FunType(_name_arrows(dom, counter), _name_arrows(cod, counter), binder)
+        case AndType(left, right) | OrType(left, right):
+            return type(t)(_name_arrows(left, counter), _name_arrows(right, counter))
+    raise TypeError(f"not a type: {t!r}")
 
 
 def ftx(t: SrcType, r: Pred) -> SrcType:

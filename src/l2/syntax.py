@@ -150,11 +150,17 @@ def map_prims(t: SrcType, f: Callable[[PrimType], SrcType]) -> SrcType:
     raise TypeError(f"not a source type: {t!r}")
 
 
+_BASIC = object()  # the ``_basic`` of a type that is its own erasure
+
+
 def erase_refinements(t: SrcType) -> SrcType:
     """Phase 1's basic type under t: no refinements and no arrow binders.
     Kept on the node once computed, as ``cached_hash`` keeps the hash; an
-    already basic type is its own erasure."""
+    already basic type is its own erasure, and is marked so rather than
+    pointing at itself, which would make it a reference cycle."""
     basic = getattr(t, "_basic", None)
+    if basic is _BASIC:
+        return t
     if basic is None:
         match t:
             case PrimType(base, refinement):
@@ -165,8 +171,9 @@ def erase_refinements(t: SrcType) -> SrcType:
             case AndType(left, right) | OrType(left, right):
                 parts = erase_refinements(left), erase_refinements(right)
                 basic = t if parts[0] is left and parts[1] is right else type(t)(*parts)
-        object.__setattr__(t, "_basic", basic)
-        object.__setattr__(basic, "_basic", basic)
+        if basic is not t:
+            object.__setattr__(t, "_basic", basic)
+        object.__setattr__(basic, "_basic", _BASIC)
     return basic
 
 
@@ -478,28 +485,39 @@ def erase_ascriptions(e: SrcExpr) -> SrcExpr:
 def uniquify(e: SrcExpr) -> SrcExpr:
     """Rename binders so every bound name is distinct from all others; a
     node's binders are renamed before any of its children is visited."""
-    used: set[str] = set(free_vars(e))
-    counters: dict[str, int] = {}
+    return _uniquify(e, {}, set(free_vars(e)), {})
 
-    def fresh(base: str) -> str:
-        name, n = base, counters.get(base, 1)
-        while name in used:
-            name, n = f"{base}_{n}", n + 1
-            counters[base] = n
-        used.add(name)
-        return name
 
-    def go(e: Term, ren: dict[str, str]) -> Term:
-        children, variable = SHAPES[type(e)]
-        if variable:
-            return type(e)(ren[e.name], pos=e.pos) if e.name in ren else e
-        new = {b: fresh(getattr(e, b)) for _, b in children if b is not None}
-        for child, b in children:
-            scope = ren if b is None else {**ren, getattr(e, b): new[b]}
-            new[child] = go(getattr(e, child), scope)
-        return rebuild(e, new)
+def _uniquify(e: Term, ren: dict[str, str], used: set[str], counters: dict[str, int]) -> Term:
+    """e with its binders renamed apart from ``used``.  ``ren`` maps each
+    binder in scope to its new name; a binder's entry is bound for its scope
+    and then restored, so no binder copies the map."""
+    children, variable = SHAPES[type(e)]
+    if variable:
+        return type(e)(ren[e.name], pos=e.pos) if e.name in ren else e
+    new = {b: _fresh(getattr(e, b), used, counters) for _, b in children if b is not None}
+    for child, b in children:
+        if b is None:
+            new[child] = _uniquify(getattr(e, child), ren, used, counters)
+            continue
+        name = getattr(e, b)
+        outer = ren.get(name)
+        ren[name] = new[b]
+        new[child] = _uniquify(getattr(e, child), ren, used, counters)
+        if outer is None:
+            del ren[name]
+        else:
+            ren[name] = outer
+    return rebuild(e, new)
 
-    return go(e, {})
+
+def _fresh(base: str, used: set[str], counters: dict[str, int]) -> str:
+    name, n = base, counters.get(base, 1)
+    while name in used:
+        name, n = f"{base}_{n}", n + 1
+        counters[base] = n
+    used.add(name)
+    return name
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,18 @@ def let_chain(n: int) -> str:
     return "\n".join(lines) + f"\nx{n - 1}\n"
 
 
+def disj_program(k: int) -> str:
+    """k parameters refined to 0 or 1, summed and checked against v >= 0:
+    valid, and the last obligation's negation has 2**k DNF cubes."""
+    params = " => ".join(f"\\p{i}" for i in range(k))
+    total = "add p0 p1"
+    for i in range(2, k):
+        total = f"add ({total}) p{i}"
+    arrows = " -> ".join(["b01"] * k)
+    return (f"type b01 = {{v:number | v = 0 || v = 1}}\n"
+            f"(({params} => {total}) : {arrows} -> {{v:number | v >= 0}})\n")
+
+
 def eval_source(e, fuel: int = DEFAULT_FUEL):
     """The outcome of a source run, without its trace."""
     return eval_source_trace(e, fuel)[0]

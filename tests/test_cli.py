@@ -11,7 +11,7 @@ from l2.cli import Config, main
 from l2.elaborate import DEFAULT_SEARCH_DEPTH
 from l2.logic import DEFAULT_CLAUSE_BUDGET
 from l2.source_interp import DEFAULT_FUEL
-from tests.conftest import let_chain
+from tests.conftest import disj_program, let_chain
 
 
 def run_cli(args, capsys):
@@ -153,18 +153,6 @@ class TestDeepInput:
         assert err == (
             "error: input nests too deeply for this checker (recursion limit reached)\n"
         )
-
-
-def disj_program(k: int) -> str:
-    """k parameters refined to 0 or 1, summed and checked against v >= 0:
-    valid, and the last obligation's negation has 2**k DNF cubes."""
-    params = " => ".join(f"\\p{i}" for i in range(k))
-    total = "add p0 p1"
-    for i in range(2, k):
-        total = f"add ({total}) p{i}"
-    arrows = " -> ".join(["b01"] * k)
-    return (f"type b01 = {{v:number | v = 0 || v = 1}}\n"
-            f"(({params} => {total}) : {arrows} -> {{v:number | v >= 0}})\n")
 
 
 class TestClauseBudget:

@@ -145,6 +145,15 @@ class TestGenHorn:
         for k in kappas:
             assert all(not n.startswith("$") for n in k.scope)
 
+    def test_scope_leaves_out_the_names_substituted_for_v(self):
+        # a's domain kappa is applied as k1[a/v]: a candidate over a would
+        # relate a to itself (v = a && v != a ...), accepting vacuously
+        p = parser.parse_program("((\\a => \\b => add a b) : number -> number -> number)")
+        _, kappas, _ = gen_horn(p)
+        assert {k.id: k.scope for k in kappas} == {"k1": (), "k2": ("a",), "k3": ("a",)}
+        outcome = infer_refinements(p)[0]
+        assert render_pred(pand(outcome.assignment["k1"])) == "true"
+
 
 class TestHoudini:
     def brute_force_greatest(self, clauses, candidates):

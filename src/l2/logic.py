@@ -504,20 +504,12 @@ def pred_key(p: Pred):
             return _canon_cmp(c.flip())
         case PNot(inner):
             return ("not", pred_key(inner))
-        case PAnd(parts):
-            keys = sorted(set(pred_key(q) for q in parts if pred_key(q) != ("bool", True)))
-            if not keys:
-                return ("bool", True)
-            if len(keys) == 1:
-                return keys[0]
-            return ("and",) + tuple(keys)
-        case POr(parts):
-            keys = sorted(set(pred_key(q) for q in parts if pred_key(q) != ("bool", False)))
-            if not keys:
-                return ("bool", False)
-            if len(keys) == 1:
-                return keys[0]
-            return ("or",) + tuple(keys)
+        case PAnd(parts) | POr(parts):
+            unit = ("bool", isinstance(p, PAnd))  # the key of the empty conjunction or disjunction
+            keys = sorted({k for k in map(pred_key, parts) if k != unit})
+            if len(keys) > 1:
+                return ("and" if unit[1] else "or",) + tuple(keys)
+            return keys[0] if keys else unit
         case PImp(a, b):
             return ("imp", pred_key(a), pred_key(b))
         case PIff(a, b):
@@ -527,12 +519,14 @@ def pred_key(p: Pred):
     raise TypeError(f"not a predicate: {p!r}")
 
 
+# Only a boolean constant, a conjunction or a disjunction can have a constant's
+# key, so is_true and is_false answer any other predicate without building one.
 def is_true(p: Pred) -> bool:
-    return pred_key(p) == ("bool", True)
+    return isinstance(p, (PBool, PAnd, POr)) and pred_key(p) == ("bool", True)
 
 
 def is_false(p: Pred) -> bool:
-    return pred_key(p) == ("bool", False)
+    return isinstance(p, (PBool, PAnd, POr)) and pred_key(p) == ("bool", False)
 
 
 # ---------------------------------------------------------------------------

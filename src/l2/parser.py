@@ -18,13 +18,17 @@ Grammar sketch:
     patom    := "true" | "false" | arith (CMP arith)? | "(" pred ")"
     arith    := term (("+"|"-") term)*;  term := factor ("*" factor)*
 
-Binders are renamed apart on ingest, and type aliases are expanded eagerly.
+Tokens are named tuples, scanned a line at a time.  ``expr`` parses a chain
+of let bodies, lambda bodies and else branches with a loop, so a chain of any
+length parses and only nesting in other positions costs recursion.  Binders
+are renamed apart on ingest, and type aliases are expanded eagerly.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from functools import partial, reduce
+from typing import NamedTuple
 
 from . import constants, syntax
 from .logic import (
@@ -72,45 +76,47 @@ class UnboundAlias(ParseError):
 
 KEYWORDS = {"let", "in", "if", "then", "else", "type", "true", "false", "number", "boolean"}
 
+# One token, after the whitespace before it: a line is scanned with its
+# trailing whitespace stripped, so every match ends on a token and no match
+# backtracks over a run of whitespace.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>--[^\n]*)
-  | (?P<int>\d+)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<sym>=>|->|/\\|\\/|&&|\|\||<=|>=|!=|[\\(){}:|=<>!+\-*,])
+    \s*(?:
+      (?P<comment>--.*)
+    | (?P<int>\d+)
+    | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
+    | (?P<sym>=>|->|/\\|\\/|&&|\|\||<=|>=|!=|[\\(){}:|=<>!+\-*,])
+    | (?P<bad>\S)
+    )
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int" | "name" | "sym" | "eof"
     text: str
     line: int
     col: int
 
 
+_new_token = tuple.__new__  # builds a Token without its Python-level __new__
+
+
 def tokenize(text: str) -> list[Token]:
+    """The tokens of text, scanned one line at a time: the line number is
+    the line's index from 1, and a column counts characters from 1."""
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", line, col)
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        i = m.end()
-    tokens.append(Token("eof", "", line, col))
+    append = tokens.append
+    for line, chars in enumerate(text.split("\n"), 1):
+        for m in _TOKEN_RE.finditer(chars.rstrip()):
+            kind = m.lastgroup
+            if kind == "comment":
+                continue
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m.group(kind)!r}", line, m.start(kind) + 1)
+            append(_new_token(Token, (kind, m.group(kind), line, m.start(kind) + 1)))
+    append(Token("eof", "", line, len(chars) + 1))
     return tokens
 
 
@@ -133,43 +139,49 @@ class _Parser:
         return ParseError(message, tok.line, tok.col)
 
     def expect(self, text: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.text != text:
             raise self.error(f"expected {text!r}, found {tok.text!r}")
-        return self.next()
-
-    def at(self, text: str) -> bool:
-        return self.peek().text == text
+        self.pos += 1
+        return tok
 
     def eat(self, text: str) -> bool:
-        if self.at(text):
-            self.next()
+        if self.tokens[self.pos].text == text:
+            self.pos += 1
             return True
         return False
 
     def expect_name(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "name" or tok.text in KEYWORDS:
             raise self.error(f"expected a name, found {tok.text!r}")
-        return self.next()
+        self.pos += 1
+        return tok
+
+    def end(self, result):
+        """result, once the input is used up."""
+        if self.peek().kind != "eof":
+            raise self.error(f"trailing input {self.peek().text!r}")
+        return result
+
+    def joined(self, part, sym: str, join):
+        """One or more of part separated by sym, joined by join when more."""
+        parts = [part()]
+        while self.eat(sym):
+            parts.append(part())
+        return join(parts) if len(parts) > 1 else parts[0]
 
     # -- programs ----------------------------------------------------------
 
     def program(self) -> Program:
-        aliases: list[tuple[str, SrcType]] = []
-        while self.at("type"):
-            self.next()
+        while self.eat("type"):
             name = self.expect_name().text
             self.expect("=")
             t = self.type_()
             if name in self.aliases:
                 raise self.error(f"duplicate type alias {name!r}")
             self.aliases[name] = t
-            aliases.append((name, t))
-        main = self.expr()
-        if self.peek().kind != "eof":
-            raise self.error(f"trailing input {self.peek().text!r}")
-        return Program(tuple(aliases), syntax.uniquify(main))
+        return Program(tuple(self.aliases.items()), syntax.uniquify(self.end(self.expr())))
 
     # -- types ---------------------------------------------------------------
 
@@ -180,29 +192,20 @@ class _Parser:
         return left
 
     def type_or(self) -> SrcType:
-        left = self.type_and()
-        while self.eat("\\/"):
-            left = OrType(left, self.type_and())
-        return left
+        return self.joined(self.type_and, "\\/", partial(reduce, OrType))
 
     def type_and(self) -> SrcType:
-        left = self.type_atom()
-        while self.eat("/\\"):
-            left = AndType(left, self.type_atom())
-        return left
+        return self.joined(self.type_atom, "/\\", partial(reduce, AndType))
 
     def type_atom(self) -> SrcType:
-        tok = self.peek()
-        if tok.text == "number":
-            self.next()
+        if self.eat("number"):
             return syntax.NUM
-        if tok.text == "boolean":
-            self.next()
+        if self.eat("boolean"):
             return syntax.BOOL
+        tok = self.peek()
         if tok.text == "{":
             return self.refinement_type()
-        if tok.text == "(":
-            self.next()
+        if self.eat("("):
             t = self.type_()
             self.expect(")")
             return t
@@ -237,16 +240,10 @@ class _Parser:
         return left
 
     def pred_or(self) -> Pred:
-        parts = [self.pred_and()]
-        while self.eat("||"):
-            parts.append(self.pred_and())
-        return por(parts) if len(parts) > 1 else parts[0]
+        return self.joined(self.pred_and, "||", por)
 
     def pred_and(self) -> Pred:
-        parts = [self.pred_not()]
-        while self.eat("&&"):
-            parts.append(self.pred_not())
-        return pand(parts) if len(parts) > 1 else parts[0]
+        return self.joined(self.pred_not, "&&", pand)
 
     def pred_not(self) -> Pred:
         if self.eat("!"):
@@ -254,14 +251,11 @@ class _Parser:
         return self.pred_atom()
 
     def pred_atom(self) -> Pred:
-        tok = self.peek()
-        if tok.text == "true":
-            self.next()
+        if self.eat("true"):
             return PBool(True)
-        if tok.text == "false":
-            self.next()
+        if self.eat("false"):
             return PBool(False)
-        if tok.text == "(":
+        if self.peek().text == "(":
             # Parenthesized predicate or parenthesized arithmetic head.
             saved = self.pos
             try:
@@ -305,18 +299,16 @@ class _Parser:
         return left
 
     def arith_factor(self) -> LinTerm:
-        tok = self.peek()
-        if tok.text == "-":
-            self.next()
+        if self.eat("-"):
             return self.arith_factor().scale(-1)
+        tok = self.peek()
         if tok.kind == "int":
             self.next()
             return LinTerm.of_const(int(tok.text))
         if tok.kind == "name" and tok.text not in KEYWORDS:
             self.next()
             return LinTerm.of_var(tok.text)
-        if tok.text == "(":
-            self.next()
+        if self.eat("("):
             t = self.arith()
             self.expect(")")
             return t
@@ -325,74 +317,79 @@ class _Parser:
     # -- expressions -----------------------------------------------------------
 
     def expr(self) -> SrcExpr:
-        tok = self.peek()
-        if tok.text == "let":
-            self.next()
-            name = self.expect_name().text
-            self.expect("=")
-            bound = self.expr()
-            self.expect("in")
-            body = self.expr()
-            return Let(name, bound, body, (tok.line, tok.col))
-        if tok.text == "if":
-            self.next()
-            cond = self.expr()
-            self.expect("then")
-            then = self.expr()
-            self.expect("else")
-            els = self.expr()
-            return If(cond, then, els, (tok.line, tok.col))
-        if tok.text == "\\":
-            self.next()
-            param = self.expect_name().text
-            self.expect("=>")
-            body = self.expr()
-            return Lam(param, body, (tok.line, tok.col))
-        return self.app()
+        """A let body, a lambda body and an else branch are parsed by this
+        loop, not by recursion: the binders and conditionals before the
+        innermost application are kept on ``spine`` and folded around it
+        from the inside out."""
+        tokens = self.tokens
+        spine: list[tuple] = []  # (class, the fields before the body, pos)
+        while True:
+            tok = tokens[self.pos]
+            if tok.text == "let":
+                self.pos += 1
+                name = self.expect_name().text
+                self.expect("=")
+                bound = self.expr()
+                self.expect("in")
+                spine.append((Let, (name, bound), (tok.line, tok.col)))
+            elif tok.text == "if":
+                self.pos += 1
+                cond = self.expr()
+                self.expect("then")
+                then = self.expr()
+                self.expect("else")
+                spine.append((If, (cond, then), (tok.line, tok.col)))
+            elif tok.text == "\\":
+                self.pos += 1
+                param = self.expect_name().text
+                self.expect("=>")
+                spine.append((Lam, (param,), (tok.line, tok.col)))
+            else:
+                break
+        e = self.app()
+        for cls, fields, pos in reversed(spine):
+            e = cls(*fields, e, pos)
+        return e
 
     def app(self) -> SrcExpr:
         head = self.atom()
+        if head is None:
+            raise self.error(f"expected an expression, found {self.peek().text!r}")
         while True:
-            tok = self.peek()
-            if tok.kind in ("int", "name") and tok.text not in KEYWORDS or tok.text in ("(", "\\"):
-                if tok.text == "\\":
-                    raise self.error("a lambda argument must be parenthesized")
-                head = App(head, self.atom(), (tok.line, tok.col))
-            elif tok.text in ("true", "false"):
-                head = App(head, self.atom(), (tok.line, tok.col))
-            elif tok.text == "-" and self.tokens[self.pos + 1].kind == "int":
-                head = App(head, self.atom(), (tok.line, tok.col))
-            else:
+            tok = self.tokens[self.pos]
+            if tok.text == "\\":
+                raise self.error("a lambda argument must be parenthesized")
+            arg = self.atom()
+            if arg is None:
                 return head
+            head = App(head, arg, (tok.line, tok.col))
 
-    def atom(self) -> SrcExpr:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.next()
-            return Const(constants.int_const(int(tok.text)), (tok.line, tok.col))
-        if tok.text == "-" and self.tokens[self.pos + 1].kind == "int":
-            self.next()
-            num = self.next()
-            return Const(constants.int_const(-int(num.text)), (tok.line, tok.col))
-        if tok.text in ("true", "false"):
-            self.next()
-            return Const(constants.bool_const(tok.text == "true"), (tok.line, tok.col))
-        if tok.kind == "name" and tok.text not in KEYWORDS:
-            self.next()
-            con = constants.NAMED_CONSTANTS.get(tok.text)
-            if con is not None:
-                return Const(con, (tok.line, tok.col))
-            return Var(tok.text, (tok.line, tok.col))
-        if tok.text == "(":
-            self.next()
+    def atom(self) -> SrcExpr | None:
+        """The atom that starts here, or None when none does."""
+        tok = self.tokens[self.pos]
+        kind, text, pos = tok.kind, tok.text, (tok.line, tok.col)
+        if kind == "int":
+            self.pos += 1
+            return Const(constants.int_const(int(text)), pos)
+        if kind == "name" and text not in KEYWORDS:
+            self.pos += 1
+            con = constants.NAMED_CONSTANTS.get(text)
+            return Var(text, pos) if con is None else Const(con, pos)
+        if text == "-" and self.tokens[self.pos + 1].kind == "int":
+            self.pos += 2
+            return Const(constants.int_const(-int(self.tokens[self.pos - 1].text)), pos)
+        if text in ("true", "false"):
+            self.pos += 1
+            return Const(constants.bool_const(text == "true"), pos)
+        if self.eat("("):
             e = self.expr()
             if self.eat(":"):
                 t = self.type_()
                 self.expect(")")
-                return Ascribe(e, t, (tok.line, tok.col))
+                return Ascribe(e, t, pos)
             self.expect(")")
             return e
-        raise self.error(f"expected an expression, found {tok.text!r}")
+        return None
 
 
 def parse_program(text: str) -> Program:
@@ -400,25 +397,19 @@ def parse_program(text: str) -> Program:
 
 
 def parse_expr(text: str) -> SrcExpr:
-    parser = _Parser(tokenize(text))
-    e = parser.expr()
-    if parser.peek().kind != "eof":
-        raise parser.error(f"trailing input {parser.peek().text!r}")
-    return syntax.uniquify(e)
+    return syntax.uniquify(_parse_all(text, _Parser.expr))
 
 
 def parse_type(text: str, aliases: dict[str, SrcType] | None = None) -> SrcType:
-    parser = _Parser(tokenize(text))
-    parser.aliases = dict(aliases or {})
-    t = parser.type_()
-    if parser.peek().kind != "eof":
-        raise parser.error(f"trailing input {parser.peek().text!r}")
-    return t
+    return _parse_all(text, _Parser.type_, aliases)
 
 
 def parse_pred(text: str) -> Pred:
+    return _parse_all(text, _Parser.pred)
+
+
+def _parse_all(text: str, rule, aliases: dict[str, SrcType] | None = None):
+    """rule's parse of the whole of text."""
     parser = _Parser(tokenize(text))
-    p = parser.pred()
-    if parser.peek().kind != "eof":
-        raise parser.error(f"trailing input {parser.peek().text!r}")
-    return p
+    parser.aliases = dict(aliases or {})
+    return parser.end(rule(parser))

@@ -7,9 +7,9 @@ Every term class, source here and target in ``target.py``, declares its
 shape with ``@shape``: its child fields, left to right, each with the field
 of the binder that scopes over it, and how many of the leading children are
 evaluation positions.  The term walkers read only those tables, so one of
-each serves both languages: ``subexprs`` (preorder, without recursion),
-``free_vars`` (without recursion), the capture-avoiding ``subst``, the
-bottom-up ``map_up``, which ``map_ascriptions`` and ``erase_ascriptions``
+each serves both languages: ``subexprs`` (preorder), ``free_vars`` and
+``uniquify`` (all three without recursion), the capture-avoiding ``subst``,
+the bottom-up ``map_up``, which ``map_ascriptions`` and ``erase_ascriptions``
 use, and ``decompose``, which enumerates the evaluation contexts that both
 interpreters step under and that union elimination splits on.  A shape
 also declares the class's concrete syntax, a template with its precedence,
@@ -110,26 +110,14 @@ def wf_type(t: SrcType) -> WfReport:
     match t:
         case PrimType():
             return WfReport(True)
-        case FunType(dom, cod):
-            for part in (dom, cod):
-                r = wf_type(part)
-                if not r.ok:
-                    return r
-            return WfReport(True)
-        case AndType(left, right):
+        case FunType(left, right) | AndType(left, right) | OrType(left, right):
             for part in (left, right):
                 r = wf_type(part)
                 if not r.ok:
                     return r
-            if type_tag(left) != type_tag(right):
+            if isinstance(t, AndType) and type_tag(left) != type_tag(right):
                 return WfReport(False, t, "intersection parts have different tags")
-            return WfReport(True)
-        case OrType(left, right):
-            for part in (left, right):
-                r = wf_type(part)
-                if not r.ok:
-                    return r
-            if type_tag(left) & type_tag(right):
+            if isinstance(t, OrType) and type_tag(left) & type_tag(right):
                 return WfReport(False, t, "union parts have overlapping tags")
             return WfReport(True)
     raise TypeError(f"not a source type: {t!r}")
@@ -371,7 +359,13 @@ def subexprs(e: Term) -> Iterator[Term]:
 
 
 def free_vars(e: Term) -> frozenset[str]:
+    return frozenset(_names(e)[0])
+
+
+def _names(e: Term) -> tuple[set[str], list[str]]:
+    """The free names of e, and the names of its binders, repeats included."""
     free: set[str] = set()
+    binders: list[str] = []
     bound: dict[str, int] = {}  # the binders in scope, with multiplicity
     stack: list = [e]
     while stack:
@@ -380,15 +374,18 @@ def free_vars(e: Term) -> frozenset[str]:
             bound[e[0]] = bound.get(e[0], 0) + e[1]
             continue
         children, variable = SHAPES[type(e)]
-        if variable and not bound.get(e.name):
-            free.add(e.name)
+        if variable:
+            if not bound.get(e.name):
+                free.add(e.name)
+            continue
         for child, binder in reversed(children):
             if binder is None:
                 stack.append(getattr(e, child))
             else:
                 name = getattr(e, binder)
+                binders.append(name)
                 stack += ((name, -1), getattr(e, child), (name, 1))
-    return frozenset(free)
+    return free, binders
 
 
 def rebuild(e: Term, new: dict) -> Term:
@@ -483,32 +480,45 @@ def erase_ascriptions(e: SrcExpr) -> SrcExpr:
 
 
 def uniquify(e: SrcExpr) -> SrcExpr:
-    """Rename binders so every bound name is distinct from all others; a
-    node's binders are renamed before any of its children is visited."""
-    return _uniquify(e, {}, set(free_vars(e)), {})
-
-
-def _uniquify(e: Term, ren: dict[str, str], used: set[str], counters: dict[str, int]) -> Term:
-    """e with its binders renamed apart from ``used``.  ``ren`` maps each
-    binder in scope to its new name; a binder's entry is bound for its scope
-    and then restored, so no binder copies the map."""
-    children, variable = SHAPES[type(e)]
-    if variable:
-        return type(e)(ren[e.name], pos=e.pos) if e.name in ren else e
-    new = {b: _fresh(getattr(e, b), used, counters) for _, b in children if b is not None}
-    for child, b in children:
-        if b is None:
-            new[child] = _uniquify(getattr(e, child), ren, used, counters)
-            continue
-        name = getattr(e, b)
-        outer = ren.get(name)
-        ren[name] = new[b]
-        new[child] = _uniquify(getattr(e, child), ren, used, counters)
-        if outer is None:
-            del ren[name]
+    """Rename binders apart from each other and from the free names, in
+    preorder, a binder keeping its name while that is unused.  e itself when
+    no binder collides; otherwise renamed on an explicit stack, each binder's
+    new name bound in one map for its scope and then restored."""
+    free, binders = _names(e)
+    if len(set(binders)) == len(binders) and free.isdisjoint(binders):
+        return e
+    used, counters = set(free), {}
+    ren: dict[str, str] = {}  # each binder in scope -> its new name
+    done: list[Term] = []  # the renamed subterms not yet taken by their parent
+    stack: list = [e]  # terms, (name, new name or None to unbind), (node, new fields)
+    while stack:
+        item = stack.pop()
+        if type(item) is not tuple:
+            children, variable = SHAPES[type(item)]
+            if variable:
+                name = ren.get(item.name, item.name)
+                done.append(item if name == item.name else type(item)(name, pos=item.pos))
+                continue
+            new = {b: _fresh(getattr(item, b), used, counters) for _, b in children if b}
+            stack.append((item, new))
+            for child, b in reversed(children):
+                if b is None:
+                    stack.append(getattr(item, child))
+                else:
+                    name = getattr(item, b)
+                    stack += ((name, ren.get(name)), getattr(item, child), (name, new[b]))
+        elif type(item[1]) is dict:  # rebuild a node from the last len(children) done
+            node, new = item
+            children = SHAPES[type(node)][0]
+            first = len(done) - len(children)
+            new.update(zip((child for child, _ in children), done[first:]))
+            del done[first:]
+            done.append(rebuild(node, new))
+        elif item[1] is None:
+            del ren[item[0]]
         else:
-            ren[name] = outer
-    return rebuild(e, new)
+            ren[item[0]] = item[1]
+    return done[0]
 
 
 def _fresh(base: str, used: set[str], counters: dict[str, int]) -> str:

@@ -501,6 +501,23 @@ class TestTautologyFilter:
         k = PKappa("k2")
         assert is_tautology(_vc([], k, k))
 
+    def test_atoms_and_kappas_are_answered_without_a_key(self, monkeypatch):
+        keyed = []
+        monkeypatch.setattr(logic, "pred_key", lambda p: keyed.append(p) or ("keyed",))
+        hyps = [cmp_pred(x, "<", y), PAtom(BVar("b")), PNot(cmp_pred(x, "=", y)),
+                PKappa("k1"), PImp(PBool(True), PBool(False)), PIff(PBool(False), PBool(False))]
+        assert not is_tautology(_vc(hyps, cmp_pred(nu, ">", x), cmp_pred(nu, ">=", x)))
+        assert keyed == []
+
+    def test_constant_answers_agree_with_the_key(self):
+        preds = [TRUE, PBool(False), cmp_pred(const(1), "<", const(2)), PAtom(BVar("b")),
+                 PNot(PBool(True)), PAnd((TRUE, TRUE)), PAnd((TRUE, PBool(False))),
+                 POr((PBool(False), PBool(False))), POr((PBool(False), cmp_pred(x, "<", y))),
+                 PAnd(()), POr(()), PImp(PBool(False), TRUE), PKappa("k1")]
+        for p in preds:
+            assert logic.is_true(p) == (pred_key(p) == ("bool", True)), p
+            assert logic.is_false(p) == (pred_key(p) == ("bool", False)), p
+
 
 class TestSubstAndKappa:
     def test_subst_linear(self):

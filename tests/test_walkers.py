@@ -2,9 +2,9 @@
 
 The reference functions below are the former one-per-language, one-case-per-
 constructor substitution, free-variable, erasure and normalization walkers,
-kept unchanged.  The shared walkers must agree with them on every state of
-the fuzz traces; the hand-built terms pin shadowing, capture and the order in
-which ``uniquify`` picks names.
+kept unchanged, and the former recursive ``uniquify``.  The shared walkers
+must agree with them on every state of the fuzz traces; the hand-built terms
+pin shadowing, capture and the order in which ``uniquify`` picks names.
 """
 
 import pytest
@@ -86,6 +86,42 @@ def ref_erase_ascriptions(e):
         case App(fn, arg, pos):
             return App(ref_erase_ascriptions(fn), ref_erase_ascriptions(arg), pos)
     raise TypeError(f"not a source expression: {e!r}")
+
+
+def ref_uniquify(e):
+    """The former recursive uniquify: binders renamed apart in preorder, each
+    keeping its name while that is unused, the map copied at each binder."""
+    used, counters = set(ref_free_vars(e)), {}
+
+    def fresh(base):
+        name, n = base, counters.get(base, 1)
+        while name in used:
+            name, n = f"{base}_{n}", n + 1
+            counters[base] = n
+        used.add(name)
+        return name
+
+    def go(e, ren):
+        match e:
+            case Const():
+                return e
+            case Var(name, pos):
+                return Var(ren.get(name, name), pos)
+            case Lam(param, body, pos):
+                new = fresh(param)
+                return Lam(new, go(body, {**ren, param: new}), pos)
+            case Ascribe(expr, ty, pos):
+                return Ascribe(go(expr, ren), ty, pos)
+            case Let(name, bound, body, pos):
+                new = fresh(name)
+                return Let(new, go(bound, ren), go(body, {**ren, name: new}), pos)
+            case If(c, t, f, pos):
+                return If(go(c, ren), go(t, ren), go(f, ren), pos)
+            case App(fn, arg, pos):
+                return App(go(fn, ren), go(arg, ren), pos)
+        raise TypeError(f"not a source expression: {e!r}")
+
+    return go(e, {})
 
 
 def subst_source(e, x, v):
@@ -335,6 +371,57 @@ def test_uniquify_renames_outer_binder_first():
     # let x = (let x = 1 in x) in x
     e = Let("x", Let("x", one(), Var("x")), Var("x"))
     assert uniquify(e) == Let("x", Let("x_1", one(), Var("x_1")), Var("x"))
+
+
+def collapse_names(e):
+    """e with every binder and variable cut to its first letter: binders
+    collide with each other and with free names."""
+    match e:
+        case Const():
+            return e
+        case Var(name, pos):
+            return Var(name[0], pos)
+        case Lam(param, body, pos):
+            return Lam(param[0], collapse_names(body), pos)
+        case Ascribe(expr, ty, pos):
+            return Ascribe(collapse_names(expr), ty, pos)
+        case Let(name, bound, body, pos):
+            return Let(name[0], collapse_names(bound), collapse_names(body), pos)
+        case If(c, t, f, pos):
+            return If(collapse_names(c), collapse_names(t), collapse_names(f), pos)
+        case App(fn, arg, pos):
+            return App(collapse_names(fn), collapse_names(arg), pos)
+    raise TypeError(f"not a source expression: {e!r}")
+
+
+def test_uniquify_agrees_with_the_recursive_reference():
+    renamed = 0
+    for seed in range(200):
+        for budget in (30, 60):
+            main = gen_program(seed, budget).main
+            assert uniquify(main) is main  # generated binders are already apart
+            collided = collapse_names(main)
+            got = uniquify(collided)
+            assert got == ref_uniquify(collided)
+            assert repr(got) == repr(ref_uniquify(collided))  # positions kept too
+            renamed += got != collided
+    assert renamed > 100
+
+
+def test_uniquify_returns_its_input_when_no_binder_collides():
+    e = Let("x", one(), Lam("y", App(Var("x"), Var("z"))))
+    assert uniquify(e) is e
+    # a binder named like a free variable, or like another binder, collides
+    assert uniquify(App(Lam("z", Var("z")), Var("z"))) == App(Lam("z_1", Var("z_1")), Var("z"))
+    assert uniquify(Let("y", one(), Lam("y", Var("y")))) == Let("y", one(), Lam("y_1", Var("y_1")))
+
+
+def test_uniquify_renames_5000_nested_lets_without_recursion():
+    e = Var("x")
+    for _ in range(5000):
+        e = Let("x", one(), e)
+    names = [t.name for t in subexprs(uniquify(e)) if isinstance(t, (Let, Var))]
+    assert names == ["x"] + [f"x_{i}" for i in range(1, 5000)] + ["x_4999"]
 
 
 def test_deep_target_dead_search_needs_no_recursion():

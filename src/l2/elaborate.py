@@ -7,16 +7,20 @@ at every node:
   1. the syntax-directed rule for the node,
   2. intersection introduction (expected type is an intersection, term is a
      value),
-  3. intersection elimination, first conjunct before second,
+  3. intersection elimination, each conjunct in preorder, first before
+     second,
   4. union introduction, first arm before second (flexible mode only),
   5. union elimination over evaluation-context decompositions
      (``syntax.decompose``), leftmost position first,
   6. DEAD-cast insertion, last and in flexible mode only.
 
-Application nodes resolve overloads in two passes: every head candidate is
-tried with a strictly checked argument before any candidate may fall back to
-a flexible argument.  Strictly checked arguments can never acquire a
-root-level DEAD cast, which is what makes overload selection meaningful.
+Application nodes resolve overloads in two passes over the same head
+candidates: the arrows among the head's synthesized types and their
+conjuncts, walked by ``_conjuncts`` as intersection elimination walks them.
+Every head candidate is tried with a strictly checked argument before any
+candidate may fall back to a flexible argument.  Strictly checked arguments
+can never acquire a root-level DEAD cast, which is what makes overload
+selection meaningful.
 
 Search depth is bounded per node, so elaboration always terminates.
 """
@@ -273,17 +277,61 @@ class Elaborator:
     ) -> Iterator[tuple[TgtExpr, str, Trace]]:
         if depth <= 0:
             return
-        yield from self._check_syntax_directed(env, e, expected, mode, depth)
+        # The syntax-directed rule
+        match e:
+            case Const(con, pos):
+                if types_equal_basic(con.source_type, expected):
+                    yield TConst(con, pos), FLAG_PLAIN, ("T-Const",)
+            case Var(name, pos):
+                t = env.get(name)
+                if t is not None and types_equal_basic(t, expected):
+                    yield TVar(name, pos), FLAG_PLAIN, ("T-Var",)
+            case Lam(param, body, pos):
+                if isinstance(expected, FunType) and wf_type(expected).ok:
+                    inner = self.extend(env, param, expected.dom)
+                    for w, _, tr in self.check(inner, body, expected.cod, mode, depth):
+                        yield TLam(param, w, expected, pos), FLAG_PLAIN, ("T-Lam", tr)
+            case Ascribe(expr, ty, _):
+                if types_equal_basic(ty, expected):
+                    for w, flag, tr in self.check(env, expr, ty, mode, depth):
+                        yield w, flag, ("T-Ascribe", tr)
+            case Let(name, bound, body, pos):
+                for t1, w1, _, tr1 in self.synth(env, bound, mode, depth):
+                    inner = self.extend(env, name, t1)
+                    for w2, flag, tr2 in self.check(inner, body, expected, mode, depth):
+                        yield TLet(name, w1, w2, pos), flag, ("T-Let", tr1, tr2)
+            case If(cond, then, els, pos):
+                for wc, fc, trc in self.check(env, cond, BOOL, FLEXIBLE, depth):
+                    if fc != FLAG_PLAIN:
+                        continue
+                    for wt, f1, trt in self.check(env, then, expected, mode, depth):
+                        for wf_, f2, trf in self.check(env, els, expected, mode, depth):
+                            flag = f1 if f1 == f2 else FLAG_PLAIN
+                            yield TIf(wc, wt, wf_, pos), flag, ("T-Ite", trc, trt, trf)
+            case App():
+                for _, w, flag, tr in self._app(env, e, mode, depth, expected):
+                    yield w, flag, tr
+                if mode == FLEXIBLE:
+                    # A non-function head can still be applied under a DEAD cast
+                    # whose target arrow takes the argument's type to the
+                    # expected type.
+                    for t0, w0, f0, tr0 in self.synth(env, e.fn, FLEXIBLE, depth - 1):
+                        if syntax.TAG_FUNCTION in type_tag(t0):
+                            continue
+                        for ta, wa, _, tra in self.synth(env, e.arg, FLEXIBLE, depth - 1):
+                            dead = TDead(t0, FunType(ta, expected), w0, _pos_of(e.fn))
+                            yield TApp(dead, wa, e.pos), FLAG_PLAIN, ("T-App", "T-Dead", tr0, tra)
         # T-And-Intro
         if isinstance(expected, AndType) and is_value(e) and wf_type(expected).ok:
             for w1, f1, tr1 in self.check(env, e, expected.left, mode, depth - 1):
                 for w2, f2, tr2 in self.check(env, e, expected.right, mode, depth - 1):
                     flag = f1 if f1 == f2 else FLAG_PLAIN
                     yield TPair(w1, w2, _pos_of(e)), flag, ("T-And-Intro", tr1, tr2)
-        # T-And-Elim
-        for t, w, _, tr in self.synth(env, e, mode, depth - 1):
-            if isinstance(t, AndType):
-                yield from self._elim_to_expected(t, w, expected, tr)
+        # T-And-Elim: every conjunct below the synthesized type, in preorder
+        for candidate in self.synth(env, e, mode, depth - 1):
+            for t, w, flag, tr in itertools.islice(_conjuncts(*candidate), 1, None):
+                if types_equal_basic(t, expected):
+                    yield w, flag, tr
         # T-Up (flexible only).  Arms whose payload elaborates without a
         # root-level cast are preferred: injecting a value into an arm it
         # does not inhabit would make the runtime tag dispatch diverge from
@@ -310,59 +358,6 @@ class Elaborator:
                 if syntax.tags_disjoint(t0, expected):
                     dead = TDead(t0, expected, w0, _pos_of(e))
                     yield dead, flag, ("T-Dead", tr)
-
-    def _check_syntax_directed(
-        self, env: TypeEnv, e: SrcExpr, expected: SrcType, mode: str, depth: int
-    ) -> Iterator[tuple[TgtExpr, str, Trace]]:
-        match e:
-            case Const(con, pos):
-                if types_equal_basic(con.source_type, expected):
-                    yield TConst(con, pos), FLAG_PLAIN, ("T-Const",)
-            case Var(name, pos):
-                t = env.get(name)
-                if t is not None and types_equal_basic(t, expected):
-                    yield TVar(name, pos), FLAG_PLAIN, ("T-Var",)
-            case Lam(param, body, pos):
-                if isinstance(expected, FunType) and wf_type(expected).ok:
-                    inner = self.extend(env, param, expected.dom)
-                    for w, _, tr in self.check(inner, body, expected.cod, mode, depth):
-                        ann = TLam(param, w, expected, pos)
-                        yield ann, FLAG_PLAIN, ("T-Lam", tr)
-            case Ascribe(expr, ty, _):
-                if types_equal_basic(ty, expected):
-                    for w, flag, tr in self.check(env, expr, ty, mode, depth):
-                        yield w, flag, ("T-Ascribe", tr)
-            case Let(name, bound, body, pos):
-                for t1, w1, _, tr1 in self.synth(env, bound, mode, depth):
-                    inner = self.extend(env, name, t1)
-                    for w2, flag, tr2 in self.check(inner, body, expected, mode, depth):
-                        yield TLet(name, w1, w2, pos), flag, ("T-Let", tr1, tr2)
-            case If(cond, then, els, pos):
-                for wc, fc, trc in self.check(env, cond, BOOL, FLEXIBLE, depth):
-                    if fc != FLAG_PLAIN:
-                        continue
-                    for wt, f1, trt in self.check(env, then, expected, mode, depth):
-                        for wf_, f2, trf in self.check(env, els, expected, mode, depth):
-                            flag = f1 if f1 == f2 else FLAG_PLAIN
-                            yield (
-                                TIf(wc, wt, wf_, pos),
-                                flag,
-                                ("T-Ite", trc, trt, trf),
-                            )
-            case App():
-                yield from self._app_candidates(env, e, expected, mode, depth)
-
-    def _elim_to_expected(
-        self, t: SrcType, w: TgtExpr, expected: SrcType, tr: Trace
-    ) -> Iterator[tuple[TgtExpr, str, Trace]]:
-        assert isinstance(t, AndType)
-        for k, part in ((1, t.left), (2, t.right)):
-            proj = TProj(k, w)
-            tr_k = (tr, "T-And-Elim")
-            if types_equal_basic(part, expected):
-                yield proj, FLAG_INTER, tr_k
-            elif isinstance(part, AndType):
-                yield from self._elim_to_expected(part, proj, expected, tr_k)
 
     # -- synthesis -------------------------------------------------------------
 
@@ -408,69 +403,31 @@ class Elaborator:
 
     HEAD_CAP = 16
 
-    def _heads(
-        self, env: TypeEnv, fn: SrcExpr, mode: str, depth: int, cod: SrcType | None = None
-    ) -> Iterator[tuple[FunType, TgtExpr, str, Trace]]:
-        """Head candidates, filtered by result type and capped.
-
-        Distinct derivations of the same head type differ only in the target
-        term, so a small cap loses nothing in practice while keeping the
-        backtracking product bounded.
-        """
-        it = self._head_candidates(env, fn, mode, depth)
-        if cod is not None:
-            it = (c for c in it if types_equal_basic(c[0].cod, cod))
-        return itertools.islice(it, self.HEAD_CAP)
-
-    def _head_candidates(
-        self, env: TypeEnv, fn: SrcExpr, mode: str, depth: int
-    ) -> Iterator[tuple[FunType, TgtExpr, str, Trace]]:
-        for t, w, flag, tr in self.synth(env, fn, mode, depth):
-            yield from self._arrows_of(t, w, flag, tr)
-
-    def _arrows_of(
-        self, t: SrcType, w: TgtExpr, flag: str, tr: Trace
-    ) -> Iterator[tuple[FunType, TgtExpr, str, Trace]]:
-        if isinstance(t, FunType):
-            yield t, w, flag, tr
-        elif isinstance(t, AndType):
-            for k, part in ((1, t.left), (2, t.right)):
-                yield from self._arrows_of(part, TProj(k, w), FLAG_INTER, (tr, "T-And-Elim"))
-
     def _app(
         self, env: TypeEnv, e: App, mode: str, depth: int, cod: SrcType | None = None
     ) -> Iterator[tuple[SrcType, TgtExpr, str, Trace]]:
-        """T-App over the head candidates whose result type is ``cod``."""
-        # Pass 1: strict arguments for every head candidate.
-        for arrow, w1, _, tr1 in self._heads(env, e.fn, mode, depth, cod):
-            for w2, _, tr2 in self.check(env, e.arg, arrow.dom, STRICT, depth):
-                yield arrow.cod, TApp(w1, w2, e.pos), FLAG_PLAIN, ("T-App", tr1, tr2)
-        # Pass 2: flexible arguments, only where no overload was chosen.
-        for arrow, w1, f1, tr1 in self._heads(env, e.fn, mode, depth, cod):
-            if f1 == FLAG_INTER:
-                continue
-            for w2, _, tr2 in self.check(env, e.arg, arrow.dom, FLEXIBLE, depth):
-                yield arrow.cod, TApp(w1, w2, e.pos), FLAG_PLAIN, ("T-App", tr1, tr2)
+        """T-App over the head candidates whose result type is ``cod``.
 
-    def _app_candidates(
-        self, env: TypeEnv, e: App, expected: SrcType, mode: str, depth: int
-    ) -> Iterator[tuple[TgtExpr, str, Trace]]:
-        for _, w, flag, tr in self._app(env, e, mode, depth, expected):
-            yield w, flag, tr
-        if mode == FLEXIBLE:
-            # A non-function head can still be applied under a DEAD cast whose
-            # target arrow takes the argument's type to the expected type.
-            for t0, w0, f0, tr0 in self.synth(env, e.fn, FLEXIBLE, depth - 1):
-                if syntax.TAG_FUNCTION in type_tag(t0):
+        The heads are the arrows among the head's synthesized types and
+        their conjuncts, capped: distinct derivations of the same head type
+        differ only in the target term, so a small cap loses nothing in
+        practice while keeping the backtracking product bounded.  Every head
+        is first tried with a strictly checked argument; a flexible argument
+        is tried only where no overload was chosen.
+        """
+        for arg_mode in (STRICT, FLEXIBLE):
+            heads = (
+                head
+                for candidate in self.synth(env, e.fn, mode, depth)
+                for head in _conjuncts(*candidate)
+                if isinstance(head[0], FunType)
+                and (cod is None or types_equal_basic(head[0].cod, cod))
+            )
+            for arrow, w1, f1, tr1 in itertools.islice(heads, self.HEAD_CAP):
+                if arg_mode == FLEXIBLE and f1 == FLAG_INTER:
                     continue
-                for ta, wa, _, tra in self.synth(env, e.arg, FLEXIBLE, depth - 1):
-                    arrow = FunType(ta, expected)
-                    dead = TDead(t0, arrow, w0, _pos_of(e.fn))
-                    yield (
-                        TApp(dead, wa, e.pos),
-                        FLAG_PLAIN,
-                        ("T-App", "T-Dead", tr0, tra),
-                    )
+                for w2, _, tr2 in self.check(env, e.arg, arrow.dom, arg_mode, depth):
+                    yield arrow.cod, TApp(w1, w2, e.pos), FLAG_PLAIN, ("T-App", tr1, tr2)
 
     # -- union elimination -------------------------------------------------
 
@@ -498,6 +455,22 @@ class Elaborator:
                     flag,
                     ("T-Down", tr0, tr1, tr2),
                 )
+
+
+def _conjuncts(
+    t: SrcType, w: TgtExpr, flag: str, trace: Trace
+) -> Iterator[tuple[SrcType, TgtExpr, str, Trace]]:
+    """(t, w, flag, trace), then each conjunct of t in preorder with its
+    projection out of w, flagged as an intersection elimination."""
+    stack = [(t, w, flag, trace)]
+    while stack:
+        item = stack.pop()
+        yield item
+        t, w, _, trace = item
+        if isinstance(t, AndType):
+            trace = (trace, "T-And-Elim")
+            stack.append((t.right, TProj(2, w), FLAG_INTER, trace))
+            stack.append((t.left, TProj(1, w), FLAG_INTER, trace))
 
 
 def _pos_of(e: SrcExpr) -> Pos:

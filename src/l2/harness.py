@@ -25,7 +25,7 @@ counterexample.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import constants, source_interp, syntax, target_interp
 from .elaborate import DEFAULT_SEARCH_DEPTH, ElabError, ElabResult, Elaborator, elaborate_program
@@ -773,14 +773,22 @@ def shrink_counterexample(trial: Trial, fuel: int) -> Trial:
 
 @dataclass
 class FuzzStats:
-    reports: list[DiffReport]
-    counterexamples: int
-    inconclusive: int
-    assumption1_violations: int
-    canonical_violations: int
-    substitution_violations: int
-    soundness_failures: int
-    accepted: int
+    """Each trial's lockstep report, then the outcome counters in the order
+    ``l2 fuzz`` prints them."""
+
+    reports: list[DiffReport] = field(default_factory=list)
+    counterexamples: int = 0
+    inconclusive: int = 0
+    assumption1_violations: int = 0
+    canonical_violations: int = 0
+    substitution_violations: int = 0
+    soundness_failures: int = 0
+    accepted: int = 0
+
+    @property
+    def counters(self) -> dict[str, int]:
+        """Every field after ``reports``, in order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)[1:]}
 
 
 def run_fuzz(
@@ -793,31 +801,21 @@ def run_fuzz(
     search_depth: int = DEFAULT_SEARCH_DEPTH,
     clause_budget: int = DEFAULT_CLAUSE_BUDGET,
 ) -> FuzzStats:
-    reports: list[DiffReport] = []
-    a1 = canon = subst_fail = sound_fail = accepted = 0
+    stats = FuzzStats()
     for i in range(trials):
         trial = run_trial(gen_program(seed + i, size_budget), fuel, search_depth)
         report = lockstep_check(trial)
         if report.verdict == "counterexample" and shrink:
             trial = shrink_counterexample(trial, fuel)
             report = lockstep_check(trial)
-        reports.append(report)
-        a1 += len(assumption1_check(trial))
-        canon += len(canonical_forms_check(trial))
-        subst_fail += len(substitution_spot_check(trial))
+        stats.reports.append(report)
+        stats.counterexamples += report.verdict == "counterexample"
+        stats.inconclusive += report.verdict == "inconclusive"
+        stats.assumption1_violations += len(assumption1_check(trial))
+        stats.canonical_violations += len(canonical_forms_check(trial))
+        stats.substitution_violations += len(substitution_spot_check(trial))
         if check_soundness:
             verdict = soundness_trial(trial, clause_budget)
-            if verdict == "pass":
-                accepted += 1
-            elif verdict.startswith("fail"):
-                sound_fail += 1
-    return FuzzStats(
-        reports,
-        sum(1 for r in reports if r.verdict == "counterexample"),
-        sum(1 for r in reports if r.verdict == "inconclusive"),
-        a1,
-        canon,
-        subst_fail,
-        sound_fail,
-        accepted,
-    )
+            stats.accepted += verdict == "pass"
+            stats.soundness_failures += verdict.startswith("fail")
+    return stats

@@ -1,10 +1,13 @@
 """Phase 2: refinement checking of target terms.
 
-The checker walks elaborator output, synthesizing refinement types and
-emitting subtyping obligations as verification conditions.  DEAD casts are
-discharged as calls to a function whose domain refinement is false, so the
-obligation is provable exactly when the surrounding environment is
-inconsistent, which is what "this cast is dead code" means.
+The checker walks elaborator output with one bidirectional walker,
+``RefChecker.synth``.  It synthesizes a refinement type; given an expected
+type, it checks against it instead, pushing the type into let bodies,
+branches and pair components and emitting a subtyping obligation, as
+verification conditions, for every other form.  DEAD casts are discharged
+as calls to a function whose domain refinement is false, so the obligation
+is provable exactly when the surrounding environment is inconsistent, which
+is what "this cast is dead code" means.
 
 Obligations that hold for purely structural reasons (a true consequent, a
 false antecedent or hypothesis) are not reported; they carry no content.
@@ -380,9 +383,49 @@ class RefChecker:
             if not is_tautology(vc):
                 self.vcs.append(vc)
 
-    # -- synthesis -----------------------------------------------------------
+    # -- the walker ------------------------------------------------------------
 
-    def synth(self, env: RefEnv, w: TgtExpr) -> tuple[SrcType, RefEnv]:
+    def synth(self, env: RefEnv, w: TgtExpr, expected: SrcType | None = None,
+              origin: str = "") -> tuple[SrcType, RefEnv]:
+        """w's type and the environment after it, which binds w's ghosts.
+
+        With an expected type, w is checked against it instead: let, if, case
+        and pair push it into their bodies, branches and components, and any
+        other form emits its synthesized type's obligation, under ``origin``.
+        """
+        match w:
+            case TLet(name, bound, body):
+                t1, env = self.synth(env, bound)
+                return self.synth(env.bind(name, t1), body, expected, origin)
+            case TIf(cond, then, els):
+                _, env = self.synth(env, cond)
+                guard, exact = embed_guard(cond, env)
+                env_t, env_e = (env.guard(guard), env.guard(pnot(guard))) if exact else (env, env)
+                t1, _ = self.synth(env_t, then, expected, origin)
+                t2, env_e = self.synth(env_e, els, expected, origin)
+                if expected is None:
+                    expected = self._join(env_e, t1, t2, _origin("branch join", w.pos))
+                return expected, env
+            case TCase(scrut, x1, b1, x2, b2):
+                ts, env = self.synth(env, scrut)
+                if not isinstance(ts, OrType):
+                    raise PhaseOrderError("case over a non-sum")
+                t1, _ = self.synth(env.bind(x1, ts.left), b1, expected, origin)
+                t2, env_b2 = self.synth(env.bind(x2, ts.right), b2, expected, origin)
+                if expected is None:
+                    expected = self._join(env_b2, t1, t2, _origin("case join", w.pos))
+                return expected, env
+            case TPair(a, b):
+                left, right = (None, None) if expected is None else (expected.left, expected.right)
+                ta, _ = self.synth(env, a, left, origin)
+                tb, _ = self.synth(env, b, right, origin)
+                return AndType(ta, tb), env
+        t, env = self._synth(env, w)
+        if expected is not None:
+            self.emit(env, t, expected, origin)
+        return t, env
+
+    def _synth(self, env: RefEnv, w: TgtExpr) -> tuple[SrcType, RefEnv]:
         match w:
             case TConst(con):
                 return con.refined_type, env
@@ -396,27 +439,23 @@ class RefChecker:
                 if not isinstance(src_ann, FunType):
                     raise PhaseOrderError("lambda without an arrow annotation")
                 ann = rename_binder(elab_type(src_ann), param)
-                inner = env.bind(param, ann.dom)
-                self.check_at(inner, body, ann.cod, _origin("function body", w.pos))
+                self.synth(env.bind(param, ann.dom), body, ann.cod,
+                           _origin("function body", w.pos))
                 return ann, env
             case TApp(fn, arg):
-                return self._synth_app(env, w)
-            case TLet(name, bound, body):
-                t1, env = self.synth(env, bound)
-                env = env.bind(name, t1)
-                return self.synth(env, body)
-            case TIf(cond, then, els):
-                tc, env = self.synth(env, cond)
-                guard, exact = embed_guard(cond, env)
-                env_t = env.guard(guard) if exact else env
-                env_e = env.guard(pnot(guard)) if exact else env
-                t_then, env_t2 = self.synth(env_t, then)
-                t_else, env_e2 = self.synth(env_e, els)
-                return self._join(env_e2, t_then, t_else, _origin("branch join", w.pos)), env
-            case TPair(a, b):
-                ta, _ = self.synth(env, a)
-                tb, _ = self.synth(env, b)
-                return AndType(ta, tb), env
+                tf, env = self.synth(env, fn)
+                if not isinstance(tf, FunType):
+                    raise PhaseOrderError("application of a non-function")
+                ta, env = self.synth(env, arg)
+                self.emit(env, ta, tf.dom, _origin("argument", w.pos))
+                if isinstance(tf.dom, PrimType):
+                    repl = embed_term(arg, env)
+                    if repl is None:
+                        ghost = self._ghost()
+                        env = env.bind(ghost, ta)
+                        repl = LinTerm.of_var(ghost)
+                    return subst_ref(tf.cod, tf.binder, repl), env
+                return tf.cod, env
             case TProj(index, t):
                 tt, env = self.synth(env, t)
                 if not isinstance(tt, AndType):
@@ -431,34 +470,12 @@ class RefChecker:
                 arm = sum_ty.left if index == 1 else sum_ty.right
                 self.emit(env, tp, arm, _origin("injection", w.pos))
                 return sum_ty, env
-            case TCase(scrut, x1, b1, x2, b2):
-                ts, env = self.synth(env, scrut)
-                if not isinstance(ts, OrType):
-                    raise PhaseOrderError("case over a non-sum")
-                t1, _ = self.synth(env.bind(x1, ts.left), b1)
-                t2, env_b2 = self.synth(env.bind(x2, ts.right), b2)
-                return self._join(env_b2, t1, t2, _origin("case join", w.pos)), env
             case TDead(from_ty, to_ty, inner):
                 ti, env = self.synth(env, inner)
                 dt = dead_type(from_ty, to_ty)
                 self.emit(env, ti, dt.dom, _origin("dead-cast", w.pos))
                 return dt.cod, env
         raise TypeError(f"not a target expression: {w!r}")
-
-    def _synth_app(self, env: RefEnv, w: TApp) -> tuple[SrcType, RefEnv]:
-        tf, env = self.synth(env, w.fn)
-        if not isinstance(tf, FunType):
-            raise PhaseOrderError("application of a non-function")
-        ta, env = self.synth(env, w.arg)
-        self.emit(env, ta, tf.dom, _origin("argument", w.pos))
-        if isinstance(tf.dom, PrimType):
-            repl = embed_term(w.arg, env)
-            if repl is None:
-                ghost = self._ghost()
-                env = env.bind(ghost, ta)
-                repl = LinTerm.of_var(ghost)
-            return subst_ref(tf.cod, tf.binder, repl), env
-        return tf.cod, env
 
     def _join(self, env: RefEnv, t1: SrcType, t2: SrcType, origin: str) -> SrcType:
         if t1 == t2:
@@ -468,38 +485,6 @@ class RefChecker:
         # Structured types must agree; require the second branch below the first.
         self.emit(env, t2, t1, origin)
         return t1
-
-    # -- checking against an expected type -------------------------------------
-
-    def check_at(self, env: RefEnv, w: TgtExpr, expected: SrcType, origin: str) -> RefEnv:
-        match w:
-            case TLet(name, bound, body):
-                t1, env = self.synth(env, bound)
-                env = env.bind(name, t1)
-                return self.check_at(env, body, expected, origin)
-            case TIf(cond, then, els):
-                tc, env = self.synth(env, cond)
-                guard, exact = embed_guard(cond, env)
-                env_t = env.guard(guard) if exact else env
-                env_e = env.guard(pnot(guard)) if exact else env
-                self.check_at(env_t, then, expected, origin)
-                self.check_at(env_e, els, expected, origin)
-                return env
-            case TCase(scrut, x1, b1, x2, b2):
-                ts, env = self.synth(env, scrut)
-                if not isinstance(ts, OrType):
-                    raise PhaseOrderError("case over a non-sum")
-                self.check_at(env.bind(x1, ts.left), b1, expected, origin)
-                self.check_at(env.bind(x2, ts.right), b2, expected, origin)
-                return env
-            case TPair(a, b) if isinstance(expected, AndType):
-                self.check_at(env, a, expected.left, origin)
-                self.check_at(env, b, expected.right, origin)
-                return env
-            case _:
-                t, env2 = self.synth(env, w)
-                self.emit(env2, t, expected, origin)
-                return env2
 
 
 def _origin(kind: str, pos: Pos) -> str:

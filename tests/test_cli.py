@@ -480,6 +480,29 @@ class TestFuzz:
         summary = json.loads(err.strip().splitlines()[-1])
         assert summary["counterexamples"] == 0
 
+    SUMMARY_KEYS = [
+        "trials", "counterexamples", "inconclusive", "assumption1_violations",
+        "canonical_violations", "substitution_violations", "soundness_failures", "accepted",
+    ]
+
+    def test_summary_keys_in_print_order(self, capsys):
+        _, _, err = run_cli(["fuzz", "--trials", "2", "--no-soundness"], capsys)
+        assert list(json.loads(err.strip().splitlines()[-1])) == self.SUMMARY_KEYS
+
+    def test_a_violation_exits_1(self, monkeypatch, capsys):
+        from l2 import harness
+
+        monkeypatch.setattr(harness, "canonical_forms_check", lambda trial: ["violation"])
+        code, _, err = run_cli(["fuzz", "--trials", "1", "--no-soundness"], capsys)
+        assert code == 1
+        assert json.loads(err.strip().splitlines()[-1])["canonical_violations"] == 1
+
+    def test_inconclusive_trials_exit_0(self, capsys):
+        code, _, err = run_cli(["--fuel", "1", "fuzz", "--trials", "3", "--seed", "0"], capsys)
+        summary = json.loads(err.strip().splitlines()[-1])
+        assert summary["inconclusive"] == 2
+        assert code == 0
+
     def test_global_fuel_reaches_fuzz(self, monkeypatch, capsys):
         from l2 import harness
 

@@ -12,6 +12,7 @@ from l2.elaborate import (
     elaborate_program,
 )
 from l2.logic import LinTerm, PBool, cmp_pred
+from l2.refine import RefEnv, check_refined
 from l2.syntax import (
     AndType,
     App,
@@ -256,6 +257,30 @@ class TestInvariants:
         assert print_target(elaborate_program(p).target) == print_target(
             elaborate_program(p).target
         )
+
+
+NESTED = """type pos = {v:number | v > 0}
+let id = ((\\x => x) : ((number -> number) /\\ (boolean -> boolean)) /\\ (pos -> pos)) in
+let id2 = ((\\x => x) : (number -> number) /\\ ((boolean -> boolean) /\\ (pos -> pos))) in
+let a = id 1 in
+let b = id2 true in
+let c = (id2 : pos -> pos) 3 in
+c
+"""
+
+
+class TestNestedIntersections:
+    def test_first_conjunct_in_preorder(self):
+        # through a head, on either side of the nesting, and through an
+        # ascription, whose pos -> pos is basic number -> number
+        text = print_target(elaborate_program(parser.parse_program(NESTED)).target)
+        assert "let a = proj1(proj1(id)) 1 in" in text
+        assert "let b = proj1(proj2(id2)) true in" in text
+        assert "let c = proj1(id2) 3 in" in text
+
+    def test_accepted(self):
+        result = elaborate_program(parser.parse_program(NESTED))
+        assert check_refined(RefEnv(), result.target).accepted
 
 
 class TestOverloadedArgumentStrictness:

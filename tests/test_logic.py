@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from l2 import logic
 from l2.logic import (
@@ -471,11 +471,21 @@ class TestComponentDischarge:
         assert list(verdict.model) == sorted(verdict.model)
         assert all(logic.eval_atom(a, verdict.model) == pos for a, pos in verdict.cube)
 
+    # One component of 12,800 cubes: past the default clause budget, so both
+    # sides decide at the oracle's budget.
+    _A, _B = PAtom(BVar("a")), PAtom(BVar("b"))
+
     @settings(max_examples=150, deadline=None)
     @given(st.lists(_preds, max_size=3), _preds, _preds)
+    @example(
+        [logic.piff(logic.piff(_A, cmp_pred(x, "<", y)), logic.piff(_B, cmp_pred(y, "=", z)))],
+        logic.piff(logic.piff(_B, cmp_pred(x, "<=", z)),
+                   logic.piff(_A, cmp_pred(z, "!=", const(1)))),
+        logic.piff(logic.piff(_A, _B), logic.piff(cmp_pred(x, "=", const(0)), cmp_pred(y, ">", x))),
+    )
     def test_kind_matches_product_dnf(self, hyps, antecedent, consequent):
         vc = _vc(hyps, antecedent, consequent)
-        verdict = valid(vc)
+        verdict = valid(vc, clause_budget=10**6)
         assert verdict.kind == _product_dnf_kind(vc)
         if verdict.kind == "invalid":
             assert not fm_unsat(verdict.cube)

@@ -29,7 +29,7 @@ from . import harness, infer, source_interp, syntax, target_interp
 from .elaborate import DEFAULT_SEARCH_DEPTH, ElabError, elaborate_program
 from .logic import DEFAULT_CLAUSE_BUDGET, ResourceLimit, pand, render_pred, to_smtlib
 from .parser import ParseError, parse_pred, parse_program
-from .refine import PhaseOrderError, RefEnv, check_refined, print_ref_type
+from .refine import PhaseOrderError, check_refined, print_ref_type
 from .target import IllTyped, print_target
 
 EXIT_OK = 0
@@ -91,7 +91,7 @@ def _check_file(args, config: Config):
     each VC with its verdict."""
     program = _read_program(args.file)
     result = elaborate_program(program, config.search_depth)
-    report = check_refined(RefEnv(), result.target, clause_budget=config.clause_budget)
+    report = check_refined(result.target, clause_budget=config.clause_budget)
     return report, list(zip(report.vcs, report.verdicts))
 
 

@@ -1,10 +1,12 @@
 """Phase 1: elaboration of overloaded source programs into the target language.
 
 The declarative judgment is inherently non-deterministic, so this module
-realizes it as a depth-first backtracking search with a fixed attempt order
-at every node:
+realizes it as a depth-first backtracking search by one bidirectional
+walker, ``Elaborator.synth``.  Synthesis runs the syntax-directed rule for
+the node alone; checking against an expected type has a fixed attempt order:
 
-  1. the syntax-directed rule for the node,
+  1. the syntax-directed rule for the node, which pushes the expected type
+     into a lambda body, a let body or both branches of an if,
   2. intersection introduction (expected type is an intersection, term is a
      value),
   3. intersection elimination, each conjunct in preorder, first before
@@ -22,7 +24,9 @@ candidate may fall back to a flexible argument.  Strictly checked arguments
 can never acquire a root-level DEAD cast, which is what makes overload
 selection meaningful.
 
-Search depth is bounded per node, so elaboration always terminates.
+Search depth is bounded per node, so elaboration always terminates.  A
+typing environment is a chain of ``refine.RefEnv`` frames without
+hypotheses, one per (parent, name, type).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from . import syntax
+from .refine import RefEnv
 from .syntax import (
     AndType,
     App,
@@ -123,49 +128,29 @@ class _MemoEntry:
         self.running = False
 
 
-class TypeEnv:
-    """A typing environment: one binding over a shared parent frame.
-
-    Extending an environment adds one frame and copies nothing.  Frames are
-    made by ``Elaborator.extend``, one per (parent, name, type), so a memo key
-    hashes and compares its environment in O(1), by identity.  Environments
-    with equal mappings built in another order stay distinct frames: parsed
-    programs rename binders apart, so they do not arise there.
-    """
-
-    __slots__ = ("parent", "name", "type")
-
-    def __init__(self, parent: TypeEnv | None, name: str, type_: SrcType | None):
-        self.parent = parent
-        self.name = name
-        self.type = type_
-
-    def get(self, name: str) -> SrcType | None:
-        env = self
-        while env.parent is not None:
-            if env.name == name:
-                return env.type
-            env = env.parent
-        return None
-
-
 class Elaborator:
     def __init__(self, search_depth: int = DEFAULT_SEARCH_DEPTH):
         self.search_depth = search_depth
         self._fresh = 0
         self._memo: dict = {}
-        self.empty_env = TypeEnv(None, "", None)
+        self.empty_env = RefEnv()
         self._frames: dict = {}  # (parent, name, type) -> frame
 
-    def extend(self, env: TypeEnv, name: str, t: SrcType) -> TypeEnv:
-        """env with name bound to t; the same frame for the same extension."""
+    def extend(self, env: RefEnv, name: str, t: SrcType) -> RefEnv:
+        """env with name bound to t, as a frame without a hypothesis.
+
+        The same extension gives the same frame, so a memo key hashes and
+        compares its environment in O(1), by identity.  Environments with
+        equal mappings built in another order stay distinct frames: parsed
+        programs rename binders apart, so they do not arise there.
+        """
         key = (env, name, t)
         frame = self._frames.get(key)
         if frame is None:
-            frame = self._frames[key] = TypeEnv(env, name, t)
+            frame = self._frames[key] = RefEnv(env, name, t)
         return frame
 
-    def env_of(self, bindings: dict[str, SrcType]) -> TypeEnv:
+    def env_of(self, bindings: dict[str, SrcType]) -> RefEnv:
         env = self.empty_env
         for name, t in bindings.items():
             env = self.extend(env, name, t)
@@ -174,36 +159,6 @@ class Elaborator:
     def fresh_var(self, hint: str = "u") -> str:
         self._fresh += 1
         return f"${hint}{self._fresh}"
-
-    def _replay(self, key, make):
-        """Memoized candidate streams.
-
-        Backtracking revisits the same judgment many times (union arms,
-        application passes, DEAD synthesis); each judgment's candidates are
-        computed once and replayed.  A stream keeps the depth budget it was
-        created with; a reentrant pull of a stream that is already running
-        (left recursion) ends that branch of the search.
-        """
-        entry = self._memo.get(key)
-        if entry is None:
-            entry = _MemoEntry(make())
-            self._memo[key] = entry
-        i = 0
-        while True:
-            while i < len(entry.items):
-                yield entry.items[i]
-                i += 1
-            if entry.done or entry.running:
-                return
-            entry.running = True
-            try:
-                nxt = next(entry.gen)
-            except StopIteration:
-                entry.done = True
-                return
-            finally:
-                entry.running = False
-            entry.items.append(nxt)
 
     def release(self) -> None:
         """Drop the memo and the frames.  A memoised stream is a suspended
@@ -243,7 +198,7 @@ class Elaborator:
     def check_expr(
         self, env: dict[str, SrcType], e: SrcExpr, expected: SrcType, mode: str = FLEXIBLE
     ) -> tuple[TgtExpr, str]:
-        for w, flag, _ in self.check(self.env_of(env), e, expected, mode, self.search_depth):
+        for _, w, flag, _ in self.synth(self.env_of(env), e, mode, self.search_depth, expected):
             return w, flag
         raise ElabError(
             f"no derivation for expression at type {syntax.print_type(expected)}",
@@ -264,54 +219,82 @@ class Elaborator:
         }
         return (names[type(e)], "T-And-Intro", "T-And-Elim", "T-Up", "T-Down", "T-Dead")
 
-    # -- checking ------------------------------------------------------------
+    # -- the walker ------------------------------------------------------------
 
-    def check(
-        self, env: TypeEnv, e: SrcExpr, expected: SrcType, mode: str, depth: int
-    ) -> Iterator[tuple[TgtExpr, str, Trace]]:
-        key = ("check", env, e, expected, mode)
-        return self._replay(key, lambda: self._check_raw(env, e, expected, mode, depth))
+    def synth(
+        self, env: RefEnv, e: SrcExpr, mode: str, depth: int, expected: SrcType | None = None
+    ) -> Iterator[tuple[SrcType, TgtExpr, str, Trace]]:
+        """e's derivations as (type, target, flag, trace); given an expected
+        type, e is checked against it, in the module docstring's order.
 
-    def _check_raw(
-        self, env: TypeEnv, e: SrcExpr, expected: SrcType, mode: str, depth: int
-    ) -> Iterator[tuple[TgtExpr, str, Trace]]:
+        Backtracking revisits the same judgment many times (union arms,
+        application passes, DEAD synthesis); each judgment's candidates are
+        computed once and replayed.  A stream keeps the depth budget it was
+        created with; a reentrant pull of a stream that is already running
+        (left recursion) ends that branch of the search.
+        """
+        key = (env, e, expected, mode)
+        entry = self._memo.get(key)
+        if entry is None:
+            entry = self._memo[key] = _MemoEntry(self._synth_raw(env, e, mode, depth, expected))
+        i = 0
+        while True:
+            while i < len(entry.items):
+                yield entry.items[i]
+                i += 1
+            if entry.done or entry.running:
+                return
+            entry.running = True
+            try:
+                nxt = next(entry.gen)
+            except StopIteration:
+                entry.done = True
+                return
+            finally:
+                entry.running = False
+            entry.items.append(nxt)
+
+    def _synth_raw(
+        self, env: RefEnv, e: SrcExpr, mode: str, depth: int, expected: SrcType | None
+    ) -> Iterator[tuple[SrcType, TgtExpr, str, Trace]]:
         if depth <= 0:
             return
         # The syntax-directed rule
         match e:
             case Const(con, pos):
-                if types_equal_basic(con.source_type, expected):
-                    yield TConst(con, pos), FLAG_PLAIN, ("T-Const",)
+                if expected is None or types_equal_basic(con.source_type, expected):
+                    yield con.source_type, TConst(con, pos), FLAG_PLAIN, ("T-Const",)
             case Var(name, pos):
                 t = env.get(name)
-                if t is not None and types_equal_basic(t, expected):
-                    yield TVar(name, pos), FLAG_PLAIN, ("T-Var",)
+                if t is not None and (expected is None or types_equal_basic(t, expected)):
+                    yield t, TVar(name, pos), FLAG_PLAIN, ("T-Var",)
             case Lam(param, body, pos):
+                # a lambda requires an annotation, so it only checks
                 if isinstance(expected, FunType) and wf_type(expected).ok:
                     inner = self.extend(env, param, expected.dom)
-                    for w, _, tr in self.check(inner, body, expected.cod, mode, depth):
-                        yield TLam(param, w, expected, pos), FLAG_PLAIN, ("T-Lam", tr)
+                    for _, w, _, tr in self.synth(inner, body, mode, depth, expected.cod):
+                        yield expected, TLam(param, w, expected, pos), FLAG_PLAIN, ("T-Lam", tr)
             case Ascribe(expr, ty, _):
-                if types_equal_basic(ty, expected):
-                    for w, flag, tr in self.check(env, expr, ty, mode, depth):
-                        yield w, flag, ("T-Ascribe", tr)
+                if expected is None or types_equal_basic(ty, expected):
+                    for _, w, flag, tr in self.synth(env, expr, mode, depth, ty):
+                        yield ty, w, flag, ("T-Ascribe", tr)
             case Let(name, bound, body, pos):
                 for t1, w1, _, tr1 in self.synth(env, bound, mode, depth):
                     inner = self.extend(env, name, t1)
-                    for w2, flag, tr2 in self.check(inner, body, expected, mode, depth):
-                        yield TLet(name, w1, w2, pos), flag, ("T-Let", tr1, tr2)
+                    for t2, w2, flag, tr2 in self.synth(inner, body, mode, depth, expected):
+                        yield t2, TLet(name, w1, w2, pos), flag, ("T-Let", tr1, tr2)
             case If(cond, then, els, pos):
-                for wc, fc, trc in self.check(env, cond, BOOL, FLEXIBLE, depth):
+                for _, wc, fc, trc in self.synth(env, cond, FLEXIBLE, depth, BOOL):
                     if fc != FLAG_PLAIN:
                         continue
-                    for wt, f1, trt in self.check(env, then, expected, mode, depth):
-                        for wf_, f2, trf in self.check(env, els, expected, mode, depth):
-                            flag = f1 if f1 == f2 else FLAG_PLAIN
-                            yield TIf(wc, wt, wf_, pos), flag, ("T-Ite", trc, trt, trf)
+                    for t1, wt, f1, trt in self.synth(env, then, mode, depth, expected):
+                        for t2, we, f2, trf in self.synth(env, els, mode, depth, expected):
+                            if expected is not None or types_equal_basic(t1, t2):
+                                flag = f1 if f1 == f2 else FLAG_PLAIN
+                                yield t1, TIf(wc, wt, we, pos), flag, ("T-Ite", trc, trt, trf)
             case App():
-                for _, w, flag, tr in self._app(env, e, mode, depth, expected):
-                    yield w, flag, tr
-                if mode == FLEXIBLE:
+                yield from self._app(env, e, mode, depth, expected)
+                if expected is not None and mode == FLEXIBLE:
                     # A non-function head can still be applied under a DEAD cast
                     # whose target arrow takes the argument's type to the
                     # expected type.
@@ -320,18 +303,21 @@ class Elaborator:
                             continue
                         for ta, wa, _, tra in self.synth(env, e.arg, FLEXIBLE, depth - 1):
                             dead = TDead(t0, FunType(ta, expected), w0, _pos_of(e.fn))
-                            yield TApp(dead, wa, e.pos), FLAG_PLAIN, ("T-App", "T-Dead", tr0, tra)
+                            yield (expected, TApp(dead, wa, e.pos), FLAG_PLAIN,
+                                   ("T-App", "T-Dead", tr0, tra))
+        if expected is None:
+            return
         # T-And-Intro
         if isinstance(expected, AndType) and is_value(e) and wf_type(expected).ok:
-            for w1, f1, tr1 in self.check(env, e, expected.left, mode, depth - 1):
-                for w2, f2, tr2 in self.check(env, e, expected.right, mode, depth - 1):
+            for _, w1, f1, tr1 in self.synth(env, e, mode, depth - 1, expected.left):
+                for _, w2, f2, tr2 in self.synth(env, e, mode, depth - 1, expected.right):
                     flag = f1 if f1 == f2 else FLAG_PLAIN
-                    yield TPair(w1, w2, _pos_of(e)), flag, ("T-And-Intro", tr1, tr2)
+                    yield expected, TPair(w1, w2, _pos_of(e)), flag, ("T-And-Intro", tr1, tr2)
         # T-And-Elim: every conjunct below the synthesized type, in preorder
         for candidate in self.synth(env, e, mode, depth - 1):
             for t, w, flag, tr in itertools.islice(_conjuncts(*candidate), 1, None):
                 if types_equal_basic(t, expected):
-                    yield w, flag, tr
+                    yield t, w, flag, tr
         # T-Up (flexible only).  Arms whose payload elaborates without a
         # root-level cast are preferred: injecting a value into an arm it
         # does not inhabit would make the runtime tag dispatch diverge from
@@ -340,10 +326,10 @@ class Elaborator:
             arms = ((1, expected.left), (2, expected.right))
             for cast_free in (True, False):
                 for k, arm in arms:
-                    for w, flag, tr in self.check(env, e, arm, FLEXIBLE, depth - 1):
+                    for _, w, flag, tr in self.synth(env, e, FLEXIBLE, depth - 1, arm):
                         if isinstance(w, TDead) == cast_free:
                             continue
-                        yield TInj(k, w, expected, _pos_of(e)), flag, ("T-Up", tr)
+                        yield expected, TInj(k, w, expected, _pos_of(e)), flag, ("T-Up", tr)
         # T-Down
         for plug, e0 in syntax.decompose(e, is_value):
             for t0, w0, _, tr0 in self.synth(env, e0, mode, depth - 1):
@@ -357,54 +343,12 @@ class Elaborator:
             for t0, w0, flag, tr in self.synth(env, e, FLEXIBLE, depth - 1):
                 if syntax.tags_disjoint(t0, expected):
                     dead = TDead(t0, expected, w0, _pos_of(e))
-                    yield dead, flag, ("T-Dead", tr)
-
-    # -- synthesis -------------------------------------------------------------
-
-    def synth(
-        self, env: TypeEnv, e: SrcExpr, mode: str, depth: int
-    ) -> Iterator[tuple[SrcType, TgtExpr, str, Trace]]:
-        key = ("synth", env, e, mode)
-        return self._replay(key, lambda: self._synth_raw(env, e, mode, depth))
-
-    def _synth_raw(
-        self, env: TypeEnv, e: SrcExpr, mode: str, depth: int
-    ) -> Iterator[tuple[SrcType, TgtExpr, str, Trace]]:
-        if depth <= 0:
-            return
-        match e:
-            case Const(con, pos):
-                yield con.source_type, TConst(con, pos), FLAG_PLAIN, ("T-Const",)
-            case Var(name, pos):
-                t = env.get(name)
-                if t is not None:
-                    yield t, TVar(name, pos), FLAG_PLAIN, ("T-Var",)
-            case Ascribe(expr, ty, _):
-                for w, flag, tr in self.check(env, expr, ty, mode, depth):
-                    yield ty, w, flag, ("T-Ascribe", tr)
-            case Let(name, bound, body, pos):
-                for t1, w1, _, tr1 in self.synth(env, bound, mode, depth):
-                    inner = self.extend(env, name, t1)
-                    for t2, w2, flag, tr2 in self.synth(inner, body, mode, depth):
-                        yield t2, TLet(name, w1, w2, pos), flag, ("T-Let", tr1, tr2)
-            case If(cond, then, els, pos):
-                for wc, fc, trc in self.check(env, cond, BOOL, FLEXIBLE, depth):
-                    if fc != FLAG_PLAIN:
-                        continue
-                    for t1, wt, f1, trt in self.synth(env, then, mode, depth):
-                        for t2, we, f2, trf in self.synth(env, els, mode, depth):
-                            if types_equal_basic(t1, t2):
-                                flag = f1 if f1 == f2 else FLAG_PLAIN
-                                yield t1, TIf(wc, wt, we, pos), flag, ("T-Ite", trc, trt, trf)
-            case App():
-                yield from self._app(env, e, mode, depth)
-            case Lam():
-                return  # lambdas require an annotation and only check
+                    yield expected, dead, flag, ("T-Dead", tr)
 
     HEAD_CAP = 16
 
     def _app(
-        self, env: TypeEnv, e: App, mode: str, depth: int, cod: SrcType | None = None
+        self, env: RefEnv, e: App, mode: str, depth: int, cod: SrcType | None = None
     ) -> Iterator[tuple[SrcType, TgtExpr, str, Trace]]:
         """T-App over the head candidates whose result type is ``cod``.
 
@@ -426,14 +370,14 @@ class Elaborator:
             for arrow, w1, f1, tr1 in itertools.islice(heads, self.HEAD_CAP):
                 if arg_mode == FLEXIBLE and f1 == FLAG_INTER:
                     continue
-                for w2, _, tr2 in self.check(env, e.arg, arrow.dom, arg_mode, depth):
+                for _, w2, _, tr2 in self.synth(env, e.arg, arg_mode, depth, arrow.dom):
                     yield arrow.cod, TApp(w1, w2, e.pos), FLAG_PLAIN, ("T-App", tr1, tr2)
 
     # -- union elimination -------------------------------------------------
 
     def _union_split(
         self,
-        env: TypeEnv,
+        env: RefEnv,
         e0: SrcExpr,
         t0: OrType,
         w0: TgtExpr,
@@ -442,15 +386,16 @@ class Elaborator:
         expected: SrcType,
         mode: str,
         depth: int,
-    ) -> Iterator[tuple[TgtExpr, str, Trace]]:
+    ) -> Iterator[tuple[SrcType, TgtExpr, str, Trace]]:
         x1 = self.fresh_var()
         x2 = self.fresh_var()
         env1 = self.extend(env, x1, t0.left)
         env2 = self.extend(env, x2, t0.right)
-        for w1, f1, tr1 in self.check(env1, plug(Var(x1)), expected, mode, depth):
-            for w2, f2, tr2 in self.check(env2, plug(Var(x2)), expected, mode, depth):
+        for _, w1, f1, tr1 in self.synth(env1, plug(Var(x1)), mode, depth, expected):
+            for _, w2, f2, tr2 in self.synth(env2, plug(Var(x2)), mode, depth, expected):
                 flag = f1 if f1 == f2 else FLAG_PLAIN
                 yield (
+                    expected,
                     TCase(w0, x1, w1, x2, w2, _pos_of(e0)),
                     flag,
                     ("T-Down", tr0, tr1, tr2),

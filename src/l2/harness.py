@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields
 from . import constants, source_interp, syntax, target_interp
 from .elaborate import DEFAULT_SEARCH_DEPTH, ElabError, ElabResult, Elaborator, elaborate_program
 from .logic import DEFAULT_CLAUSE_BUDGET, LinTerm, VALUE_VAR, cmp_pred
-from .refine import PhaseOrderError, RefEnv, check_refined
+from .refine import PhaseOrderError, check_refined
 from .source_interp import DEFAULT_FUEL, FuelExhausted, Outcome, Stepped, StuckAt, Value
 from .syntax import (
     AndType,
@@ -333,7 +333,7 @@ def soundness_trial(trial: Trial, clause_budget: int = DEFAULT_CLAUSE_BUDGET) ->
     failure tag.
     """
     def accepted(w: TgtExpr) -> bool:
-        return check_refined(RefEnv(), w, clause_budget=clause_budget).accepted
+        return check_refined(w, clause_budget=clause_budget).accepted
 
     try:
         if not accepted(trial.elab.target):

@@ -36,7 +36,7 @@ from .logic import (
     ResourceLimit,
     valid,
 )
-from .refine import RefEnv, check_refined
+from .refine import check_refined
 from .syntax import (
     Const,
     NUMBER,
@@ -121,7 +121,7 @@ def gen_horn(
     """Run both phases over the templated program, collecting Horn clauses."""
     templated, kappas = template_program(program)
     result = elaborate.elaborate_program(templated, search_depth)
-    report = check_refined(RefEnv(), result.target, discharge=False)
+    report = check_refined(result.target, discharge=False)
     clauses = [
         HornClause(vc.hyps + (vc.antecedent,), vc.consequent, vc.origin) for vc in report.vcs
     ]

@@ -1,6 +1,7 @@
 """Phase 2: refinement checking of target terms.
 
-The checker walks elaborator output with one bidirectional walker,
+``check_refined`` walks a closed elaborator output, from an empty
+``RefEnv`` (phase 1's environment too), with one bidirectional walker,
 ``RefChecker.synth``.  It synthesizes a refinement type; given an expected
 type, it checks against it instead, pushing the type into let bodies,
 branches and pair components and emitting a subtyping obligation, as
@@ -96,13 +97,14 @@ class ShapeMismatch(Exception):
 
 
 class RefEnv:
-    """A refinement environment: binders and guards over a shared parent frame.
+    """Both phases' typing environment: binders and guards over a parent frame.
 
     ``bind`` and ``guard`` add one frame each and copy nothing.  A base
     binder's hypothesis (its refinement with the value variable replaced by
     the binder's name) is substituted once, when it is bound, so building a
     VC reads the hypotheses off the frames instead of substituting into every
-    binder again.  Lookups walk outwards to the nearest binder of the name.
+    binder again.  Phase 1's frames carry no hypothesis (``Elaborator.extend``).
+    Lookups walk outwards to the nearest binder of the name.
     """
 
     __slots__ = ("parent", "name", "ty", "hyp")
@@ -130,11 +132,14 @@ class RefEnv:
             yield env
             env = env.parent
 
-    def lookup(self, name: str) -> SrcType:
-        for frame in self._frames():
-            if frame.name == name:
-                return frame.ty
-        raise KeyError(name)
+    def get(self, name: str) -> SrcType | None:
+        """The type of the nearest binder of name, or None."""
+        env = self
+        while env.parent is not None:
+            if env.name == name:
+                return env.ty
+            env = env.parent
+        return None
 
     def flatten(self) -> tuple[Pred, ...]:
         """Hypotheses: binder refinements with the value variable replaced by
@@ -147,16 +152,8 @@ class RefEnv:
         return tuple(reversed([f.name for f in frames]))
 
     def sort_of(self, name: str) -> str | None:
-        try:
-            t = self.lookup(name)
-        except KeyError:
-            return None
+        t = self.get(name)
         return t.base if isinstance(t, PrimType) else None
-
-    def erased(self) -> dict[str, SrcType]:
-        """Each binder's basic type, as phase 1 assigns it."""
-        frames = [f for f in self._frames() if f.name is not None]
-        return {f.name: erase_refinements(f.ty) for f in reversed(frames)}
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +427,9 @@ class RefChecker:
             case TConst(con):
                 return con.refined_type, env
             case TVar(name):
-                try:
-                    t = env.lookup(name)
-                except KeyError:
-                    raise PhaseOrderError(f"unbound variable {name}") from None
+                t = env.get(name)
+                if t is None:
+                    raise PhaseOrderError(f"unbound variable {name}")
                 return selfify(t, name), env
             case TLam(param, body, src_ann):
                 if not isinstance(src_ann, FunType):
@@ -494,22 +490,21 @@ def _origin(kind: str, pos: Pos) -> str:
 
 
 def check_refined(
-    env: RefEnv,
     w: TgtExpr,
     discharge: bool = True,
     clause_budget: int = DEFAULT_CLAUSE_BUDGET,
 ) -> CheckReport:
-    """Run refinement checking over a well-typed target term.
+    """Run refinement checking over a closed, well-typed target term.
 
     The skeleton is validated first; refinement checking on an ill-typed
     term is a pipeline misuse, reported as PhaseOrderError.
     """
     try:
-        simple_typecheck(env.erased(), w)
+        simple_typecheck({}, w)
     except IllTyped as exc:
         raise PhaseOrderError(str(exc)) from exc
     checker = RefChecker()
-    result_ty, _ = checker.synth(env, w)
+    result_ty, _ = checker.synth(RefEnv(), w)
     vcs = tuple(checker.vcs)
     memo: dict = {}  # shared by this check's valid() calls
     verdicts = tuple(valid(vc, clause_budget, memo) for vc in vcs) if discharge else None

@@ -33,7 +33,7 @@ from l2.logic import (
     pred_key,
     valid,
 )
-from l2.refine import RefEnv, check_refined
+from l2.refine import check_refined
 from l2.source_interp import StuckAt, eval_source_trace
 from l2.syntax import erase_refinements
 from l2.target import print_target, simple_typecheck
@@ -83,10 +83,10 @@ def corpus():
 def test_criterion_1_negate_end_to_end(capsys):
     start = time.time()
     ok_report = check_refined(
-        RefEnv(), elaborate.elaborate_program(parser.parse_program(NEGATE_OK)).target
+        elaborate.elaborate_program(parser.parse_program(NEGATE_OK)).target
     )
     err_report = check_refined(
-        RefEnv(), elaborate.elaborate_program(parser.parse_program(NEGATE_ERR_C)).target
+        elaborate.elaborate_program(parser.parse_program(NEGATE_ERR_C)).target
     )
     elapsed = time.time() - start
     rejecting = [vc for vc, v in zip(err_report.vcs, err_report.verdicts) if not v.is_valid]
@@ -105,7 +105,7 @@ def test_criterion_1_negate_end_to_end(capsys):
 
 def test_criterion_2_vc_reproduction(capsys):
     report = check_refined(
-        RefEnv(), elaborate.elaborate_program(parser.parse_program(NEGATE_OK)).target
+        elaborate.elaborate_program(parser.parse_program(NEGATE_OK)).target
     )
     flag = var("flag")
     expected = [
@@ -358,7 +358,7 @@ def test_criterion_9_inference(capsys):
     if solved_ok:
         solved_program = infer.apply_solution(templated_full, outcome)
         result = elaborate.elaborate_program(solved_program)
-        accepted = check_refined(RefEnv(), result.target).accepted
+        accepted = check_refined(result.target).accepted
     ok = len(matches) == 4 and solved_ok and all_valid and oracle_ok and subset_ok and accepted
     with capsys.disabled():
         _verdict(

@@ -535,9 +535,9 @@ class TestFuzz:
             seen["search_depth"].add(search_depth)
             return elaborate_program(program, search_depth)
 
-        def spy_check(env, w, clause_budget):
+        def spy_check(w, clause_budget):
             seen["clause_budget"].add(clause_budget)
-            return check_refined(env, w, clause_budget=clause_budget)
+            return check_refined(w, clause_budget=clause_budget)
 
         monkeypatch.setattr(harness, "elaborate_program", spy_elaborate)
         monkeypatch.setattr(harness, "check_refined", spy_check)

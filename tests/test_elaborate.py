@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 
 from l2 import constants, harness, parser, syntax
@@ -12,7 +14,7 @@ from l2.elaborate import (
     elaborate_program,
 )
 from l2.logic import LinTerm, PBool, cmp_pred
-from l2.refine import RefEnv, check_refined
+from l2.refine import check_refined
 from l2.syntax import (
     AndType,
     App,
@@ -42,7 +44,7 @@ from l2.target import (
     print_target,
     simple_typecheck,
 )
-from tests.conftest import NEGATE_FULL, NEGATE_OK
+from tests.conftest import NEGATE_FULL, NEGATE_OK, PROGRAMS
 
 BOTH = AndType(FunType(NUM, NUM), FunType(BOOL, BOOL))
 
@@ -143,7 +145,7 @@ def resolve_union_elim(elab, env, e0, context, expected, mode=FLEXIBLE):
     for t0, w0, _, tr0 in elab.synth(env, e0, mode, elab.search_depth):
         if not isinstance(t0, OrType):
             continue
-        for w, _, _ in elab._union_split(env, e0, t0, w0, tr0, context, expected, mode,
+        for _, w, _, _ in elab._union_split(env, e0, t0, w0, tr0, context, expected, mode,
                                          elab.search_depth):
             return w
     raise ElabError("union elimination failed", getattr(e0, "pos", None))
@@ -280,7 +282,7 @@ class TestNestedIntersections:
 
     def test_accepted(self):
         result = elaborate_program(parser.parse_program(NESTED))
-        assert check_refined(RefEnv(), result.target).accepted
+        assert check_refined(result.target).accepted
 
 
 class TestOverloadedArgumentStrictness:
@@ -357,3 +359,28 @@ class TestEnvironments:
         assert shadowed is not ab
         assert shadowed.get("a") == BOOL and ab.get("a") == NUM
         assert shadowed.get("b") == BOOL and ab.get("c") is None
+
+
+def elaboration_lines() -> list[str]:
+    """Each shipped and each generated program's flag, rule-trace length and
+    printed target, one line per program."""
+    named = [(path.name, parser.parse_program(path.read_text()))
+             for path in sorted(PROGRAMS.glob("*.l2"))]
+    named += [(f"gen {seed} {budget}", harness.gen_program(seed, budget))
+              for seed in range(100) for budget in (30, 60)]
+    lines = []
+    for name, program in named:
+        result = elaborate_program(program)
+        lines.append(f"{name}\t{result.flag}\t{len(result.trace)}\t"
+                     f"{print_target(result.target)}")
+    return lines
+
+
+class TestCandidateOrder:
+    # Phase 1 takes the first derivation its fixed attempt order finds, so
+    # any change to that order shows up here as another target or trace.
+
+    def test_elaborations_match_golden(self):
+        golden = (pathlib.Path(__file__).resolve().parent / "golden"
+                  / "gen_elaboration.golden").read_text().splitlines()
+        assert elaboration_lines() == golden

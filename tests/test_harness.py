@@ -256,11 +256,11 @@ class TestCancellingCasts:
 
     @pytest.mark.parametrize("text", [WRONG_CLONE, SWAPPED_UNION])
     def test_rejected_by_phase_two(self, text):
-        from l2.refine import RefEnv, check_refined
+        from l2.refine import check_refined
 
         program = parser.parse_program(text)
         result = elaborate.elaborate_program(program)
-        report = check_refined(RefEnv(), result.target)
+        report = check_refined(result.target)
         assert not report.accepted
 
     @pytest.mark.parametrize("text", [WRONG_CLONE, SWAPPED_UNION])

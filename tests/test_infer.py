@@ -34,7 +34,7 @@ from l2.logic import (
     render_pred,
     valid,
 )
-from l2.refine import RefEnv, check_refined
+from l2.refine import check_refined
 from l2.syntax import AndType, BOOL, FunType, NUM, OrType, PrimType
 from tests.conftest import NEGATE_INFER, clause_valid
 
@@ -243,7 +243,7 @@ class TestApplySolution:
         assert isinstance(outcome, Solution)
         solved = apply_solution(templated, outcome)
         result = elaborate.elaborate_program(solved)
-        report = check_refined(RefEnv(), result.target)
+        report = check_refined(result.target)
         assert report.accepted
 
     def test_identity_on_kappa_free_program(self):

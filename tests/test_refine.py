@@ -20,6 +20,7 @@ from l2.logic import (
 from l2.refine import (
     CheckReport,
     PhaseOrderError,
+    RefChecker,
     RefEnv,
     ShapeMismatch,
     _obligations,
@@ -62,7 +63,7 @@ def canon(vc):
 def check_program(text):
     p = parser.parse_program(text)
     result = elaborate.elaborate_program(p)
-    return check_refined(RefEnv(), result.target)
+    return check_refined(result.target)
 
 
 PAPER_VCS = [
@@ -97,7 +98,7 @@ class TestNegate:
         )
 
     def test_constant_synthesis_has_no_vcs(self):
-        report = check_refined(RefEnv(), TConst(constants.int_const(5)))
+        report = check_refined(TConst(constants.int_const(5)))
         assert report.vcs == ()
         assert report.type == PrimType("number", cmp_pred(nu, "=", lit(5)))
 
@@ -270,7 +271,7 @@ class TestEnvironments:
 
     def test_phase_order_error(self):
         with pytest.raises(PhaseOrderError):
-            check_refined(RefEnv(), TVar("ghost"))
+            check_refined(TVar("ghost"))
 
 
 # The environment as a flat tuple of entries, rebuilt in full on every query:
@@ -320,9 +321,6 @@ class ReferenceEnv:
             if isinstance(e, Bind) and isinstance(e.ty, PrimType) and e.ty.base == "number"
         )
 
-    def erased(self):
-        return {e.name: erase_refinements(e.ty) for e in self.entries if isinstance(e, Bind)}
-
 
 class TestPersistentEnvironment:
     NAMES = ("a", "b", "c")
@@ -341,15 +339,12 @@ class TestPersistentEnvironment:
     def assert_agree(self, env, ref):
         assert env.flatten() == ref.flatten()
         assert env.number_names() == ref.number_names()
-        assert env.erased() == ref.erased()
         for name in self.NAMES + ("unbound",):
             try:
                 expected = ref.lookup(name)
             except KeyError:
-                with pytest.raises(KeyError):
-                    env.lookup(name)
-            else:
-                assert env.lookup(name) == expected
+                expected = None
+            assert env.get(name) == expected
 
     def test_agrees_with_reference_on_random_sequences(self):
         rng = random.Random(7)
@@ -384,7 +379,7 @@ class TestPersistentEnvironment:
         for n in (100, 200):
             target = elaborate.elaborate_program(parser.parse_program(let_chain(n))).target
             calls[0] = 0
-            check_refined(RefEnv(), target)
+            check_refined(target)
             counts.append(calls[0])
         assert counts[1] <= 2 * counts[0] + 10
 
@@ -394,7 +389,7 @@ class TestDependentApplication:
         # add 1 2 : {v = 1 + 2}
         w = TApp(TApp(TConst(constants.ADD), TConst(constants.int_const(1))),
                  TConst(constants.int_const(2)))
-        report = check_refined(RefEnv(), w)
+        report = check_refined(w)
         assert report.type == PrimType("number", cmp_pred(nu, "=", lit(3)))
 
     def test_out_of_fragment_argument_gets_ghost(self):
@@ -403,9 +398,9 @@ class TestDependentApplication:
         inner = TApp(TApp(TConst(constants.MUL), TVar("y")), TVar("y"))
         env = RefEnv().bind("y", num())
         w = TApp(TApp(TConst(constants.ADD), TConst(constants.int_const(1))), inner)
-        report = check_refined(env, w)
-        assert isinstance(report.type, PrimType)
-        names = render_pred(report.type.refinement)
+        t, _ = RefChecker().synth(env, w)
+        assert isinstance(t, PrimType)
+        names = render_pred(t.refinement)
         assert "$g" in names
 
 
@@ -417,7 +412,7 @@ class TestCorrespondence:
         for seed in range(120):
             program = harness.gen_program(seed, 25)
             result = elaborate.elaborate_program(program)
-            report = check_refined(RefEnv(), result.target, discharge=False)
+            report = check_refined(result.target, discharge=False)
             assert erase_refinements(report.type) == erase_refinements(result.type)
 
     def test_accepted_intermediates_stay_accepted(self):
@@ -430,11 +425,11 @@ class TestCorrespondence:
         for seed in range(60):
             program = harness.gen_program(seed, 22)
             result = elaborate.elaborate_program(program)
-            if not check_refined(RefEnv(), result.target).accepted:
+            if not check_refined(result.target).accepted:
                 continue
             _, _, states = eval_target_trace(result.target, 300)
             for state in states[:: max(1, len(states) // 4)]:
-                assert check_refined(RefEnv(), state).accepted
+                assert check_refined(state).accepted
                 checked += 1
         assert checked > 20
 
@@ -483,3 +478,12 @@ class TestRandomReflexivity:
         env = RefEnv().bind("b", PrimType("boolean", PAtom(BVar(VALUE_VAR := "v"))))
         flat = env.flatten()
         assert flat == (PAtom(BVar("b")),)
+
+
+@pytest.mark.xfail(strict=True, reason="an ascription leaves no trace in the target term, "
+                   "so phase 2 never checks a refinement ascribed to a non-lambda")
+def test_ascribed_refinement_is_checked():
+    # the same ascription is checked when the value is passed to a function
+    # expecting it (f (3 : neg) is rejected), but not when it is let-bound
+    report = check_program("let x = (3 : {v:number | v < 0}) in x\n")
+    assert not report.accepted

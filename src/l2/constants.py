@@ -34,7 +34,7 @@ from .logic import (
     pnot,
 )
 from .syntax import BOOLEAN, Const, FunType, NUM, NUMBER, PrimConst, PrimType, SrcExpr
-from .target import TConst, TgtExpr
+from .target import TgtExpr
 
 _NU = LinTerm.of_var(VALUE_VAR)
 
@@ -66,7 +66,7 @@ def bool_const(b: bool) -> PrimConst:
 
 def const_int_value(e: SrcExpr | TgtExpr) -> int | None:
     """The integer of a source or target numeric literal, else None."""
-    if isinstance(e, (Const, TConst)) and e.con.source_type == NUM and e.con.delta is None:
+    if isinstance(e, Const) and e.con.source_type == NUM and e.con.delta is None:
         try:
             return int(e.con.name)
         except ValueError:
@@ -76,7 +76,7 @@ def const_int_value(e: SrcExpr | TgtExpr) -> int | None:
 
 def const_bool_value(e: SrcExpr | TgtExpr) -> bool | None:
     """The truth value of a source or target boolean literal, else None."""
-    if isinstance(e, (Const, TConst)):
+    if isinstance(e, Const):
         if e.con == TRUE_CONST:
             return True
         if e.con == FALSE_CONST:

@@ -58,20 +58,7 @@ from .syntax import (
     types_equal_basic,
     wf_type,
 )
-from .target import (
-    TApp,
-    TCase,
-    TConst,
-    TDead,
-    TIf,
-    TInj,
-    TLam,
-    TLet,
-    TPair,
-    TProj,
-    TVar,
-    TgtExpr,
-)
+from .target import TCase, TDead, TInj, TPair, TProj, TgtExpr
 
 STRICT = "strict"
 FLEXIBLE = "flexible"
@@ -156,9 +143,9 @@ class Elaborator:
             env = self.extend(env, name, t)
         return env
 
-    def fresh_var(self, hint: str = "u") -> str:
+    def fresh_var(self) -> str:
         self._fresh += 1
-        return f"${hint}{self._fresh}"
+        return f"$u{self._fresh}"
 
     def release(self) -> None:
         """Drop the memo and the frames.  A memoised stream is a suspended
@@ -261,19 +248,19 @@ class Elaborator:
             return
         # The syntax-directed rule
         match e:
-            case Const(con, pos):
+            case Const(con):  # a constant or a variable is its own target
                 if expected is None or types_equal_basic(con.source_type, expected):
-                    yield con.source_type, TConst(con, pos), FLAG_PLAIN, ("T-Const",)
-            case Var(name, pos):
+                    yield con.source_type, e, FLAG_PLAIN, ("T-Const",)
+            case Var(name):
                 t = env.get(name)
                 if t is not None and (expected is None or types_equal_basic(t, expected)):
-                    yield t, TVar(name, pos), FLAG_PLAIN, ("T-Var",)
-            case Lam(param, body, pos):
+                    yield t, e, FLAG_PLAIN, ("T-Var",)
+            case Lam(param, body, pos=pos):
                 # a lambda requires an annotation, so it only checks
                 if isinstance(expected, FunType) and wf_type(expected).ok:
                     inner = self.extend(env, param, expected.dom)
                     for _, w, _, tr in self.synth(inner, body, mode, depth, expected.cod):
-                        yield expected, TLam(param, w, expected, pos), FLAG_PLAIN, ("T-Lam", tr)
+                        yield expected, Lam(param, w, expected, pos), FLAG_PLAIN, ("T-Lam", tr)
             case Ascribe(expr, ty, _):
                 if expected is None or types_equal_basic(ty, expected):
                     for _, w, flag, tr in self.synth(env, expr, mode, depth, ty):
@@ -282,7 +269,7 @@ class Elaborator:
                 for t1, w1, _, tr1 in self.synth(env, bound, mode, depth):
                     inner = self.extend(env, name, t1)
                     for t2, w2, flag, tr2 in self.synth(inner, body, mode, depth, expected):
-                        yield t2, TLet(name, w1, w2, pos), flag, ("T-Let", tr1, tr2)
+                        yield t2, Let(name, w1, w2, pos), flag, ("T-Let", tr1, tr2)
             case If(cond, then, els, pos):
                 for _, wc, fc, trc in self.synth(env, cond, FLEXIBLE, depth, BOOL):
                     if fc != FLAG_PLAIN:
@@ -291,7 +278,7 @@ class Elaborator:
                         for t2, we, f2, trf in self.synth(env, els, mode, depth, expected):
                             if expected is not None or types_equal_basic(t1, t2):
                                 flag = f1 if f1 == f2 else FLAG_PLAIN
-                                yield t1, TIf(wc, wt, we, pos), flag, ("T-Ite", trc, trt, trf)
+                                yield t1, If(wc, wt, we, pos), flag, ("T-Ite", trc, trt, trf)
             case App():
                 yield from self._app(env, e, mode, depth, expected)
                 if expected is not None and mode == FLEXIBLE:
@@ -303,7 +290,7 @@ class Elaborator:
                             continue
                         for ta, wa, _, tra in self.synth(env, e.arg, FLEXIBLE, depth - 1):
                             dead = TDead(t0, FunType(ta, expected), w0, _pos_of(e.fn))
-                            yield (expected, TApp(dead, wa, e.pos), FLAG_PLAIN,
+                            yield (expected, App(dead, wa, e.pos), FLAG_PLAIN,
                                    ("T-App", "T-Dead", tr0, tra))
         if expected is None:
             return
@@ -371,7 +358,7 @@ class Elaborator:
                 if arg_mode == FLEXIBLE and f1 == FLAG_INTER:
                     continue
                 for _, w2, _, tr2 in self.synth(env, e.arg, arg_mode, depth, arrow.dom):
-                    yield arrow.cod, TApp(w1, w2, e.pos), FLAG_PLAIN, ("T-App", tr1, tr2)
+                    yield arrow.cod, App(w1, w2, e.pos), FLAG_PLAIN, ("T-App", tr1, tr2)
 
     # -- union elimination -------------------------------------------------
 

@@ -25,7 +25,7 @@ counterexample.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from . import constants, source_interp, syntax, target_interp
 from .elaborate import DEFAULT_SEARCH_DEPTH, ElabError, ElabResult, Elaborator, elaborate_program
@@ -56,22 +56,7 @@ from .syntax import (
     tags_disjoint,
     types_equal_basic,
 )
-from .target import (
-    IllTyped,
-    TApp,
-    TCase,
-    TConst,
-    TDead,
-    TIf,
-    TInj,
-    TLam,
-    TLet,
-    TPair,
-    TProj,
-    TVar,
-    TgtExpr,
-    simple_typecheck,
-)
+from .target import IllTyped, TCase, TDead, TInj, TPair, TProj, TgtExpr, simple_typecheck
 
 Env = dict[str, SrcType]
 
@@ -158,31 +143,31 @@ def elab_matches(env: Env, e: SrcExpr, tau: SrcType, w: TgtExpr, depth: int = 40
             return False
     e = _peel_matching(e, tau)
     match (e, w):
-        case (Const(ca), TConst(cb)):
+        case (Const(ca), Const(cb)):
             return ca == cb and types_equal_basic(ca.source_type, tau)
-        case (Var(na), TVar(nb)):
+        case (Var(na), Var(nb)):
             return na == nb and na in env and types_equal_basic(env[na], tau)
-        case (Lam(p_e, body_e), TLam(p_w, body_w)):
+        case (Lam(p_e, body_e), Lam(p_w, body_w)):
             if not isinstance(tau, FunType):
                 return False
             if p_e != p_w:
-                body_w = subst(body_w, p_w, TVar(p_e))
+                body_w = subst(body_w, p_w, Var(p_e))
             env = {**env, p_e: erase_refinements(tau.dom)}
             return elab_matches(env, body_e, tau.cod, body_w, d)
-        case (Let(n_e, bound_e, body_e), TLet(n_w, bound_w, body_w)):
+        case (Let(n_e, bound_e, body_e), Let(n_w, bound_w, body_w)):
             t1 = _basic_type(env, bound_w)
             if t1 is None or not elab_matches(env, bound_e, t1, bound_w, d):
                 return False
             if n_e != n_w:
-                body_w = subst(body_w, n_w, TVar(n_e))
+                body_w = subst(body_w, n_w, Var(n_e))
             return elab_matches({**env, n_e: t1}, body_e, tau, body_w, d)
-        case (If(c_e, t_e, f_e), TIf(c_w, t_w, f_w)):
+        case (If(c_e, t_e, f_e), If(c_w, t_w, f_w)):
             return (
                 elab_matches(env, c_e, BOOL, c_w, d)
                 and elab_matches(env, t_e, tau, t_w, d)
                 and elab_matches(env, f_e, tau, f_w, d)
             )
-        case (App(fn_e, arg_e), TApp(fn_w, arg_w)):
+        case (App(fn_e, arg_e), App(fn_w, arg_w)):
             t_fn = _basic_type(env, fn_w)
             if not isinstance(t_fn, FunType) or not types_equal_basic(t_fn.cod, tau):
                 return False
@@ -221,15 +206,7 @@ class DiffReport:
     detail: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "program": self.program,
-            "verdict": self.verdict,
-            "kind": self.kind,
-            "step_index": self.step_index,
-            "source_trace": self.source_trace,
-            "target_trace": self.target_trace,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -388,7 +365,7 @@ def assumption1_check(trial: Trial) -> list[str]:
                     continue
                 if target_interp.is_dead_value(normalize_admin(w)):
                     continue
-                t_step = target_interp.step_target(TApp(TConst(c.con), w))
+                t_step = target_interp.step_target(App(c, w))
                 if not isinstance(t_step, Stepped):
                     violations.append(f"{key}: target application does not step")
                     continue
@@ -408,12 +385,12 @@ def canonical_forms_check(trial: Trial) -> list[str]:
         return violations
     v, w = s_out.value, trial.normalized[-1]
     if isinstance(v, Lam):
-        ok = isinstance(w, TLam) or target_interp.is_dead_value(w) or isinstance(w, TPair)
+        ok = isinstance(w, Lam) or target_interp.is_dead_value(w) or isinstance(w, TPair)
         if not ok:
             violations.append(f"lambda value elaborated to {type(w).__name__}")
     elif isinstance(v, Const):
         ok = (
-            (isinstance(w, TConst) and w.con == v.con)
+            (isinstance(w, Const) and w.con == v.con)
             or target_interp.is_dead_value(w)
             or isinstance(w, (TInj, TPair))
         )
@@ -432,7 +409,7 @@ def substitution_spot_check(trial: Trial) -> list[str]:
         # Find the matching target state that is also a rooted let over a value.
         for wj in trial.normalized:
             if (
-                isinstance(wj, TLet)
+                isinstance(wj, Let)
                 and target_interp.is_target_value(wj.bound)
                 and wj.name == state.name
                 and elab_matches({}, state, tau, wj)

@@ -348,7 +348,7 @@ class _Parser:
                 break
         e = self.app()
         for cls, fields, pos in reversed(spine):
-            e = cls(*fields, e, pos)
+            e = cls(*fields, e, pos=pos)
         return e
 
     def app(self) -> SrcExpr:

@@ -54,30 +54,30 @@ from .logic import (
 )
 from .syntax import (
     AndType,
+    App,
     BOOLEAN,
+    Const,
     FunType,
+    If,
+    Lam,
+    Let,
     NUMBER,
     OrType,
     Pos,
     PrimType,
     SrcType,
+    Var,
     erase_refinements,
     print_type,
     tags_disjoint,
 )
 from .target import (
     IllTyped,
-    TApp,
     TCase,
-    TConst,
     TDead,
-    TIf,
     TInj,
-    TLam,
-    TLet,
     TPair,
     TProj,
-    TVar,
     TgtExpr,
     simple_typecheck,
 )
@@ -264,29 +264,29 @@ def embed_term(w: TgtExpr, env: RefEnv) -> LinTerm | None:
     """Embed a target term as a linear integer term, if possible; a boolean
     is the integer 1 or 0."""
     match w:
-        case TConst():
+        case Const():
             k = constants.const_int_value(w)
             if k is not None:
                 return LinTerm.of_const(k)
             b = constants.const_bool_value(w)
             return None if b is None else LinTerm.of_const(int(b))
-        case TVar(name):
+        case Var(name):
             return None if env.sort_of(name) is None else LinTerm.of_var(name)
-        case TApp():
+        case App():
             r = _apply_binary(w, env)
             return r if isinstance(r, LinTerm) else None
         case _:
             return None
 
 
-def _apply_binary(w: TApp, env: RefEnv) -> LinTerm | Cmp | None:
+def _apply_binary(w: App, env: RefEnv) -> LinTerm | Cmp | None:
     """The meaning (``constants.BINARY``) of ``op a b``, or of ``op``
     partially applied to the literal a and then to b, at the embedded
     operands; None when w is neither or an operand does not embed."""
     match w:
-        case TApp(TApp(TConst(con), a), b) if con.name in constants.BINARY:
+        case App(App(Const(con), a), b) if con.name in constants.BINARY:
             op, ta = con.name, embed_term(a, env)
-        case TApp(TConst(con), b) if con.partial is not None:
+        case App(Const(con), b) if con.partial is not None:
             op, ta = con.partial[0], LinTerm.of_const(con.partial[1])
         case _:
             return None
@@ -296,23 +296,22 @@ def _apply_binary(w: TApp, env: RefEnv) -> LinTerm | Cmp | None:
     return constants.BINARY[op](ta, tb)
 
 
-def embed_guard(w: TgtExpr, env: RefEnv | None = None) -> tuple[Pred, bool]:
+def embed_guard(w: TgtExpr, env: RefEnv) -> tuple[Pred, bool]:
     """Embed a boolean target expression as a predicate.
 
     Returns (pred, exact).  Comparisons of linear terms and bare boolean
     variables embed exactly; anything else weakens to true, and its negation
     must also weaken to true, which is why exactness is reported.
     """
-    env = env or RefEnv()
     match w:
-        case TVar(name):
+        case Var(name):
             if env.sort_of(name) in (BOOLEAN, None):
                 return PAtom(BVar(name)), True
-        case TConst():
+        case Const():
             b = constants.const_bool_value(w)
             if b is not None:
                 return PBool(b), True
-        case TApp():
+        case App():
             r = _apply_binary(w, env)
             if isinstance(r, Cmp):
                 return PAtom(r), True
@@ -391,10 +390,10 @@ class RefChecker:
         other form emits its synthesized type's obligation, under ``origin``.
         """
         match w:
-            case TLet(name, bound, body):
+            case Let(name, bound, body):
                 t1, env = self.synth(env, bound)
                 return self.synth(env.bind(name, t1), body, expected, origin)
-            case TIf(cond, then, els):
+            case If(cond, then, els):
                 _, env = self.synth(env, cond)
                 guard, exact = embed_guard(cond, env)
                 env_t, env_e = (env.guard(guard), env.guard(pnot(guard))) if exact else (env, env)
@@ -424,21 +423,21 @@ class RefChecker:
 
     def _synth(self, env: RefEnv, w: TgtExpr) -> tuple[SrcType, RefEnv]:
         match w:
-            case TConst(con):
+            case Const(con):
                 return con.refined_type, env
-            case TVar(name):
+            case Var(name):
                 t = env.get(name)
                 if t is None:
                     raise PhaseOrderError(f"unbound variable {name}")
                 return selfify(t, name), env
-            case TLam(param, body, src_ann):
+            case Lam(param, body, src_ann):
                 if not isinstance(src_ann, FunType):
                     raise PhaseOrderError("lambda without an arrow annotation")
                 ann = rename_binder(elab_type(src_ann), param)
                 self.synth(env.bind(param, ann.dom), body, ann.cod,
                            _origin("function body", w.pos))
                 return ann, env
-            case TApp(fn, arg):
+            case App(fn, arg):
                 tf, env = self.synth(env, fn)
                 if not isinstance(tf, FunType):
                     raise PhaseOrderError("application of a non-function")

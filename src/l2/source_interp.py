@@ -11,8 +11,8 @@ per-language contraction and plugs the result back.  ``step_source`` is
 ``step`` with the source redex rules.  Stepping is deterministic; stuck
 terms are reported with a reason instead of raising.  Type ascriptions are
 erased before evaluation starts, they have no runtime meaning.  The stepper,
-the step results, the outcomes and the trace loop defined here serve the
-target interpreter as well.
+the step results, the outcomes, the trace loop and the let and if rules
+defined here serve the target interpreter as well.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def step(
     return result
 
 
-def _contract_source(e: SrcExpr) -> StepResult:
+def contract_source(e: SrcExpr) -> StepResult:
     """The source redex rules; e is not a value, its positions are."""
     match e:
         case Let(name, bound, body):
@@ -118,7 +118,7 @@ def _contract_source(e: SrcExpr) -> StepResult:
 
 
 def step_source(e: SrcExpr) -> StepResult:
-    return step(e, syntax.is_value, _contract_source)
+    return step(e, syntax.is_value, contract_source)
 
 
 def trace(

@@ -1,11 +1,14 @@
 """Source-language abstract syntax: types, terms, tags, well-formedness.
 
 The types here are both phases' types: phase 2's refinement types are the
-same classes with each arrow's argument named (``FunType.binder``).
+same classes with each arrow's argument named (``FunType.binder``).  The
+terms here but ``Ascribe`` are the target's core too: ``target.py`` adds
+only products, sums and DEAD casts, and phase 1 records each lambda's arrow
+(``Lam.src_ann``).
 
-Every term class, source here and target in ``target.py``, declares its
-shape with ``@shape``: its child fields, left to right, each with the field
-of the binder that scopes over it, and how many of the leading children are
+Every term class, here and in ``target.py``, declares its shape with
+``@shape``: its child fields, left to right, each with the field of the
+binder that scopes over it, and how many of the leading children are
 evaluation positions.  The term walkers read only those tables, so one of
 each serves both languages: ``subexprs`` (preorder), ``free_vars`` and
 ``uniquify`` (all three without recursion), the capture-avoiding ``subst``,
@@ -281,8 +284,13 @@ class Var:
 @cached_hash
 @dataclass(frozen=True)
 class Lam:
+    """A lambda.  Phase 1 records on each lambda of its output the arrow it
+    checked it against (``src_ann``), which the target's simple checker and
+    refinement checking read; parsed lambdas leave it empty."""
+
     param: str
     body: SrcExpr
+    src_ann: SrcType | None = None
     pos: Pos = field(default=None, compare=False)
 
 

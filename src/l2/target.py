@@ -1,13 +1,17 @@
 """Target language: terms and simple type checking.
 
-Intersections elaborate to products, unions to tagged sums, and trust
-obligations appear as DEAD-cast nodes.  The target's simple types are phase
-1's basic types (refinement-erased source types, reading a product as an
+The target is the source core (constants, variables, lambdas, application,
+let and if, the classes of ``syntax``) plus what elaboration introduces:
+intersections elaborate to products (``TPair``, ``TProj``), unions to tagged
+sums (``TInj``, ``TCase``), and trust obligations appear as DEAD casts
+(``TDead``).  Elaboration also records on each lambda the arrow it was
+checked against (``Lam.src_ann``).  The target's simple types are phase 1's
+basic types (refinement-erased source types, reading a product as an
 intersection and a sum as a union), which the simple type checker that
-validates elaborator output computes and compares.  Target terms declare
-their shapes and concrete syntax with ``syntax.shape``, so substitution,
-free variables, the other term walkers and the printer are the source
-language's.
+validates elaborator output computes and compares.  The five target classes
+declare their shapes and concrete syntax with ``syntax.shape``, so
+substitution, free variables, the other term walkers and the printer are the
+source language's.
 """
 
 from __future__ import annotations
@@ -17,11 +21,16 @@ from dataclasses import dataclass, field
 from . import syntax
 from .syntax import (
     AndType,
+    App,
+    Const,
     FunType,
+    If,
+    Lam,
+    Let,
     OrType,
     Pos,
-    PrimConst,
     SrcType,
+    Var,
     erase_refinements,
     shape,
 )
@@ -31,64 +40,9 @@ from .syntax import (
 # Target terms
 # ---------------------------------------------------------------------------
 
-
-@shape(show="{con.name}")
-@dataclass(frozen=True)
-class TConst:
-    con: PrimConst
-    pos: Pos = field(default=None, compare=False)
-
-
-@shape(variable=True, show="{name}")
-@dataclass(frozen=True)
-class TVar:
-    name: str
-    pos: Pos = field(default=None, compare=False)
-
-
-@shape(("body", "param"), show="\\{param} => {body}", loosest=0)
-@dataclass(frozen=True)
-class TLam:
-    """Lambda with the source arrow type it was checked against.
-
-    The annotation is required by both the simple checker and refinement
-    checking, which names its arrows' binders (``refine.elab_type``); lambdas
-    only appear in elaborator output, which always knows the arrow type it
-    checked against.
-    """
-
-    param: str
-    body: TgtExpr
-    src_ann: SrcType | None = None
-    pos: Pos = field(default=None, compare=False)
-
-
-@shape("cond", "then", "els", evaluated=1, show="if {cond} then {then} else {els}",
-       loosest=0)
-@dataclass(frozen=True)
-class TIf:
-    cond: TgtExpr
-    then: TgtExpr
-    els: TgtExpr
-    pos: Pos = field(default=None, compare=False)
-
-
-@shape("fn", "arg", evaluated=2, show="{fn:1} {arg:2}", loosest=1)
-@dataclass(frozen=True)
-class TApp:
-    fn: TgtExpr
-    arg: TgtExpr
-    pos: Pos = field(default=None, compare=False)
-
-
-@shape("bound", ("body", "name"), evaluated=1, show="let {name} = {bound} in {body}",
-       loosest=0)
-@dataclass(frozen=True)
-class TLet:
-    name: str
-    bound: TgtExpr
-    body: TgtExpr
-    pos: Pos = field(default=None, compare=False)
+# The source core is declared once, in ``syntax``; ``perfbench/tracer.py`` and
+# the tests import it from here under these names.
+TConst, TVar, TLam, TLet, TIf, TApp = Const, Var, Lam, Let, If, App
 
 
 @shape("first", "second", show="({first}, {second})")
@@ -137,7 +91,7 @@ class TDead:
     pos: Pos = field(default=None, compare=False)
 
 
-TgtExpr = TConst | TVar | TLam | TIf | TApp | TLet | TPair | TProj | TInj | TCase | TDead
+TgtExpr = Const | Var | Lam | If | App | Let | TPair | TProj | TInj | TCase | TDead
 
 
 def is_target_value(w: TgtExpr) -> bool:
@@ -148,7 +102,7 @@ def is_target_value(w: TgtExpr) -> bool:
     """
     while isinstance(w, (TInj, TDead)):
         w = w.payload if isinstance(w, TInj) else w.inner
-    return isinstance(w, (TConst, TVar, TLam, TPair))
+    return isinstance(w, (Const, Var, Lam, TPair))
 
 
 def is_dead_value(w: TgtExpr) -> bool:
@@ -178,13 +132,13 @@ def simple_typecheck(env: dict[str, SrcType], w: TgtExpr) -> SrcType:
     their scope (``_scoped``), so no binder copies the environment.
     """
     match w:
-        case TConst(con):
+        case Const(con):
             return con.source_type
-        case TVar(name):
+        case Var(name):
             if name not in env:
                 raise IllTyped(w, "bound variable", f"unbound {name}")
             return env[name]
-        case TLam(param, body, src_ann):
+        case Lam(param, body, src_ann):
             if not isinstance(src_ann, FunType):
                 raise IllTyped(w, "annotated lambda", src_ann)
             arrow = erase_refinements(src_ann)
@@ -192,7 +146,7 @@ def simple_typecheck(env: dict[str, SrcType], w: TgtExpr) -> SrcType:
             if cod != arrow.cod:
                 raise IllTyped(w, arrow.cod, cod)
             return arrow
-        case TIf(c, t, f):
+        case If(c, t, f):
             c_ty = simple_typecheck(env, c)
             if c_ty != syntax.BOOL:
                 raise IllTyped(w, syntax.BOOL, c_ty)
@@ -201,7 +155,7 @@ def simple_typecheck(env: dict[str, SrcType], w: TgtExpr) -> SrcType:
             if tt != ft:
                 raise IllTyped(w, tt, ft)
             return tt
-        case TApp(fn, arg):
+        case App(fn, arg):
             fn_ty = simple_typecheck(env, fn)
             if not isinstance(fn_ty, FunType):
                 raise IllTyped(w, "function", fn_ty)
@@ -209,7 +163,7 @@ def simple_typecheck(env: dict[str, SrcType], w: TgtExpr) -> SrcType:
             if arg_ty != fn_ty.dom:
                 raise IllTyped(w, fn_ty.dom, arg_ty)
             return fn_ty.cod
-        case TLet(name, bound, body):
+        case Let(name, bound, body):
             return _scoped(env, name, simple_typecheck(env, bound), body)
         case TPair(a, b):
             return AndType(simple_typecheck(env, a), simple_typecheck(env, b))

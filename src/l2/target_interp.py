@@ -1,59 +1,42 @@
 """Small-step semantics of the target language.
 
-Evaluation contexts extend the source ones with projections, injections,
-case scrutinees, and DEAD-cast bodies; the target term classes declare them
-as evaluation positions, and ``step_target`` is the source interpreter's
-``step`` with the target redex rules.  A DEAD cast over a value is itself a
-value; the only rule that inspects DEAD is primitive application, which
-refuses DEAD arguments and gets stuck there.  Pairs are values with
-unevaluated components, so projection selects first and evaluation continues
-inside the selected component.  Step results, outcomes and the trace loop are
-the source interpreter's.
+The target steps the source core's own classes, and its evaluation contexts
+extend the source ones with projections, injections, case scrutinees and
+DEAD-cast bodies; each class declares its evaluation positions, and
+``step_target`` is the source interpreter's ``step`` with the target redex
+rules.  Let and if contract by the source rules.  A DEAD cast over a value
+is itself a value; the only rule that inspects DEAD is primitive
+application, which refuses DEAD arguments and gets stuck there.  Pairs are
+values with unevaluated components, so projection selects first and
+evaluation continues inside the selected component.  Step results, outcomes
+and the trace loop are the source interpreter's.
 """
 
 from __future__ import annotations
 
-from . import constants
+from . import constants, source_interp
 from .source_interp import DEFAULT_FUEL, Outcome, StepResult, Stepped, Stuck, step, trace
-from .syntax import FunType, subexprs, subst
-from .target import (
-    TApp,
-    TCase,
-    TConst,
-    TIf,
-    TInj,
-    TLam,
-    TLet,
-    TPair,
-    TProj,
-    TgtExpr,
-    is_dead_value,
-    is_target_value,
-)
+from .syntax import App, Const, FunType, If, Lam, Let, subexprs, subst
+from .target import TCase, TInj, TPair, TProj, TgtExpr, is_dead_value, is_target_value
 
 
 def _contract_target(w: TgtExpr) -> StepResult:
     """The target redex rules; w is not a value, its positions are."""
     match w:
-        case TLet(name, bound, body):
-            return Stepped(subst(body, name, bound), "E-Let")
-        case TIf(cond, then, els):
-            b = constants.const_bool_value(cond)
-            if b is None:
-                return Stuck("if-non-boolean", w)
-            return Stepped(then, "E-If-True") if b else Stepped(els, "E-If-False")
-        case TApp(TLam(param, body), arg):
+        case Let() | If():
+            return source_interp.contract_source(w)
+        case App(Lam(param, body), arg):
             return Stepped(subst(body, param, arg), "E-Beta")
-        case TApp(TConst(con), arg):
+        case App(Const(con), arg):
             if is_dead_value(arg):
                 return Stuck("dead-argument", w)
             result = constants.delta_apply(con, arg)
             if result is not None:
-                return Stepped(TConst(result.con), "E-App-C")
+                return Stepped(result, "E-App-C")
             if isinstance(con.source_type, FunType):
                 return Stuck("delta-undefined", w)
             return Stuck("apply-non-function", w)
-        case TApp():
+        case App():
             return Stuck("apply-non-function", w)
         case TProj(index, TPair(first, second)):
             return Stepped(first if index == 1 else second, "E-Proj")

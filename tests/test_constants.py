@@ -47,5 +47,5 @@ def test_delta_types_and_embedding_agree(op):
                 if inner.cod.base == NUMBER:
                     assert embed_term(w, RefEnv()).const == value
                 else:
-                    pred, exact = embed_guard(w)
+                    pred, exact = embed_guard(w, RefEnv())
                     assert exact and eval_pred(pred, {}) == bool(value)

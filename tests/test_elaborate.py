@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 
 import pytest
@@ -44,7 +45,7 @@ from l2.target import (
     print_target,
     simple_typecheck,
 )
-from tests.conftest import NEGATE_FULL, NEGATE_OK, PROGRAMS
+from tests.conftest import NEGATE_FULL, NEGATE_OK, PROGRAMS, let_chain
 
 BOTH = AndType(FunType(NUM, NUM), FunType(BOOL, BOOL))
 
@@ -187,8 +188,8 @@ class TestInvariants:
             match e:
                 case Ascribe(inner, ty, pos):
                     return Ascribe(strip_types(inner), erase_refinements(ty), pos)
-                case Lam(p, b, pos):
-                    return Lam(p, strip_types(b), pos)
+                case Lam(p, b, pos=pos):
+                    return Lam(p, strip_types(b), pos=pos)
                 case Let(n, b, c, pos):
                     return Let(n, strip_types(b), strip_types(c), pos)
                 case App(f, a, pos):
@@ -283,6 +284,26 @@ class TestNestedIntersections:
     def test_accepted(self):
         result = elaborate_program(parser.parse_program(NESTED))
         assert check_refined(result.target).accepted
+
+
+class TestOneTermLanguage:
+    # The target is the source core plus products, sums and DEAD casts, so a
+    # program that needs none of them elaborates to itself.
+
+    @pytest.mark.parametrize("n", [1, 50, 300])
+    def test_unannotated_core_elaborates_to_itself(self, n):
+        program = parser.parse_program(let_chain(n))
+        assert elaborate_program(program).target == program.main
+
+    def test_lambda_annotation_comes_before_position(self):
+        # a parsed lambda has no arrow and its source position; its
+        # elaboration has the arrow it was checked against and the same one
+        assert [f.name for f in dataclasses.fields(Lam)] == ["param", "body", "src_ann", "pos"]
+        program = parser.parse_program("((\\x => x) : number -> number)")
+        lam = program.main.expr
+        assert lam.src_ann is None and lam.pos == (1, 3)
+        w = elaborate_program(program).target
+        assert isinstance(w, Lam) and w.src_ann == FunType(NUM, NUM) and w.pos == (1, 3)
 
 
 class TestOverloadedArgumentStrictness:

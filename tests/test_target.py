@@ -21,6 +21,7 @@ from l2.target import (
     TCase,
     TConst,
     TDead,
+    TIf,
     TInj,
     TLam,
     TLet,
@@ -226,6 +227,13 @@ class TestTargetSyntax:
             nested = TInj(1 + i % 2, TPair(nested, num(i)))
             expected = f"inj{1 + i % 2}(({expected}, {i}))"
         assert print_target(nested) == expected
+
+    def test_core_classes_are_the_source_classes(self):
+        from l2 import syntax
+
+        core = (TConst, TVar, TLam, TLet, TIf, TApp)
+        source = (syntax.Const, syntax.Var, syntax.Lam, syntax.Let, syntax.If, syntax.App)
+        assert all(t is s for t, s in zip(core, source, strict=True))
 
     def test_subst_shadowing(self):
         lam = TLam("x", TVar("x"), FunType(NUM, NUM))

@@ -74,8 +74,8 @@ def ref_erase_ascriptions(e):
     match e:
         case Const() | Var():
             return e
-        case Lam(param, body, pos):
-            return Lam(param, ref_erase_ascriptions(body), pos)
+        case Lam(param, body, pos=pos):
+            return Lam(param, ref_erase_ascriptions(body), pos=pos)
         case Ascribe(expr, _):
             return ref_erase_ascriptions(expr)
         case Let(name, bound, body, pos):
@@ -107,9 +107,9 @@ def ref_uniquify(e):
                 return e
             case Var(name, pos):
                 return Var(ren.get(name, name), pos)
-            case Lam(param, body, pos):
+            case Lam(param, body, pos=pos):
                 new = fresh(param)
-                return Lam(new, go(body, {**ren, param: new}), pos)
+                return Lam(new, go(body, {**ren, param: new}), pos=pos)
             case Ascribe(expr, ty, pos):
                 return Ascribe(go(expr, ren), ty, pos)
             case Let(name, bound, body, pos):
@@ -130,7 +130,7 @@ def subst_source(e, x, v):
             return e
         case Var(name):
             return v if name == x else e
-        case Lam(param, body, pos):
+        case Lam(param, body, pos=pos):
             if param == x:
                 return e
             if param in ref_free_vars(v):
@@ -138,8 +138,8 @@ def subst_source(e, x, v):
                 while fresh in ref_free_vars(v) or fresh in ref_free_vars(body):
                     fresh += "'"
                 body = subst_source(body, param, Var(fresh))
-                return Lam(fresh, subst_source(body, x, v), pos)
-            return Lam(param, subst_source(body, x, v), pos)
+                return Lam(fresh, subst_source(body, x, v), pos=pos)
+            return Lam(param, subst_source(body, x, v), pos=pos)
         case Ascribe(expr, ty, pos):
             return Ascribe(subst_source(expr, x, v), ty, pos)
         case Let(name, bound, body, pos):
@@ -311,10 +311,12 @@ def test_traces_match_reference_substitution(trials, monkeypatch):
     """Each interpreter, stepping with the reference substitution, retraces
     the same states."""
     runs = [(t.program.main, t.elab.target, t.source, t.target) for t in trials]
-    monkeypatch.setattr(source_interp, "subst", subst_source)
     monkeypatch.setattr(target_interp, "subst", subst_target)
     for main, target, source, tgt in runs:
+        monkeypatch.setattr(source_interp, "subst", subst_source)
         assert eval_source_trace(main) == source
+        # the target's let and if steps are the source rules, in source_interp
+        monkeypatch.setattr(source_interp, "subst", subst_target)
         assert eval_target_trace(target) == tgt
 
 
@@ -381,8 +383,8 @@ def collapse_names(e):
             return e
         case Var(name, pos):
             return Var(name[0], pos)
-        case Lam(param, body, pos):
-            return Lam(param[0], collapse_names(body), pos)
+        case Lam(param, body, pos=pos):
+            return Lam(param[0], collapse_names(body), pos=pos)
         case Ascribe(expr, ty, pos):
             return Ascribe(collapse_names(expr), ty, pos)
         case Let(name, bound, body, pos):

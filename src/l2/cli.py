@@ -127,19 +127,17 @@ def cmd_run(args, config: Config) -> int:
     program = _read_program(args.file)
     if args.lang == "src":
         outcome, rules, _ = source_interp.eval_source_trace(program.main, config.fuel)
-        show = syntax.print_expr
     else:
         result = elaborate_program(program, config.search_depth)
         outcome, rules, _ = target_interp.eval_target_trace(result.target, config.fuel)
-        show = print_target
     kind = type(outcome).__name__
     match outcome:
         case source_interp.Value(value):
-            final = show(value)
+            final = syntax.print_expr(value)
         case source_interp.StuckAt(expr, reason):
-            final = f"{show(expr)} ({reason})"
+            final = f"{syntax.print_expr(expr)} ({reason})"
         case source_interp.FuelExhausted(expr):
-            final = show(expr)
+            final = syntax.print_expr(expr)
     payload = {"outcome": kind, "result": final, "steps": len(rules), "trace": rules}
     lines = [*(rules if args.trace else []), f"{kind}: {final}", f"steps: {len(rules)}"]
     _emit(args.json, lambda: payload, lambda: "\n".join(lines))

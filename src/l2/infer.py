@@ -106,7 +106,7 @@ class _KappaCounter:
 def make_templates(t: SrcType, _counter: _KappaCounter | None = None) -> SrcType:
     """Replace every base refinement with a fresh kappa variable."""
     counter = _counter or _KappaCounter()
-    return map_prims(t, lambda p: PrimType(p.base, counter.fresh(p.base)))
+    return map_prims(t, lambda p, _: PrimType(p.base, counter.fresh(p.base)))
 
 
 def template_program(program: Program) -> tuple[Program, list[KappaVar]]:
@@ -270,7 +270,7 @@ def _holding(cands: tuple[Pred, ...], heads: list[Pred], holds) -> tuple[Pred, .
 def apply_solution(program: Program, solution: Solution) -> Program:
     pred_map = solution.pred_map()
 
-    def solve(t: PrimType) -> PrimType:
+    def solve(t: PrimType, _negative: bool) -> PrimType:
         if not contains_kappa(t.refinement):
             return t
         missing = kappas_of(t.refinement) - set(pred_map)

@@ -33,6 +33,7 @@ from typing import NamedTuple
 from . import constants, syntax
 from .logic import (
     BVar,
+    CMP_OPS,
     LinTerm,
     PAtom,
     PBool,
@@ -262,14 +263,14 @@ class _Parser:
                 self.next()
                 p = self.pred()
                 self.expect(")")
-                if self.peek().text in ("<", "<=", "=", "!=", ">=", ">", "+", "-", "*"):
+                if self.peek().text in (*CMP_OPS, "+", "-", "*"):
                     raise self.error("arithmetic context")
                 return p
             except ParseError:
                 self.pos = saved
         lhs = self.arith()
         op_tok = self.peek()
-        if op_tok.text in ("<", "<=", "=", "!=", ">=", ">"):
+        if op_tok.text in CMP_OPS:
             self.next()
             rhs = self.arith()
             return cmp_pred(lhs, op_tok.text, rhs)
@@ -289,12 +290,8 @@ class _Parser:
     def arith_term(self) -> LinTerm:
         left = self.arith_factor()
         while self.eat("*"):
-            right = self.arith_factor()
-            if left.is_const():
-                left = right.scale(left.const)
-            elif right.is_const():
-                left = left.scale(right.const)
-            else:
+            left = constants.BINARY["mul"](left, self.arith_factor())
+            if left is None:
                 raise self.error("non-linear product of two variables")
         return left
 

@@ -18,17 +18,17 @@ fresh ghost name carrying the argument's synthesized type.
 
 A refinement type is a phase-1 type whose arrows name their arguments:
 ``elab_type`` gives an annotation's arrows fresh binders, and from here on
-an intersection is read as a product and a union as a sum.  Its erasure
+an intersection is read as a product and a union as a sum, which is how
+``print_ref_type`` prints it (``REF_SYNTAX``).  Its erasure
 (``syntax.erase_refinements``) is the basic type phase 1 assigns, which the
 skeleton check before refinement checking and every subtyping obligation
-compare.
+compare.  ``elab_type`` and ``ftx`` are written on ``syntax.map_prims``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 from . import constants
 from .logic import (
@@ -65,11 +65,15 @@ from .syntax import (
     OrType,
     Pos,
     PrimType,
+    SYNTAX,
     SrcType,
     Var,
     erase_refinements,
+    map_prims,
+    print_expr,
     print_type,
     tags_disjoint,
+    template,
 )
 from .target import (
     IllTyped,
@@ -162,35 +166,18 @@ class RefEnv:
 
 
 def elab_type(t: SrcType) -> SrcType:
-    """t with a fresh binder on every arrow, ``$d1``, ``$d2``, ... in preorder.
-
-    The names are reserved, so they cannot collide with program variables.
-    """
-    return _name_arrows(t, itertools.count(1))
-
-
-def _name_arrows(t: SrcType, counter: Iterator[int]) -> SrcType:
-    match t:
-        case PrimType():
-            return t
-        case FunType(dom, cod):
-            binder = f"$d{next(counter)}"
-            return FunType(_name_arrows(dom, counter), _name_arrows(cod, counter), binder)
-        case AndType(left, right) | OrType(left, right):
-            return type(t)(_name_arrows(left, counter), _name_arrows(right, counter))
-    raise TypeError(f"not a type: {t!r}")
+    """t with a fresh binder on every arrow, ``$d1``, ``$d2``, ... in preorder;
+    the names are reserved, so they cannot collide with program variables."""
+    counter = itertools.count(1)
+    return map_prims(t, lambda p, _: p, lambda _: f"$d{next(counter)}")
 
 
 def ftx(t: SrcType, r: Pred) -> SrcType:
-    """Replace every base refinement with r, negating across arrow domains."""
-    match t:
-        case PrimType(base):
-            return PrimType(base, r)
-        case FunType(dom, cod, binder):
-            return FunType(ftx(dom, pnot(r)), ftx(cod, r), binder)
-        case AndType(left, right) | OrType(left, right):
-            return type(t)(ftx(left, r), ftx(right, r))
-    raise TypeError(f"not a type: {t!r}")
+    """Replace every base refinement with r, negated under an odd number of
+    arrow domains."""
+    negated = pnot(r)
+    return map_prims(t, lambda p, negative: PrimType(p.base, negated if negative else r),
+                     lambda arrow: arrow.binder)
 
 
 def fbot(t: SrcType) -> SrcType:
@@ -234,26 +221,15 @@ def rename_binder(t: FunType, new_name: str) -> FunType:
     return FunType(t.dom, subst_ref(t.cod, t.binder, LinTerm.of_var(new_name)), new_name)
 
 
+# Phase 2's notation: each arrow with its binder, a union as a sum (+) and an
+# intersection as a product (*).
+REF_SYNTAX = {**SYNTAX, FunType: template("({binder}:{dom:0}) -> {cod:0}", 0),
+              OrType: template("{left:2} + {right:2}", 1),
+              AndType: template("{left:3} * {right:3}", 2)}
+
+
 def print_ref_type(t: SrcType) -> str:
-    """Each arrow with its binder, a union as a sum (+), an intersection as a
-    product (*)."""
-    return _print_ref(t, 0)
-
-
-def _print_ref(t: SrcType, prec: int) -> str:
-    match t:
-        case PrimType():
-            return print_type(t)
-        case FunType(dom, cod, binder):
-            s = f"({binder}:{_print_ref(dom, 0)}) -> {_print_ref(cod, 0)}"
-            return f"({s})" if prec > 0 else s
-        case OrType(left, right):
-            s = f"{_print_ref(left, 2)} + {_print_ref(right, 2)}"
-            return f"({s})" if prec > 1 else s
-        case AndType(left, right):
-            s = f"{_print_ref(left, 3)} * {_print_ref(right, 3)}"
-            return f"({s})" if prec > 2 else s
-    raise TypeError(f"not a type: {t!r}")
+    return print_expr(t, REF_SYNTAX)
 
 
 # ---------------------------------------------------------------------------

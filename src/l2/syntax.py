@@ -16,9 +16,11 @@ the bottom-up ``map_up``, which ``map_ascriptions`` and ``erase_ascriptions``
 use, and ``decompose``, which enumerates the evaluation contexts that both
 interpreters step under and that union elimination splits on.  A shape
 also declares the class's concrete syntax, a template with its precedence,
-so one printer without recursion, ``print_expr``, prints both languages.
-``map_prims`` rebuilds a type with its base types mapped.  Both maps visit
-left to right, so kappa templates are numbered in a fixed order.
+as ``SYNTAX`` does for each type, so one printer without recursion,
+``print_expr``, prints terms and types, in the source notation or, from
+another table, in phase 2's.  ``map_prims``, the one rebuild of a type, maps
+its base types, with their polarity, and names or drops its arrow binders.
+Both maps visit left to right, so kappa templates are numbered in a fixed order.
 """
 
 from __future__ import annotations
@@ -126,18 +128,24 @@ def wf_type(t: SrcType) -> WfReport:
     raise TypeError(f"not a source type: {t!r}")
 
 
-def map_prims(t: SrcType, f: Callable[[PrimType], SrcType]) -> SrcType:
-    """Rebuild t with f applied to every base type, left to right, and the
-    arrow binders dropped."""
+def map_prims(t: SrcType, f: Callable[[PrimType, bool], SrcType],
+              name: Callable[[FunType], str] | None = None) -> SrcType:
+    """Rebuild t with f(base type, whether it is under an odd number of arrow
+    domains) applied left to right; each arrow's binder is ``name(arrow)``,
+    taken before its parts are visited, or dropped when there is no name."""
+    return _map_prims(t, f, name, False)
+
+
+def _map_prims(t: SrcType, f, name, negative: bool) -> SrcType:
     match t:
         case PrimType():
-            return f(t)
+            return f(t, negative)
         case FunType(dom, cod):
-            return FunType(map_prims(dom, f), map_prims(cod, f))
-        case AndType(left, right):
-            return AndType(map_prims(left, f), map_prims(right, f))
-        case OrType(left, right):
-            return OrType(map_prims(left, f), map_prims(right, f))
+            binder = name(t) if name else ""
+            return FunType(_map_prims(dom, f, name, not negative),
+                           _map_prims(cod, f, name, negative), binder)
+        case AndType(left, right) | OrType(left, right):
+            return type(t)(_map_prims(left, f, name, negative), _map_prims(right, f, name, negative))
     raise TypeError(f"not a source type: {t!r}")
 
 
@@ -227,10 +235,36 @@ SHAPES: dict[type, tuple[tuple[tuple[str, str | None], ...], bool]] = {}
 # Term class -> its evaluation positions: the leading children an evaluation
 # context descends into, left to right, each once those before it are values.
 POSITIONS: dict[type, tuple[str, ...]] = {}
-# Term class -> (parts, loosest): its concrete syntax as literal strings and
-# (field getter, precedence) pairs, the precedence None for a field that is
-# not a child, and its own precedence (see ``shape``).
+# Term or type class -> (parts, loosest): its concrete syntax in the source
+# notation, its own precedence, and text and fields to print (``template``).
 SYNTAX: dict[type, tuple[tuple, int]] = {}
+
+
+def template(show: str, loosest: int) -> tuple[tuple, int]:
+    """A class's concrete syntax read off ``show``: ``{field:p}`` prints the
+    field as a term or type in a position that asks for precedence p (more
+    than ``loosest`` parenthesises it), and ``{field}`` prints it with str."""
+    parts: list = []
+    for literal, name, spec, _ in string.Formatter().parse(show):
+        if literal:
+            parts.append(literal)
+        if name is not None:
+            parts.append((attrgetter(name), int(spec) if spec else None))
+    return tuple(parts), loosest
+
+
+def _show_prim(t: PrimType) -> str:
+    if is_true(t.refinement):
+        return t.base
+    return f"{{v:{t.base} | {render_pred(t.refinement)}}}"
+
+
+# An arrow binds loosest (right associative), then \/, then /\; a base type
+# is never parenthesised.
+SYNTAX[PrimType] = (((_show_prim, None),), 3)
+SYNTAX[FunType] = template("{dom:1} -> {cod:0}", 0)
+SYNTAX[OrType] = template("{left:2} \\/ {right:2}", 1)
+SYNTAX[AndType] = template("{left:3} /\\ {right:3}", 2)
 
 
 def shape(*children: str | tuple[str, str], show: str, variable: bool = False,
@@ -239,26 +273,16 @@ def shape(*children: str | tuple[str, str], show: str, variable: bool = False,
     name, or (field, binder) when the name in field ``binder`` scopes over it.
     The first ``evaluated`` children are the evaluation positions.
 
-    ``show`` is the concrete syntax: each ``{field}`` prints the field, a
-    child at the precedence its position asks for (``{arg:2}``; 0 when not
-    given), a type with ``print_type`` and anything else with ``str``.
-    ``loosest`` is the term's own precedence: 0 for a term that extends as
-    far right as it can, 1 for an application, 2 for the rest.  A term in a
-    position that asks for more is parenthesised.
+    ``show`` is the concrete syntax (see ``template``): a child or a type is
+    ``{field:p}``.  ``loosest`` is the term's own precedence: 0 for a term
+    that extends as far right as it can, 1 for an application, 2 for the rest.
     """
 
     def declare(cls):
         kids = tuple((c, None) if isinstance(c, str) else c for c in children)
         SHAPES[cls] = (kids, variable)
         POSITIONS[cls] = tuple(c for c, _ in kids[:evaluated])
-        parts: list = []
-        for literal, name, spec, _ in string.Formatter().parse(show):
-            if literal:
-                parts.append(literal)
-            if name is not None:
-                child = any(name == c for c, _ in kids)
-                parts.append((attrgetter(name), int(spec or 0) if child else None))
-        SYNTAX[cls] = (tuple(parts), loosest)
+        SYNTAX[cls] = template(show, loosest)
         return cls
 
     return declare
@@ -280,7 +304,7 @@ class Var:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape(("body", "param"), show="\\{param} => {body}", loosest=0)
+@shape(("body", "param"), show="\\{param} => {body:0}", loosest=0)
 @cached_hash
 @dataclass(frozen=True)
 class Lam:
@@ -294,7 +318,7 @@ class Lam:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("expr", show="({expr} : {ty})")
+@shape("expr", show="({expr:0} : {ty:0})")
 @cached_hash
 @dataclass(frozen=True)
 class Ascribe:
@@ -303,7 +327,7 @@ class Ascribe:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("bound", ("body", "name"), evaluated=1, show="let {name} = {bound} in {body}",
+@shape("bound", ("body", "name"), evaluated=1, show="let {name} = {bound:0} in {body:0}",
        loosest=0)
 @cached_hash
 @dataclass(frozen=True)
@@ -314,7 +338,7 @@ class Let:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("cond", "then", "els", evaluated=1, show="if {cond} then {then} else {els}",
+@shape("cond", "then", "els", evaluated=1, show="if {cond:0} then {then:0} else {els:0}",
        loosest=0)
 @cached_hash
 @dataclass(frozen=True)
@@ -542,53 +566,33 @@ def _fresh(base: str, used: set[str], counters: dict[str, int]) -> str:
 # Printing
 # ---------------------------------------------------------------------------
 
-# Type precedence: arrow binds loosest (right associative), then \/, then /\.
-
 
 def print_type(t: SrcType) -> str:
-    return _print_type(t, 0)
+    return print_expr(t)
 
 
-def _print_type(t: SrcType, prec: int) -> str:
-    match t:
-        case PrimType(base, refinement):
-            if is_true(refinement):
-                return base
-            return f"{{v:{base} | {render_pred(refinement)}}}"
-        case FunType(dom, cod):
-            s = f"{_print_type(dom, 1)} -> {_print_type(cod, 0)}"
-            return f"({s})" if prec > 0 else s
-        case OrType(left, right):
-            s = f"{_print_type(left, 2)} \\/ {_print_type(right, 2)}"
-            return f"({s})" if prec > 1 else s
-        case AndType(left, right):
-            s = f"{_print_type(left, 3)} /\\ {_print_type(right, 3)}"
-            return f"({s})" if prec > 2 else s
-    raise TypeError(f"not a source type: {t!r}")
-
-
-def print_expr(e: Term) -> str:
-    """A source or target term in concrete syntax, read off each class's
-    ``show`` template, without recursion."""
+def print_expr(e: Term | SrcType, table: dict[type, tuple[tuple, int]] = SYNTAX) -> str:
+    """A term or type in concrete syntax, read off ``table``'s templates (the
+    source notation by default) without recursion; a term's ascribed and
+    DEAD-cast types are printed on the same stack."""
     out: list[str] = []
-    stack: list = [(e, 0)]  # text to emit, or (term, precedence) to print
+    stack: list = [(e, 0)]  # text to emit, or (node, precedence) to print
     while stack:
         item = stack.pop()
         if type(item) is str:
             out.append(item)
             continue
         e, prec = item
-        parts, loosest = SYNTAX[type(e)]
+        parts, loosest = table[type(e)]
         if prec > loosest:
             stack.append(")")
         for part in reversed(parts):
             if type(part) is str:
                 stack.append(part)
-            elif part[1] is not None:
-                stack.append((part[0](e), part[1]))
+            elif part[1] is None:
+                stack.append(str(part[0](e)))
             else:
-                value = part[0](e)
-                stack.append(print_type(value) if isinstance(value, SrcType) else str(value))
+                stack.append((part[0](e), part[1]))
         if prec > loosest:
             stack.append("(")
     return "".join(out)

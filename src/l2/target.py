@@ -45,7 +45,7 @@ from .syntax import (
 TConst, TVar, TLam, TLet, TIf, TApp = Const, Var, Lam, Let, If, App
 
 
-@shape("first", "second", show="({first}, {second})")
+@shape("first", "second", show="({first:0}, {second:0})")
 @dataclass(frozen=True)
 class TPair:
     first: TgtExpr
@@ -53,7 +53,7 @@ class TPair:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("tuple_", evaluated=1, show="proj{index}({tuple_})")
+@shape("tuple_", evaluated=1, show="proj{index}({tuple_:0})")
 @dataclass(frozen=True)
 class TProj:
     index: int  # 1 | 2
@@ -61,7 +61,7 @@ class TProj:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("payload", evaluated=1, show="inj{index}({payload})")
+@shape("payload", evaluated=1, show="inj{index}({payload:0})")
 @dataclass(frozen=True)
 class TInj:
     index: int  # 1 | 2
@@ -71,7 +71,7 @@ class TInj:
 
 
 @shape("scrutinee", ("branch1", "var1"), ("branch2", "var2"), evaluated=1,
-       show="case {scrutinee} of {var1} => {branch1} | {var2} => {branch2}", loosest=0)
+       show="case {scrutinee:0} of {var1} => {branch1:0} | {var2} => {branch2:0}", loosest=0)
 @dataclass(frozen=True)
 class TCase:
     scrutinee: TgtExpr
@@ -82,7 +82,7 @@ class TCase:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("inner", evaluated=1, show="DEAD[{from_ty} => {to_ty}]({inner})")
+@shape("inner", evaluated=1, show="DEAD[{from_ty:0} => {to_ty:0}]({inner:0})")
 @dataclass(frozen=True)
 class TDead:
     from_ty: SrcType

@@ -191,7 +191,7 @@ class TestExprHelpers:
     def test_map_prims_left_to_right(self):
         seen = []
 
-        def visit(t):
+        def visit(t, _negative):
             seen.append(t.base)
             return NUM
 

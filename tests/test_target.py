@@ -110,7 +110,7 @@ class TestStrip:
             t = _random_type(rng, 3)
             named = elab_type(t)
             assert binders(named) == [f"$d{i}" for i in range(1, len(binders(t)) + 1)]
-            assert map_prims(named, lambda p: p) == t
+            assert map_prims(named, lambda p, _: p) == t
             assert elab_type(t) == named
 
 

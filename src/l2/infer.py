@@ -33,6 +33,7 @@ from .logic import (
     pand,
     pred_leaves,
     pred_names,
+    render_pred,
     ResourceLimit,
     valid,
 )
@@ -72,8 +73,6 @@ class HornClause:
         return kappas_of(self.head) | self.body_kappas()
 
     def render(self) -> str:
-        from .logic import render_pred
-
         body = " && ".join(render_pred(p) for p in self.body) if self.body else "true"
         return f"({body}) => {render_pred(self.head)}"
 
@@ -103,9 +102,8 @@ class _KappaCounter:
         return PKappa(kid)
 
 
-def make_templates(t: SrcType, _counter: _KappaCounter | None = None) -> SrcType:
-    """Replace every base refinement with a fresh kappa variable."""
-    counter = _counter or _KappaCounter()
+def make_templates(t: SrcType, counter: _KappaCounter) -> SrcType:
+    """Replace every base refinement with a fresh kappa variable from counter."""
     return map_prims(t, lambda p, _: PrimType(p.base, counter.fresh(p.base)))
 
 

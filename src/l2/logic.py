@@ -23,20 +23,23 @@ by their exact gcd and holds only the tightest of rows with the same
 coefficients.  An invalid verdict keeps its cube and builds the rendered
 cube and the counter-model (searched per component) only when read.
 
-SMT-LIB2 emission is provided so the same conditions can be cross-checked
-with an external solver.
-
 Predicates are traversed by two shared walkers: ``pred_leaves`` lists the
 constants, atoms and kappa applications left to right without recursion, and
 ``map_pred`` rebuilds a predicate through the smart constructors from a
 per-leaf function.  Kappa queries, substitution, kappa instantiation and the
-SMT-LIB declarations are written on top of them.
+SMT-LIB declarations are written on top of them.  DNF reads a predicate under
+a polarity, so no negation normal form is built.  This bottom module holds
+the one printer of predicates, types and terms, ``print_expr``, which reads
+class templates (``template``) without recursion from ``SYNTAX``, the source
+and VC notation, or from ``SMTLIB``, the SMT-LIB2 queries that cross-check
+verification conditions with an external solver.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+import string
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from math import gcd
@@ -436,39 +439,83 @@ def instantiate_kappas(p: Pred, assignment: dict[str, Pred]) -> Pred:
 
 
 # ---------------------------------------------------------------------------
-# Rendering and canonical keys
+# Concrete syntax and canonical keys
 # ---------------------------------------------------------------------------
 
 
-def render_pred(p: Pred) -> str:
+# Predicate, type or term class -> (parts, loosest): its concrete syntax in the
+# source notation, its own precedence, and text and fields to print (``template``).
+SYNTAX: dict[type, tuple[tuple, int]] = {}
+
+
+def template(show: str, loosest: int) -> tuple[tuple, int]:
+    """A class's concrete syntax read off ``show``: ``{field:p}`` prints the
+    field as a node in a position that asks for precedence p (more than
+    ``loosest`` parenthesises it), ``{field:p:sep}`` prints a tuple of nodes
+    so, with ``sep`` between them, and ``{field}`` prints it with str.  Each
+    part is literal text or (getter, precedence or None, separator or None)."""
+    parts: list = []
+    for literal, name, spec, _ in string.Formatter().parse(show):
+        if literal:
+            parts.append(literal)
+        if name is not None:
+            prec, _, sep = spec.partition(":")
+            parts.append((operator.attrgetter(name), int(prec) if prec else None, sep or None))
+    return tuple(parts), loosest
+
+
+def print_expr(e, table: dict[type, tuple[tuple, int]] = SYNTAX) -> str:
+    """A predicate, type or term in concrete syntax, read off ``table``'s
+    templates (the source notation by default) without recursion: every node
+    in it, a term's ascribed and DEAD-cast types too, on one stack."""
+    out: list[str] = []
+    stack: list = [(e, 0)]  # text to emit, or (node, precedence) to print
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        e, prec = item
+        parts, loosest = table[type(e)]
+        if prec > loosest:
+            stack.append(")")
+        for part in reversed(parts):
+            if type(part) is str:
+                stack.append(part)
+            elif part[1] is None:
+                stack.append(str(part[0](e)))
+            else:  # the node, or the nodes with the separator between them
+                get, p, sep = part
+                nodes = get(e) if sep else (get(e),)
+                stack += reversed([x for node in nodes for x in (sep, (node, p))][1:])
+        if prec > loosest:
+            stack.append("(")
+    return "".join(out)
+
+
+def _show_leaf(p: PBool | PAtom | PKappa) -> str:
     match p:
         case PBool(b):
             return "true" if b else "false"
         case PAtom(a):
             return a.render()
-        case PNot(inner):
-            return f"!({render_pred(inner)})"
-        case PAnd(parts):
-            return " && ".join(_render_nested(q) for q in parts)
-        case POr(parts):
-            return " || ".join(_render_nested(q) for q in parts)
-        case PImp(a, b):
-            return f"{_render_nested(a)} => {_render_nested(b)}"
-        case PIff(a, b):
-            # Boolean equality; rendered with the source-level operator.
-            return f"{_render_nested(a)} = {_render_nested(b)}"
-        case PKappa(k, subst):
-            if not subst:
-                return k
-            inner = ", ".join(f"{v.render()}/{n}" for n, v in subst)
-            return f"{k}[{inner}]"
-    raise TypeError(f"not a predicate: {p!r}")
+    if not p.subst:
+        return p.kappa
+    return f"{p.kappa}[{', '.join(f'{v.render()}/{n}' for n, v in p.subst)}]"
 
 
-def _render_nested(p: Pred) -> str:
-    if isinstance(p, (PAnd, POr, PImp, PIff)):
-        return f"({render_pred(p)})"
-    return render_pred(p)
+# A connective binds loosest and parenthesises a connective beneath it; nothing
+# else is parenthesised.  ``PIff``, boolean equality, has the source's operator.
+SYNTAX.update({cls: (((_show_leaf, None, None),), 3) for cls in (PBool, PAtom, PKappa)})
+SYNTAX[PNot] = template("!({inner:0})", 3)
+SYNTAX[PAnd] = template("{parts:1: && }", 0)
+SYNTAX[POr] = template("{parts:1: || }", 0)
+SYNTAX[PImp] = template("{hyp:1} => {concl:1}", 0)
+SYNTAX[PIff] = template("{left:1} = {right:1}", 0)
+
+
+def render_pred(p: Pred) -> str:
+    return print_expr(p)
 
 
 def _canon_cmp(c: Cmp):
@@ -577,7 +624,7 @@ def is_tautology(vc: VC) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# NNF / DNF
+# DNF
 # ---------------------------------------------------------------------------
 
 # Literal: (atom, positive). Comparison negation is folded into the operator,
@@ -593,59 +640,42 @@ def _literal_cmp(literal) -> Cmp:
     return atom if positive else atom.flip()
 
 
-def _nnf(p: Pred, neg: bool):
+def _dnf(p: Pred, neg: bool, budget: int) -> list[frozenset]:
+    """The cubes of p, or of its negation when ``neg``."""
     match p:
         case PBool(b):
-            return ("const", b != neg)
+            return [frozenset()] if b != neg else []
         case PAtom(Cmp() as c):
-            return ("lit", c.flip() if neg else c, True)
+            return [frozenset([(c.flip() if neg else c, True)])]
         case PAtom(BVar() as b):
-            return ("lit", b, not neg)
+            return [frozenset([(b, not neg)])]
         case PNot(inner):
-            return _nnf(inner, not neg)
-        case PAnd(parts):
-            kids = [_nnf(q, neg) for q in parts]
-            return ("or" if neg else "and", kids)
-        case POr(parts):
-            kids = [_nnf(q, neg) for q in parts]
-            return ("and" if neg else "or", kids)
+            return _dnf(inner, not neg, budget)
+        case PAnd(parts) | POr(parts):
+            kids, disjunction = [(q, neg) for q in parts], isinstance(p, POr) != neg
         case PImp(a, b):
-            if neg:
-                return ("and", [_nnf(a, False), _nnf(b, True)])
-            return ("or", [_nnf(a, True), _nnf(b, False)])
+            kids, disjunction = [(a, not neg), (b, neg)], not neg
         case PIff(a, b):
-            pos = POr((PAnd((a, b)), PAnd((pnot(a), pnot(b)))))
-            return _nnf(pos, neg)
+            return _dnf(POr((PAnd((a, b)), PAnd((pnot(a), pnot(b))))), neg, budget)
         case PKappa():
             raise ValueError("kappa variable reached the decision procedure")
-    raise TypeError(f"not a predicate: {p!r}")
-
-
-def _dnf(node, budget: int) -> list[frozenset]:
-    kind = node[0]
-    if kind == "const":
-        return [frozenset()] if node[1] else []
-    if kind == "lit":
-        return [frozenset([(node[1], node[2])])]
-    if kind == "or":
-        out: list[frozenset] = []
-        for kid in node[1]:
-            out.extend(_dnf(kid, budget))
-            if len(out) > budget:
-                raise ResourceLimit(f"DNF clause budget {budget} exceeded")
-        return out
-    # and: cartesian product of children cubes
-    cubes = [frozenset()]
-    for kid in node[1]:
-        kid_cubes = _dnf(kid, budget)
-        cubes = [a | b for a in cubes for b in kid_cubes]
+        case _:
+            raise TypeError(f"not a predicate: {p!r}")
+    # a disjunction's cubes are its children's, a conjunction's their product
+    cubes: list[frozenset] = [] if disjunction else [frozenset()]
+    for kid in kids:
+        kid_cubes = _dnf(*kid, budget)
+        if disjunction:
+            cubes.extend(kid_cubes)
+        else:
+            cubes = [a | b for a in cubes for b in kid_cubes]
         if len(cubes) > budget:
             raise ResourceLimit(f"DNF clause budget {budget} exceeded")
     return cubes
 
 
 def dnf_cubes(p: Pred, budget: int = DEFAULT_CLAUSE_BUDGET) -> list[frozenset]:
-    return _dnf(_nnf(p, False), budget)
+    return _dnf(p, False, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -924,7 +954,7 @@ def _sexp_term(t: LinTerm) -> str:
     return f"(+ {' '.join(parts)})"
 
 
-def _sexp_pred(p: Pred) -> str:
+def _sexp_leaf(p: PBool | PAtom) -> str:
     match p:
         case PBool(b):
             return "true" if b else "false"
@@ -935,19 +965,15 @@ def _sexp_pred(p: Pred) -> str:
             return f"({op} {a} {b})"
         case PAtom(BVar(n)):
             return f"(= {n} 1)"
-        case PNot(inner):
-            return f"(not {_sexp_pred(inner)})"
-        case PAnd(parts):
-            return f"(and {' '.join(_sexp_pred(q) for q in parts)})" if parts else "true"
-        case POr(parts):
-            return f"(or {' '.join(_sexp_pred(q) for q in parts)})" if parts else "false"
-        case PImp(a, b):
-            return f"(=> {_sexp_pred(a)} {_sexp_pred(b)})"
-        case PIff(a, b):
-            return f"(= {_sexp_pred(a)} {_sexp_pred(b)})"
-        case PKappa():
-            raise ValueError("kappa variable in SMT-LIB emission")
-    raise TypeError(f"not a predicate: {p!r}")
+
+
+# SMT-LIB's notation, for ``print_expr``: every connective is a parenthesised
+# prefix application, so nothing is parenthesised for precedence.  A kappa
+# application has no entry; ``to_smtlib`` rejects it first.
+SMTLIB = {PBool: (((_sexp_leaf, None, None),), 0), PAtom: (((_sexp_leaf, None, None),), 0),
+          PNot: template("(not {inner:0})", 0), PAnd: template("(and {parts:0: })", 0),
+          POr: template("(or {parts:0: })", 0), PImp: template("(=> {hyp:0} {concl:0})", 0),
+          PIff: template("(= {left:0} {right:0})", 0)}
 
 
 def to_smtlib(vc: VC) -> str:
@@ -969,8 +995,7 @@ def to_smtlib(vc: VC) -> str:
     lines = ["(set-logic QF_LIA)"]
     lines += [f"(declare-const {name} Int)" for name in names]
     lines += [f"(assert (and (<= 0 {name}) (<= {name} 1)))" for name, flag in names.items() if flag]
-    hyp = _sexp_pred(pand(vc.hyps)) if vc.hyps else "true"
-    body = f"(=> {hyp} (=> {_sexp_pred(vc.antecedent)} {_sexp_pred(vc.consequent)}))"
-    lines.append(f"(assert (not {body}))")
+    body = PImp(pand(vc.hyps), PImp(vc.antecedent, vc.consequent))
+    lines.append(f"(assert (not {print_expr(body, SMTLIB)}))")
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"

@@ -40,6 +40,7 @@ from .logic import (
     PAtom,
     PBool,
     Pred,
+    SYNTAX,
     TRUE,
     VALUE_VAR,
     VC,
@@ -49,7 +50,9 @@ from .logic import (
     is_true,
     pnot,
     por,
+    print_expr,
     subst_pred,
+    template,
     valid,
 )
 from .syntax import (
@@ -65,15 +68,12 @@ from .syntax import (
     OrType,
     Pos,
     PrimType,
-    SYNTAX,
     SrcType,
     Var,
     erase_refinements,
     map_prims,
-    print_expr,
     print_type,
     tags_disjoint,
-    template,
 )
 from .target import (
     IllTyped,

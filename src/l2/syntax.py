@@ -15,23 +15,21 @@ each serves both languages: ``subexprs`` (preorder), ``free_vars`` and
 the bottom-up ``map_up``, which ``map_ascriptions`` and ``erase_ascriptions``
 use, and ``decompose``, which enumerates the evaluation contexts that both
 interpreters step under and that union elimination splits on.  A shape
-also declares the class's concrete syntax, a template with its precedence,
-as ``SYNTAX`` does for each type, so one printer without recursion,
-``print_expr``, prints terms and types, in the source notation or, from
-another table, in phase 2's.  ``map_prims``, the one rebuild of a type, maps
+also enters the class's concrete syntax, a template with its precedence, in
+``logic.SYNTAX``, as this module does for each type, so ``logic.print_expr``
+prints terms, types and predicates in the source notation, and types in
+phase 2's from another table.  ``map_prims``, the one rebuild of a type, maps
 its base types, with their polarity, and names or drops its arrow binders.
 Both maps visit left to right, so kappa templates are numbered in a fixed order.
 """
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass, field
 from functools import partial
-from operator import attrgetter
 from typing import Callable, Iterator, Optional, TYPE_CHECKING
 
-from .logic import Pred, TRUE, cached_hash, is_true, render_pred
+from .logic import SYNTAX, Pred, TRUE, cached_hash, is_true, print_expr, template
 
 if TYPE_CHECKING:
     from .target import TgtExpr
@@ -235,33 +233,17 @@ SHAPES: dict[type, tuple[tuple[tuple[str, str | None], ...], bool]] = {}
 # Term class -> its evaluation positions: the leading children an evaluation
 # context descends into, left to right, each once those before it are values.
 POSITIONS: dict[type, tuple[str, ...]] = {}
-# Term or type class -> (parts, loosest): its concrete syntax in the source
-# notation, its own precedence, and text and fields to print (``template``).
-SYNTAX: dict[type, tuple[tuple, int]] = {}
-
-
-def template(show: str, loosest: int) -> tuple[tuple, int]:
-    """A class's concrete syntax read off ``show``: ``{field:p}`` prints the
-    field as a term or type in a position that asks for precedence p (more
-    than ``loosest`` parenthesises it), and ``{field}`` prints it with str."""
-    parts: list = []
-    for literal, name, spec, _ in string.Formatter().parse(show):
-        if literal:
-            parts.append(literal)
-        if name is not None:
-            parts.append((attrgetter(name), int(spec) if spec else None))
-    return tuple(parts), loosest
 
 
 def _show_prim(t: PrimType) -> str:
     if is_true(t.refinement):
         return t.base
-    return f"{{v:{t.base} | {render_pred(t.refinement)}}}"
+    return f"{{v:{t.base} | {print_expr(t.refinement)}}}"
 
 
 # An arrow binds loosest (right associative), then \/, then /\; a base type
 # is never parenthesised.
-SYNTAX[PrimType] = (((_show_prim, None),), 3)
+SYNTAX[PrimType] = (((_show_prim, None, None),), 3)
 SYNTAX[FunType] = template("{dom:1} -> {cod:0}", 0)
 SYNTAX[OrType] = template("{left:2} \\/ {right:2}", 1)
 SYNTAX[AndType] = template("{left:3} /\\ {right:3}", 2)
@@ -569,33 +551,6 @@ def _fresh(base: str, used: set[str], counters: dict[str, int]) -> str:
 
 def print_type(t: SrcType) -> str:
     return print_expr(t)
-
-
-def print_expr(e: Term | SrcType, table: dict[type, tuple[tuple, int]] = SYNTAX) -> str:
-    """A term or type in concrete syntax, read off ``table``'s templates (the
-    source notation by default) without recursion; a term's ascribed and
-    DEAD-cast types are printed on the same stack."""
-    out: list[str] = []
-    stack: list = [(e, 0)]  # text to emit, or (node, precedence) to print
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            out.append(item)
-            continue
-        e, prec = item
-        parts, loosest = table[type(e)]
-        if prec > loosest:
-            stack.append(")")
-        for part in reversed(parts):
-            if type(part) is str:
-                stack.append(part)
-            elif part[1] is None:
-                stack.append(str(part[0](e)))
-            else:
-                stack.append((part[0](e), part[1]))
-        if prec > loosest:
-            stack.append("(")
-    return "".join(out)
 
 
 def print_program(p: Program) -> str:

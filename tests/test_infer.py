@@ -7,6 +7,7 @@ from l2.infer import (
     HornClause,
     Solution,
     Unsat,
+    _KappaCounter,
     apply_solution,
     default_candidates,
     gen_horn,
@@ -52,7 +53,7 @@ NEG_UNREFINED = AndType(
 
 class TestTemplates:
     def test_six_positions(self):
-        t = make_templates(NEG_UNREFINED)
+        t = make_templates(NEG_UNREFINED, _KappaCounter())
         kappas = []
 
         def collect(u):
@@ -69,12 +70,10 @@ class TestTemplates:
         assert kappas == ["k1", "k2", "k3", "k4", "k5", "k6"]
 
     def test_single_position(self):
-        t = make_templates(NUM)
+        t = make_templates(NUM, _KappaCounter())
         assert isinstance(t.refinement, PKappa)
 
     def test_retemplating_gives_fresh_variables(self):
-        from l2.infer import _KappaCounter
-
         counter = _KappaCounter()
         once = make_templates(NUM, counter)
         twice = make_templates(once, counter)

@@ -17,7 +17,7 @@ import pytest
 
 from l2 import refine, syntax
 from l2.harness import gen_program
-from l2.infer import make_templates
+from l2.infer import _KappaCounter, make_templates
 from l2.logic import FALSE, TRUE, Pred, is_true, pnot, render_pred
 from l2.syntax import (
     NUM,
@@ -146,7 +146,7 @@ def test_generated_ascriptions_agree(budget):
         for e in subexprs(gen_program(seed, budget).main):
             if isinstance(e, Ascribe):
                 assert_agrees(e.ty)
-                assert_agrees(make_templates(e.ty))
+                assert_agrees(make_templates(e.ty, _KappaCounter()))
 
 
 def test_deep_arrow_prints_without_recursion():

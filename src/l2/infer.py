@@ -2,18 +2,20 @@
 
 Unknown refinements are replaced by kappa variables.  Phase 1 is oblivious
 to refinements, so elaboration proceeds unchanged; re-running phase 2 with
-opaque kappa atoms turns every would-be verification condition into a Horn
-clause.  The solver performs monomial predicate abstraction: start each
-kappa at the conjunction of all its candidate predicates and drop candidates
-from clause heads until every clause is valid.  Valid assignments are closed
-under union, so the loop converges on the unique greatest fixpoint.  It
-re-checks only clauses whose kappas shrank, tries each head's candidates as
-one conjunction first, and shares instantiations and a discharge memo
-within one solve.
+opaque kappa atoms makes every verification condition a Horn clause, whose
+body is the VC's hypotheses and antecedent and whose head is its consequent.
+The solver performs monomial predicate abstraction: start each kappa at the
+conjunction of all its candidate predicates and drop candidates from clause
+heads until every clause is valid.  Valid assignments are closed under
+union, so the loop converges on the unique greatest fixpoint.  It re-checks
+only clauses whose kappas shrank, tries each head's candidates as one
+conjunction first, and shares instantiations and a discharge memo within one
+solve.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from . import elaborate
@@ -33,7 +35,6 @@ from .logic import (
     pand,
     pred_leaves,
     pred_names,
-    render_pred,
     ResourceLimit,
     valid,
 )
@@ -57,26 +58,6 @@ class KappaVar:
     scope: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class HornClause:
-    body: tuple[Pred, ...]
-    head: Pred
-    origin: str = ""
-
-    def head_kappa(self) -> str | None:
-        return self.head.kappa if isinstance(self.head, PKappa) else None
-
-    def body_kappas(self) -> frozenset[str]:
-        return frozenset().union(*map(kappas_of, self.body))
-
-    def kappas(self) -> frozenset[str]:
-        return kappas_of(self.head) | self.body_kappas()
-
-    def render(self) -> str:
-        body = " && ".join(render_pred(p) for p in self.body) if self.body else "true"
-        return f"({body}) => {render_pred(self.head)}"
-
-
 @dataclass
 class Solution:
     assignment: dict[str, tuple[Pred, ...]]
@@ -87,7 +68,7 @@ class Solution:
 
 @dataclass(frozen=True)
 class Unsat:
-    clause: HornClause
+    clause: VC
 
 
 class _KappaCounter:
@@ -115,16 +96,12 @@ def template_program(program: Program) -> tuple[Program, list[KappaVar]]:
 
 def gen_horn(
     program: Program, search_depth: int = elaborate.DEFAULT_SEARCH_DEPTH
-) -> tuple[list[HornClause], list[KappaVar], Program]:
-    """Run both phases over the templated program, collecting Horn clauses."""
+) -> tuple[tuple[VC, ...], list[KappaVar], Program]:
+    """Run both phases over the templated program: its VCs are the Horn clauses."""
     templated, kappas = template_program(program)
     result = elaborate.elaborate_program(templated, search_depth)
     report = check_refined(result.target, discharge=False)
-    clauses = [
-        HornClause(vc.hyps + (vc.antecedent,), vc.consequent, vc.origin) for vc in report.vcs
-    ]
-    kappas = _assign_scopes(kappas, report.vcs)
-    return clauses, kappas, templated
+    return report.vcs, _assign_scopes(kappas, report.vcs), templated
 
 
 def _assign_scopes(kappas: list[KappaVar], vcs: tuple[VC, ...]) -> list[KappaVar]:
@@ -184,21 +161,28 @@ def default_candidates(program: Program, kappa: KappaVar) -> list[Pred]:
 
 
 def houdini_solve(
-    clauses: list[HornClause],
+    clauses: Sequence[VC],
     candidates: dict[str, list[Pred]],
     clause_budget: int = DEFAULT_CLAUSE_BUDGET,
 ) -> Solution | Unsat:
     """Monomial predicate abstraction: weaken heads to a greatest fixpoint.
 
-    Each sweep skips a clause unless a kappa it reads (its body's, and a
-    fixed head's) shrank since its last check: under an unchanged body, a
-    subset of heads that held still holds."""
+    Each clause's body and head are read once.  Each sweep skips a clause
+    unless a kappa it reads (its body's, and a fixed head's) shrank since its
+    last check: under an unchanged body, a subset of heads that held still
+    holds."""
     assignment: dict[str, tuple[Pred, ...]] = {k: tuple(v) for k, v in candidates.items()}
-    for clause in clauses:
-        for k in clause.kappas():
+    bodies = [(*c.hyps, c.antecedent) for c in clauses]
+    heads = [c.consequent for c in clauses]
+    head_kappas = [h.kappa if isinstance(h, PKappa) else None for h in heads]
+    reads = []  # the kappas whose shrinking makes a clause due, sorted
+    for body, head, head_k in zip(bodies, heads, head_kappas):
+        body_kappas = frozenset().union(*map(kappas_of, body))
+        every = kappas_of(head) | body_kappas
+        for k in every:
             assignment.setdefault(k, ())
+        reads.append(sorted(body_kappas if head_k else every))
     version = dict.fromkeys(assignment, 0)  # bumped whenever the assignment shrinks
-    reads = [sorted(c.body_kappas() if c.head_kappa() else c.kappas()) for c in clauses]
     checked: list[tuple | None] = [None] * len(clauses)
     memo: dict = {}  # shared by every valid() call of this solve
     instances: dict[tuple[PKappa, Pred], Pred] = {}  # (kappa use, candidate) -> instance
@@ -220,26 +204,25 @@ def houdini_solve(
     changed = True
     while changed:
         changed = False
-        for i, clause in enumerate(clauses):
+        for i, (clause, head, head_k) in enumerate(zip(clauses, heads, head_kappas)):
             stamp = tuple(version[k] for k in reads[i])
             if stamp == checked[i]:
                 continue
             checked[i] = stamp
-            body = tuple(map_pred(p, leaf) for p in clause.body)
+            body = tuple(map_pred(p, leaf) for p in bodies[i])
 
-            def holds(head: Pred) -> bool:
-                vc = VC(body, TRUE, head, clause.origin)
+            def holds(goal: Pred) -> bool:
+                vc = VC(body, TRUE, goal, clause.origin)
                 return valid(vc, clause_budget, memo).is_valid
 
-            head_k = clause.head_kappa()
             if head_k is None:
-                if not holds(map_pred(clause.head, leaf)):
+                if not holds(map_pred(head, leaf)):
                     # Shrinking assignments only weaken hypotheses, so a
                     # failing fixed head can never recover.
                     return Unsat(clause)
                 continue
             cands = assignment[head_k]
-            keep = _holding(cands, [instance(clause.head, c) for c in cands], holds)
+            keep = _holding(cands, [instance(head, c) for c in cands], holds)
             if len(keep) != len(cands):
                 assignment[head_k] = keep
                 version[head_k] += 1
@@ -285,7 +268,7 @@ def infer_refinements(
     preds: list[Pred] | None = None,
     clause_budget: int = DEFAULT_CLAUSE_BUDGET,
     search_depth: int = elaborate.DEFAULT_SEARCH_DEPTH,
-) -> tuple[Solution | Unsat, list[HornClause], list[KappaVar], Program]:
+) -> tuple[Solution | Unsat, tuple[VC, ...], list[KappaVar], Program]:
     """End-to-end inference over the unrefined program.
 
     ``preds``, when given, replaces the default candidates of every numeric

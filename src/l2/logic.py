@@ -505,13 +505,14 @@ def _show_leaf(p: PBool | PAtom | PKappa) -> str:
 
 
 # A connective binds loosest and parenthesises a connective beneath it; nothing
-# else is parenthesised.  ``PIff``, boolean equality, has the source's operator.
+# else is parenthesised, so ``parser.parse_pred`` reads each print back, but
+# for a kappa application.
 SYNTAX.update({cls: (((_show_leaf, None, None),), 3) for cls in (PBool, PAtom, PKappa)})
 SYNTAX[PNot] = template("!({inner:0})", 3)
 SYNTAX[PAnd] = template("{parts:1: && }", 0)
 SYNTAX[POr] = template("{parts:1: || }", 0)
 SYNTAX[PImp] = template("{hyp:1} => {concl:1}", 0)
-SYNTAX[PIff] = template("{left:1} = {right:1}", 0)
+SYNTAX[PIff] = template("{left:1} <=> {right:1}", 0)
 
 
 def render_pred(p: Pred) -> str:
@@ -595,8 +596,11 @@ class VC:
         return pand(list(self.hyps) + [self.antecedent, pnot(self.consequent)])
 
     def render(self) -> str:
-        hyp = " && ".join(render_pred(h) for h in self.hyps) if self.hyps else "true"
-        return f"({hyp}) => ({render_pred(self.antecedent)} => {render_pred(self.consequent)})"
+        """Its printed form, which ``parser.parse_pred`` reads back but for
+        kappa applications: every compound part is parenthesised."""
+        hyps = self.hyps or (TRUE,)
+        hyp = print_expr(PAnd(hyps) if len(hyps) > 1 else hyps[0])
+        return f"({hyp}) => ({print_expr(PImp(self.antecedent, self.consequent))})"
 
     def key(self):
         return (

@@ -3,9 +3,7 @@
 Grammar sketch:
 
     program  := ("type" NAME "=" type)* expr
-    type     := tor ("->" type)?                 arrow is loosest, right assoc
-    tor      := tand ("\\/" tand)*
-    tand     := tatom ("/\\" tatom)*
+    type     := tatom joined by "->" (right assoc), then "\\/", then "/\\"
     tatom    := "number" | "boolean" | NAME | "{" "v" ":" base "|" pred "}" | "(" type ")"
     expr     := "let" NAME "=" expr "in" expr
               | "if" expr "then" expr "else" expr
@@ -14,20 +12,22 @@ Grammar sketch:
     app      := atom atom*
     atom     := INT | "-" INT | "true" | "false" | NAME
               | "(" expr (":" type)? ")"
-    pred     := pimp;  "=>" right assoc over "||" over "&&" over "!"
-    patom    := "true" | "false" | arith (CMP arith)? | "(" pred ")"
-    arith    := term (("+"|"-") term)*;  term := factor ("*" factor)*
+    pred     := pnot joined by "=>" (right assoc), then "<=>", then "||", then "&&"
+    pnot     := "!" pnot | "true" | "false" | arith (CMP arith)? | "(" pred ")"
+    arith    := factor joined by "+" or "-", then "*"
+    factor   := "-" factor | INT | NAME | "(" arith ")"
 
-Tokens are named tuples, scanned a line at a time.  ``expr`` parses a chain
-of let bodies, lambda bodies and else branches with a loop, so a chain of any
-length parses and only nesting in other positions costs recursion.  Binders
-are renamed apart on ingest, and type aliases are expanded eagerly.
+Tokens are named tuples, scanned a line at a time; a formula's names may be
+phase 2's reserved ones (``$g1``), so that printed obligations read back.
+``expr`` parses a chain of let bodies, lambda bodies and else branches with
+a loop, and ``binary`` a chain of binary operators, so a chain of any length
+parses and only nesting in other positions costs recursion.  Binders are
+renamed apart on ingest, and type aliases are expanded eagerly.
 """
 
 from __future__ import annotations
 
 import re
-from functools import partial, reduce
 from typing import NamedTuple
 
 from . import constants, syntax
@@ -40,6 +40,7 @@ from .logic import (
     Pred,
     cmp_pred,
     pand,
+    piff,
     pimp,
     pnot,
     por,
@@ -80,18 +81,19 @@ KEYWORDS = {"let", "in", "if", "then", "else", "type", "true", "false", "number"
 # One token, after the whitespace before it: a line is scanned with its
 # trailing whitespace stripped, so every match ends on a token and no match
 # backtracks over a run of whitespace.
-_TOKEN_RE = re.compile(
-    r"""
+_TOKEN = r"""
     \s*(?:
       (?P<comment>--.*)
     | (?P<int>\d+)
-    | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
-    | (?P<sym>=>|->|/\\|\\/|&&|\|\||<=|>=|!=|[\\(){}:|=<>!+\-*,])
+    | (?P<name>NAME)
+    | (?P<sym><=>|=>|->|/\\|\\/|&&|\|\||<=|>=|!=|[\\(){}:|=<>!+\-*,])
     | (?P<bad>\S)
     )
-    """,
-    re.VERBOSE,
-)
+    """
+_NAME = r"[A-Za-z_][A-Za-z0-9_']*"
+_TOKEN_RE = re.compile(_TOKEN.replace("NAME", _NAME), re.VERBOSE)
+# A formula's names may also be phase 2's reserved ones, which start with $.
+_FORMULA_TOKEN_RE = re.compile(_TOKEN.replace("NAME", r"\$?" + _NAME), re.VERBOSE)
 
 
 class Token(NamedTuple):
@@ -104,13 +106,13 @@ class Token(NamedTuple):
 _new_token = tuple.__new__  # builds a Token without its Python-level __new__
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str, token_re: re.Pattern = _TOKEN_RE) -> list[Token]:
     """The tokens of text, scanned one line at a time: the line number is
     the line's index from 1, and a column counts characters from 1."""
     tokens: list[Token] = []
     append = tokens.append
     for line, chars in enumerate(text.split("\n"), 1):
-        for m in _TOKEN_RE.finditer(chars.rstrip()):
+        for m in token_re.finditer(chars.rstrip()):
             kind = m.lastgroup
             if kind == "comment":
                 continue
@@ -119,6 +121,18 @@ def tokenize(text: str) -> list[Token]:
             append(_new_token(Token, (kind, m.group(kind), line, m.start(kind) + 1)))
     append(Token("eof", "", line, len(chars) + 1))
     return tokens
+
+
+# Binary operators, one tuple of levels per grammar, loosest first.  A level
+# maps each of its tokens to the join of two operands, and says whether it
+# groups to the right.  Only ``*`` can fail to join: it gives None for a
+# product of two variables.
+TYPE_LEVELS = (({"->": FunType}, True), ({"\\/": OrType}, False), ({"/\\": AndType}, False))
+PRED_LEVELS = (({"=>": pimp}, True), ({"<=>": piff}, False),
+               ({"||": lambda a, b: por((a, b))}, False),
+               ({"&&": lambda a, b: pand((a, b))}, False))
+ARITH_LEVELS = (({"+": LinTerm.__add__, "-": LinTerm.__sub__}, False),
+                ({"*": constants.BINARY["mul"]}, False))
 
 
 class _Parser:
@@ -165,12 +179,26 @@ class _Parser:
             raise self.error(f"trailing input {self.peek().text!r}")
         return result
 
-    def joined(self, part, sym: str, join):
-        """One or more of part separated by sym, joined by join when more."""
-        parts = [part()]
-        while self.eat(sym):
-            parts.append(part())
-        return join(parts) if len(parts) > 1 else parts[0]
+    def binary(self, levels: tuple, atom, i: int = 0):
+        """atoms joined by the operators of levels[i:], one loop per level: a
+        left-grouping join is made as each right operand is read, and a
+        right-grouping chain is joined from the right once it ends."""
+        if i == len(levels):
+            return atom()
+        joins, right = levels[i]
+        left = self.binary(levels, atom, i + 1)
+        pending = []  # (left operand, join) of a right-grouping chain, in order
+        while (join := joins.get(self.tokens[self.pos].text)) is not None:
+            self.pos += 1
+            operand = self.binary(levels, atom, i + 1)
+            if right:
+                pending.append((left, join))
+                left = operand
+            elif (left := join(left, operand)) is None:
+                raise self.error("non-linear product of two variables")
+        for operand, join in reversed(pending):
+            left = join(operand, left)
+        return left
 
     # -- programs ----------------------------------------------------------
 
@@ -187,16 +215,7 @@ class _Parser:
     # -- types ---------------------------------------------------------------
 
     def type_(self) -> SrcType:
-        left = self.type_or()
-        if self.eat("->"):
-            return FunType(left, self.type_())
-        return left
-
-    def type_or(self) -> SrcType:
-        return self.joined(self.type_and, "\\/", partial(reduce, OrType))
-
-    def type_and(self) -> SrcType:
-        return self.joined(self.type_atom, "/\\", partial(reduce, AndType))
+        return self.binary(TYPE_LEVELS, self.type_atom)
 
     def type_atom(self) -> SrcType:
         if self.eat("number"):
@@ -235,16 +254,7 @@ class _Parser:
     # -- predicates ----------------------------------------------------------
 
     def pred(self) -> Pred:
-        left = self.pred_or()
-        if self.eat("=>"):
-            return pimp(left, self.pred())
-        return left
-
-    def pred_or(self) -> Pred:
-        return self.joined(self.pred_and, "||", por)
-
-    def pred_and(self) -> Pred:
-        return self.joined(self.pred_not, "&&", pand)
+        return self.binary(PRED_LEVELS, self.pred_not)
 
     def pred_not(self) -> Pred:
         if self.eat("!"):
@@ -280,20 +290,7 @@ class _Parser:
         raise self.error("expected a comparison or boolean variable")
 
     def arith(self) -> LinTerm:
-        left = self.arith_term()
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
-            right = self.arith_term()
-            left = left + right if op == "+" else left - right
-        return left
-
-    def arith_term(self) -> LinTerm:
-        left = self.arith_factor()
-        while self.eat("*"):
-            left = constants.BINARY["mul"](left, self.arith_factor())
-            if left is None:
-                raise self.error("non-linear product of two variables")
-        return left
+        return self.binary(ARITH_LEVELS, self.arith_factor)
 
     def arith_factor(self) -> LinTerm:
         if self.eat("-"):
@@ -402,11 +399,12 @@ def parse_type(text: str, aliases: dict[str, SrcType] | None = None) -> SrcType:
 
 
 def parse_pred(text: str) -> Pred:
-    return _parse_all(text, _Parser.pred)
+    return _parse_all(text, _Parser.pred, token_re=_FORMULA_TOKEN_RE)
 
 
-def _parse_all(text: str, rule, aliases: dict[str, SrcType] | None = None):
+def _parse_all(text: str, rule, aliases: dict[str, SrcType] | None = None,
+               token_re: re.Pattern = _TOKEN_RE):
     """rule's parse of the whole of text."""
-    parser = _Parser(tokenize(text))
+    parser = _Parser(tokenize(text, token_re))
     parser.aliases = dict(aliases or {})
     return parser.end(rule(parser))

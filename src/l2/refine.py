@@ -91,8 +91,9 @@ class PhaseOrderError(Exception):
     """Raised when refinement checking is attempted on an ill-typed skeleton."""
 
 
-class ShapeMismatch(Exception):
-    """Subtyping was asked to relate types with different erased skeletons."""
+class ShapeMismatch(PhaseOrderError):
+    """Subtyping was asked to relate types with different erased skeletons,
+    which phase 1 rules out: a pipeline misuse too."""
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +166,12 @@ class RefEnv:
 # ---------------------------------------------------------------------------
 
 
-def elab_type(t: SrcType) -> SrcType:
-    """t with a fresh binder on every arrow, ``$d1``, ``$d2``, ... in preorder;
-    the names are reserved, so they cannot collide with program variables."""
+def elab_type(t: SrcType, prim=lambda p, _: p) -> SrcType:
+    """t with a fresh binder on every arrow, ``$d1``, ``$d2``, ... in preorder,
+    and prim applied to its base types as ``map_prims`` applies it; the names
+    are reserved, so they cannot collide with program variables."""
     counter = itertools.count(1)
-    return map_prims(t, lambda p, _: p, lambda _: f"$d{next(counter)}")
+    return map_prims(t, prim, lambda _: f"$d{next(counter)}")
 
 
 def ftx(t: SrcType, r: Pred) -> SrcType:
@@ -195,10 +197,15 @@ def selfify(t: SrcType, x: str) -> SrcType:
     return t
 
 
+def _bottom(p: PrimType, negative: bool) -> PrimType:
+    return PrimType(p.base, TRUE if negative else FALSE)
+
+
 def dead_type(from_ty: SrcType, to_ty: SrcType) -> FunType:
-    """DEAD casts behave like calls to a function of type fbot(|t|) -> fbot(|s|)."""
+    """DEAD casts behave like calls to a function of type fbot(|t|) -> fbot(|s|),
+    each side named and refined in one rebuild."""
     assert tags_disjoint(from_ty, to_ty), "DEAD cast over overlapping tags"
-    return FunType(fbot(elab_type(from_ty)), fbot(elab_type(to_ty)), "$dead")
+    return FunType(elab_type(from_ty, _bottom), elab_type(to_ty, _bottom), "$dead")
 
 
 def subst_ref(t: SrcType, name: str, repl: LinTerm) -> SrcType:

@@ -15,6 +15,7 @@ from l2.logic import (
     VC,
     eval_atom,
     instantiate_kappas,
+    kappas_of,
     pand,
     valid,
 )
@@ -90,11 +91,23 @@ def alpha_equal(a, b) -> bool:
     return go(a, b, {})
 
 
+def horn(clause: VC):
+    """A VC read as a Horn clause: its body (the hypotheses, then the
+    antecedent) and its head (the consequent)."""
+    return (*clause.hyps, clause.antecedent), clause.consequent
+
+
+def clause_kappas(clause: VC) -> frozenset[str]:
+    """The kappas of a Horn clause, collected as ``infer.houdini_solve`` does."""
+    body, head = horn(clause)
+    return kappas_of(head) | frozenset().union(*map(kappas_of, body))
+
+
 def clause_valid(clause, assignment, clause_budget: int = 10000) -> bool:
     """Reference check of one Horn clause under a full assignment."""
     pred_map = {k: pand(v) for k, v in assignment.items()}
-    body = tuple(instantiate_kappas(p, pred_map) for p in clause.body)
-    head = instantiate_kappas(clause.head, pred_map)
+    body = tuple(instantiate_kappas(p, pred_map) for p in horn(clause)[0])
+    head = instantiate_kappas(clause.consequent, pred_map)
     return valid(VC(body, TRUE, head, clause.origin), clause_budget).is_valid
 
 

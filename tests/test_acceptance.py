@@ -45,8 +45,10 @@ from tests.conftest import (
     NEGATE_INFER,
     NEGATE_OK,
     PROGRAMS,
+    clause_kappas,
     clause_valid,
     eval_pred,
+    horn,
 )
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -310,8 +312,9 @@ def test_criterion_9_inference(capsys):
 
     def find(body_atoms, head_key):
         for clause in clauses:
-            keys = {pred_key(p) for p in clause.body}
-            if all(pred_key(a) in keys for a in body_atoms) and pred_key(clause.head) == head_key:
+            body, head = horn(clause)
+            keys = {pred_key(p) for p in body}
+            if all(pred_key(a) in keys for a in body_atoms) and pred_key(head) == head_key:
                 return clause
         return None
 
@@ -373,7 +376,7 @@ def _brute_force_greatest(clauses, candidates):
     cache: dict = {}
 
     def check(i, clause, assignment):
-        relevant = tuple((k, assignment.get(k, ())) for k in sorted(clause.kappas()))
+        relevant = tuple((k, assignment.get(k, ())) for k in sorted(clause_kappas(clause)))
         key = (i, relevant)
         if key not in cache:
             cache[key] = clause_valid(clause, dict(relevant))

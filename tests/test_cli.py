@@ -77,6 +77,13 @@ class TestCheck:
         code, _, _ = run_cli(["check", "no-such-file.l2"], capsys)
         assert code == 64
 
+    def test_reserved_names_are_a_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.l2"
+        bad.write_text("let x = 1 in add x $g1\n")
+        code, _, err = run_cli(["check", str(bad)], capsys)
+        assert code == 65
+        assert err == "parse error: 1:20: unexpected character '$'\n"
+
 
 def test_config_defaults_are_the_library_defaults():
     config = Config()
@@ -138,6 +145,22 @@ class TestUnreadableInputs:
         code, out, err = run_cli([path if a == "NEGATE_OK" else a for a in args], capsys)
         assert (code, out) == (64, "")
         assert err.startswith(f"error: {setting} must be at least ")
+
+
+class TestShapeMismatch:
+    """Subtyping over different skeletons is a pipeline misuse, which phase 1
+    rules out: an internal invariant violation, never "rejected"."""
+
+    def test_exits_70(self, programs_dir, monkeypatch, capsys):
+        from l2.refine import RefChecker, ShapeMismatch
+
+        def emit(self, env, t1, t2, origin):
+            raise ShapeMismatch("number vs boolean")
+
+        monkeypatch.setattr(RefChecker, "emit", emit)
+        code, out, err = run_cli(["check", str(programs_dir / "negate_ok.l2")], capsys)
+        assert (code, out) == (70, "")
+        assert err == "internal invariant violation: number vs boolean\n"
 
 
 class TestDeepInput:

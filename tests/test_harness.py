@@ -2,7 +2,7 @@ import pathlib
 
 import pytest
 
-from l2 import constants, elaborate, harness, parser, syntax
+from l2 import constants, elaborate, harness, parser, refine, syntax
 from l2.harness import (
     DiffReport,
     elab_matches,
@@ -148,6 +148,15 @@ class TestSoundness:
 
     def test_dead_semantics_is_vacuous(self):
         assert soundness_trial(run_trial(parser.parse_program(DEAD_SEMANTICS), 10000)) == "vacuous"
+
+    def test_shape_mismatch_is_a_phase_order_failure(self, monkeypatch):
+        trial = run_trial(parser.parse_program(NEGATE_OK), 10000)
+
+        def emit(self, env, t1, t2, origin):
+            raise refine.ShapeMismatch("number vs boolean")
+
+        monkeypatch.setattr(refine.RefChecker, "emit", emit)
+        assert soundness_trial(trial) == "fail:phase-order"
 
 
 class TestChecks:

@@ -4,7 +4,6 @@ import pytest
 
 from l2 import elaborate, infer, logic, parser, syntax
 from l2.infer import (
-    HornClause,
     Solution,
     Unsat,
     _KappaCounter,
@@ -37,7 +36,7 @@ from l2.logic import (
 )
 from l2.refine import check_refined
 from l2.syntax import AndType, BOOL, FunType, NUM, OrType, PrimType
-from tests.conftest import NEGATE_INFER, clause_valid
+from tests.conftest import NEGATE_INFER, clause_kappas, clause_valid, horn
 
 nu = LinTerm.of_var(VALUE_VAR)
 
@@ -96,8 +95,9 @@ def _find(clauses, body_atoms, head_key):
     """Locate a clause whose body contains the given atoms and whose head
     matches; extra kappa hypotheses are tolerated."""
     for clause in clauses:
-        keys = {pred_key(p) for p in clause.body}
-        if all(pred_key(a) in keys for a in body_atoms) and pred_key(clause.head) == head_key:
+        body, head = horn(clause)
+        keys = {pred_key(p) for p in body}
+        if all(pred_key(a) in keys for a in body_atoms) and pred_key(head) == head_key:
             return clause
     return None
 
@@ -136,7 +136,7 @@ class TestGenHorn:
         p2 = parser.parse_program("add 1 2")
         clauses2, kappas2, _ = gen_horn(p2)
         assert kappas2 == []
-        assert all(not c.kappas() for c in clauses2)
+        assert all(not clause_kappas(c) for c in clauses2)
 
     def test_scopes_are_integer_variables_in_every_occurrence(self):
         p = parser.parse_program(NEGATE_INFER)
@@ -165,7 +165,7 @@ class TestHoudini:
 
         def check(clause_index, clause, assignment):
             relevant = tuple(
-                (k, assignment.get(k, ())) for k in sorted(clause.kappas())
+                (k, assignment.get(k, ())) for k in sorted(clause_kappas(clause))
             )
             key = (clause_index, relevant)
             if key not in cache:
@@ -227,11 +227,11 @@ class TestHoudini:
         assert isinstance(outcome, Unsat)
 
     def test_contradictory_fixed_head(self):
-        clause = HornClause((TRUE,), PBool(False))
+        clause = VC((), TRUE, PBool(False))
         assert isinstance(houdini_solve([clause], {}), Unsat)
 
     def test_trivially_valid_fixed_heads(self):
-        clause = HornClause((cmp_pred(nu, "=", lit(1)),), cmp_pred(nu, "!=", lit(0)))
+        clause = VC((), cmp_pred(nu, "=", lit(1)), cmp_pred(nu, "!=", lit(0)))
         assert isinstance(houdini_solve([clause], {}), Solution)
 
 
@@ -305,13 +305,13 @@ class TestChainedClauses:
         clauses, kappas, _ = gen_horn(p)
         chained = [
             c for c in clauses
-            if c.head_kappa() is not None
-            and any(kappas_of(b) for b in c.body)
+            if isinstance(c.consequent, PKappa)
+            and any(kappas_of(b) for b in horn(c)[0])
         ]
         assert chained, [c.render() for c in clauses]
         # both occurrences carry their substitutions
         clause = chained[0]
-        assert isinstance(clause.head, PKappa)
+        assert isinstance(clause.consequent, PKappa)
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +324,18 @@ def reference_houdini(clauses, candidates, clause_budget=logic.DEFAULT_CLAUSE_BU
     every clause, one valid() call per candidate."""
     assignment = {k: tuple(v) for k, v in candidates.items()}
     for clause in clauses:
-        for k in clause.kappas():
+        for k in clause_kappas(clause):
             assignment.setdefault(k, ())
     pred_map = {k: pand(v) for k, v in assignment.items()}
     changed = True
     while changed:
         changed = False
         for clause in clauses:
-            head_k = clause.head_kappa()
-            body = tuple(instantiate_kappas(p, pred_map) for p in clause.body)
+            body, head = horn(clause)
+            head_k = head.kappa if isinstance(head, PKappa) else None
+            body = tuple(instantiate_kappas(p, pred_map) for p in body)
             if head_k is None:
-                head = instantiate_kappas(clause.head, pred_map)
+                head = instantiate_kappas(head, pred_map)
                 if not valid(VC(body, TRUE, head, clause.origin), clause_budget).is_valid:
                     return Unsat(clause)
                 continue
@@ -342,7 +343,7 @@ def reference_houdini(clauses, candidates, clause_budget=logic.DEFAULT_CLAUSE_BU
                 c
                 for c in assignment[head_k]
                 if valid(
-                    VC(body, TRUE, instantiate_kappas(clause.head, {head_k: c}), clause.origin),
+                    VC(body, TRUE, instantiate_kappas(head, {head_k: c}), clause.origin),
                     clause_budget,
                 ).is_valid
             )
@@ -456,7 +457,7 @@ class TestIncrementalHoudini:
         body = (por([cmp_pred(nu, "=", lit(1)), cmp_pred(nu, "=", lit(2))]),)
         cands = [cmp_pred(nu, ">=", lit(1)), cmp_pred(nu, "<=", lit(2)),
                  cmp_pred(nu, "!=", lit(0)), cmp_pred(nu, "=", lit(1))]
-        clause = HornClause(body, PKappa("k1"), "test")
+        clause = VC((), *body, PKappa("k1"), "test")
         with pytest.raises(ResourceLimit):
             dnf_cubes(VC(body, TRUE, pand(cands), "").negated(), 4)
         limits = []
@@ -477,7 +478,7 @@ class TestIncrementalHoudini:
 
     def test_fixed_head_over_budget_names_the_clause(self):
         body = (por([cmp_pred(nu, "=", lit(1)), cmp_pred(nu, "=", lit(2))]),)
-        clause = HornClause(body, cmp_pred(nu, ">=", lit(1)), "argument at 3:4")
+        clause = VC((), *body, cmp_pred(nu, ">=", lit(1)), "argument at 3:4")
         with pytest.raises(ResourceLimit, match="^argument at 3:4: DNF clause budget 1 exceeded$"):
             infer.houdini_solve([clause], {}, clause_budget=1)
 

@@ -4,7 +4,9 @@ import pytest
 
 from l2 import constants, parser, syntax
 from l2.harness import gen_program
-from l2.logic import BVar, LinTerm, PAtom, PBool, cmp_pred, pand, pimp, pnot, por
+from l2.logic import (
+    BVar, LinTerm, PAtom, PBool, cmp_pred, pand, piff, pimp, pnot, por, render_pred,
+)
 from l2.parser import ParseError, UnboundAlias
 from l2.syntax import (
     AndType,
@@ -98,6 +100,37 @@ def test_pred_arith():
 
 def test_bool_var_atom():
     assert parser.parse_pred("!b") == pnot(PAtom(BVar("b")))
+
+
+def test_iff_is_read_between_implication_and_disjunction():
+    b, x = PAtom(BVar("b")), cmp_pred(LinTerm.of_var("x"), "<", LinTerm.of_const(1))
+    assert parser.parse_pred("b <=> x < 1") == piff(b, x)
+    assert parser.parse_pred("b <=> x < 1 => b || b <=> b") == pimp(piff(b, x),
+                                                                    piff(por([b, b]), b))
+
+
+def test_each_connective_binds_tighter_than_the_one_before():
+    a, b, c, d, e = (PAtom(BVar(n)) for n in "abcde")
+    assert parser.parse_pred("a => b <=> c || d && !e") == pimp(
+        a, piff(b, por([c, pand([d, pnot(e)])])))
+    assert parser.parse_pred("!e && d || c <=> b => a") == pimp(
+        piff(por([pand([pnot(e), d]), c]), b), a)
+
+
+@pytest.mark.parametrize("text", ["$g1 = 4", "v = $u2", "!($g1)"])
+def test_formulas_read_reserved_names(text):
+    assert render_pred(parser.parse_pred(text)) == text
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parser.parse_program, "let x = 1 in $g1"),
+    (parser.parse_program, "(1 : {v:number | v = $d1})"),
+    (parser.parse_expr, "add $u2 1"),
+    (parser.parse_type, "{v:number | v = $g1}"),
+])
+def test_programs_cannot_name_reserved_names(parse, text):
+    with pytest.raises(ParseError, match="unexpected character '\\$'"):
+        parse(text)
 
 
 def test_nonlinear_product_rejected():

@@ -3,7 +3,7 @@
 The reference functions below are the former recursive printers of both
 notations (``render_pred`` with ``_render_nested``, and ``_sexp_pred``) and
 the former negation normal form with the DNF over it (``_nnf``, ``_dnf``),
-kept unchanged.  The template printer (``logic.render_pred``, and
+kept unchanged but for the iff's operator, now ``<=>``.  The template printer (``logic.render_pred``, and
 ``logic.print_expr`` on ``logic.SMTLIB`` behind ``to_smtlib``) and
 ``logic.dnf_cubes`` must agree with them on random predicates, on every part
 of the VCs of the shipped and generated programs, and on the Horn clauses
@@ -65,8 +65,7 @@ def render_pred(p: Pred) -> str:
         case PImp(a, b):
             return f"{_render_nested(a)} => {_render_nested(b)}"
         case PIff(a, b):
-            # Boolean equality; rendered with the source-level operator.
-            return f"{_render_nested(a)} = {_render_nested(b)}"
+            return f"{_render_nested(a)} <=> {_render_nested(b)}"
         case PKappa(k, subst):
             if not subst:
                 return k
@@ -240,7 +239,7 @@ def test_program_vcs_and_horn_clauses_agree(budget):
             assert_vc_agrees(vc)
             vcs += 1
         for clause in gen_horn(program)[0]:
-            for p in (*clause.body, clause.head):
+            for p in (*clause.hyps, clause.antecedent, clause.consequent):
                 assert_agrees(p)
                 kappa_leaves += sum(isinstance(q, PKappa) and bool(q.subst)
                                     for q in logic.pred_leaves(p))

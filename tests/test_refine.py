@@ -32,9 +32,10 @@ from l2.refine import (
     fbot,
     selfify,
 )
-from l2.syntax import BOOL, FunType, NUM, OrType, PrimType, erase_refinements
-from l2.target import TApp, TConst, TVar
-from tests.conftest import NEGATE_ERR_C, NEGATE_OK, eval_pred, let_chain
+from l2.harness import gen_program
+from l2.syntax import BOOL, FunType, NUM, OrType, PrimType, erase_refinements, subexprs
+from l2.target import TApp, TConst, TDead, TVar
+from tests.conftest import NEGATE_ERR_C, NEGATE_OK, PROGRAMS, eval_pred, let_chain
 
 
 def subtype(env: RefEnv, t1, t2, origin: str = "") -> list[VC]:
@@ -136,6 +137,23 @@ class TestDeadType:
     def test_requires_disjoint_tags(self):
         with pytest.raises(AssertionError):
             dead_type(NUM, NUM)
+
+    def test_every_cast_is_the_former_composition(self):
+        # each side was named by elab_type and then refined by fbot
+        programs = [parser.parse_program(p.read_text()) for p in sorted(PROGRAMS.glob("*.l2"))]
+        programs += [gen_program(s, b) for b in (30, 60) for s in range(400)]
+        casts = 0
+        for program in programs:
+            try:
+                target = elaborate.elaborate_program(program).target
+            except elaborate.ElabError:
+                continue
+            for e in subexprs(target):
+                if isinstance(e, TDead):
+                    sides = fbot(elab_type(e.from_ty)), fbot(elab_type(e.to_ty))
+                    assert dead_type(e.from_ty, e.to_ty) == FunType(*sides, "$dead")
+                    casts += 1
+        assert casts
 
 
 class TestSubtype:

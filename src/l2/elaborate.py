@@ -318,7 +318,7 @@ class Elaborator:
                             continue
                         yield expected, TInj(k, w, expected, _pos_of(e)), flag, ("T-Up", tr)
         # T-Down
-        for plug, e0 in syntax.decompose(e, is_value):
+        for plug, e0 in syntax.decompose(e):
             for t0, w0, _, tr0 in self.synth(env, e0, mode, depth - 1):
                 if isinstance(t0, OrType) and wf_type(t0).ok:
                     yield from self._union_split(

@@ -56,7 +56,8 @@ from .syntax import (
     tags_disjoint,
     types_equal_basic,
 )
-from .target import IllTyped, TCase, TDead, TInj, TPair, TProj, TgtExpr, simple_typecheck
+from .target import (IllTyped, TCase, TDead, TInj, TPair, TProj, TgtExpr, is_dead_value,
+                     simple_typecheck)
 
 Env = dict[str, SrcType]
 
@@ -131,7 +132,7 @@ def elab_matches(env: Env, e: SrcExpr, tau: SrcType, w: TgtExpr, depth: int = 40
             t0 = _basic_type(env, w0)
             if not isinstance(t0, OrType):
                 return False
-            for plug, e0 in syntax.decompose(e, is_value):
+            for plug, e0 in syntax.decompose(e):
                 if not elab_matches(env, e0, t0, w0, d):
                     continue
                 env1 = {**env, x1: t0.left}
@@ -363,7 +364,7 @@ def assumption1_check(trial: Trial) -> list[str]:
                 except ElabError:
                     violations.append(f"{key}: argument does not elaborate at the domain")
                     continue
-                if target_interp.is_dead_value(normalize_admin(w)):
+                if is_dead_value(normalize_admin(w)):
                     continue
                 t_step = target_interp.step_target(App(c, w))
                 if not isinstance(t_step, Stepped):
@@ -385,13 +386,13 @@ def canonical_forms_check(trial: Trial) -> list[str]:
         return violations
     v, w = s_out.value, trial.normalized[-1]
     if isinstance(v, Lam):
-        ok = isinstance(w, Lam) or target_interp.is_dead_value(w) or isinstance(w, TPair)
+        ok = isinstance(w, Lam) or is_dead_value(w) or isinstance(w, TPair)
         if not ok:
             violations.append(f"lambda value elaborated to {type(w).__name__}")
     elif isinstance(v, Const):
         ok = (
             (isinstance(w, Const) and w.con == v.con)
-            or target_interp.is_dead_value(w)
+            or is_dead_value(w)
             or isinstance(w, (TInj, TPair))
         )
         if not ok:
@@ -410,7 +411,7 @@ def substitution_spot_check(trial: Trial) -> list[str]:
         for wj in trial.normalized:
             if (
                 isinstance(wj, Let)
-                and target_interp.is_target_value(wj.bound)
+                and is_value(wj.bound)
                 and wj.name == state.name
                 and elab_matches({}, state, tau, wj)
             ):

@@ -124,15 +124,15 @@ def tokenize(text: str, token_re: re.Pattern = _TOKEN_RE) -> list[Token]:
 
 
 # Binary operators, one tuple of levels per grammar, loosest first.  A level
-# maps each of its tokens to the join of two operands, and says whether it
-# groups to the right.  Only ``*`` can fail to join: it gives None for a
-# product of two variables.
-TYPE_LEVELS = (({"->": FunType}, True), ({"\\/": OrType}, False), ({"/\\": AndType}, False))
-PRED_LEVELS = (({"=>": pimp}, True), ({"<=>": piff}, False),
-               ({"||": lambda a, b: por((a, b))}, False),
-               ({"&&": lambda a, b: pand((a, b))}, False))
-ARITH_LEVELS = (({"+": LinTerm.__add__, "-": LinTerm.__sub__}, False),
-                ({"*": constants.BINARY["mul"]}, False))
+# maps each of its tokens to the join of two operands and says how it groups:
+# to the left, to the right, or, for an associative connective, as a whole
+# run, whose join takes every operand at once.  Only ``*`` can fail to join:
+# it gives None for a product of two variables.
+TYPE_LEVELS = (({"->": FunType}, "right"), ({"\\/": OrType}, "left"), ({"/\\": AndType}, "left"))
+PRED_LEVELS = (({"=>": pimp}, "right"), ({"<=>": piff}, "left"), ({"||": por}, "run"),
+               ({"&&": pand}, "run"))
+ARITH_LEVELS = (({"+": LinTerm.__add__, "-": LinTerm.__sub__}, "left"),
+                ({"*": constants.BINARY["mul"]}, "left"))
 
 
 class _Parser:
@@ -181,21 +181,24 @@ class _Parser:
 
     def binary(self, levels: tuple, atom, i: int = 0):
         """atoms joined by the operators of levels[i:], one loop per level: a
-        left-grouping join is made as each right operand is read, and a
-        right-grouping chain is joined from the right once it ends."""
+        left-grouping join is made as each right operand is read, a
+        right-grouping chain is joined from the right once it ends, and a run
+        once, all its operands together."""
         if i == len(levels):
             return atom()
-        joins, right = levels[i]
+        joins, group = levels[i]
         left = self.binary(levels, atom, i + 1)
-        pending = []  # (left operand, join) of a right-grouping chain, in order
+        pending = []  # (left operand, join) of a right-grouping chain or a run, in order
         while (join := joins.get(self.tokens[self.pos].text)) is not None:
             self.pos += 1
             operand = self.binary(levels, atom, i + 1)
-            if right:
+            if group != "left":
                 pending.append((left, join))
                 left = operand
             elif (left := join(left, operand)) is None:
                 raise self.error("non-linear product of two variables")
+        if pending and group == "run":
+            return pending[0][1]([operand for operand, _ in pending] + [left])
         for operand, join in reversed(pending):
             left = join(operand, left)
         return left

@@ -22,7 +22,7 @@ an intersection is read as a product and a union as a sum, which is how
 ``print_ref_type`` prints it (``REF_SYNTAX``).  Its erasure
 (``syntax.erase_refinements``) is the basic type phase 1 assigns, which the
 skeleton check before refinement checking and every subtyping obligation
-compare.  ``elab_type`` and ``ftx`` are written on ``syntax.map_prims``.
+compare.  ``elab_type`` is written on ``syntax.map_prims``.
 """
 
 from __future__ import annotations
@@ -174,18 +174,6 @@ def elab_type(t: SrcType, prim=lambda p, _: p) -> SrcType:
     return map_prims(t, prim, lambda _: f"$d{next(counter)}")
 
 
-def ftx(t: SrcType, r: Pred) -> SrcType:
-    """Replace every base refinement with r, negated under an odd number of
-    arrow domains."""
-    negated = pnot(r)
-    return map_prims(t, lambda p, negative: PrimType(p.base, negated if negative else r),
-                     lambda arrow: arrow.binder)
-
-
-def fbot(t: SrcType) -> SrcType:
-    return ftx(t, FALSE)
-
-
 def selfify(t: SrcType, x: str) -> SrcType:
     """A variable occurrence of a base type is typed at {v = x}.
 
@@ -202,7 +190,8 @@ def _bottom(p: PrimType, negative: bool) -> PrimType:
 
 
 def dead_type(from_ty: SrcType, to_ty: SrcType) -> FunType:
-    """DEAD casts behave like calls to a function of type fbot(|t|) -> fbot(|s|),
+    """DEAD casts behave like calls to a function of type fbot(|t|) -> fbot(|s|):
+    every base refinement false, true under an odd number of arrow domains,
     each side named and refined in one rebuild."""
     assert tags_disjoint(from_ty, to_ty), "DEAD cast over overlapping tags"
     return FunType(elab_type(from_ty, _bottom), elab_type(to_ty, _bottom), "$dead")

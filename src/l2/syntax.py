@@ -8,18 +8,20 @@ only products, sums and DEAD casts, and phase 1 records each lambda's arrow
 
 Every term class, here and in ``target.py``, declares its shape with
 ``@shape``: its child fields, left to right, each with the field of the
-binder that scopes over it, and how many of the leading children are
-evaluation positions.  The term walkers read only those tables, so one of
-each serves both languages: ``subexprs`` (preorder), ``free_vars`` and
-``uniquify`` (all three without recursion), the capture-avoiding ``subst``,
-the bottom-up ``map_up``, which ``map_ascriptions`` and ``erase_ascriptions``
-use, and ``decompose``, which enumerates the evaluation contexts that both
-interpreters step under and that union elimination splits on.  A shape
-also enters the class's concrete syntax, a template with its precedence, in
-``logic.SYNTAX``, as this module does for each type, so ``logic.print_expr``
-prints terms, types and predicates in the source notation, and types in
-phase 2's from another table.  ``map_prims``, the one rebuild of a type, maps
-its base types, with their polarity, and names or drops its arrow binders.
+binder that scopes over it, how many of the leading children are evaluation
+positions, and whether its terms are values (always, never, or when one
+named child is).  The term walkers read only those tables, so one of each
+serves both languages: the value test ``is_value``, ``subexprs`` (preorder),
+``free_vars`` and ``uniquify`` (all four without recursion), the
+capture-avoiding ``subst``, the bottom-up ``map_up``, which
+``map_ascriptions`` and ``erase_ascriptions`` use, and ``decompose``, which
+enumerates the evaluation contexts that both interpreters step under and
+that union elimination splits on.  A shape also enters the class's concrete
+syntax, a template with its precedence, in ``logic.SYNTAX``, as this module
+does for each type, so ``logic.print_expr`` prints terms, types and
+predicates in the source notation, and types in phase 2's from another
+table.  ``map_prims``, the one rebuild of a type, maps its base types, with
+their polarity, and names or drops its arrow binders.
 Both maps visit left to right, so kappa templates are numbered in a fixed order.
 """
 
@@ -233,6 +235,9 @@ SHAPES: dict[type, tuple[tuple[tuple[str, str | None], ...], bool]] = {}
 # Term class -> its evaluation positions: the leading children an evaluation
 # context descends into, left to right, each once those before it are values.
 POSITIONS: dict[type, tuple[str, ...]] = {}
+# Term class -> whether its terms are values: always (True), never (False), or
+# exactly when the child in the named field is.
+VALUES: dict[type, bool | str] = {}
 
 
 def _show_prim(t: PrimType) -> str:
@@ -250,10 +255,12 @@ SYNTAX[AndType] = template("{left:3} /\\ {right:3}", 2)
 
 
 def shape(*children: str | tuple[str, str], show: str, variable: bool = False,
-          evaluated: int = 0, loosest: int = 2):
+          evaluated: int = 0, value: bool | str = False, loosest: int = 2):
     """Class decorator declaring a term class's shape; a child is a field
     name, or (field, binder) when the name in field ``binder`` scopes over it.
-    The first ``evaluated`` children are the evaluation positions.
+    The first ``evaluated`` children are the evaluation positions.  ``value``
+    says whether the class's terms are values: always, never, or, given a
+    child's field, when that child is.
 
     ``show`` is the concrete syntax (see ``template``): a child or a type is
     ``{field:p}``.  ``loosest`` is the term's own precedence: 0 for a term
@@ -264,13 +271,14 @@ def shape(*children: str | tuple[str, str], show: str, variable: bool = False,
         kids = tuple((c, None) if isinstance(c, str) else c for c in children)
         SHAPES[cls] = (kids, variable)
         POSITIONS[cls] = tuple(c for c, _ in kids[:evaluated])
+        VALUES[cls] = value
         SYNTAX[cls] = template(show, loosest)
         return cls
 
     return declare
 
 
-@shape(show="{con.name}")
+@shape(show="{con.name}", value=True)
 @cached_hash
 @dataclass(frozen=True)
 class Const:
@@ -278,7 +286,7 @@ class Const:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape(variable=True, show="{name}")
+@shape(variable=True, show="{name}", value=True)
 @cached_hash
 @dataclass(frozen=True)
 class Var:
@@ -286,7 +294,7 @@ class Var:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape(("body", "param"), show="\\{param} => {body:0}", loosest=0)
+@shape(("body", "param"), show="\\{param} => {body:0}", value=True, loosest=0)
 @cached_hash
 @dataclass(frozen=True)
 class Lam:
@@ -352,9 +360,15 @@ class Program:
     main: SrcExpr
 
 
-def is_value(e: SrcExpr) -> bool:
-    """v ::= c | x | \\x => e"""
-    return isinstance(e, (Const, Var, Lam))
+def is_value(e: Term) -> bool:
+    """v ::= c | x | \\x => e, and in the target (e, e) | inj_k v | DEAD(t, s, v):
+    read off ``VALUES``, following the named children in a loop, as injections
+    and DEAD casts can nest deeply."""
+    value = VALUES[type(e)]
+    while value.__class__ is str:
+        e = getattr(e, value)
+        value = VALUES[type(e)]
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +437,7 @@ def plug(ctx: Context, h: Term) -> Term:
     return h
 
 
-def decompose(
-    e: Term, is_value: Callable[[Term], bool]
-) -> Iterator[tuple[Callable[[Term], Term], Term]]:
+def decompose(e: Term) -> Iterator[tuple[Callable[[Term], Term], Term]]:
     """Every decomposition e = E[e0] into an evaluation context and a subterm,
     as (h -> E[h], e0): the empty context first, then each position's
     decompositions left to right, a position only once those before it are

@@ -9,9 +9,10 @@ checked against (``Lam.src_ann``).  The target's simple types are phase 1's
 basic types (refinement-erased source types, reading a product as an
 intersection and a sum as a union), which the simple type checker that
 validates elaborator output computes and compares.  The five target classes
-declare their shapes and concrete syntax with ``syntax.shape``, so
-substitution, free variables, the other term walkers and the printer are the
-source language's.
+declare their shapes, values and concrete syntax with ``syntax.shape``, so
+the value test, substitution, free variables, the other term walkers and the
+printer are the source language's.  A pair is a value whatever its
+components; an injection or a DEAD cast is one when its payload or body is.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .syntax import (
 TConst, TVar, TLam, TLet, TIf, TApp = Const, Var, Lam, Let, If, App
 
 
-@shape("first", "second", show="({first:0}, {second:0})")
+@shape("first", "second", value=True, show="({first:0}, {second:0})")
 @dataclass(frozen=True)
 class TPair:
     first: TgtExpr
@@ -61,7 +62,7 @@ class TProj:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("payload", evaluated=1, show="inj{index}({payload:0})")
+@shape("payload", evaluated=1, value="payload", show="inj{index}({payload:0})")
 @dataclass(frozen=True)
 class TInj:
     index: int  # 1 | 2
@@ -82,7 +83,8 @@ class TCase:
     pos: Pos = field(default=None, compare=False)
 
 
-@shape("inner", evaluated=1, show="DEAD[{from_ty:0} => {to_ty:0}]({inner:0})")
+@shape("inner", evaluated=1, value="inner",
+       show="DEAD[{from_ty:0} => {to_ty:0}]({inner:0})")
 @dataclass(frozen=True)
 class TDead:
     from_ty: SrcType
@@ -94,19 +96,8 @@ class TDead:
 TgtExpr = Const | Var | Lam | If | App | Let | TPair | TProj | TInj | TCase | TDead
 
 
-def is_target_value(w: TgtExpr) -> bool:
-    """w ::= c | x | \\x.W | inj_k w | (W, W) | DEAD(t,s,w)
-
-    Pair components need not be values; injection payloads and DEAD bodies
-    do, so the check walks down through those (a loop: they can nest deeply).
-    """
-    while isinstance(w, (TInj, TDead)):
-        w = w.payload if isinstance(w, TInj) else w.inner
-    return isinstance(w, (Const, Var, Lam, TPair))
-
-
 def is_dead_value(w: TgtExpr) -> bool:
-    return isinstance(w, TDead) and is_target_value(w.inner)
+    return isinstance(w, TDead) and syntax.is_value(w.inner)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,12 @@ from l2.logic import (
     instantiate_kappas,
     kappas_of,
     pand,
+    pnot,
     valid,
 )
 from l2.source_interp import DEFAULT_FUEL, eval_source_trace
 from l2.target_interp import eval_target_trace
-from l2.syntax import App, Ascribe, Const, If, Lam, Let, Var
+from l2.syntax import AndType, App, Ascribe, Const, FunType, If, Lam, Let, OrType, PrimType, Var
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
 
@@ -89,6 +90,20 @@ def alpha_equal(a, b) -> bool:
                 return False
 
     return go(a, b, {})
+
+
+def ftx(t, r):
+    """Replace every base refinement with r, negating across arrow domains:
+    the paper's meta-function, kept as the reference for ``refine.dead_type``
+    (``ftx(t, FALSE)`` is fbot) and for the type printers' test images."""
+    match t:
+        case PrimType(base):
+            return PrimType(base, r)
+        case FunType(dom, cod, binder):
+            return FunType(ftx(dom, pnot(r)), ftx(cod, r), binder)
+        case AndType(left, right) | OrType(left, right):
+            return type(t)(ftx(left, r), ftx(right, r))
+    raise TypeError(f"not a type: {t!r}")
 
 
 def horn(clause: VC):

@@ -1,18 +1,22 @@
-"""The shared stepper and ``decompose`` against the per-language code they
-replaced.
+"""The shared stepper, value test and ``decompose`` against the
+per-language code they replaced.
 
 The reference functions below are the former ``step_source`` and
-``step_target``, which wrote each evaluation context out by hand, and the
-elaborator's former ``_decompositions``, kept unchanged.  The shared code
-must agree with them on every state of the fuzz traces; the deep terms pin
-that stepping does not recurse.
+``step_target``, which wrote each evaluation context out by hand, their
+value tests and step results, and the elaborator's former
+``_decompositions``, kept unchanged.  The shared code must agree with them
+on every state of the fuzz traces, a reference step read through
+``as_outcome``; the deep terms pin that stepping and the value test do not
+recurse.
 """
+
+from dataclasses import dataclass
 
 import pytest
 
-from l2 import constants, syntax
+from l2 import constants
 from l2.harness import gen_program, run_trial
-from l2.source_interp import AlreadyValue, Stepped, Stuck, step_source
+from l2.source_interp import Stepped, StuckAt, Value, step_source
 from l2.syntax import (
     POSITIONS,
     SHAPES,
@@ -43,8 +47,6 @@ from l2.target import (
     TPair,
     TProj,
     TVar,
-    is_dead_value,
-    is_target_value,
 )
 from l2.target_interp import step_target
 
@@ -53,21 +55,61 @@ from l2.target_interp import step_target
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class AlreadyValue:
+    pass
+
+
+@dataclass(frozen=True)
+class Stuck:
+    reason: str
+    focus: object
+
+
+def ref_is_source_value(e) -> bool:
+    """v ::= c | x | \\x => e"""
+    return isinstance(e, (Const, Var, Lam))
+
+
+def is_target_value(w) -> bool:
+    """w ::= c | x | \\x.W | inj_k w | (W, W) | DEAD(t,s,w)
+
+    Pair components need not be values; injection payloads and DEAD bodies
+    do, so the check walks down through those (a loop: they can nest deeply).
+    """
+    while isinstance(w, (TInj, TDead)):
+        w = w.payload if isinstance(w, TInj) else w.inner
+    return isinstance(w, (TConst, TVar, TLam, TPair))
+
+
+def is_dead_value(w) -> bool:
+    return isinstance(w, TDead) and is_target_value(w.inner)
+
+
+def as_outcome(e, result):
+    """A reference step of e as the shared stepper reports it."""
+    if isinstance(result, AlreadyValue):
+        return Value(e)
+    if isinstance(result, Stuck):
+        return StuckAt(e, result.reason, result.focus)
+    return result
+
+
 def ref_step_source(e):
     if isinstance(e, Ascribe):
         raise ValueError("ascriptions must be erased before evaluation")
-    if syntax.is_value(e):
+    if ref_is_source_value(e):
         return AlreadyValue()
     match e:
         case Let(name, bound, body, pos):
-            if syntax.is_value(bound):
+            if ref_is_source_value(bound):
                 return Stepped(subst(body, name, bound), "E-Let")
             inner = ref_step_source(bound)
             if isinstance(inner, Stepped):
                 return Stepped(Let(name, inner.next, body, pos), inner.rule)
             return inner
         case If(cond, then, els, pos):
-            if syntax.is_value(cond):
+            if ref_is_source_value(cond):
                 b = constants.const_bool_value(cond)
                 if b is True:
                     return Stepped(then, "E-If-True")
@@ -79,12 +121,12 @@ def ref_step_source(e):
                 return Stepped(If(inner.next, then, els, pos), inner.rule)
             return inner
         case App(fn, arg, pos):
-            if not syntax.is_value(fn):
+            if not ref_is_source_value(fn):
                 inner = ref_step_source(fn)
                 if isinstance(inner, Stepped):
                     return Stepped(App(inner.next, arg, pos), inner.rule)
                 return inner
-            if not syntax.is_value(arg):
+            if not ref_is_source_value(arg):
                 inner = ref_step_source(arg)
                 if isinstance(inner, Stepped):
                     return Stepped(App(fn, inner.next, pos), inner.rule)
@@ -191,7 +233,7 @@ def ref_decompositions(e):
         case App(fn, arg, pos):
             for plug, e0 in ref_decompositions(fn):
                 yield (lambda h, p=plug: App(p(h), arg, pos)), e0
-            if is_value(fn):
+            if ref_is_source_value(fn):
                 for plug, e0 in ref_decompositions(arg):
                     yield (lambda h, p=plug: App(fn, p(h), pos)), e0
 
@@ -206,18 +248,28 @@ def trials():
     return [run_trial(gen_program(seed, budget)) for budget in (30, 60) for seed in range(100)]
 
 
+def test_values_match_reference(trials):
+    for trial in trials:
+        for state in (trial.program.main, *trial.source[2]):  # ascriptions too
+            for e in subexprs(state):
+                assert is_value(e) == ref_is_source_value(e)
+        for state in trial.target[2]:
+            for w in subexprs(state):
+                assert is_value(w) == is_target_value(w)
+
+
 def test_source_steps_match_reference(trials):
     for trial in trials:
         for state in trial.source[2]:
             for e in subexprs(state):
-                assert step_source(e) == ref_step_source(e)
+                assert step_source(e) == as_outcome(e, ref_step_source(e))
 
 
 def test_target_steps_match_reference(trials):
     for trial in trials:
         for state in trial.target[2]:
             for w in subexprs(state):
-                assert step_target(w) == ref_step_target(w)
+                assert step_target(w) == as_outcome(w, ref_step_target(w))
 
 
 def _plugged(decompositions):
@@ -229,7 +281,7 @@ def test_decompositions_match_reference(trials):
     for trial in trials:
         # the program itself keeps its ascriptions, which have no positions
         for state in (*subexprs(trial.program.main), *trial.source[2]):
-            assert _plugged(decompose(state, is_value)) == _plugged(ref_decompositions(state))
+            assert _plugged(decompose(state)) == _plugged(ref_decompositions(state))
 
 
 # ---------------------------------------------------------------------------
@@ -292,4 +344,5 @@ def test_deep_injections_around_a_redex_step_without_recursion():
         assert type(e) is type(old)
         e, old = (e.payload, old.payload) if isinstance(e, TInj) else (e.inner, old.inner)
     assert e == TConst(constants.FALSE_CONST)
+    assert is_value(result.next) and not is_value(deep)
     assert is_target_value(result.next) and not is_target_value(deep)

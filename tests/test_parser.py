@@ -1,11 +1,13 @@
+import random
 import re
+import sys
 
 import pytest
 
-from l2 import constants, parser, syntax
+from l2 import constants, logic, parser, syntax
 from l2.harness import gen_program
 from l2.logic import (
-    BVar, LinTerm, PAtom, PBool, cmp_pred, pand, piff, pimp, pnot, por, render_pred,
+    BVar, LinTerm, PAnd, PAtom, PBool, POr, cmp_pred, pand, piff, pimp, pnot, por, render_pred,
 )
 from l2.parser import ParseError, UnboundAlias
 from l2.syntax import (
@@ -282,3 +284,59 @@ def test_deep_chains_parse_without_recursion(text):
     assert sum(1 for _ in syntax.subexprs(main)) > 5000
     printed = syntax.print_expr(main)
     assert syntax.print_expr(parser.parse_program(printed).main) == printed
+
+
+@pytest.mark.parametrize("op", ["&&", "||"])
+def test_long_connective_chains_are_joined_once(op):
+    """A run of one connective reaches pand/por once, so reading an n-long
+    chain passes O(n) parts to them, not the O(n^2) of joining pairwise."""
+    n, received = 20000, 0
+    joins = (logic.pand.__code__, logic.por.__code__)
+
+    def count(frame, event, arg):
+        nonlocal received
+        if event == "call" and frame.f_code in joins:
+            received += sum(len(p.parts) if isinstance(p, (PAnd, POr)) else 1
+                            for p in frame.f_locals["parts"])
+
+    text = f" {op} ".join(f"x{i} = {i}" for i in range(n))
+    sys.setprofile(count)
+    try:
+        p = parser.parse_pred(text)
+    finally:
+        sys.setprofile(None)
+    assert len(p.parts) == n
+    assert received <= 2 * n
+
+
+def test_connective_runs_join_as_pairwise_joins_did():
+    """A run's one join equals the former left fold of two-operand joins,
+    with true, false and parenthesised runs among the operands."""
+    operands = ["true", "false", "x = 0", "b", "(y = 1 && z = 2)", "(y = 1 || z = 2)",
+                "!(x < 3)", "(true)", "(false || b)"]
+    rng = random.Random(0)
+    for _ in range(300):
+        disjuncts = [[rng.choice(operands) for _ in range(rng.randint(1, 5))]
+                     for _ in range(rng.randint(1, 5))]
+        want = None
+        for conjuncts in disjuncts:
+            conj = None
+            for text in conjuncts:
+                q = parser.parse_pred(text)
+                conj = q if conj is None else pand((conj, q))
+            want = conj if want is None else por((want, conj))
+        text = " || ".join(" && ".join(c) for c in disjuncts)
+        assert parser.parse_pred(text) == want, text
+
+
+@pytest.mark.parametrize("text, col", [
+    ("x = 0 && y = 0 && && z = 0", 19),
+    ("x = 0 || y = 0 || z +", 22),
+    ("x = 0 && y = 0 || ) ", 19),
+    ("a && b && c * d = 0 && e", 17),
+    ("a || b && (c || d", 14),
+])
+def test_connective_run_errors_keep_their_position(text, col):
+    with pytest.raises(ParseError) as exc:
+        parser.parse_pred(text)
+    assert (exc.value.line, exc.value.col) == (1, col)

@@ -7,6 +7,7 @@ import pytest
 from l2 import constants, elaborate, parser, refine
 from l2.logic import (
     BVar,
+    FALSE,
     LinTerm,
     PAtom,
     PBool,
@@ -29,13 +30,12 @@ from l2.refine import (
     elab_type,
     embed_guard,
     embed_term,
-    fbot,
     selfify,
 )
 from l2.harness import gen_program
 from l2.syntax import BOOL, FunType, NUM, OrType, PrimType, erase_refinements, subexprs
 from l2.target import TApp, TConst, TDead, TVar
-from tests.conftest import NEGATE_ERR_C, NEGATE_OK, PROGRAMS, eval_pred, let_chain
+from tests.conftest import NEGATE_ERR_C, NEGATE_OK, PROGRAMS, eval_pred, ftx, let_chain
 
 
 def subtype(env: RefEnv, t1, t2, origin: str = "") -> list[VC]:
@@ -132,14 +132,15 @@ class TestDeadType:
         assert isinstance(t.cod, FunType)
         assert t.cod.dom.refinement == PBool(True)
         assert t.cod.cod.refinement == PBool(False)
-        assert t.cod == fbot(elab_type(FunType(NUM, NUM)))
+        assert t.cod == ftx(elab_type(FunType(NUM, NUM)), FALSE)
 
     def test_requires_disjoint_tags(self):
         with pytest.raises(AssertionError):
             dead_type(NUM, NUM)
 
     def test_every_cast_is_the_former_composition(self):
-        # each side was named by elab_type and then refined by fbot
+        # each side is named by elab_type and then refined by fbot, the
+        # reference ftx at false
         programs = [parser.parse_program(p.read_text()) for p in sorted(PROGRAMS.glob("*.l2"))]
         programs += [gen_program(s, b) for b in (30, 60) for s in range(400)]
         casts = 0
@@ -150,7 +151,7 @@ class TestDeadType:
                 continue
             for e in subexprs(target):
                 if isinstance(e, TDead):
-                    sides = fbot(elab_type(e.from_ty)), fbot(elab_type(e.to_ty))
+                    sides = ftx(elab_type(e.from_ty), FALSE), ftx(elab_type(e.to_ty), FALSE)
                     assert dead_type(e.from_ty, e.to_ty) == FunType(*sides, "$dead")
                     casts += 1
         assert casts

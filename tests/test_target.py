@@ -4,7 +4,7 @@ import pytest
 
 from l2 import constants, parser
 from l2.logic import FALSE, LinTerm, PBool, TRUE, cmp_pred, pnot
-from l2.refine import elab_type, fbot, ftx
+from l2.refine import dead_type, elab_type
 from l2.syntax import (
     AndType,
     BOOL,
@@ -32,6 +32,7 @@ from l2.target import (
     simple_typecheck,
 )
 from l2.syntax import subst as subst_target
+from tests.conftest import ftx
 
 
 def binders(t):
@@ -115,22 +116,29 @@ class TestStrip:
 
 
 class TestFtx:
+    """The reference ftx (``tests.conftest``), and the sides of a DEAD cast's
+    type, which are fbot, ftx at false, of the cast's named types."""
+
     def test_base(self):
-        assert fbot(PrimType("number", TRUE)) == PrimType("number", FALSE)
+        assert ftx(PrimType("number", TRUE), FALSE) == PrimType("number", FALSE)
+        assert dead_type(NUM, BOOL).dom == PrimType("number", FALSE)
 
     def test_arrow_contravariant(self):
         t = elab_type(FunType(NUM, NUM))
-        out = fbot(t)
+        out = ftx(t, FALSE)
         assert out.dom.refinement == pnot(FALSE)
         assert out.cod.refinement == FALSE
+        assert dead_type(BOOL, FunType(NUM, NUM)).cod == out
 
     def test_sum_componentwise(self):
         t = elab_type(OrType(NUM, BOOL))
-        out = fbot(t)
+        out = ftx(t, FALSE)
         assert out == OrType(PrimType("number", FALSE), PrimType("boolean", FALSE))
+        assert dead_type(FunType(NUM, NUM), OrType(NUM, BOOL)).cod == out
 
     def test_replaces_existing_refinements(self):
         assert ftx(TT, TRUE) == PrimType("number", TRUE)
+        assert dead_type(BOOL, TT).cod == PrimType("number", FALSE)
 
     def test_strip_invariant(self):
         rng = random.Random(13)
@@ -138,6 +146,8 @@ class TestFtx:
             t = elab_type(_random_type(rng, 3))
             assert erase_refinements(ftx(t, FALSE)) == erase_refinements(t)
             assert erase_refinements(ftx(t, TRUE)) == erase_refinements(t)
+            other = NUM if isinstance(t, FunType | AndType) else FunType(NUM, NUM)
+            assert erase_refinements(dead_type(t, other).dom) == erase_refinements(t)
 
 
 class TestSimpleTypecheck:

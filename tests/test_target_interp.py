@@ -1,7 +1,7 @@
 import pytest
 
 from l2 import constants, elaborate, parser
-from l2.syntax import BOOL, FunType, NUM, OrType, erase_ascriptions
+from l2.syntax import BOOL, FunType, NUM, OrType, erase_ascriptions, is_value
 from l2.target import (
     TApp,
     TCase,
@@ -12,10 +12,9 @@ from l2.target import (
     TPair,
     TProj,
     TVar,
-    is_target_value,
     print_target,
 )
-from l2.source_interp import FuelExhausted, Stepped, Stuck, StuckAt, Value
+from l2.source_interp import FuelExhausted, Stepped, StuckAt, Value
 from l2.target_interp import contains_dead_value, eval_target_trace, step_target
 from tests.conftest import NEGATE_OK, eval_target
 
@@ -29,12 +28,12 @@ TRUE_W = TConst(constants.TRUE_CONST)
 
 class TestValues:
     def test_value_grammar(self):
-        assert is_target_value(num(1))
-        assert is_target_value(TPair(TApp(num(1), num(2)), num(3)))  # lazy components
-        assert is_target_value(TInj(1, num(1), OrType(NUM, BOOL)))
-        assert not is_target_value(TInj(1, TApp(TConst(constants.ADD), num(1)), OrType(NUM, BOOL)))
-        assert is_target_value(TDead(NUM, BOOL, num(1)))
-        assert not is_target_value(TDead(NUM, BOOL, TApp(TConst(constants.NOT), TRUE_W)))
+        assert is_value(num(1))
+        assert is_value(TPair(TApp(num(1), num(2)), num(3)))  # lazy components
+        assert is_value(TInj(1, num(1), OrType(NUM, BOOL)))
+        assert not is_value(TInj(1, TApp(TConst(constants.ADD), num(1)), OrType(NUM, BOOL)))
+        assert is_value(TDead(NUM, BOOL, num(1)))
+        assert not is_value(TDead(NUM, BOOL, TApp(TConst(constants.NOT), TRUE_W)))
 
     def test_dead_over_value_does_not_step(self):
         w = TDead(NUM, BOOL, num(1))
@@ -50,7 +49,7 @@ class TestStep:
     def test_primitive_rejects_dead_argument(self):
         w = TApp(TConst(constants.NOT), TDead(NUM, BOOL, num(3)))
         got = step_target(w)
-        assert isinstance(got, Stuck) and got.reason == "dead-argument"
+        assert isinstance(got, StuckAt) and got.reason == "dead-argument"
 
     def test_projection(self):
         w = TProj(2, TPair(num(1), TRUE_W))
@@ -70,7 +69,7 @@ class TestStep:
     def test_if_on_dead_is_stuck(self):
         w = __class__._if_dead()
         got = step_target(w)
-        assert isinstance(got, Stuck) and got.reason == "if-non-boolean"
+        assert isinstance(got, StuckAt) and got.reason == "if-non-boolean"
 
     @staticmethod
     def _if_dead():

@@ -1,11 +1,11 @@
 """The type printer and the type map against the functions they replaced.
 
 The reference functions below are the former recursive printers of both
-notations (``_print_type``, ``print_type``, ``_print_ref``), the former
-arrow naming behind ``elab_type`` (``_name_arrows``) and the former ``ftx``,
-kept unchanged.  The template printer (``syntax.print_type``,
-``refine.print_ref_type``) and the ``map_prims`` rebuilds (``refine.elab_type``,
-``refine.ftx`` through ``fbot``) must agree with them on random refined types
+notations (``_print_type``, ``print_type``, ``_print_ref``) and the former
+arrow naming behind ``elab_type`` (``_name_arrows``), kept unchanged.  The
+template printer (``syntax.print_type``, ``refine.print_ref_type``) and the
+``map_prims`` rebuild ``refine.elab_type`` must agree with them on random
+refined types, their images under the reference ``ftx`` (in ``conftest``),
 and on every ascribed type of the generator's programs.
 """
 
@@ -18,7 +18,7 @@ import pytest
 from l2 import refine, syntax
 from l2.harness import gen_program
 from l2.infer import _KappaCounter, make_templates
-from l2.logic import FALSE, TRUE, Pred, is_true, pnot, render_pred
+from l2.logic import FALSE, TRUE, is_true, pnot, render_pred
 from l2.syntax import (
     NUM,
     AndType,
@@ -29,6 +29,7 @@ from l2.syntax import (
     SrcType,
     subexprs,
 )
+from tests.conftest import ftx
 from tests.test_target import TT, _random_type
 
 # ---------------------------------------------------------------------------
@@ -100,34 +101,18 @@ def _name_arrows(t: SrcType, counter: Iterator[int]) -> SrcType:
     raise TypeError(f"not a type: {t!r}")
 
 
-def ftx(t: SrcType, r: Pred) -> SrcType:
-    """Replace every base refinement with r, negating across arrow domains."""
-    match t:
-        case PrimType(base):
-            return PrimType(base, r)
-        case FunType(dom, cod, binder):
-            return FunType(ftx(dom, pnot(r)), ftx(cod, r), binder)
-        case AndType(left, right) | OrType(left, right):
-            return type(t)(ftx(left, r), ftx(right, r))
-    raise TypeError(f"not a type: {t!r}")
-
-
 # ---------------------------------------------------------------------------
 # Agreement
 # ---------------------------------------------------------------------------
 
 
 def assert_agrees(t: SrcType) -> None:
-    """Both notations of t, its elaboration and the ftx images of that, each
-    built and printed both ways, are the same."""
+    """Both notations of t, its elaboration, built both ways, and the ftx
+    images of that, each printed both ways, are the same."""
     assert syntax.print_type(t) == print_type(t)
     named = refine.elab_type(t)
     assert named == elab_type(t)
-    assert refine.fbot(named) == ftx(named, FALSE)
-    images = [named, refine.fbot(named)]
-    for r in (TRUE, TT.refinement, pnot(TT.refinement)):
-        images.append(refine.ftx(named, r))
-        assert images[-1] == ftx(named, r)
+    images = [named] + [ftx(named, r) for r in (FALSE, TRUE, TT.refinement, pnot(TT.refinement))]
     for u in images:
         assert syntax.print_type(u) == print_type(u)
         assert refine.print_ref_type(u) == print_ref_type(u)

@@ -414,10 +414,9 @@ def elaborate_program(program: Program, search_depth: int = DEFAULT_SEARCH_DEPTH
 
 
 def check_expr(
-    env: dict[str, SrcType], e: SrcExpr, expected: SrcType, mode: str = FLEXIBLE,
-    search_depth: int = DEFAULT_SEARCH_DEPTH,
+    env: dict[str, SrcType], e: SrcExpr, expected: SrcType, mode: str = FLEXIBLE
 ) -> tuple[TgtExpr, str]:
-    elaborator = Elaborator(search_depth)
+    elaborator = Elaborator(DEFAULT_SEARCH_DEPTH)
     try:
         return elaborator.check_expr(env, e, expected, mode)
     finally:

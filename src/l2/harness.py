@@ -436,6 +436,10 @@ _FF = PrimType(syntax.NUMBER, cmp_pred(LinTerm.of_var(VALUE_VAR), "=", LinTerm.o
 class _Gen:
     """Typed program generator.
 
+    Every position asks for a base type or an arrow between base types.
+    Unions enter only as ascribed let payloads (``let_in``), intersections
+    only as the overloaded clone pairs that ``call`` binds and applies.
+
     Two flags discipline every position.  ``synth`` marks positions the
     elaborator will synthesize rather than check (let bindings, the top
     level, DEAD-cast bodies): no tag mismatch may sit at their root and no
@@ -492,30 +496,14 @@ class _Gen:
             return None
         return Var(self.rng.choice(sorted(options)))
 
-    def expr_at(
-        self, env: Env, tau: SrcType, budget: int, synth: bool, pure: bool
-    ) -> SrcExpr:
+    def expr_at(self, env: Env, tau: SrcType, budget: int, synth: bool, pure: bool) -> SrcExpr:
         rng = self.rng
         if not synth and not pure and budget > 1 and rng.random() < DEAD_DENSITY:
-            other = self.mismatched_type(tau)
-            if other is not None:
-                return self.expr_at(env, other, max(1, budget - 1), True, True)
+            return self.expr_at(env, self.mismatched_type(tau), max(1, budget - 1), True, True)
         if budget <= 1:
             return self.leaf(env, tau, synth)
         roll = rng.random()
-        if isinstance(tau, OrType):
-            if synth:
-                var = self.pick_var(env, tau)
-                if var is not None:
-                    return var
-                return Ascribe(self.leaf(env, self._pick_arm(tau), True), tau)
-            arm = self._pick_arm(tau)
-            self.strict_depth += 1
-            try:
-                return self.expr_at(env, arm, budget - 1, False, True)
-            finally:
-                self.strict_depth -= 1
-        if isinstance(tau, (FunType, AndType)):
+        if isinstance(tau, FunType):
             var = self.pick_var(env, tau)
             if var is not None and roll < 0.5:
                 return var
@@ -538,9 +526,6 @@ class _Gen:
                        self.expr_at(env, NUM, half, False, False))
         return self.leaf(env, tau, synth)
 
-    def _pick_arm(self, tau: OrType) -> SrcType:
-        return tau.left if self.rng.random() < 0.5 else tau.right
-
     def leaf(self, env: Env, tau: SrcType, synth: bool) -> SrcExpr:
         if (not synth and self.strict_depth == 0 and isinstance(tau, PrimType)
                 and self.rng.random() < 0.5):
@@ -550,23 +535,13 @@ class _Gen:
         var = self.pick_var(env, tau)
         if var is not None and self.rng.random() < 0.6:
             return var
-        match tau:
-            case PrimType():
-                return self.literal(tau)
-            case OrType():
-                return self.leaf(env, self._pick_arm(tau), synth)
-            case _:
-                if var is not None:
-                    return var
-                return self.function_at(env, tau, 4, True)
+        if isinstance(tau, PrimType):
+            return self.literal(tau)
+        return var if var is not None else self.function_at(env, tau, 4, True)
 
-    def mismatched_type(self, tau: SrcType) -> SrcType | None:
+    def mismatched_type(self, tau: SrcType) -> SrcType:
         """A type whose tag set is disjoint from tau's, for DEAD injection."""
-        candidates = [NUM, BOOL, FunType(NUM, NUM)]
-        options = [t for t in candidates if tags_disjoint(t, tau)]
-        if not options:
-            return None
-        return self.rng.choice(options)
+        return self.rng.choice([t for t in (NUM, BOOL, FunType(NUM, NUM)) if tags_disjoint(t, tau)])
 
     def bool_expr(self, env: Env, budget: int) -> SrcExpr:
         rng = self.rng
@@ -606,35 +581,20 @@ class _Gen:
         body = self.expr_at({**env, x: bound_ty}, tau, budget - budget // 3 - 1, synth, pure)
         return Let(x, bound, body)
 
-    def function_at(self, env: Env, tau: SrcType, budget: int, pure: bool) -> SrcExpr:
-        """An ascribed lambda (or clone pair) at an arrow or intersection."""
-        match tau:
-            case FunType(dom, cod):
-                x = self.name("p")
-                body = self.expr_at({**env, x: dom}, cod, max(1, budget - 2), False, pure)
-                return Ascribe(Lam(x, body), tau)
-            case AndType():
-                if not pure and _conjunct_arrows(tau) is not None:
-                    return self.overloaded(env, tau, budget)
-                leaf = self.leaf(env, tau.left, True)
-                if not is_value(leaf):
-                    leaf = self.literal(tau.left) if isinstance(tau.left, PrimType) else leaf
-                return Ascribe(leaf, tau)
-        return self.leaf(env, tau, True)
+    def function_at(self, env: Env, tau: FunType, budget: int, pure: bool) -> SrcExpr:
+        """An ascribed lambda at an arrow."""
+        x = self.name("p")
+        body = self.expr_at({**env, x: tau.dom}, tau.cod, max(1, budget - 2), False, pure)
+        return Ascribe(Lam(x, body), tau)
 
     def overloaded(self, env: Env, tau: AndType, budget: int) -> SrcExpr:
         """A guard-dispatched two-clone function in the style of overloaded
         numeric/boolean negation: \\p => \\q => if ne p 0 then ... else ..."""
-        arrows = _conjunct_arrows(tau)
-        assert arrows is not None
-        left, right = arrows
         p, q = self.name("p"), self.name("q")
         inner_budget = max(1, (budget - 4) // 2)
-        then_body = self.expr_at(
-            {**env, p: NUM, q: _dom_of(left.cod)}, _cod_of(left.cod), inner_budget, False, True
-        )
-        else_body = self.expr_at(
-            {**env, p: NUM, q: _dom_of(right.cod)}, _cod_of(right.cod), inner_budget, False, True
+        then_body, else_body = (
+            self.expr_at({**env, p: NUM, q: conj.cod.dom}, conj.cod.cod, inner_budget, False, True)
+            for conj in (tau.left, tau.right)
         )
         guard = App(App(Const(constants.NE), Var(p)), Const(constants.int_const(0)))
         lam = Lam(p, Lam(q, If(guard, then_body, else_body)))
@@ -643,15 +603,11 @@ class _Gen:
     def call(self, env: Env, tau: SrcType, budget: int, pure: bool) -> SrcExpr:
         rng = self.rng
         roll = rng.random()
-        if roll < 0.35 and budget >= 10 and isinstance(tau, PrimType) and not pure:
+        if roll < 0.35 and budget >= 10 and not pure:
             # fresh overloaded function applied to a matching argument pair
             a_ty, b_ty = (NUM, BOOL) if rng.random() < 0.5 else (BOOL, NUM)
             g1, g2 = self.refined_num(), self.refined_num()
-            over = AndType(
-                FunType(g1, FunType(a_ty, tau)), FunType(g2, FunType(b_ty, tau))
-            )
-            if not syntax.wf_type(over).ok:
-                return self.leaf(env, tau, False)
+            over = AndType(FunType(g1, FunType(a_ty, tau)), FunType(g2, FunType(b_ty, tau)))
             f = self.name("f")
             fn = self.overloaded(env, over, budget // 2)
             pick_first = rng.random() < 0.5
@@ -664,38 +620,12 @@ class _Gen:
                 self.strict_depth -= 1
             call = App(App(Var(f), Const(constants.int_const(guard_val))), arg)
             return Let(f, fn, call)
-        if not isinstance(tau, PrimType):
-            return self.leaf(env, tau, False)
         # plain unary call: the argument binds to the parameter, so it stays
         # pure; the body's value is the call's value and inherits purity
         dom = self.base_type()
         fn = self.function_at(env, FunType(dom, tau), budget // 2, pure)
         arg = self.expr_at(env, dom, max(1, budget - budget // 2 - 1), False, True)
         return App(fn, arg)
-
-
-def _conjunct_arrows(tau: AndType) -> tuple[FunType, FunType] | None:
-    l, r = tau.left, tau.right
-    if (
-        isinstance(l, FunType)
-        and isinstance(r, FunType)
-        and types_equal_basic(l.dom, NUM)
-        and types_equal_basic(r.dom, NUM)
-        and isinstance(l.cod, FunType)
-        and isinstance(r.cod, FunType)
-    ):
-        return l, r
-    return None
-
-
-def _dom_of(t: SrcType) -> SrcType:
-    assert isinstance(t, FunType)
-    return t.dom
-
-
-def _cod_of(t: SrcType) -> SrcType:
-    assert isinstance(t, FunType)
-    return t.cod
 
 
 def gen_program(seed: int, size_budget: int = 30) -> Program:

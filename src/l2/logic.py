@@ -95,10 +95,8 @@ class LinTerm:
         return LinTerm((), k)
 
     @staticmethod
-    def of_var(name: str, coeff: int = 1) -> LinTerm:
-        if coeff == 0:
-            return LinTerm((), 0)
-        return LinTerm(((name, coeff),), 0)
+    def of_var(name: str) -> LinTerm:
+        return LinTerm(((name, 1),), 0)
 
     def __add__(self, other: LinTerm) -> LinTerm:
         acc = dict(self.coeffs)
@@ -881,12 +879,12 @@ def eval_atom(atom: Atom, env: dict[str, int]) -> bool:
     return _COMPARE[atom.op](_eval_term(atom.lhs, env), _eval_term(atom.rhs, env))
 
 
-def _cube_model(cube, bound: int = 8) -> dict[str, int] | None:
+def _cube_model(cube) -> dict[str, int] | None:
     cmps = [_literal_cmp(literal) for literal in cube]
     names = sorted({n for c in cmps for n, _ in (c.lhs - c.rhs).coeffs})
     if len(names) > 3:
         return None
-    for combo in itertools.product(range(-bound, bound + 1), repeat=len(names)):
+    for combo in itertools.product(range(-8, 9), repeat=len(names)):
         env = dict(zip(names, combo))
         if all(eval_atom(c, env) for c in cmps):
             return env

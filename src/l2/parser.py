@@ -22,7 +22,8 @@ phase 2's reserved ones (``$g1``), so that printed obligations read back.
 ``expr`` parses a chain of let bodies, lambda bodies and else branches with
 a loop, and ``binary`` a chain of binary operators, so a chain of any length
 parses and only nesting in other positions costs recursion.  Binders are
-renamed apart on ingest, and type aliases are expanded eagerly.
+renamed apart on ingest, and the names ascribed refinements mention with
+them; type aliases are expanded eagerly.
 """
 
 from __future__ import annotations
@@ -397,17 +398,15 @@ def parse_expr(text: str) -> SrcExpr:
     return syntax.uniquify(_parse_all(text, _Parser.expr))
 
 
-def parse_type(text: str, aliases: dict[str, SrcType] | None = None) -> SrcType:
-    return _parse_all(text, _Parser.type_, aliases)
+def parse_type(text: str) -> SrcType:
+    return _parse_all(text, _Parser.type_)
 
 
 def parse_pred(text: str) -> Pred:
     return _parse_all(text, _Parser.pred, token_re=_FORMULA_TOKEN_RE)
 
 
-def _parse_all(text: str, rule, aliases: dict[str, SrcType] | None = None,
-               token_re: re.Pattern = _TOKEN_RE):
+def _parse_all(text: str, rule, token_re: re.Pattern = _TOKEN_RE):
     """rule's parse of the whole of text."""
     parser = _Parser(tokenize(text, token_re))
-    parser.aliases = dict(aliases or {})
     return parser.end(rule(parser))

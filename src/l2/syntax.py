@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator, Optional, TYPE_CHECKING
 
-from .logic import SYNTAX, Pred, TRUE, cached_hash, is_true, print_expr, template
+from .logic import (SYNTAX, LinTerm, PKappa, Pred, TRUE, VALUE_VAR, cached_hash, instantiate_kappas,
+                    is_true, pred_names, print_expr, template)
 
 if TYPE_CHECKING:
     from .target import TgtExpr
@@ -390,8 +391,9 @@ def free_vars(e: Term) -> frozenset[str]:
     return frozenset(_names(e)[0])
 
 
-def _names(e: Term) -> tuple[set[str], list[str]]:
-    """The free names of e, and the names of its binders, repeats included."""
+def _names(e: Term, refinements: bool = False) -> tuple[set[str], list[str]]:
+    """The free names of e, and the names of its binders, repeats included;
+    with ``refinements``, a name an ascribed refinement mentions occurs too."""
     free: set[str] = set()
     binders: list[str] = []
     bound: dict[str, int] = {}  # the binders in scope, with multiplicity
@@ -406,6 +408,8 @@ def _names(e: Term) -> tuple[set[str], list[str]]:
             if not bound.get(e.name):
                 free.add(e.name)
             continue
+        if refinements and type(e) is Ascribe:
+            free.update(n for n in _refined_names(e.ty) if not bound.get(n))
         for child, binder in reversed(children):
             if binder is None:
                 stack.append(getattr(e, child))
@@ -509,11 +513,13 @@ def uniquify(e: SrcExpr) -> SrcExpr:
     """Rename binders apart from each other and from the free names, in
     preorder, a binder keeping its name while that is unused.  e itself when
     no binder collides; otherwise renamed on an explicit stack, each binder's
-    new name bound in one map for its scope and then restored."""
+    new name bound in one map for its scope and then restored.  The names an
+    ascribed refinement mentions are renamed with the binders in scope, and
+    a name one mentions free is never taken."""
     free, binders = _names(e)
     if len(set(binders)) == len(binders) and free.isdisjoint(binders):
         return e
-    used, counters = set(free), {}
+    used, counters = _names(e, refinements=True)[0], {}
     ren: dict[str, str] = {}  # each binder in scope -> its new name
     done: list[Term] = []  # the renamed subterms not yet taken by their parent
     stack: list = [e]  # terms, (name, new name or None to unbind), (node, new fields)
@@ -539,12 +545,31 @@ def uniquify(e: SrcExpr) -> SrcExpr:
             first = len(done) - len(children)
             new.update(zip((child for child, _ in children), done[first:]))
             del done[first:]
+            if type(node) is Ascribe:
+                new["ty"] = _rename_refinements(node.ty, ren)
             done.append(rebuild(node, new))
         elif item[1] is None:
             del ren[item[0]]
         else:
             ren[item[0]] = item[1]
     return done[0]
+
+
+def _refined_names(t: SrcType) -> set[str]:
+    """The names t's refinements mention, but the value variable."""
+    names: set[str] = set()
+    map_prims(t, lambda p, _: names.update(pred_names(p.refinement)) or p)
+    return names - {VALUE_VAR}
+
+
+def _rename_refinements(t: SrcType, ren: dict[str, str]) -> SrcType:
+    """t with the names its refinements mention renamed by ren, all at once
+    (a new name may be another's old one); t itself when none is renamed."""
+    app = PKappa("", tuple((n, LinTerm.of_var(ren[n]))
+                           for n in sorted(_refined_names(t)) if ren.get(n, n) != n))
+    if not app.subst:
+        return t
+    return map_prims(t, lambda p, _: PrimType(p.base, instantiate_kappas(app, {"": p.refinement})))
 
 
 def _fresh(base: str, used: set[str], counters: dict[str, int]) -> str:

@@ -1,3 +1,4 @@
+import hashlib
 import pathlib
 
 import pytest
@@ -14,7 +15,7 @@ from l2.harness import (
     shrink_counterexample,
     soundness_trial,
 )
-from l2.syntax import BOOL, Const, FunType, If, Let, NUM, OrType, Var, print_program
+from l2.syntax import BOOL, Const, FunType, If, Let, NUM, OrType, PrimType, Var, print_program
 from l2.target import TConst, TDead, TIf, TInj, TLet, TPair, TProj, TVar, print_target
 from tests.conftest import DEAD_SEMANTICS, NEGATE_FULL, NEGATE_OK, alpha_equal
 
@@ -44,6 +45,39 @@ class TestGenerator:
             for _, t in _ascription_types(p.main):
                 assert syntax.wf_type(t).ok
             elaborate.elaborate_program(p)  # must not raise
+
+
+    def test_positions_ask_for_base_types_and_base_arrows_only(self, monkeypatch):
+        """Unions and intersections enter only as built terms (ascribed let
+        payloads, overloaded clone pairs); no position asks for one."""
+        asked = {"expr_at": [], "leaf": [], "function_at": []}
+        for method, types in asked.items():
+            def record(self, env, tau, *rest, _types=types,
+                       _method=getattr(harness._Gen, method)):
+                _types.append(tau)
+                return _method(self, env, tau, *rest)
+            monkeypatch.setattr(harness._Gen, method, record)
+        for b in (30, 60):
+            for s in range(400):
+                gen_program(s, b)
+
+        def base_or_base_arrow(t):
+            return isinstance(t, PrimType) or (isinstance(t, FunType)
+                                               and isinstance(t.dom, PrimType)
+                                               and isinstance(t.cod, PrimType))
+
+        assert all(types for types in asked.values())
+        assert all(base_or_base_arrow(t) for types in asked.values() for t in types)
+        assert all(isinstance(t, FunType) for t in asked["function_at"])
+
+    def test_corpus_programs_are_pinned(self):
+        """The benchmark's corpus programs, seeds 0-399 at budgets 30 and 60."""
+        digest = hashlib.sha256()
+        for s in range(400):
+            for b in (30, 60):
+                digest.update(print_program(gen_program(s, b)).encode())
+        assert digest.hexdigest() == (
+            "b23875210a4973df30faab8ef30f028e0f689165a9bd5677cd5c98214296c3d6")
 
 
 def _ascription_types(e):

@@ -104,6 +104,23 @@ class TestNegate:
         assert report.type == PrimType("number", cmp_pred(nu, "=", lit(5)))
 
 
+class TestShadowedRefinements:
+    """A refinement reads the binder in scope where it is written, also once
+    parsing has renamed a shadowing binder apart."""
+
+    SHADOWED = ("let x = {outer} in let x = {inner} in "
+                "let f = ((\\z => z) : {{v:number | v > x}} -> {{v:number | v > x}}) in f 1")
+
+    def test_the_inner_binder_rejects_the_call(self):
+        report = check_program(self.SHADOWED.format(outer=0, inner=5))
+        assert not report.accepted
+        failed = [vc.render() for vc, v in zip(report.vcs, report.verdicts) if not v.is_valid]
+        assert failed == ["(x = 0 && x_1 = 5) => (v = 1 => v > x_1)"]
+
+    def test_the_inner_binder_accepts_the_call(self):
+        assert check_program(self.SHADOWED.format(outer=5, inner=0)).accepted
+
+
 class TestSelfify:
     def test_number(self):
         t = PrimType("number", cmp_pred(nu, "!=", lit(0)))

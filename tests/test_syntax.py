@@ -6,6 +6,7 @@ from l2.logic import LinTerm, PBool, cmp_pred
 from l2.syntax import (
     AndType,
     App,
+    Ascribe,
     BOOL,
     Const,
     FunType,
@@ -175,6 +176,30 @@ class TestExprHelpers:
         assert isinstance(u, Let) and isinstance(u.body, Let)
         assert u.name != u.body.name
         assert u.body.body == Var(u.body.name)
+
+    def test_uniquify_renames_the_names_refinements_mention(self):
+        p = parser.parse_program(
+            "let x = 0 in let x = 5 in "
+            "let f = ((\\z => z) : {v:number | v > x} -> {v:number | v > x}) in f 1")
+        assert print_expr(p.main) == (
+            "let x = 0 in let x_1 = 5 in "
+            "let f = (\\z => z : {v:number | v > x_1} -> {v:number | v > x_1}) in f 1")
+
+    def test_uniquify_renames_refinements_all_at_once(self):
+        # x becomes x_1 while the inner x_1 becomes x_1_1: one renaming, not two in turn.
+        e = parser.parse_expr(
+            "let x = 0 in let x = 5 in let x_1 = 7 in (1 : {v:number | v > x && v < x_1})")
+        assert print_expr(e) == (
+            "let x = 0 in let x_1 = 5 in let x_1_1 = 7 in (1 : {v:number | v > x_1 && v < x_1_1})")
+
+    def test_uniquify_never_takes_a_name_a_refinement_reads(self):
+        e = parser.parse_expr("let x = 0 in let x = 5 in (1 : {v:number | v > x_1})")
+        assert print_expr(e) == "let x = 0 in let x_2 = 5 in (1 : {v:number | v > x_1})"
+
+    def test_uniquify_keeps_a_type_that_mentions_no_renamed_name(self):
+        ty = parser.parse_type("{v:number | v > y}")
+        e = Let("x", c(1), Let("x", c(2), Ascribe(Var("x"), ty)))
+        assert uniquify(e).body.body.ty is ty
 
     def test_subexprs_preorder(self):
         e = parser.parse_expr("let f = (\\x => x : number -> number) in if f 1 then 2 else 3")

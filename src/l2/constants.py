@@ -3,15 +3,15 @@
 Each constant states its refined type once; phase 1 reads its erasure,
 ``PrimConst.source_type``.  A binary primitive's meaning is stated once too,
 in ``BINARY``, as a function of two linear terms: its outer refined type
-applies it to the binders ``$a`` and ``$b``, and phase 2 to the embedded
-operands of an application.  Application to the first argument yields a
-derived constant (``add`` applied to 1 yields ``add@1``, from ``stage2``)
-whose refined type applies the meaning to the literal and ``$b`` and whose
-delta evaluates it on the literal and a second one.  It records the operator
-and literal as ``partial`` (``("add", 1)``), so no other module reads them
-from its name.  The derived constant's refined type is exact and linear,
-which is what makes ``mul`` usable: the outer ``mul`` type promises nothing,
-but ``mul@k`` records multiplication by the known literal k.
+applies it to the binders ``$a`` and ``$b``, and phase 2 types and embeds a
+full application by applying it to the operands' terms (``result_type``).
+Application to the first argument yields a derived constant (``add@1``, from
+``stage2``) whose refined type applies the meaning to the literal and ``$b``
+and whose delta evaluates it on the literal and a second one.  It records
+the operator and literal as ``partial`` (``("add", 1)``), so no other module
+reads them from its name.  ``mul``'s outer type promises nothing, as
+``$a * $b`` is not linear, but a product with a known literal factor is
+tracked: by ``mul@k``'s type and by phase 2's reading of ``mul x 2``.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ BINARY: dict[str, Callable[[LinTerm, LinTerm], LinTerm | Cmp | None]] = {
 }
 
 
-def _result(r: LinTerm | Cmp | None) -> PrimType:
+def result_type(r: LinTerm | Cmp | None) -> PrimType:
     """The result type whose values are r: a number equal to a term, a
     boolean equivalent to a comparison, any number where r is not linear."""
     if isinstance(r, Cmp):
@@ -135,7 +135,7 @@ def stage2(op: str, k: int) -> PrimConst:
         m = const_int_value(arg)
         return None if m is None else Const(_value(op, k, m))
 
-    ty = FunType(_num(), _result(BINARY[op](LinTerm.of_const(k), _var("$b"))), "$b")
+    ty = FunType(_num(), result_type(BINARY[op](LinTerm.of_const(k), _var("$b"))), "$b")
     return PrimConst(f"{op}@{k}", ty, delta, partial=(op, k))
 
 
@@ -144,7 +144,7 @@ def _binary(op: str) -> PrimConst:
         k = const_int_value(arg)
         return None if k is None else Const(stage2(op, k))
 
-    cod = FunType(_num(), _result(BINARY[op](_var("$a"), _var("$b"))), "$b")
+    cod = FunType(_num(), result_type(BINARY[op](_var("$a"), _var("$b"))), "$b")
     return PrimConst(op, FunType(_num(), cod, "$a"), delta)
 
 

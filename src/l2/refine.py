@@ -14,7 +14,8 @@ Obligations that hold for purely structural reasons (a true consequent, a
 false antecedent or hypothesis) are not reported; they carry no content.
 Dependent application results substitute the argument into the codomain only
 when the argument lies in the logical fragment; anything else is bound to a
-fresh ghost name carrying the argument's synthesized type.
+fresh ghost name carrying the argument's synthesized type.  A binary
+primitive applied to both operands is typed by its ``constants.BINARY`` meaning.
 
 A refinement type is a phase-1 type whose arrows name their arguments:
 ``elab_type`` gives an annotation's arrows fresh binders, and from here on
@@ -234,7 +235,8 @@ def print_ref_type(t: SrcType) -> str:
 
 def embed_term(w: TgtExpr, env: RefEnv) -> LinTerm | None:
     """Embed a target term as a linear integer term, if possible; a boolean
-    is the integer 1 or 0."""
+    is the integer 1 or 0, and an application of a binary primitive its
+    ``constants.BINARY`` meaning, as phase 2 types it."""
     match w:
         case Const():
             k = constants.const_int_value(w)
@@ -254,7 +256,8 @@ def embed_term(w: TgtExpr, env: RefEnv) -> LinTerm | None:
 def _apply_binary(w: App, env: RefEnv) -> LinTerm | Cmp | None:
     """The meaning (``constants.BINARY``) of ``op a b``, or of ``op``
     partially applied to the literal a and then to b, at the embedded
-    operands; None when w is neither or an operand does not embed."""
+    operands; None when w is neither or an operand does not embed.  It is
+    the meaning ``RefChecker._synth`` gives a full application's type."""
     match w:
         case App(App(Const(con), a), b) if con.name in constants.BINARY:
             op, ta = con.name, embed_term(a, env)
@@ -339,10 +342,6 @@ class RefChecker:
         self.vcs: list[VC] = []
         self._ghosts = 0
 
-    def _ghost(self) -> str:
-        self._ghosts += 1
-        return f"$g{self._ghosts}"
-
     def emit(self, env: RefEnv, t1: SrcType, t2: SrcType, origin: str) -> None:
         for env2, p1, p2, origin2 in _obligations(env, t1, t2, origin):
             if is_true(p2):
@@ -409,6 +408,12 @@ class RefChecker:
                 self.synth(env.bind(param, ann.dom), body, ann.cod,
                            _origin("function body", w.pos))
                 return ann, env
+            case App(App(Const(con), a), b) if con.name in constants.BINARY:
+                # Typed by its meaning at once.  Every binary primitive's
+                # domains are unrefined, so no operand owes an obligation.
+                ta, env = self._operand(env, a)
+                tb, env = self._operand(env, b)
+                return constants.result_type(constants.BINARY[con.name](ta, tb)), env
             case App(fn, arg):
                 tf, env = self.synth(env, fn)
                 if not isinstance(tf, FunType):
@@ -416,11 +421,7 @@ class RefChecker:
                 ta, env = self.synth(env, arg)
                 self.emit(env, ta, tf.dom, _origin("argument", w.pos))
                 if isinstance(tf.dom, PrimType):
-                    repl = embed_term(arg, env)
-                    if repl is None:
-                        ghost = self._ghost()
-                        env = env.bind(ghost, ta)
-                        repl = LinTerm.of_var(ghost)
+                    repl, env = self._name(env, arg, ta)
                     return subst_ref(tf.cod, tf.binder, repl), env
                 return tf.cod, env
             case TProj(index, t):
@@ -443,6 +444,24 @@ class RefChecker:
                 self.emit(env, ti, dt.dom, _origin("dead-cast", w.pos))
                 return dt.cod, env
         raise TypeError(f"not a target expression: {w!r}")
+
+    def _name(self, env: RefEnv, w: TgtExpr, t: SrcType) -> tuple[LinTerm, RefEnv]:
+        """w as a linear term: its embedding, else a fresh ghost bound at t."""
+        term = embed_term(w, env)
+        if term is not None:
+            return term, env
+        self._ghosts += 1
+        ghost = f"$g{self._ghosts}"
+        return LinTerm.of_var(ghost), env.bind(ghost, t)
+
+    def _operand(self, env: RefEnv, w: TgtExpr) -> tuple[LinTerm, RefEnv]:
+        """A binary primitive's operand as a linear term; a variable or
+        literal that embeds is read without synthesizing its type."""
+        term = embed_term(w, env) if isinstance(w, (Var, Const)) else None
+        if term is not None:
+            return term, env
+        t, env = self.synth(env, w)
+        return self._name(env, w, t)
 
     def _join(self, env: RefEnv, t1: SrcType, t2: SrcType, origin: str) -> SrcType:
         if t1 == t2:

@@ -5,7 +5,8 @@ import pytest
 
 from l2 import constants
 from l2.refine import RefEnv, embed_guard, embed_term
-from l2.syntax import NUMBER, Const, FunType
+from l2.logic import TRUE
+from l2.syntax import NUMBER, Const, FunType, PrimType
 from l2.target import TApp, TConst
 from tests.conftest import eval_pred
 
@@ -49,3 +50,12 @@ def test_delta_types_and_embedding_agree(op):
                 else:
                     pred, exact = embed_guard(w, RefEnv())
                     assert exact and eval_pred(pred, {}) == bool(value)
+
+
+@pytest.mark.parametrize("op", constants.BINARY)
+def test_domains_are_unrefined(op):
+    # Phase 2 types a full application by its meaning and emits no obligation
+    # for either operand, which is sound only while neither domain is refined.
+    outer = constants.NAMED_CONSTANTS[op].refined_type
+    assert outer.dom == PrimType(NUMBER, TRUE)
+    assert outer.cod.dom == PrimType(NUMBER, TRUE)

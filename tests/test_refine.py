@@ -440,6 +440,47 @@ class TestDependentApplication:
         assert "$g" in names
 
 
+class TestFullBinaryApplication:
+    """A binary primitive applied to both operands is typed by its meaning."""
+
+    ENV = RefEnv().bind("x", num()).bind("y", num())
+    OPERANDS = [TVar("x"), TVar("y"), TConst(constants.int_const(3)),
+                TConst(constants.int_const(-2))]
+
+    def test_mul_by_a_literal_keeps_its_meaning(self):
+        report = check_program(
+            "((\\x => mul x 2) : {v:number | v > 0} -> {v:number | v > 1})\n")
+        assert [vc.render() for vc in report.vcs] == ["(x > 0) => (v = 2*x => v > 1)"]
+        assert report.accepted
+
+    @pytest.mark.parametrize("op", [c for c in constants.BINARY if c != "mul"])
+    def test_type_is_the_curried_signature_substituted(self, op):
+        con = constants.NAMED_CONSTANTS[op]
+        sig = con.refined_type
+        for a, b in itertools.product(self.OPERANDS, repeat=2):
+            t, _ = RefChecker().synth(self.ENV, TApp(TApp(TConst(con), a), b))
+            inner = refine.subst_ref(sig.cod, sig.binder, embed_term(a, self.ENV))
+            curried = refine.subst_ref(inner.cod, inner.binder, embed_term(b, self.ENV))
+            assert t.base == curried.base
+            assert pred_key(t.refinement) == pred_key(curried.refinement)
+
+    def test_mul_by_a_literal_is_its_stage_two_constant(self):
+        for k in range(-3, 4):
+            staged = constants.stage2("mul", k).refined_type
+            for b in self.OPERANDS:
+                w = TApp(TApp(TConst(constants.MUL), TConst(constants.int_const(k))), b)
+                t, _ = RefChecker().synth(self.ENV, w)
+                assert t == refine.subst_ref(staged.cod, staged.binder, embed_term(b, self.ENV))
+
+    def test_operands_that_do_not_embed_are_ghosts_in_order(self):
+        report = check_program(
+            "let f = ((\\x => x) : number -> number) in "
+            "((\\y => sub (f y) (f 1)) : {v:number | v > 0} -> {v:number | v > 1})\n")
+        assert [vc.render() for vc in report.vcs] == [
+            "(y > 0 && true && true) => (v = $g1 - $g2 => v > 1)"]
+        assert not report.accepted
+
+
 class TestCorrespondence:
     def test_synthesized_type_strips_to_the_elaborated_skeleton(self):
         # phase 2's type agrees with phase 1's through refinement erasure

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator
 
 from . import syntax
@@ -71,7 +72,7 @@ DEFAULT_SEARCH_DEPTH = 64
 # A rule trace as a tree: each node is a tuple of rule names and subtraces,
 # read left to right.  A node shares its subtraces instead of copying them,
 # so traces stay linear in derivation size; ``flatten_trace`` spells a trace
-# out once, for ``ElabResult``.
+# out once, when ``ElabResult.trace`` is first read.
 Trace = tuple
 
 
@@ -102,7 +103,12 @@ class ElabResult:
     type: SrcType
     target: TgtExpr
     flag: str
-    trace: tuple[str, ...]
+    tree: Trace  # the rule trace as a tree
+
+    @cached_property
+    def trace(self) -> tuple[str, ...]:
+        """The rule names of the derivation in order, spelled out on first read."""
+        return flatten_trace(self.tree)
 
 
 class _MemoEntry:
@@ -171,9 +177,9 @@ class Elaborator:
                 self.empty_env, program.main, FLEXIBLE, self.search_depth
             ):
                 if flag == FLAG_PLAIN:
-                    return ElabResult(t, w, flag, flatten_trace(("T-TopLevel", trace)))
+                    return ElabResult(t, w, flag, ("T-TopLevel", trace))
                 if first is None:
-                    first = ElabResult(t, w, flag, flatten_trace(("T-TopLevel", trace)))
+                    first = ElabResult(t, w, flag, ("T-TopLevel", trace))
         finally:
             self.release()
         if first is not None:

@@ -7,28 +7,50 @@ body is the VC's hypotheses and antecedent and whose head is its consequent.
 The solver performs monomial predicate abstraction: start each kappa at the
 conjunction of all its candidate predicates and drop candidates from clause
 heads until every clause is valid.  Valid assignments are closed under
-union, so the loop converges on the unique greatest fixpoint.  It re-checks
-only clauses whose kappas shrank, tries each head's candidates as one
-conjunction first, and shares instantiations and a discharge memo within one
-solve.
+union, so the loop converges on the unique greatest fixpoint (Flanagan &
+Leino's Houdini, the weakening liquid-type inference runs over its
+qualifiers).
+
+The solver is a worklist ordered by the strongly connected components of
+the graph from body kappas to head kappas, sources first and clauses with a
+fixed head last, ties broken by clause index: each copy of an overloaded
+function settles before the clauses that read it, so the number of checks
+grows linearly in overload width.  A clause is queued again only when a
+kappa it reads shrinks.  A head's candidates are checked as one conjunction;
+when it fails, an integer model of the failing cube drops every candidate it
+falsifies, and the survivors are checked as one conjunction again.  Fixed
+heads are reached only at the greatest fixpoint, so an Unsat report names
+the first clause, in clause order, that fails under it.  One solve shares
+its instantiations and a discharge memo, and groups each clause body once
+per check.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from . import elaborate
 from .logic import (
+    BVar,
+    Cmp,
     DEFAULT_CLAUSE_BUDGET,
+    FALSE,
     LinTerm,
+    PAtom,
+    PBool,
     PKappa,
     Pred,
+    Premises,
     TRUE,
     VALUE_VAR,
     VC,
+    Verdict,
     cmp_pred,
     contains_kappa,
+    cube_model,
+    eval_atom,
     instantiate_kappas,
     kappas_of,
     map_pred,
@@ -167,26 +189,44 @@ def houdini_solve(
 ) -> Solution | Unsat:
     """Monomial predicate abstraction: weaken heads to a greatest fixpoint.
 
-    Each clause's body and head are read once.  Each sweep skips a clause
-    unless a kappa it reads (its body's, and a fixed head's) shrank since its
-    last check: under an unchanged body, a subset of heads that held still
-    holds."""
+    A worklist holds the clauses due for a check, and the next one checked
+    is the least by rank: the topological position of its head kappa's
+    strongly connected component in the graph from body kappas to head
+    kappas (``_ranks``), sources first and fixed heads last, then its index.
+    A clause is queued once at the start and again only when a kappa it
+    reads (its body's, and a fixed head's) shrinks: under an unchanged body,
+    a subset of heads that held still holds.  So each copy of an overloaded
+    function settles before the clauses that read it, and each fixed head is
+    checked once, under the greatest fixpoint, because no kappa-headed
+    clause is due any more when the first one is reached.  A failing fixed
+    head can never recover (shrinking assignments only weaken hypotheses),
+    so the Unsat report names the first clause, in clause order, that fails
+    under the greatest fixpoint.  A clause's body is instantiated and
+    grouped (``Premises``) once per check, and each head candidate or
+    conjunction is checked under it (``_holding``)."""
     assignment: dict[str, tuple[Pred, ...]] = {k: tuple(v) for k, v in candidates.items()}
     bodies = [(*c.hyps, c.antecedent) for c in clauses]
     heads = [c.consequent for c in clauses]
     head_kappas = [h.kappa if isinstance(h, PKappa) else None for h in heads]
-    reads = []  # the kappas whose shrinking makes a clause due, sorted
-    for body, head, head_k in zip(bodies, heads, head_kappas):
+    readers: dict[str, list[int]] = {}  # kappa -> the clauses due when it shrinks
+    edges: dict[str, set[str]] = {}  # body kappa -> the head kappas it reaches
+    for i, (body, head, head_k) in enumerate(zip(bodies, heads, head_kappas)):
         body_kappas = frozenset().union(*map(kappas_of, body))
-        every = kappas_of(head) | body_kappas
+        every = sorted(body_kappas | kappas_of(head))
         for k in every:
             assignment.setdefault(k, ())
-        reads.append(sorted(body_kappas if head_k else every))
-    version = dict.fromkeys(assignment, 0)  # bumped whenever the assignment shrinks
-    checked: list[tuple | None] = [None] * len(clauses)
+        for k in sorted(body_kappas) if head_k else every:
+            readers.setdefault(k, []).append(i)
+            if head_k:
+                edges.setdefault(k, set()).add(head_k)
+    ranks = _ranks(list(assignment), edges)
+    order = [(ranks[k] if k else len(ranks), i) for i, k in enumerate(head_kappas)]
+    queue = sorted(order)  # the (rank, index) of every clause due, in order
+    due = set(range(len(clauses)))
     memo: dict = {}  # shared by every valid() call of this solve
     instances: dict[tuple[PKappa, Pred], Pred] = {}  # (kappa use, candidate) -> instance
     leaves: dict[tuple[PKappa, int], Pred] = {}  # (kappa use, version) -> instance
+    version = dict.fromkeys(assignment, 0)  # bumped whenever the assignment shrinks
 
     def instance(q: PKappa, c: Pred) -> Pred:
         if (q, c) not in instances:
@@ -201,46 +241,110 @@ def houdini_solve(
             leaves[key] = pand(instance(q, c) for c in assignment[q.kappa])
         return leaves[key]
 
-    changed = True
-    while changed:
-        changed = False
-        for i, (clause, head, head_k) in enumerate(zip(clauses, heads, head_kappas)):
-            stamp = tuple(version[k] for k in reads[i])
-            if stamp == checked[i]:
-                continue
-            checked[i] = stamp
-            body = tuple(map_pred(p, leaf) for p in bodies[i])
+    while queue:
+        i = queue.pop(0)[1]
+        due.discard(i)
+        clause, head, head_k = clauses[i], heads[i], head_kappas[i]
+        body = tuple(map_pred(p, leaf) for p in bodies[i])
+        premises = Premises(body, memo)
 
-            def holds(goal: Pred) -> bool:
-                vc = VC(body, TRUE, goal, clause.origin)
-                return valid(vc, clause_budget, memo).is_valid
+        def check(goal: Pred) -> Verdict:
+            return valid(VC(body, TRUE, goal, clause.origin), clause_budget, memo, premises)
 
-            if head_k is None:
-                if not holds(map_pred(head, leaf)):
-                    # Shrinking assignments only weaken hypotheses, so a
-                    # failing fixed head can never recover.
-                    return Unsat(clause)
-                continue
-            cands = assignment[head_k]
-            keep = _holding(cands, [instance(head, c) for c in cands], holds)
-            if len(keep) != len(cands):
-                assignment[head_k] = keep
-                version[head_k] += 1
-                changed = True
+        if head_k is None:
+            if not check(map_pred(head, leaf)).is_valid:
+                return Unsat(clause)
+            continue
+        cands = assignment[head_k]
+        keep = _holding(cands, [instance(head, c) for c in cands], check)
+        if len(keep) != len(cands):
+            assignment[head_k] = keep
+            version[head_k] += 1
+            for j in readers.get(head_k, ()):
+                if j not in due:
+                    due.add(j)
+                    insort(queue, order[j])
     return Solution(assignment)
 
 
-def _holding(cands: tuple[Pred, ...], heads: list[Pred], holds) -> tuple[Pred, ...]:
+def _ranks(kappas: list[str], edges: dict[str, set[str]]) -> dict[str, int]:
+    """Each kappa's strongly connected component in the graph of ``edges``,
+    numbered so that every edge between components goes to a higher number:
+    Tarjan's algorithm on an explicit stack, which finds the components
+    sinks first."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    found: dict[str, int] = {}  # kappa -> its component, numbered in order found
+    stack: list[str] = []  # visited kappas whose component is not yet found
+    components = 0
+    for root in kappas:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(sorted(edges.get(root, ()))))]
+        while work:
+            k, successors = work[-1]
+            for s in successors:
+                if s not in index:
+                    index[s] = low[s] = len(index)
+                    stack.append(s)
+                    work.append((s, iter(sorted(edges.get(s, ())))))
+                    break
+                if s not in found:
+                    low[k] = min(low[k], index[s])
+            else:
+                work.pop()
+                if work:
+                    up = work[-1][0]
+                    low[up] = min(low[up], low[k])
+                if low[k] == index[k]:
+                    while (s := stack.pop()) != k:
+                        found[s] = components
+                    found[k] = components
+                    components += 1
+    return {k: components - 1 - c for k, c in found.items()}
+
+
+def _holding(cands: tuple[Pred, ...], heads: list[Pred], check) -> tuple[Pred, ...]:
     """The candidates whose head holds.  Their conjunction is checked first:
     its negation's cubes are the union of theirs, so it holds exactly when
-    each does.  Over the clause budget, each is checked alone."""
-    if len(cands) > 1:
+    each does.  When it fails, an integer model of the failing cube, built
+    on the components that share a name with the heads, falsifies at least
+    one head, and every head it falsifies fails alone too: those candidates
+    are dropped, and the survivors checked again as one conjunction.  Only
+    over the clause budget, or when no model is found, is each survivor
+    checked alone."""
+    names = frozenset().union(*map(pred_names, heads))
+    keep = list(range(len(cands)))
+    while len(keep) > 1:
         try:
-            if holds(pand(heads)):
-                return cands
+            verdict = check(pand(heads[i] for i in keep))
         except ResourceLimit:
-            pass
-    return tuple(c for c, head in zip(cands, heads) if holds(head))
+            break
+        if verdict.is_valid:
+            return tuple(cands[i] for i in keep)
+        model = cube_model(verdict.cube, names)
+        falsified = set() if model is None else {i for i in keep if _falsifies(model, heads[i])}
+        if not falsified:
+            break
+        keep = [i for i in keep if i not in falsified]
+    return tuple(cands[i] for i in keep if check(heads[i]).is_valid)
+
+
+def _falsifies(model: dict[str, int], p: Pred) -> bool:
+    """Whether p is false under the model.  A boolean atom is read only
+    when its name is 0 or 1, so an undecided p is not falsified."""
+
+    def leaf(q: Pred) -> Pred:
+        match q:
+            case PAtom(Cmp() as c):
+                return PBool(eval_atom(c, model))
+            case PAtom(BVar(n)) if model.get(n, 0) in (0, 1):
+                return PBool(model.get(n, 0) == 1)
+        return q
+
+    return map_pred(p, leaf) == FALSE
 
 
 # ---------------------------------------------------------------------------

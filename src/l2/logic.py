@@ -21,7 +21,8 @@ conjunct's names, literal's rows and component's outcome, so hypotheses
 shared between VCs are decided once.  Elimination keeps its rows reduced
 by their exact gcd and holds only the tightest of rows with the same
 coefficients.  An invalid verdict keeps its cube and builds the rendered
-cube and the counter-model (searched per component) only when read.
+cube and the counter-model only when read; the model is built per component
+by Fourier-Motzkin back-substitution and checked against the cube.
 
 Predicates are traversed by two shared walkers: ``pred_leaves`` lists the
 constants, atoms and kappa applications left to right without recursion, and
@@ -37,7 +38,6 @@ verification conditions with an external solver.
 
 from __future__ import annotations
 
-import itertools
 import operator
 import string
 from dataclasses import dataclass, field, fields
@@ -113,12 +113,15 @@ class LinTerm:
             return LinTerm((), 0)
         return LinTerm(tuple((n, c * k) for n, c in self.coeffs), self.const * k)
 
-    def subst_var(self, name: str, replacement: LinTerm) -> LinTerm:
-        coeff = dict(self.coeffs).get(name)
-        if coeff is None:
+    def subst_vars(self, repl: dict[str, LinTerm]) -> LinTerm:
+        """Substitute ``repl[n]`` for every name n it maps, all at once."""
+        if not any(n in repl for n, _ in self.coeffs):
             return self
-        rest = LinTerm(tuple((n, c) for n, c in self.coeffs if n != name), self.const)
-        return rest + replacement.scale(coeff)
+        out = LinTerm(tuple((n, c) for n, c in self.coeffs if n not in repl), self.const)
+        for n, c in self.coeffs:
+            if n in repl:
+                out = out + repl[n].scale(c)
+        return out
 
     def names(self) -> frozenset[str]:
         return frozenset(n for n, _ in self.coeffs)
@@ -382,35 +385,41 @@ def pred_names(p: Pred) -> set[str]:
 
 
 def subst_pred(p: Pred, name: str, repl: LinTerm) -> Pred:
-    """Substitute the linear term ``repl`` for ``name`` in p.
+    """Substitute the linear term ``repl`` for ``name`` in p."""
+    return subst_names(p, {name: repl})
 
-    A boolean is the integer 1 or 0, so the atom ``name`` becomes the atom of
-    a variable term, the truth value of a constant one, and ``repl = 1`` for
-    any other term.
+
+def subst_names(p: Pred, repl: dict[str, LinTerm]) -> Pred:
+    """Substitute ``repl[n]`` for every name n it maps, all at once.
+
+    A boolean is the integer 1 or 0, so the atom ``n`` becomes the atom of
+    a variable term, the truth value of a constant one, and ``repl[n] = 1``
+    for any other term.
     """
 
     def leaf(q: Pred) -> Pred:
         match q:
             case PAtom(Cmp(lhs, op, rhs)):
-                return PAtom(Cmp(lhs.subst_var(name, repl), op, rhs.subst_var(name, repl)))
-            case PAtom(BVar(n)) if n == name:
-                match repl:
+                return PAtom(Cmp(lhs.subst_vars(repl), op, rhs.subst_vars(repl)))
+            case PAtom(BVar(n)) if n in repl:
+                match repl[n]:
                     case LinTerm(((var, 1),), 0):
                         return PAtom(BVar(var))
                     case LinTerm((), k):
                         return PBool(k == 1)
-                return cmp_pred(repl, "=", LinTerm.of_const(1))
+                return cmp_pred(repl[n], "=", LinTerm.of_const(1))
             case PBool() | PAtom(BVar()):
                 return q
             case PKappa(k, subst):
-                # Rewrite recorded values, and record the new entry unless the
+                # Rewrite recorded values, and record the new entries unless a
                 # name was already consumed by an earlier substitution.  Names
                 # in the reserved $ namespace never occur in solved refinements
                 # (candidates range over the value variable and program names),
                 # so substitutions for them are dropped rather than recorded.
-                entries = tuple((n, v.subst_var(name, repl)) for n, v in subst)
-                if not name.startswith("$") and name not in (n for n, _ in subst):
-                    entries += ((name, repl),)
+                entries = tuple((n, v.subst_vars(repl)) for n, v in subst)
+                seen = {n for n, _ in subst}
+                entries += tuple((n, v) for n, v in repl.items()
+                                 if not n.startswith("$") and n not in seen)
                 return PKappa(k, entries)
         raise TypeError(f"not a predicate: {q!r}")
 
@@ -418,20 +427,14 @@ def subst_pred(p: Pred, name: str, repl: LinTerm) -> Pred:
 
 
 def instantiate_kappas(p: Pred, assignment: dict[str, Pred]) -> Pred:
-    """Replace every kappa application with its assigned predicate."""
+    """Replace every kappa application with its assigned predicate, its
+    substitution made as one simultaneous substitution."""
 
     def leaf(q: Pred) -> Pred:
         if not isinstance(q, PKappa):
             return q
         body = assignment[q.kappa]
-        # Simultaneous substitution: detour through fresh temporaries.
-        temps = {n: f"$tmp{i}${n}" for i, (n, _) in enumerate(q.subst)}
-        for n, _ in q.subst:
-            tmp = temps[n]
-            body = subst_pred(body, n, LinTerm.of_var(tmp))
-        for n, value in q.subst:
-            body = subst_pred(body, temps[n], value)
-        return body
+        return subst_names(body, dict(q.subst)) if q.subst else body
 
     return map_pred(p, leaf)
 
@@ -497,14 +500,13 @@ def _show_leaf(p: PBool | PAtom | PKappa) -> str:
             return "true" if b else "false"
         case PAtom(a):
             return a.render()
-    if not p.subst:
-        return p.kappa
     return f"{p.kappa}[{', '.join(f'{v.render()}/{n}' for n, v in p.subst)}]"
 
 
 # A connective binds loosest and parenthesises a connective beneath it; nothing
-# else is parenthesised, so ``parser.parse_pred`` reads each print back, but
-# for a kappa application.
+# else is parenthesised, so ``parser.parse_pred`` reads each print back.  A
+# kappa application keeps its brackets when it substitutes nothing (``k2[]``),
+# so it never reads back as a boolean variable.
 SYNTAX.update({cls: (((_show_leaf, None, None),), 3) for cls in (PBool, PAtom, PKappa)})
 SYNTAX[PNot] = template("!({inner:0})", 3)
 SYNTAX[PAnd] = template("{parts:1: && }", 0)
@@ -594,8 +596,8 @@ class VC:
         return pand(list(self.hyps) + [self.antecedent, pnot(self.consequent)])
 
     def render(self) -> str:
-        """Its printed form, which ``parser.parse_pred`` reads back but for
-        kappa applications: every compound part is parenthesised."""
+        """Its printed form, which ``parser.parse_pred`` reads back: every
+        compound part is parenthesised."""
         hyps = self.hyps or (TRUE,)
         hyp = print_expr(PAnd(hyps) if len(hyps) > 1 else hyps[0])
         return f"({hyp}) => ({print_expr(PImp(self.antecedent, self.consequent))})"
@@ -786,7 +788,11 @@ def _add_row(table: dict[tuple, int], coeffs: tuple, const: int) -> bool:
     return False
 
 
-def _fm_rows_unsat(rows: list[LinTerm]) -> bool:
+def _fm_rows_unsat(rows: list[LinTerm], stages: list | None = None) -> bool:
+    """Whether the rows (``row <= 0``) have no rational solution, by
+    Fourier-Motzkin elimination.  ``stages``, when given, receives each
+    eliminated variable with its rows of positive and of negative
+    coefficient, for ``_back_substitute``."""
     table: dict[tuple, int] = {}
     for r in rows:
         if _add_row(table, r.coeffs, r.const):
@@ -800,6 +806,8 @@ def _fm_rows_unsat(rows: list[LinTerm]) -> bool:
         # Eliminate the variable producing the fewest combinations.
         x = min(sorted(by_sign), key=lambda n: len(by_sign[n][0]) * len(by_sign[n][1]))
         pos, neg = by_sign[x]
+        if stages is not None:
+            stages.append((x, pos, neg))
         new: dict[tuple, int] = {k: v for d, k, v in entries if x not in d}
         # A variable unbounded on one side leaves its rows always satisfiable,
         # so they are dropped with no combinations.
@@ -846,12 +854,8 @@ class Verdict:
 
     @cached_property
     def model(self) -> dict[str, int] | None:
-        """A small model of the cube, searched per name-disjoint component."""
-        if self.cube is None:
-            return None
-        parts = _components((lit, _literal_rows(_literal_cmp(lit))[2]) for lit in self.cube)
-        models = [_cube_model(part) for part in parts]
-        return None if None in models else dict(sorted(kv for m in models for kv in m.items()))
+        """A small integer model of the cube (``cube_model``)."""
+        return None if self.cube is None else cube_model(self.cube)
 
     def render(self) -> str:
         if self.kind == "valid":
@@ -880,19 +884,110 @@ def eval_atom(atom: Atom, env: dict[str, int]) -> bool:
 
 
 def _cube_model(cube) -> dict[str, int] | None:
+    """An integer model of a cube, confirmed literal by literal with
+    ``eval_atom``, or None when ``_rows_model`` finds none."""
     cmps = [_literal_cmp(literal) for literal in cube]
-    names = sorted({n for c in cmps for n, _ in (c.lhs - c.rhs).coeffs})
-    if len(names) > 3:
+    forms = [_literal_rows(c) for c in cmps]
+    env = _rows_model([r for f in forms for r in f[0]], [t for f in forms for t in f[1]])
+    if env is None:
         return None
-    for combo in itertools.product(range(-8, 9), repeat=len(names)):
-        env = dict(zip(names, combo))
-        if all(eval_atom(c, env) for c in cmps):
+    model = {n: env.get(n, 0) for n in sorted({n for f in forms for n in f[2]})}
+    return model if all(eval_atom(c, model) for c in cmps) else None
+
+
+def _rows_model(rows: list[LinTerm], neqs: list[LinTerm]) -> dict[str, int] | None:
+    """Integers satisfying every row (``row <= 0``) and disequality (``term
+    != 0``), or None when none is found.  A disequality is split into its two
+    strict halves, lower first, only when the values found violate it; the
+    splits are searched depth first on an explicit stack."""
+    stack = [(rows, neqs)]
+    while stack:
+        rows, neqs = stack.pop()
+        env = _back_substitute(rows)
+        if env is None:
+            continue
+        bad = next((t for t in neqs if _eval_term(t, env) == 0), None)
+        if bad is None:
             return env
+        rest = [t for t in neqs if t is not bad]
+        stack.append((rows + [bad.scale(-1) + LinTerm.of_const(1)], rest))
+        stack.append((rows + [bad + LinTerm.of_const(1)], rest))
     return None
 
 
+def _back_substitute(rows: list[LinTerm]) -> dict[str, int] | None:
+    """Integers satisfying the rows, by Fourier-Motzkin back-substitution:
+    the variables are assigned in the reverse order of their elimination,
+    each the value nearest 0 between its bounds under the values already
+    chosen (a name dropped without being eliminated is 0).  None when the
+    rows are contradictory or a variable's bounds admit no integer."""
+    stages: list = []
+    if _fm_rows_unsat(rows, stages):
+        return None
+    env: dict[str, int] = {}
+    for x, pos, neg in reversed(stages):
+        lo, hi = None, None
+        for bounds in (pos, neg):
+            for cx, coeffs, const in bounds:  # a*x + rest <= 0
+                a = cx[x]
+                rest = const + sum(c * env.setdefault(n, 0) for n, c in coeffs if n != x)
+                if a > 0:
+                    hi = -rest // a if hi is None else min(hi, -rest // a)
+                else:
+                    lo = -(rest // a) if lo is None else max(lo, -(rest // a))
+        if lo is not None and hi is not None and lo > hi:
+            return None
+        env[x] = lo if lo is not None and lo > 0 else hi if hi is not None and hi < 0 else 0
+    return env
+
+
+def cube_model(cube, names: frozenset[str] | None = None) -> dict[str, int] | None:
+    """A model of the cube, built per name-disjoint component by
+    ``_cube_model``; with ``names``, of only the components that mention one
+    of them.  None when one of those components has none.  The literals are
+    read in a fixed order, so the model does not depend on string hashing."""
+    named = [(literal, _literal_rows(_literal_cmp(literal))[2]) for literal in sorted(cube, key=repr)]
+    models = [_cube_model([literal for literal, _ in part])
+              for part in _components((pair, pair[1]) for pair in named)
+              if names is None or any(n in names for _, part_names in part for n in part_names)]
+    return None if None in models else dict(sorted(kv for m in models for kv in m.items()))
+
+
+def _names(p: Pred, memo: dict) -> tuple[str, ...]:
+    names = memo.get(p)
+    if names is None:
+        names = memo[p] = tuple(pred_names(p))
+    return names
+
+
+class Premises:
+    """The conjuncts of a body of hypotheses, flattened and grouped into
+    name-sharing components once, so that each goal checked under them (by
+    ``valid``) groups only its own negation with them."""
+
+    __slots__ = ("parts", "home")
+
+    def __init__(self, preds, memo: dict) -> None:
+        body = pand(preds)
+        named = [(p, _names(p, memo)) for p in (body.parts if isinstance(body, PAnd) else (body,))
+                 if p is not TRUE]
+        self.parts = _components(named)
+        self.home = {n: i for i, part in enumerate(self.parts) for p in part for n in memo[p]}
+
+    def with_goal(self, goal: Pred, memo: dict) -> list[list[Pred]]:
+        """The components of the premises and the goal's negation: the
+        negation and every component it shares a name with are merged, last."""
+        negated = pnot(goal)
+        touched = sorted({self.home[n] for n in _names(negated, memo) if n in self.home})
+        merged = [p for i in touched for p in self.parts[i]] + [negated]
+        return [part for i, part in enumerate(self.parts) if i not in touched] + [merged]
+
+
 def valid(
-    vc: VC, clause_budget: int = DEFAULT_CLAUSE_BUDGET, memo: dict | None = None
+    vc: VC,
+    clause_budget: int = DEFAULT_CLAUSE_BUDGET,
+    memo: dict | None = None,
+    premises: Premises | None = None,
 ) -> Verdict:
     """Check a VC by refuting its negation one component at a time.
 
@@ -903,21 +998,22 @@ def valid(
     clause budget bounds one group; ``ResourceLimit`` is raised only when no
     other group refutes the VC, and names the VC's origin.  ``memo`` keeps
     each conjunct's names and each group's outcome, and reaches every
-    ``fm_unsat`` call.
+    ``fm_unsat`` call.  ``premises``, the VC's hypotheses and antecedent
+    grouped once, saves grouping them again for each consequent checked
+    under them.
     """
     memo = {} if memo is None else memo
-    negated = vc.negated()
-    named = []
-    for p in negated.parts if isinstance(negated, PAnd) else (negated,):
-        names = memo.get(p)
-        if names is None:
-            names = memo[p] = tuple(pred_names(p))
-        named.append((p, names))
+    if premises is None:
+        negated = vc.negated()
+        parts = _components(
+            (p, _names(p, memo)) for p in (negated.parts if isinstance(negated, PAnd) else (negated,)))
+    else:
+        parts = premises.with_goal(vc.consequent, memo)
     cube: frozenset = frozenset()
     limit = None
     # The smallest components first; among equals the negated consequent's,
     # the likeliest to be refuted.
-    for part in sorted(reversed(_components(named)), key=len):
+    for part in sorted(reversed(parts), key=len):
         key = frozenset(part)
         if key not in memo:
             try:

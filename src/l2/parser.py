@@ -14,11 +14,14 @@ Grammar sketch:
               | "(" expr (":" type)? ")"
     pred     := pnot joined by "=>" (right assoc), then "<=>", then "||", then "&&"
     pnot     := "!" pnot | "true" | "false" | arith (CMP arith)? | "(" pred ")"
+              | NAME "[" (arith "/" NAME ("," arith "/" NAME)*)? "]"
     arith    := factor joined by "+" or "-", then "*"
     factor   := "-" factor | INT | NAME | "(" arith ")"
 
 Tokens are named tuples, scanned a line at a time; a formula's names may be
-phase 2's reserved ones (``$g1``), so that printed obligations read back.
+phase 2's reserved ones (``$g1``), and a formula may apply a kappa
+(``k1[flag/v]``, ``k2[]``), so that printed obligations and Horn clauses read
+back; a program can write neither.
 ``expr`` parses a chain of let bodies, lambda bodies and else branches with
 a loop, and ``binary`` a chain of binary operators, so a chain of any length
 parses and only nesting in other positions costs recursion.  Binders are
@@ -38,6 +41,7 @@ from .logic import (
     LinTerm,
     PAtom,
     PBool,
+    PKappa,
     Pred,
     cmp_pred,
     pand,
@@ -87,14 +91,16 @@ _TOKEN = r"""
       (?P<comment>--.*)
     | (?P<int>\d+)
     | (?P<name>NAME)
-    | (?P<sym><=>|=>|->|/\\|\\/|&&|\|\||<=|>=|!=|[\\(){}:|=<>!+\-*,])
+    | (?P<sym><=>|=>|->|/\\|\\/|&&|\|\||<=|>=|!=|[\\(){}:|=<>!+\-*,EXTRA])
     | (?P<bad>\S)
     )
     """
 _NAME = r"[A-Za-z_][A-Za-z0-9_']*"
-_TOKEN_RE = re.compile(_TOKEN.replace("NAME", _NAME), re.VERBOSE)
-# A formula's names may also be phase 2's reserved ones, which start with $.
-_FORMULA_TOKEN_RE = re.compile(_TOKEN.replace("NAME", r"\$?" + _NAME), re.VERBOSE)
+_TOKEN_RE = re.compile(_TOKEN.replace("NAME", _NAME).replace("EXTRA", ""), re.VERBOSE)
+# A formula's names may also be phase 2's reserved ones, which start with $,
+# and its kappa applications bring [, / and ].
+_FORMULA_TOKEN_RE = re.compile(
+    _TOKEN.replace("NAME", r"\$?" + _NAME).replace("EXTRA", r"\[\]/"), re.VERBOSE)
 
 
 class Token(NamedTuple):
@@ -282,6 +288,8 @@ class _Parser:
                 return p
             except ParseError:
                 self.pos = saved
+        if self.peek().kind == "name" and self.tokens[self.pos + 1].text == "[":
+            return self.kappa()
         lhs = self.arith()
         op_tok = self.peek()
         if op_tok.text in CMP_OPS:
@@ -292,6 +300,20 @@ class _Parser:
         if len(lhs.coeffs) == 1 and lhs.const == 0 and lhs.coeffs[0][1] == 1:
             return PAtom(BVar(lhs.coeffs[0][0]))
         raise self.error("expected a comparison or boolean variable")
+
+    def kappa(self) -> PKappa:
+        """A kappa application, ``k[term/name, ...]``; only a formula's
+        tokens include the brackets."""
+        kappa = self.next().text
+        self.expect("[")
+        subst = []
+        while not self.eat("]"):
+            if subst:
+                self.expect(",")
+            term = self.arith()
+            self.expect("/")
+            subst.append((self.expect_name().text, term))
+        return PKappa(kappa, tuple(subst))
 
     def arith(self) -> LinTerm:
         return self.binary(ARITH_LEVELS, self.arith_factor)

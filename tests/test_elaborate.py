@@ -85,6 +85,17 @@ class TestNegate:
         assert "T-And-Elim" in result.trace
         assert "T-Dead" in result.trace
 
+    def test_trace_is_flattened_on_first_read_only(self, monkeypatch):
+        from l2 import elaborate
+
+        calls = []
+        flatten = elaborate.flatten_trace
+        monkeypatch.setattr(elaborate, "flatten_trace", lambda tree: calls.append(tree) or flatten(tree))
+        result = elaborate_program(parser.parse_program(NEGATE_OK))
+        assert calls == []
+        assert result.trace == flatten(result.tree) and result.trace is result.trace
+        assert len(calls) == 1
+
     def test_erased_type_soundness(self):
         result = elaborate_program(parser.parse_program(NEGATE_FULL))
         assert simple_typecheck({}, result.target) == erase_refinements(result.type)

@@ -86,8 +86,8 @@ class TestTemplates:
         templated, kappas = template_program(program)
         assert [k.id for k in kappas] == ["k1", "k2", "k3", "k4", "k5"]
         assert syntax.print_program(templated) == (
-            "let f = ((\\x => x : {v:number | k1} -> {v:number | k2})"
-            " : {v:number | k3} -> {v:number | k4}) in (f 1 : {v:number | k5})\n"
+            "let f = ((\\x => x : {v:number | k1[]} -> {v:number | k2[]})"
+            " : {v:number | k3[]} -> {v:number | k4[]}) in (f 1 : {v:number | k5[]})\n"
         )
 
 
@@ -321,7 +321,11 @@ class TestChainedClauses:
 
 def reference_houdini(clauses, candidates, clause_budget=logic.DEFAULT_CLAUSE_BUDGET):
     """Houdini as a plain sweep: every round re-instantiates and re-checks
-    every clause, one valid() call per candidate."""
+    every kappa-headed clause, one valid() call per candidate, until none
+    changes; then the fixed heads are checked in clause order, and the first
+    that fails under that greatest fixpoint is the Unsat clause.  The calls
+    share one discharge memo, a cache of outcomes only."""
+    memo: dict = {}
     assignment = {k: tuple(v) for k, v in candidates.items()}
     for clause in clauses:
         for k in clause_kappas(clause):
@@ -332,25 +336,30 @@ def reference_houdini(clauses, candidates, clause_budget=logic.DEFAULT_CLAUSE_BU
         changed = False
         for clause in clauses:
             body, head = horn(clause)
-            head_k = head.kappa if isinstance(head, PKappa) else None
-            body = tuple(instantiate_kappas(p, pred_map) for p in body)
-            if head_k is None:
-                head = instantiate_kappas(head, pred_map)
-                if not valid(VC(body, TRUE, head, clause.origin), clause_budget).is_valid:
-                    return Unsat(clause)
+            if not isinstance(head, PKappa):
                 continue
+            head_k = head.kappa
+            body = tuple(instantiate_kappas(p, pred_map) for p in body)
             keep = tuple(
                 c
                 for c in assignment[head_k]
                 if valid(
                     VC(body, TRUE, instantiate_kappas(head, {head_k: c}), clause.origin),
                     clause_budget,
+                    memo,
                 ).is_valid
             )
             if len(keep) != len(assignment[head_k]):
                 assignment[head_k] = keep
                 pred_map[head_k] = pand(keep)
                 changed = True
+    for clause in clauses:
+        body, head = horn(clause)
+        if not isinstance(head, PKappa):
+            body = tuple(instantiate_kappas(p, pred_map) for p in body)
+            head = instantiate_kappas(head, pred_map)
+            if not valid(VC(body, TRUE, head, clause.origin), clause_budget, memo).is_valid:
+                return Unsat(clause)
     return Solution(assignment)
 
 
@@ -506,6 +515,95 @@ class TestValidCallCounts:
         one = _count_valid_calls(monkeypatch, width_program(1))
         eight = _count_valid_calls(monkeypatch, width_program(8))
         assert eight <= 12 * one
+
+
+def _spy_valid(monkeypatch) -> list:
+    calls = []
+    checked = infer.valid
+
+    def spy(*args):
+        calls.append(args[0])
+        return checked(*args)
+
+    monkeypatch.setattr(infer, "valid", spy)
+    return calls
+
+
+class TestWorklist:
+    @pytest.mark.parametrize("family", [width_program, width_distinct_program])
+    @pytest.mark.parametrize("m", [4, 8, 12, 16])
+    def test_valid_calls_grow_linearly_in_width(self, monkeypatch, family, m):
+        # the source-order sweep made 194, 436, 726 and 1,064 calls, and
+        # 386, 1,332, 2,838 and 4,904 on the distinct literals
+        assert _count_valid_calls(monkeypatch, family(m)) == 11 * m
+
+    def test_ranks_follow_components_sources_first(self):
+        edges = {"k1": {"k2"}, "k2": {"k3"}, "k3": {"k4"}, "k4": {"k3", "k5"}}
+        ranks = infer._ranks(["k5", "k4", "k3", "k2", "k1", "k6"], edges)
+        assert ranks["k3"] == ranks["k4"]
+        assert ranks["k1"] < ranks["k2"] < ranks["k3"] < ranks["k5"]
+        assert sorted(set(ranks.values())) == list(range(5))
+
+    def test_ranks_of_a_long_chain_need_no_recursion(self):
+        n = 20000
+        edges = {f"k{i}": {f"k{i + 1}"} for i in range(n)}
+        ranks = infer._ranks([f"k{i}" for i in reversed(range(n + 1))], edges)
+        assert [ranks[f"k{i}"] for i in range(n + 1)] == list(range(n + 1))
+
+    def test_unsat_names_the_first_clause_failing_at_the_fixpoint(self):
+        # the sweep meets `true => false` first, while `k1[x/v] => x = 0`
+        # still holds; it fails once `v = 1 => k1` has dropped `v = 0`
+        x = LinTerm.of_var("x")
+        first = VC((PKappa("k1", ((VALUE_VAR, x),)),), TRUE, cmp_pred(x, "=", lit(0)), "first")
+        second = VC((), TRUE, PBool(False), "second")
+        weakens = VC((), cmp_pred(nu, "=", lit(1)), PKappa("k1"), "weakens")
+        clauses, candidates = [first, second, weakens], {"k1": [cmp_pred(nu, "=", lit(0))]}
+        outcome = _same_outcome(clauses, candidates)
+        assert outcome == Unsat(first)
+
+
+class TestCounterModelPruning:
+    def test_one_model_drops_every_candidate_it_falsifies(self, monkeypatch):
+        cands = [cmp_pred(nu, op, lit(k)) for k in (0, 3) for op in ("=", "!=", "<=", ">=")]
+        clause = VC((), cmp_pred(nu, "=", lit(3)), PKappa("k1"), "test")
+        calls = _spy_valid(monkeypatch)
+        got = _same_outcome([clause], {"k1": cands})
+        # the model v = 3 drops v = 0, v <= 0 and v != 3 at once; the rest holds
+        assert [render_pred(c) for c in got.assignment["k1"]] == [
+            "v != 0", "v >= 0", "v = 3", "v <= 3", "v >= 3"]
+        assert len(calls) == 2
+
+    def test_no_integer_model_falls_back_to_each_candidate(self, monkeypatch):
+        # 2v = 2x + 1 is satisfiable over the rationals only, so each check
+        # fails without a model
+        x = LinTerm.of_var("x")
+        body = cmp_pred(nu.scale(2), "=", x.scale(2) + lit(1))
+        cands = [cmp_pred(nu, ">=", lit(0)), cmp_pred(x, ">=", lit(0))]
+        clause = VC((), body, PKappa("k1"), "test")
+        calls = _spy_valid(monkeypatch)
+        got = _same_outcome([clause], {"k1": cands})
+        assert got.assignment["k1"] == ()
+        assert len(calls) == 1 + len(cands)
+
+
+def _corpus_problems(budget):
+    from l2.elaborate import ElabError
+    from l2.harness import gen_program
+    from tests.conftest import PROGRAMS
+
+    programs = [parser.parse_program(path.read_text()) for path in sorted(PROGRAMS.glob("*.l2"))]
+    for program in [*programs, *(gen_program(seed, budget) for seed in range(100))]:
+        try:
+            clauses, kappas, _ = gen_horn(program)
+        except ElabError:
+            continue
+        yield clauses, {k.id: default_candidates(program, k) for k in kappas}
+
+
+@pytest.mark.parametrize("budget", [30, 60])
+def test_solver_matches_the_sweep_on_the_corpus(budget):
+    outcomes = [type(_same_outcome(*problem)) for problem in _corpus_problems(budget)]
+    assert Solution in outcomes and Unsat in outcomes
 
 
 class TestComponentDischarge:

@@ -59,7 +59,7 @@ class TestLinTerm:
 
     def test_subst(self):
         t = x.scale(2) + y
-        assert t.subst_var("x", y + const(1)) == y.scale(3) + const(2)
+        assert t.subst_vars({"x": y + const(1)}) == y.scale(3) + const(2)
 
     def test_render(self):
         assert (x.scale(2) - y + const(5)).render() == "2*x - y + 5"
@@ -554,6 +554,119 @@ class TestSubstAndKappa:
         app = PKappa("k", (("v", LinTerm.of_var("w")), ("w", LinTerm.of_var("v"))))
         got = instantiate_kappas(app, {"k": body})
         assert got == cmp_pred(LinTerm.of_var("w"), "=", nu)
+
+
+    def test_instantiate_matches_the_temporaries_detour(self):
+        # the former instantiation: each name to a fresh temporary, then each
+        # temporary to its term, one subst_pred at a time
+        def detour(app, body):
+            temps = {n: f"$tmp{i}${n}" for i, (n, _) in enumerate(app.subst)}
+            for n, _ in app.subst:
+                body = subst_pred(body, n, LinTerm.of_var(temps[n]))
+            for n, value in app.subst:
+                body = subst_pred(body, temps[n], value)
+            return body
+
+        w, b = LinTerm.of_var("w"), PAtom(BVar("b"))
+        bodies = [cmp_pred(nu.scale(2) + w, "<=", x), pand([b, cmp_pred(nu, "!=", w)]),
+                  por([pnot(b), PKappa("k2", (("v", w),))]), PKappa("k3"),
+                  logic.piff(b, cmp_pred(x, "=", nu))]
+        apps = [PKappa("k", (("v", w), ("w", nu + const(1)))), PKappa("k", (("b", const(1)),)),
+                PKappa("k", (("b", x), ("v", const(-4)))), PKappa("k", (("b", x + y),)),
+                PKappa("k", (("x", y), ("y", x), ("w", w)))]
+        for app in apps:
+            for body in bodies:
+                assert instantiate_kappas(app, {"k": body}) == detour(app, body), (app, body)
+
+
+class TestCounterModels:
+    def test_back_substitution_picks_values_nearest_zero(self):
+        assert logic._cube_model([(Cmp(x, ">", const(2)), True)]) == {"x": 3}
+        assert logic._cube_model([(Cmp(x, "<", const(-2)), True)]) == {"x": -3}
+        # y is eliminated last, so it is chosen first, and x then between its bounds
+        lits = [(Cmp(x, ">", const(2)), True), (Cmp(y, "<", x - const(5)), True)]
+        assert logic._cube_model(lits) == {"x": 6, "y": 0}
+
+    def test_disequalities_split_only_when_violated(self):
+        lits = [(Cmp(x + y, "=", const(3)), True), (Cmp(x, "!=", const(0)), True),
+                (Cmp(y, "!=", const(0)), True), (Cmp(y, "!=", const(3)), True)]
+        model = logic._cube_model(lits)
+        assert model is not None and all(logic.eval_atom(a, model) for a, _ in lits)
+        assert logic._cube_model([(Cmp(x, "!=", const(0)), True)]) == {"x": -1}
+
+    def test_rational_only_cube_has_no_model(self):
+        assert not fm_unsat([(Cmp(x.scale(2), "=", const(3)), True)])
+        assert logic._cube_model([(Cmp(x.scale(2), "=", const(3)), True)]) is None
+
+    def test_boolean_literals(self):
+        assert logic._cube_model([(BVar("a"), False), (BVar("b"), True)]) == {"a": 0, "b": 1}
+
+    def test_models_satisfy_random_cubes(self):
+        # sound always, and complete on every cube whose integer model has
+        # small values here
+        rng = random.Random(11)
+        names = ["x", "y", "z"]
+        envs = [dict(zip(names, combo)) for combo in itertools.product(range(-4, 5), repeat=3)]
+        found = 0
+        for _ in range(300):
+            lits = []
+            for _ in range(rng.randint(1, 4)):
+                lhs = LinTerm(tuple((n, c) for n, c in zip(names, (rng.randint(-1, 1) for _ in names))
+                                    if c != 0), rng.randint(-3, 3))
+                lits.append((Cmp(lhs, rng.choice(logic.CMP_OPS), const(rng.randint(-3, 3))), True))
+            model = logic._cube_model(lits)
+            if model is not None:
+                assert all(logic.eval_atom(a, model) for a, _ in lits), lits
+                found += 1
+            else:
+                assert not any(all(logic.eval_atom(a, env) for a, _ in lits) for env in envs), lits
+        assert found > 100
+
+    def test_only_the_components_sharing_a_name(self):
+        cube = frozenset([(Cmp(x, ">", const(2)), True), (Cmp(y.scale(2), "=", const(1)), True)])
+        assert logic.cube_model(cube) is None  # y has no integer value
+        assert logic.cube_model(cube, frozenset(["x"])) == {"x": 3}
+
+    def test_every_invalid_verdict_carries_a_model(self):
+        # the former search over at most 3 names in [-8, 8] left 8 of these
+        # 415 obligations without one
+        from l2.elaborate import ElabError, elaborate_program
+        from l2.harness import gen_program
+        from l2.parser import parse_program
+        from l2.refine import check_refined
+        from tests.conftest import PROGRAMS
+
+        programs = [parse_program(path.read_text()) for path in sorted(PROGRAMS.glob("*.l2"))]
+        programs += [gen_program(seed, budget) for budget in (30, 60) for seed in range(400)]
+        invalid = 0
+        for program in programs:
+            try:
+                report = check_refined(elaborate_program(program).target)
+            except ElabError:
+                continue
+            for vc, verdict in zip(report.vcs, report.verdicts):
+                if verdict.kind == "invalid":
+                    invalid += 1
+                    model = verdict.model
+                    assert model is not None, vc.render()
+                    assert all(logic.eval_atom(a, model) == pos for a, pos in verdict.cube)
+                    assert eval_pred(vc.negated(), model), vc.render()
+        assert invalid == 415
+
+
+class TestPremises:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_preds, max_size=3), _preds, _preds, _preds)
+    def test_grouped_once_same_verdict(self, hyps, antecedent, consequent, other):
+        memo: dict = {}
+        premises = logic.Premises((*hyps, antecedent), memo)
+        for goal in (consequent, other):
+            vc = _vc(hyps, antecedent, goal)
+            got = valid(vc, 10**6, memo, premises)
+            want = valid(vc, 10**6)
+            assert got.kind == want.kind
+            if got.kind == "invalid":
+                assert not fm_unsat(got.cube)
 
 
 class TestCanonicalKeys:

@@ -3,7 +3,8 @@
 The reference functions below are the former recursive printers of both
 notations (``render_pred`` with ``_render_nested``, and ``_sexp_pred``) and
 the former negation normal form with the DNF over it (``_nnf``, ``_dnf``),
-kept unchanged but for the iff's operator, now ``<=>``.  The template printer (``logic.render_pred``, and
+kept unchanged but for the iff's operator, now ``<=>``, and a kappa
+application without a substitution, now ``k2[]``.  The template printer (``logic.render_pred``, and
 ``logic.print_expr`` on ``logic.SMTLIB`` behind ``to_smtlib``) and
 ``logic.dnf_cubes`` must agree with them on random predicates, on every part
 of the VCs of the shipped and generated programs, and on the Horn clauses
@@ -67,8 +68,6 @@ def render_pred(p: Pred) -> str:
         case PIff(a, b):
             return f"{_render_nested(a)} <=> {_render_nested(b)}"
         case PKappa(k, subst):
-            if not subst:
-                return k
             inner = ", ".join(f"{v.render()}/{n}" for n, v in subst)
             return f"{k}[{inner}]"
     raise TypeError(f"not a predicate: {p!r}")

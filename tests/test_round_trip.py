@@ -5,9 +5,9 @@ through ``VC.render``; ``parser.parse_pred`` must read each back to the same
 predicate, compared by ``pred_key``.  The parser builds through the smart
 constructors, so a whole VC is compared with the predicate they build from
 its parts.  Programs and their ascribed types print through
-``syntax.print_program`` and ``print_type`` and must read back equal.  Kappa
-applications are left out: ``k1[flag/v]`` has no grammar, and a bare ``k2``
-reads back as a boolean variable.
+``syntax.print_program`` and ``print_type`` and must read back equal.  The
+Horn clauses of ``infer`` are VCs over kappa applications (``k1[flag/v]``,
+``k2[]``) and read back the same way.
 """
 
 from pathlib import Path
@@ -17,9 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from l2.elaborate import ElabError, elaborate_program
 from l2.harness import gen_program
-from l2.infer import Solution, infer_refinements
-from l2.logic import VC, pand, pimp, pred_key, render_pred
-from l2.parser import parse_pred, parse_program, parse_type
+from l2.infer import Solution, gen_horn, infer_refinements
+from l2.logic import PKappa, VC, contains_kappa, pand, pimp, pred_key, render_pred
+from l2.parser import ParseError, parse_pred, parse_program, parse_type
 from l2.refine import check_refined
 from l2.syntax import Ascribe, FunType, NUM, print_program, print_type, subexprs
 from tests.test_logic import _preds
@@ -76,6 +76,30 @@ def test_kappa_solutions_read_back():
                 assert_reads_back(render_pred(pand(candidates)), pand(candidates))
                 solved += bool(candidates)
     assert solved
+
+
+def test_horn_clauses_read_back():
+    kappas = 0
+    for program in [*SHIPPED, *(gen_program(seed, b) for b in (30, 60) for seed in range(100))]:
+        try:
+            clauses = gen_horn(program)[0]
+        except ElabError:
+            continue
+        for vc in clauses:
+            for p in (*vc.hyps, vc.antecedent, vc.consequent):
+                assert_reads_back(render_pred(p), p)
+                kappas += contains_kappa(p)
+            assert_reads_back(vc.render(), formula(vc))
+    assert kappas
+
+
+def test_kappa_applications_read_back():
+    assert render_pred(pand([PKappa("k2"), parse_pred("x = 1")])) == "k2[] && x = 1"
+    p = parse_pred("(v = 12 || k4[-4/p4, $g1 + 2/v]) => k1[]")
+    assert p == pimp(parse_pred("v = 12 || k4[-4/p4, $g1 + 2/v]"), PKappa("k1"))
+    assert render_pred(p) == "(v = 12 || k4[-4/p4, $g1 + 2/v]) => k1[]"
+    with pytest.raises(ParseError, match="unexpected character '\\['"):
+        parse_program("let x = 1 in k1[x/v]")
 
 
 @settings(max_examples=500, deadline=None)

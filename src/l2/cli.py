@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -51,6 +52,8 @@ class Config:
     search_depth: int = DEFAULT_SEARCH_DEPTH
     clause_budget: int = DEFAULT_CLAUSE_BUDGET
 
+
+SETTINGS = ("fuel", "search_depth", "clause_budget")  # Config's fields, each a flag too
 
 # The least value of each setting that asks for a meaningful run, from a flag
 # or the config file; fuzz's --trials and --budget are flags only.
@@ -151,8 +154,6 @@ def _slug(text: str) -> str:
 def cmd_vcs(args, config: Config) -> int:
     report, vcs = _check_file(args, config)
     if args.smtlib:
-        import os
-
         os.makedirs(args.smtlib, exist_ok=True)
         for i, vc in enumerate(report.vcs):
             name = f"vc{i:03d}_{_slug(vc.origin)}.smt2"
@@ -175,7 +176,7 @@ def cmd_infer(args, config: Config) -> int:
     if isinstance(outcome, infer.Unsat):
         clause = outcome.clause.render()
         _emit(args.json, lambda: {"status": "unsat", "clause": clause},
-              lambda: f"no solution: clause fails under the weakest assignment\n  {clause}")
+              lambda: f"no solution: clause fails under the greatest fixpoint\n  {clause}")
         return EXIT_REJECTED
     solution = {k: render_pred(pand(v)) for k, v in sorted(outcome.assignment.items())}
     program = syntax.print_program(infer.apply_solution(templated, outcome))
@@ -251,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> Config:
     """Flags override file configuration, which overrides built-in defaults."""
-    import os
-
     file_values: dict = {}
     path = args.config or (".l2.json" if os.path.exists(".l2.json") else None)
     if path:
@@ -260,21 +259,11 @@ def _load_config(args) -> Config:
             file_values = json.load(handle)
         if not isinstance(file_values, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-        for key in ("fuel", "search_depth", "clause_budget"):
+        for key in SETTINGS:
             if key in file_values and type(file_values[key]) is not int:
                 raise ConfigError(f"config file {path}: {key} must be an integer")
-    defaults = Config()
-
-    def pick(flag, key, fallback):
-        if flag is not None:
-            return flag
-        return file_values.get(key, fallback)
-
-    config = Config(
-        fuel=pick(args.fuel, "fuel", defaults.fuel),
-        search_depth=pick(args.search_depth, "search_depth", defaults.search_depth),
-        clause_budget=pick(args.clause_budget, "clause_budget", defaults.clause_budget),
-    )
+    flags = {key: getattr(args, key) for key in SETTINGS if getattr(args, key) is not None}
+    config = Config(**{**{key: file_values[key] for key in SETTINGS if key in file_values}, **flags})
     settings = {**vars(args), **vars(config)}
     for key, least in LEAST.items():
         if key in settings and settings[key] < least:
@@ -313,10 +302,7 @@ def _main(argv: list[str] | None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: config file is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimit as exc:

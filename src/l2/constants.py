@@ -47,10 +47,6 @@ def _bool(ref: Pred = TRUE) -> PrimType:
     return PrimType(BOOLEAN, ref)
 
 
-def _var(name: str) -> LinTerm:
-    return LinTerm.of_var(name)
-
-
 @lru_cache(maxsize=None)
 def int_const(k: int) -> PrimConst:
     return PrimConst(str(k), _num(cmp_pred(_NU, "=", LinTerm.of_const(k))))
@@ -135,7 +131,7 @@ def stage2(op: str, k: int) -> PrimConst:
         m = const_int_value(arg)
         return None if m is None else Const(_value(op, k, m))
 
-    ty = FunType(_num(), result_type(BINARY[op](LinTerm.of_const(k), _var("$b"))), "$b")
+    ty = FunType(_num(), result_type(BINARY[op](LinTerm.of_const(k), LinTerm.of_var("$b"))), "$b")
     return PrimConst(f"{op}@{k}", ty, delta, partial=(op, k))
 
 
@@ -144,7 +140,7 @@ def _binary(op: str) -> PrimConst:
         k = const_int_value(arg)
         return None if k is None else Const(stage2(op, k))
 
-    cod = FunType(_num(), result_type(BINARY[op](_var("$a"), _var("$b"))), "$b")
+    cod = FunType(_num(), result_type(BINARY[op](LinTerm.of_var("$a"), LinTerm.of_var("$b"))), "$b")
     return PrimConst(op, FunType(_num(), cod, "$a"), delta)
 
 

@@ -165,16 +165,8 @@ def default_candidates(program: Program, kappa: KappaVar) -> list[Pred]:
     if kappa.sort != NUMBER:
         return []
     nu = LinTerm.of_var(VALUE_VAR)
-    out: list[Pred] = []
-    for k in program_literals(program):
-        rhs = LinTerm.of_const(k)
-        for op in ("=", "!=", "<=", ">="):
-            out.append(cmp_pred(nu, op, rhs))
-    for name in kappa.scope:
-        rhs = LinTerm.of_var(name)
-        for op in ("=", "!=", "<=", ">="):
-            out.append(cmp_pred(nu, op, rhs))
-    return out
+    rhss = [*map(LinTerm.of_const, program_literals(program)), *map(LinTerm.of_var, kappa.scope)]
+    return [cmp_pred(nu, op, rhs) for rhs in rhss for op in ("=", "!=", "<=", ">=")]
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +238,7 @@ def houdini_solve(
         due.discard(i)
         clause, head, head_k = clauses[i], heads[i], head_kappas[i]
         body = tuple(map_pred(p, leaf) for p in bodies[i])
-        premises = Premises(body, memo)
+        premises = Premises().extend(body, memo)
 
         def check(goal: Pred) -> Verdict:
             return valid(VC(body, TRUE, goal, clause.origin), clause_budget, memo, premises)

@@ -3,26 +3,28 @@
 The logic is quantifier-free linear integer arithmetic over one sort.  A
 boolean is the integer 1 (true) or 0 (false), and the atom ``b`` means
 ``b = 1``, so substitution, discharge and SMT-LIB emission treat every name
-alike.
-A verification condition ``H1 ... Hn => (p => q)`` is discharged in-process:
-negate it, group its conjuncts into components that share no names, and
-refute some component: normalize it to disjunctive normal form and refute
-every cube with an integer-tightened Fourier-Motzkin elimination.  "valid"
-verdicts are sound: a reported tautology has no integer counter-model.
-Cubes that are satisfiable over the rationals but not the integers are
-conservatively reported as invalid.
+alike.  A verification condition ``H1 ... Hn => (p => q)`` is discharged
+in-process: its conjuncts are grouped into components that share no names,
+and the VC is valid once one component of its negation is refuted, by
+normalizing it to disjunctive normal form and refuting every cube with an
+integer-tightened Fourier-Motzkin elimination.  "valid" verdicts are sound:
+a reported tautology has no integer counter-model.  Cubes that are
+satisfiable over the rationals but not the integers are conservatively
+reported as invalid.
 
-Discharge does no work it can avoid.  DNF size is a sum over components,
-not a product.  A cube, too, is decided one component of variable-sharing
-literals at a time, and a disequality is split into its two strict halves
-only while the rows without it are still satisfiable.  A memo shared by the
-``valid`` calls of one Houdini solve or refinement check keeps each
-conjunct's names, literal's rows and component's outcome, so hypotheses
-shared between VCs are decided once.  Elimination keeps its rows reduced
-by their exact gcd and holds only the tightest of rows with the same
-coefficients.  An invalid verdict keeps its cube and builds the rendered
-cube and the counter-model only when read; the model is built per component
-by Fourier-Motzkin back-substitution and checked against the cube.
+Discharge does no work it can avoid.  The hypotheses are grouped once for
+every VC that shares them (``Premises``, kept by each environment frame
+phase 2 builds a VC on, or by Houdini for a clause body), and each VC adds
+only its antecedent and negated consequent.  DNF size is a sum over
+components, not a product.  A cube, too, is decided one component of
+variable-sharing literals at a time, and a disequality is split into its two
+strict halves only while the rows without it are still satisfiable.  A memo
+shared by the ``valid`` calls of one Houdini solve or refinement check keeps
+each conjunct's names, literal's rows and component's outcome.  Elimination
+keeps its rows reduced by their exact gcd and holds only the tightest of rows
+with the same coefficients.  An invalid verdict keeps its cube and builds the
+rendered cube and the counter-model only when read; the model is built per
+component by Fourier-Motzkin back-substitution and checked against the cube.
 
 Predicates are traversed by two shared walkers: ``pred_leaves`` lists the
 constants, atoms and kappa applications left to right without recursion, and
@@ -38,6 +40,7 @@ verification conditions with an external solver.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import string
 from dataclasses import dataclass, field, fields
@@ -132,24 +135,10 @@ class LinTerm:
     def render(self) -> str:
         if not self.coeffs:
             return str(self.const)
-        parts = []
-        for name, c in self.coeffs:
-            if not parts:
-                if c == 1:
-                    parts.append(name)
-                elif c == -1:
-                    parts.append(f"-{name}")
-                else:
-                    parts.append(f"{c}*{name}")
-            else:
-                sign = "+" if c > 0 else "-"
-                mag = abs(c)
-                parts.append(f" {sign} {name}" if mag == 1 else f" {sign} {mag}*{name}")
-        if self.const > 0:
-            parts.append(f" + {self.const}")
-        elif self.const < 0:
-            parts.append(f" - {-self.const}")
-        return "".join(parts)
+        terms = [(c, n if abs(c) == 1 else f"{abs(c)}*{n}") for n, c in self.coeffs]
+        terms += [(self.const, str(abs(self.const)))] if self.const else []
+        text = "".join(f" {'-' if c < 0 else '+'} {t}" for c, t in terms)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 CMP_OPS = ("<", "<=", "=", "!=", ">=", ">")
@@ -254,40 +243,32 @@ TRUE = PBool(True)
 FALSE = PBool(False)
 
 
-def pand(parts) -> Pred:
+def _connective(parts, cls: type, unit: PBool) -> Pred:
+    """The flattened conjunction (``pand``) or disjunction (``por``) of
+    parts, whose ``unit`` is dropped and whose other constant absorbs it."""
     flat: list[Pred] = []
     for p in parts:
         if isinstance(p, PBool):
-            if not p.value:
-                return FALSE
+            if p.value != unit.value:
+                return FALSE if unit.value else TRUE
             continue
-        if isinstance(p, PAnd):
+        if isinstance(p, cls):
             flat.extend(p.parts)
         else:
             flat.append(p)
     if not flat:
-        return TRUE
+        return unit
     if len(flat) == 1:
         return flat[0]
-    return PAnd(tuple(flat))
+    return cls(tuple(flat))
+
+
+def pand(parts) -> Pred:
+    return _connective(parts, PAnd, TRUE)
 
 
 def por(parts) -> Pred:
-    flat: list[Pred] = []
-    for p in parts:
-        if isinstance(p, PBool):
-            if p.value:
-                return TRUE
-            continue
-        if isinstance(p, POr):
-            flat.extend(p.parts)
-        else:
-            flat.append(p)
-    if not flat:
-        return FALSE
-    if len(flat) == 1:
-        return flat[0]
-    return POr(tuple(flat))
+    return _connective(parts, POr, FALSE)
 
 
 def pnot(p: Pred) -> Pred:
@@ -515,8 +496,7 @@ SYNTAX[PImp] = template("{hyp:1} => {concl:1}", 0)
 SYNTAX[PIff] = template("{left:1} <=> {right:1}", 0)
 
 
-def render_pred(p: Pred) -> str:
-    return print_expr(p)
+render_pred = print_expr  # a predicate in the source notation
 
 
 def _canon_cmp(c: Cmp):
@@ -584,13 +564,33 @@ def is_false(p: Pred) -> bool:
 
 @dataclass(frozen=True)
 class VC:
-    """Implication ``hyps => (antecedent => consequent)``."""
+    """Implication ``hyps => (antecedent => consequent)``.
+
+    Phase 2 builds a VC on its environment frame (``on``, a ``refine.RefEnv``),
+    which keeps its hypotheses grouped (``Premises``) and reads ``hyps`` and
+    ``scope`` off the chain only when they are asked for.  A VC built from a
+    tuple of hypotheses has no frame, and ``valid`` groups them by the same fold.
+    """
 
     hyps: tuple[Pred, ...]
     antecedent: Pred
     consequent: Pred
     origin: str = ""
-    scope: tuple[str, ...] = field(default=(), compare=False)  # names bound at a number type
+    scope: tuple[str, ...] = field(default_factory=tuple, compare=False)  # bound at a number type
+    env: object = field(default=None, compare=False, repr=False)
+
+    @staticmethod
+    def on(env, antecedent: Pred, consequent: Pred, origin: str) -> VC:
+        vc = object.__new__(VC)
+        vc.__dict__.update(env=env, antecedent=antecedent, consequent=consequent, origin=origin)
+        return vc
+
+    def __getattr__(self, name: str):  # a frame's VC's hyps and scope, each read once
+        if name not in ("hyps", "scope") or self.env is None:
+            raise AttributeError(name)
+        value = self.env.flatten() if name == "hyps" else self.env.number_names()
+        self.__dict__[name] = value
+        return value
 
     def negated(self) -> Pred:
         return pand(list(self.hyps) + [self.antecedent, pnot(self.consequent)])
@@ -613,10 +613,11 @@ class VC:
 def is_tautology(vc: VC) -> bool:
     """True when the VC holds for structural reasons alone.
 
-    Covers a true consequent and a false antecedent or hypothesis.  A
-    reflexive implication between kappa applications is dropped too: it holds
-    under every solution, so it constrains nothing.  Concrete reflexive
-    obligations are kept and discharged like any other.
+    Covers a true consequent and a false antecedent or hypothesis, which a
+    VC built on a frame reads off the frame's record.  A reflexive implication
+    between kappa applications is dropped too: it holds under every solution,
+    so it constrains nothing.  Concrete reflexive obligations are kept and
+    discharged like any other.
     """
     if is_true(vc.consequent):
         return True
@@ -624,7 +625,7 @@ def is_tautology(vc: VC) -> bool:
         return True
     if contains_kappa(vc.consequent) and pred_key(vc.antecedent) == pred_key(vc.consequent):
         return True
-    return any(is_false(h) for h in vc.hyps)
+    return vc.env.grouped is FALSE_PREMISES if vc.env else any(is_false(h) for h in vc.hyps)
 
 
 # ---------------------------------------------------------------------------
@@ -858,12 +859,10 @@ class Verdict:
         return None if self.cube is None else cube_model(self.cube)
 
     def render(self) -> str:
-        if self.kind == "valid":
-            return "valid"
-        if self.kind == "invalid":
-            extra = f" model {self.model}" if self.model else ""
-            return f"invalid (cube: {self.counter_cube}){extra}"
-        return "unknown"
+        if self.kind != "invalid":
+            return self.kind
+        extra = f" model {self.model}" if self.model else ""
+        return f"invalid (cube: {self.counter_cube}){extra}"
 
 
 VALID = Verdict("valid")
@@ -960,27 +959,51 @@ def _names(p: Pred, memo: dict) -> tuple[str, ...]:
     return names
 
 
+_POSITIONS = itertools.count()  # a conjunct's place: later along every chain
+
+
 class Premises:
-    """The conjuncts of a body of hypotheses, flattened and grouped into
-    name-sharing components once, so that each goal checked under them (by
-    ``valid``) groups only its own negation with them."""
+    """Hypotheses grouped into name-sharing components, extended one conjunct
+    at a time and persistently: ``extend`` makes a new version and keeps this
+    one.  The versions share one store, each name's component as its names
+    and its (position, conjunct) pairs in position order (a conjunct without
+    names is filed under its position), which holds the version last used;
+    every other one keeps the changes that make it from a neighbour, replayed
+    when it is used (Baker's rerooting, the persistent form of an SMT
+    solver's assertion stack)."""
 
-    __slots__ = ("parts", "home")
+    __slots__ = ("_store",)
 
-    def __init__(self, preds, memo: dict) -> None:
-        body = pand(preds)
-        named = [(p, _names(p, memo)) for p in (body.parts if isinstance(body, PAnd) else (body,))
-                 if p is not TRUE]
-        self.parts = _components(named)
-        self.home = {n: i for i, part in enumerate(self.parts) for p in part for n in memo[p]}
+    def __init__(self) -> None:
+        self._store: dict | tuple = {}  # the store, or (a neighbour, the changes from it)
 
-    def with_goal(self, goal: Pred, memo: dict) -> list[list[Pred]]:
-        """The components of the premises and the goal's negation: the
-        negation and every component it shares a name with are merged, last."""
-        negated = pnot(goal)
-        touched = sorted({self.home[n] for n in _names(negated, memo) if n in self.home})
-        merged = [p for i in touched for p in self.parts[i]] + [negated]
-        return [part for i, part in enumerate(self.parts) if i not in touched] + [merged]
+    def extend(self, preds, memo: dict) -> Premises:
+        """These premises and the conjuncts of preds, as a new version."""
+        path = [self]
+        while type(path[-1]._store) is tuple:
+            path.append(path[-1]._store[0])
+        store, back, body = path[-1]._store, {}, pand(preds)
+        for node, version in zip(path[:0:-1], path[-2::-1]):  # hand the store down to self
+            changes = version._store[1]
+            node._store = version, {k: store.get(k) for k in changes}
+            store.update(changes)
+            version._store = store
+        for p in () if body is TRUE else body.parts if isinstance(body, PAnd) else (body,):
+            names, pos = _names(p, memo), next(_POSITIONS)
+            touched = [*{id(q): q for q in map(store.get, names) if q}.values()]
+            names = frozenset(names).union(*(q[0] for q in touched))
+            items = touched[0][1] if len(touched) == 1 else sorted(i for q in touched for i in q[1])
+            merged = names, (*items, (pos, p))
+            for k in names or (pos,):
+                back.setdefault(k, store.get(k))  # None: absent
+                store[k] = merged
+        new = Premises()
+        new._store, self._store = store, (new, back)
+        return new
+
+
+# The premises of every frame under a literally false hypothesis.
+FALSE_PREMISES = Premises().extend((FALSE,), {})
 
 
 def valid(
@@ -991,33 +1014,36 @@ def valid(
 ) -> Verdict:
     """Check a VC by refuting its negation one component at a time.
 
-    The conjuncts of ``hyps && antecedent && !consequent`` are grouped by
-    shared names before any case split, and each group goes to DNF alone:
-    the VC is valid once one group has no satisfiable cube, and an invalid
-    verdict's cube is the union of each group's first satisfiable one.  The
-    clause budget bounds one group; ``ResourceLimit`` is raised only when no
-    other group refutes the VC, and names the VC's origin.  ``memo`` keeps
-    each conjunct's names and each group's outcome, and reaches every
-    ``fm_unsat`` call.  ``premises``, the VC's hypotheses and antecedent
-    grouped once, saves grouping them again for each consequent checked
-    under them.
+    The hypotheses are grouped (``Premises``) by the VC's frame, once for
+    every VC under it; by the caller, who passes ``premises`` (Houdini, once
+    per clause body); or else here.  The antecedent and the negated
+    consequent join the components they share a name with, and each
+    component goes to DNF alone: the VC is valid once one has no satisfiable
+    cube, and an invalid verdict's cube is the union of each component's
+    first satisfiable one.  The goal's components go first, then the rest,
+    each the smallest first.  The clause budget bounds one component;
+    ``ResourceLimit`` is raised only when no other component refutes the VC,
+    and names the VC's origin.  ``memo`` keeps each conjunct's names and each
+    component's outcome, and reaches every ``fm_unsat`` call.
     """
     memo = {} if memo is None else memo
-    if premises is None:
-        negated = vc.negated()
-        parts = _components(
-            (p, _names(p, memo)) for p in (negated.parts if isinstance(negated, PAnd) else (negated,)))
-    else:
-        parts = premises.with_goal(vc.consequent, memo)
+    premises = premises or (vc.env.premises(memo) if vc.env else Premises().extend(vc.hyps, memo))
+    store = premises.extend((vc.antecedent, pnot(vc.consequent)), memo)._store
+    goal = {id(store[k]): store[k] for k in premises._store[1]}  # the components it grew
+
+    def components():  # the goal's, then the rest; the smallest first, the one starting last
+        yield from sorted(goal.values(), key=lambda p: (len(p[1]), -p[1][0][0]))
+        rest = {id(p): p for p in store.values() if p and id(p) not in goal}
+        yield from sorted(rest.values(), key=lambda p: (len(p[1]), -p[1][0][0]))
+
     cube: frozenset = frozenset()
     limit = None
-    # The smallest components first; among equals the negated consequent's,
-    # the likeliest to be refuted.
-    for part in sorted(reversed(parts), key=len):
-        key = frozenset(part)
+    for _, part in components():
+        preds = [p for _, p in part]
+        key = frozenset(preds)
         if key not in memo:
             try:
-                cubes = dnf_cubes(PAnd(tuple(part)) if len(part) > 1 else part[0], clause_budget)
+                cubes = dnf_cubes(PAnd(tuple(preds)) if len(preds) > 1 else preds[0], clause_budget)
             except ResourceLimit as exc:
                 limit = str(exc)  # not exc: its traceback would keep the DNF alive
                 continue

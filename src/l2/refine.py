@@ -10,12 +10,16 @@ as calls to a function whose domain refinement is false, so the obligation
 is provable exactly when the surrounding environment is inconsistent, which
 is what "this cast is dead code" means.
 
-Obligations that hold for purely structural reasons (a true consequent, a
-false antecedent or hypothesis) are not reported; they carry no content.
-Dependent application results substitute the argument into the codomain only
-when the argument lies in the logical fragment; anything else is bound to a
-fresh ghost name carrying the argument's synthesized type.  A binary
-primitive applied to both operands is typed by its ``constants.BINARY`` meaning.
+A VC is built on the environment frame it arises under (``logic.VC.on``)
+and copies nothing: its hypotheses are the frame chain's, read off it only
+when printed, and every VC under a frame is discharged against the one
+grouping of them the frame keeps (``RefEnv.premises``).  Obligations that
+hold for purely structural reasons (a true consequent, a false antecedent or
+hypothesis) are not reported; they carry no content.  Dependent application
+results substitute the argument into the codomain only when the argument
+lies in the logical fragment; anything else is bound to a fresh ghost name
+carrying the argument's synthesized type.  A binary primitive applied to
+both operands is typed by its ``constants.BINARY`` meaning.
 
 A refinement type is a phase-1 type whose arrows name their arguments:
 ``elab_type`` gives an annotation's arrows fresh binders, and from here on
@@ -37,16 +41,19 @@ from .logic import (
     Cmp,
     DEFAULT_CLAUSE_BUDGET,
     FALSE,
+    FALSE_PREMISES,
     LinTerm,
     PAtom,
     PBool,
     Pred,
+    Premises,
     SYNTAX,
     TRUE,
     VALUE_VAR,
     VC,
     Verdict,
     cmp_pred,
+    is_false,
     is_tautology,
     is_true,
     pnot,
@@ -107,13 +114,15 @@ class RefEnv:
 
     ``bind`` and ``guard`` add one frame each and copy nothing.  A base
     binder's hypothesis (its refinement with the value variable replaced by
-    the binder's name) is substituted once, when it is bound, so building a
-    VC reads the hypotheses off the frames instead of substituting into every
-    binder again.  Phase 1's frames carry no hypothesis (``Elaborator.extend``).
-    Lookups walk outwards to the nearest binder of the name.
+    the binder's name) is substituted once, when it is bound.  On the first
+    discharge under it, a frame groups the hypotheses on its chain from its
+    parent's grouping (``premises``, kept in ``grouped``), so the VCs under it
+    share one; ``grouped`` is ``FALSE_PREMISES`` from the start when one of
+    them is literally false.  Phase 1's frames carry no hypothesis
+    (``Elaborator.extend``).  Lookups walk outwards to the nearest binder.
     """
 
-    __slots__ = ("parent", "name", "ty", "hyp")
+    __slots__ = ("parent", "name", "ty", "hyp", "grouped")
 
     def __init__(self, parent: RefEnv | None = None, name: str | None = None,
                  ty: SrcType | None = None, hyp: Pred | None = None):
@@ -121,6 +130,8 @@ class RefEnv:
         self.name = name  # None for a guard
         self.ty = ty
         self.hyp = hyp  # None for a binder that carries no hypothesis
+        on_false = parent is not None and parent.grouped is FALSE_PREMISES
+        self.grouped = FALSE_PREMISES if on_false or hyp is not None and is_false(hyp) else None
 
     def bind(self, name: str, ty: SrcType) -> RefEnv:
         hyp = None
@@ -156,6 +167,18 @@ class RefEnv:
         """The names bound at a number type, in binding order."""
         frames = [f for f in self._frames() if isinstance(f.ty, PrimType) and f.ty.base == NUMBER]
         return tuple(reversed([f.name for f in frames]))
+
+    def premises(self, memo: dict) -> Premises:
+        """The hypotheses on the chain, grouped once per frame: down from the
+        nearest frame above that has its grouping, without recursion."""
+        pending, env = [], self
+        while env is not None and env.grouped is None:
+            pending.append(env)
+            env = env.parent
+        grouped = Premises() if env is None else env.grouped
+        for env in reversed(pending):
+            grouped = env.grouped = grouped if env.hyp is None else grouped.extend((env.hyp,), memo)
+        return grouped
 
     def sort_of(self, name: str) -> str | None:
         t = self.get(name)
@@ -346,7 +369,7 @@ class RefChecker:
         for env2, p1, p2, origin2 in _obligations(env, t1, t2, origin):
             if is_true(p2):
                 continue  # a tautology; skip building its hypotheses
-            vc = VC(env2.flatten(), p1, p2, origin2, env2.number_names())
+            vc = VC.on(env2, p1, p2, origin2)
             if not is_tautology(vc):
                 self.vcs.append(vc)
 

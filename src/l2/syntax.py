@@ -586,8 +586,7 @@ def _fresh(base: str, used: set[str], counters: dict[str, int]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def print_type(t: SrcType) -> str:
-    return print_expr(t)
+print_type = print_expr  # a type in the source notation
 
 
 def print_program(p: Program) -> str:

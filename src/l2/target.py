@@ -133,26 +133,16 @@ def simple_typecheck(env: dict[str, SrcType], w: TgtExpr) -> SrcType:
             if not isinstance(src_ann, FunType):
                 raise IllTyped(w, "annotated lambda", src_ann)
             arrow = erase_refinements(src_ann)
-            cod = _scoped(env, param, arrow.dom, body)
-            if cod != arrow.cod:
-                raise IllTyped(w, arrow.cod, cod)
+            _expect(w, arrow.cod, _scoped(env, param, arrow.dom, body))
             return arrow
         case If(c, t, f):
-            c_ty = simple_typecheck(env, c)
-            if c_ty != syntax.BOOL:
-                raise IllTyped(w, syntax.BOOL, c_ty)
-            tt = simple_typecheck(env, t)
-            ft = simple_typecheck(env, f)
-            if tt != ft:
-                raise IllTyped(w, tt, ft)
-            return tt
+            _expect(w, syntax.BOOL, simple_typecheck(env, c))
+            return _expect(w, simple_typecheck(env, t), simple_typecheck(env, f))
         case App(fn, arg):
             fn_ty = simple_typecheck(env, fn)
             if not isinstance(fn_ty, FunType):
                 raise IllTyped(w, "function", fn_ty)
-            arg_ty = simple_typecheck(env, arg)
-            if arg_ty != fn_ty.dom:
-                raise IllTyped(w, fn_ty.dom, arg_ty)
+            _expect(w, fn_ty.dom, simple_typecheck(env, arg))
             return fn_ty.cod
         case Let(name, bound, body):
             return _scoped(env, name, simple_typecheck(env, bound), body)
@@ -167,27 +157,24 @@ def simple_typecheck(env: dict[str, SrcType], w: TgtExpr) -> SrcType:
             if not isinstance(src_ann, OrType):
                 raise IllTyped(w, "annotated injection", src_ann)
             sum_ty = erase_refinements(src_ann)
-            arm = sum_ty.left if index == 1 else sum_ty.right
-            payload_ty = simple_typecheck(env, payload)
-            if payload_ty != arm:
-                raise IllTyped(w, arm, payload_ty)
+            _expect(w, sum_ty.left if index == 1 else sum_ty.right, simple_typecheck(env, payload))
             return sum_ty
         case TCase(s, x1, b1, x2, b2):
             s_ty = simple_typecheck(env, s)
             if not isinstance(s_ty, OrType):
                 raise IllTyped(w, "sum", s_ty)
-            t1 = _scoped(env, x1, s_ty.left, b1)
-            t2 = _scoped(env, x2, s_ty.right, b2)
-            if t1 != t2:
-                raise IllTyped(w, t1, t2)
-            return t1
+            return _expect(w, _scoped(env, x1, s_ty.left, b1), _scoped(env, x2, s_ty.right, b2))
         case TDead(from_ty, to_ty, inner):
-            inner_ty = simple_typecheck(env, inner)
-            expected = erase_refinements(from_ty)
-            if inner_ty != expected:
-                raise IllTyped(w, expected, inner_ty)
+            _expect(w, erase_refinements(from_ty), simple_typecheck(env, inner))
             return erase_refinements(to_ty)
     raise TypeError(f"not a target expression: {w!r}")
+
+
+def _expect(w: TgtExpr, expected: SrcType, actual: SrcType) -> SrcType:
+    """actual, when it is the type expected at w."""
+    if actual != expected:
+        raise IllTyped(w, expected, actual)
+    return actual
 
 
 def _scoped(env: dict[str, SrcType], name: str, ty: SrcType, body: TgtExpr) -> SrcType:

@@ -59,6 +59,38 @@ def disj_program(k: int) -> str:
             f"(({params} => {total}) : {arrows} -> {{v:number | v >= 0}})\n")
 
 
+def oblig_program(n: int) -> str:
+    """n lets, each passing the previous one to f : {v >= 0} -> {v >= 0}:
+    accepted, with one obligation per let under all the lets before it."""
+    lines = ["let f = ((\\z => z) : {v:number | v >= 0} -> {v:number | v >= 0}) in",
+             "let x0 = f 0 in"]
+    lines += [f"let x{i} = f x{i - 1} in" for i in range(1, n)]
+    return "\n".join(lines) + f"\nx{n - 1}\n"
+
+
+@pytest.fixture(scope="session")
+def corpus_reports():
+    """(label, refinement report) for each program of ``programs/`` and each
+    ``gen_program(seed, budget)``, seeds 0-399 and budgets 30 and 60, that
+    passes phase 1: one pass, shared by the tests that read the whole corpus."""
+    from l2.elaborate import ElabError, elaborate_program
+    from l2.harness import gen_program
+    from l2.parser import parse_program
+    from l2.refine import check_refined
+
+    programs = [(path.name, parse_program(path.read_text()))
+                for path in sorted(PROGRAMS.glob("*.l2"))]
+    programs += [(f"gen_program({seed}, {budget})", gen_program(seed, budget))
+                 for budget in (30, 60) for seed in range(400)]
+    reports = []
+    for label, program in programs:
+        try:
+            reports.append((label, check_refined(elaborate_program(program).target)))
+        except ElabError:
+            continue
+    return reports
+
+
 def eval_source(e, fuel: int = DEFAULT_FUEL):
     """The outcome of a source run, without its trace."""
     return eval_source_trace(e, fuel)[0]

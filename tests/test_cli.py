@@ -442,6 +442,19 @@ class TestInfer:
         assert code == 0
         assert "k1 :=" in out and "v != 0" in out
 
+    def test_unsat_report_names_the_greatest_fixpoint(self, tmp_path, capsys):
+        # a zero and a nonzero guard both reach the numeric clone: the dead
+        # cast's clause fails under the strongest assignment Houdini reaches
+        path = tmp_path / "unsat.l2"
+        path.write_text(
+            "let neg = ((\\flag => \\x => if ne flag 0 then sub 0 x else not x)\n"
+            "  : (number -> number -> number) /\\ (number -> boolean -> boolean)) in\n"
+            "let a = neg 1 1 in\nlet c = neg 0 1 in\nc\n")
+        code, out, _ = run_cli(["infer", str(path)], capsys)
+        assert code == 1
+        assert out == ("no solution: clause fails under the greatest fixpoint\n"
+                       "  (k1[flag/v] && k2[x/v] && flag = 0) => (v = x => false)\n")
+
     def test_preds_override(self, programs_dir, tmp_path, capsys):
         preds = tmp_path / "preds.txt"
         preds.write_text("v = 0\nv != 0\n")

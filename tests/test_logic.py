@@ -627,23 +627,11 @@ class TestCounterModels:
         assert logic.cube_model(cube) is None  # y has no integer value
         assert logic.cube_model(cube, frozenset(["x"])) == {"x": 3}
 
-    def test_every_invalid_verdict_carries_a_model(self):
+    def test_every_invalid_verdict_carries_a_model(self, corpus_reports):
         # the former search over at most 3 names in [-8, 8] left 8 of these
         # 415 obligations without one
-        from l2.elaborate import ElabError, elaborate_program
-        from l2.harness import gen_program
-        from l2.parser import parse_program
-        from l2.refine import check_refined
-        from tests.conftest import PROGRAMS
-
-        programs = [parse_program(path.read_text()) for path in sorted(PROGRAMS.glob("*.l2"))]
-        programs += [gen_program(seed, budget) for budget in (30, 60) for seed in range(400)]
         invalid = 0
-        for program in programs:
-            try:
-                report = check_refined(elaborate_program(program).target)
-            except ElabError:
-                continue
+        for _, report in corpus_reports:
             for vc, verdict in zip(report.vcs, report.verdicts):
                 if verdict.kind == "invalid":
                     invalid += 1
@@ -658,15 +646,67 @@ class TestPremises:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(_preds, max_size=3), _preds, _preds, _preds)
     def test_grouped_once_same_verdict(self, hyps, antecedent, consequent, other):
+        # one grouping of a body serves every head checked under it, as in Houdini
         memo: dict = {}
-        premises = logic.Premises((*hyps, antecedent), memo)
+        body = (*hyps, antecedent)
+        premises = logic.Premises().extend(body, memo)
         for goal in (consequent, other):
-            vc = _vc(hyps, antecedent, goal)
+            vc = _vc(body, TRUE, goal)
             got = valid(vc, 10**6, memo, premises)
-            want = valid(vc, 10**6)
-            assert got.kind == want.kind
+            assert got.kind == _product_dnf_kind(vc)
             if got.kind == "invalid":
                 assert not fm_unsat(got.cube)
+
+    @staticmethod
+    def random_pred(rng, names, false_rate=0.0):
+        if rng.random() < false_rate:
+            return PBool(False)
+
+        def atom():
+            used = rng.sample(names, rng.randint(1, 2))
+            lhs = LinTerm(tuple(sorted((n, rng.choice([-1, 1, 2])) for n in used)), 0)
+            return cmp_pred(lhs, rng.choice(logic.CMP_OPS), const(rng.randint(-2, 2)))
+
+        return por([atom(), atom()]) if rng.random() < 0.4 else atom()
+
+    def test_frame_chains_match_the_whole_dnf(self):
+        # Random trees of frames, binders and guards over earlier frames, some
+        # under a literally false hypothesis and some with a component past the
+        # clause budget of 8 cubes.  VCs under random frames are discharged in
+        # random order with one memo, as a check does, so the store the
+        # groupings share moves between branches; each verdict kind must be
+        # the one DNF of the whole negated VC gives.
+        from l2.refine import RefEnv
+        from l2.syntax import PrimType
+
+        rng = random.Random(5)
+        seen = {"valid": 0, "invalid": 0, "false": 0, "over budget": 0}
+        for _ in range(60):
+            frames, memo = [RefEnv()], {}
+            for i in range(10):
+                env = rng.choice(frames)
+                pred = self.random_pred(rng, ["v", "a", "b", "w"], false_rate=0.03)
+                if rng.random() < 0.5:
+                    frames.append(env.guard(subst_pred(pred, "v", LinTerm.of_var("w"))))
+                else:
+                    frames.append(env.bind(f"x{i}", PrimType("number", pred)))
+            names = ["v", "a", "b", "w"] + [f"x{i}" for i in range(10)]
+            goals = [(rng.choice(frames), self.random_pred(rng, names[:6]), self.random_pred(rng, names))
+                     for _ in range(12)]
+            for env, antecedent, consequent in goals:
+                vc = VC.on(env, antecedent, consequent, "t")
+                if is_tautology(vc):
+                    assert any(h == PBool(False) for h in vc.hyps) or logic.is_false(antecedent)
+                    seen["false"] += 1
+                    continue
+                try:
+                    got = valid(vc, 8, memo)
+                except ResourceLimit:
+                    seen["over budget"] += 1
+                    got = valid(vc, 10**6, memo)
+                assert got.kind == _product_dnf_kind(VC(env.flatten(), antecedent, consequent)), vc
+                seen[got.kind] += 1
+        assert all(n >= 10 for n in seen.values()), seen
 
 
 class TestCanonicalKeys:

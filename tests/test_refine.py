@@ -15,6 +15,7 @@ from l2.logic import (
     VC,
     cmp_pred,
     pred_key,
+    pred_names,
     render_pred,
     subst_pred,
 )
@@ -35,7 +36,8 @@ from l2.refine import (
 from l2.harness import gen_program
 from l2.syntax import BOOL, FunType, NUM, OrType, PrimType, erase_refinements, subexprs
 from l2.target import TApp, TConst, TDead, TVar
-from tests.conftest import NEGATE_ERR_C, NEGATE_OK, PROGRAMS, eval_pred, ftx, let_chain
+from tests.conftest import (NEGATE_ERR_C, NEGATE_OK, PROGRAMS, eval_pred, ftx, let_chain,
+                            oblig_program)
 
 
 def subtype(env: RefEnv, t1, t2, origin: str = "") -> list[VC]:
@@ -419,6 +421,47 @@ class TestPersistentEnvironment:
             counts.append(calls[0])
         assert counts[1] <= 2 * counts[0] + 10
 
+    def test_obligations_under_shared_frames_cost_linear_work(self, monkeypatch):
+        # One obligation per let, each under every let before it.  A frame
+        # groups its hypotheses once, from its parent's grouping, and each VC
+        # adds only its own goal, so four times the lets is about four times
+        # the conjuncts grouped and the frames walked.  Copying the chain into
+        # every VC and regrouping it grew both about 15-fold.
+        from l2 import logic
+
+        counts = {"conjuncts": 0, "frames": 0}
+        names, frames, premises = logic._names, RefEnv._frames, RefEnv.premises
+
+        def counting_names(p, memo):
+            counts["conjuncts"] += 1
+            return names(p, memo)
+
+        def counting_frames(env):
+            for frame in frames(env):
+                counts["frames"] += 1
+                yield frame
+
+        def counting_premises(env, memo):  # the frames it builds a grouping for
+            above = env
+            while above is not None and above.grouped is None:
+                counts["frames"] += 1
+                above = above.parent
+            return premises(env, memo)
+
+        monkeypatch.setattr(logic, "_names", counting_names)
+        monkeypatch.setattr(RefEnv, "_frames", counting_frames)
+        monkeypatch.setattr(RefEnv, "premises", counting_premises)
+        seen = {}
+        for n in (100, 400):
+            target = elaborate.elaborate_program(parser.parse_program(oblig_program(n))).target
+            counts.update(conjuncts=0, frames=0)
+            report = check_refined(target)
+            assert report.accepted and len(report.vcs) == n + 1
+            seen[n] = dict(counts)
+        assert seen[100]["conjuncts"] > 100 and seen[100]["frames"] > 100  # the counters see the work
+        for kind in counts:
+            assert seen[400][kind] <= 4.5 * seen[100][kind], seen
+
 
 class TestDependentApplication:
     def test_literal_argument_substitutes(self):
@@ -555,6 +598,35 @@ class TestRandomReflexivity:
         env = RefEnv().bind("b", PrimType("boolean", PAtom(BVar(VALUE_VAR := "v"))))
         flat = env.flatten()
         assert flat == (PAtom(BVar("b")),)
+
+
+class TestClosedObligations:
+    """Every free name of a kept VC is a binder on its frame chain, a
+    reserved ``$`` name or the value variable: an oracle for the frames a VC
+    is built on.  The known exceptions are a join's type that names a binder
+    of one branch (``gen_program(382, 60)``) and a refinement that names an
+    unbound variable, which nothing reports yet."""
+
+    UNBOUND_Y = "let f = ((\\z => z) : {v:number | v > y} -> {v:number | v > y}) in f 1\n"
+    KNOWN = [("gen_program(382, 60)", "argument", ["x6"]),
+             ("gen_program(382, 60)", "dead-cast", ["x6"]),
+             ("unbound y", "function body at 1:11", ["y"]),
+             ("unbound y", "argument at 1:69", ["y"])]
+
+    @staticmethod
+    def unbound(vc) -> list[str]:
+        bound, env = set(), vc.env
+        while env is not None:
+            bound.add(env.name)
+            env = env.parent
+        free = set().union(*map(pred_names, (*vc.hyps, vc.antecedent, vc.consequent)))
+        return sorted(n for n in free - bound if not n.startswith("$") and n != "v")
+
+    def test_every_kept_vc_is_closed(self, corpus_reports):
+        reports = [*corpus_reports, ("unbound y", check_program(self.UNBOUND_Y))]
+        found = [(label, vc.origin, names) for label, report in reports for vc in report.vcs
+                 if (names := self.unbound(vc))]
+        assert found == self.KNOWN
 
 
 @pytest.mark.xfail(strict=True, reason="an ascription leaves no trace in the target term, "

@@ -5,9 +5,10 @@ accepts --json for structured output.  Exit codes: 0 success/accepted,
 1 rejected by refinement checking, 2 elaboration error, 3 no verdict (the
 input nests deeper than the checker's recursion limit, or an obligation's
 DNF outgrows the clause budget; stderr names the obligation), 64 usage error
-(an unreadable FILE or config, a config that is not a JSON object of
-integer fuel, search_depth and clause_budget, or a setting below its least
-sensible value), 65 parse error, 70 internal invariant violation.
+(an unreadable or non-UTF-8 FILE, --preds file or config, a config that is
+not a JSON object of integer fuel, search_depth and clause_budget, or a
+setting below its least sensible value), 65 parse error (also a --preds
+line that applies a kappa variable), 70 internal invariant violation.
 
 ``main`` runs each command with Python's cyclic garbage collector paused and
 restores the caller's setting afterwards.  Nothing l2 builds is a reference
@@ -28,7 +29,7 @@ from typing import Callable
 
 from . import harness, infer, source_interp, syntax, target_interp
 from .elaborate import DEFAULT_SEARCH_DEPTH, ElabError, elaborate_program
-from .logic import DEFAULT_CLAUSE_BUDGET, ResourceLimit, pand, render_pred, to_smtlib
+from .logic import DEFAULT_CLAUSE_BUDGET, ResourceLimit, contains_kappa, pand, render_pred, to_smtlib
 from .parser import ParseError, parse_pred, parse_program
 from .refine import PhaseOrderError, check_refined, print_ref_type
 from .target import IllTyped, print_target
@@ -43,7 +44,8 @@ EXIT_INTERNAL = 70
 
 
 class ConfigError(Exception):
-    """A config file whose contents are not usable settings."""
+    """An input that is not UTF-8, or a config file whose contents are not
+    usable settings."""
 
 
 @dataclass
@@ -60,9 +62,16 @@ SETTINGS = ("fuel", "search_depth", "clause_budget")  # Config's fields, each a 
 LEAST = {"fuel": 0, "search_depth": 1, "clause_budget": 1, "trials": 0, "budget": 0}
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
 def _read_program(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_program(handle.read())
+    return parse_program(_read_text(path))
 
 
 def _emit(as_json: bool, payload: Callable[[], dict], text: Callable[[], str]) -> None:
@@ -167,9 +176,13 @@ def cmd_vcs(args, config: Config) -> int:
 def cmd_infer(args, config: Config) -> int:
     program = _read_program(args.file)
     preds = None
-    if args.preds:
-        with open(args.preds, "r", encoding="utf-8") as handle:
-            preds = [parse_pred(line.strip()) for line in handle if line.strip()]
+    if args.preds:  # one candidate per line, which applies no kappa variable
+        preds = []
+        for n, line in enumerate(_read_text(args.preds).split("\n"), 1):
+            if line.strip():
+                preds.append(parse_pred(line.strip()))
+                if contains_kappa(preds[-1]):
+                    raise ParseError(f"a candidate in {args.preds} applies a kappa variable", n, 1)
     outcome, clauses, _, templated = infer.infer_refinements(
         program, preds, config.clause_budget, config.search_depth
     )
@@ -255,8 +268,7 @@ def _load_config(args) -> Config:
     file_values: dict = {}
     path = args.config or (".l2.json" if os.path.exists(".l2.json") else None)
     if path:
-        with open(path, "r", encoding="utf-8") as handle:
-            file_values = json.load(handle)
+        file_values = json.loads(_read_text(path))
         if not isinstance(file_values, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
         for key in SETTINGS:

@@ -17,12 +17,13 @@ fixed head last, ties broken by clause index: each copy of an overloaded
 function settles before the clauses that read it, so the number of checks
 grows linearly in overload width.  A clause is queued again only when a
 kappa it reads shrinks.  A head's candidates are checked as one conjunction;
-when it fails, an integer model of the failing cube drops every candidate it
-falsifies, and the survivors are checked as one conjunction again.  Fixed
-heads are reached only at the greatest fixpoint, so an Unsat report names
-the first clause, in clause order, that fails under it.  One solve shares
-its instantiations and a discharge memo, and groups each clause body once
-per check.
+when it fails, an integer model of the failing cube, read from the memo the
+check filled, drops every candidate it falsifies, and the survivors are
+checked as one conjunction again.  Fixed heads are reached only at the
+greatest fixpoint, so an Unsat report names the first clause, in clause
+order, that fails under it.  One solve shares its instantiations and a
+discharge memo, and builds each clause body once per check as a chain of
+guard frames, which groups it once.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .logic import (
     PBool,
     PKappa,
     Pred,
-    Premises,
     TRUE,
     VALUE_VAR,
     VC,
@@ -60,7 +60,7 @@ from .logic import (
     ResourceLimit,
     valid,
 )
-from .refine import check_refined
+from .refine import RefEnv, check_refined
 from .syntax import (
     Const,
     NUMBER,
@@ -193,9 +193,10 @@ def houdini_solve(
     clause is due any more when the first one is reached.  A failing fixed
     head can never recover (shrinking assignments only weaken hypotheses),
     so the Unsat report names the first clause, in clause order, that fails
-    under the greatest fixpoint.  A clause's body is instantiated and
-    grouped (``Premises``) once per check, and each head candidate or
-    conjunction is checked under it (``_holding``)."""
+    under the greatest fixpoint.  A clause's body is instantiated once per
+    check as a chain of guards (``refine.RefEnv``), whose hypotheses are
+    grouped once, as phase 2 groups a frame's, and each head candidate or
+    conjunction is checked on it (``_holding``)."""
     assignment: dict[str, tuple[Pred, ...]] = {k: tuple(v) for k, v in candidates.items()}
     bodies = [(*c.hyps, c.antecedent) for c in clauses]
     heads = [c.consequent for c in clauses]
@@ -237,18 +238,19 @@ def houdini_solve(
         i = queue.pop(0)[1]
         due.discard(i)
         clause, head, head_k = clauses[i], heads[i], head_kappas[i]
-        body = tuple(map_pred(p, leaf) for p in bodies[i])
-        premises = Premises().extend(body, memo)
+        env = RefEnv()
+        for p in bodies[i]:
+            env = env.guard(map_pred(p, leaf))
 
         def check(goal: Pred) -> Verdict:
-            return valid(VC(body, TRUE, goal, clause.origin), clause_budget, memo, premises)
+            return valid(VC.on(env, TRUE, goal, clause.origin), clause_budget, memo)
 
         if head_k is None:
             if not check(map_pred(head, leaf)).is_valid:
                 return Unsat(clause)
             continue
         cands = assignment[head_k]
-        keep = _holding(cands, [instance(head, c) for c in cands], check)
+        keep = _holding(cands, [instance(head, c) for c in cands], check, memo)
         if len(keep) != len(cands):
             assignment[head_k] = keep
             version[head_k] += 1
@@ -298,15 +300,15 @@ def _ranks(kappas: list[str], edges: dict[str, set[str]]) -> dict[str, int]:
     return {k: components - 1 - c for k, c in found.items()}
 
 
-def _holding(cands: tuple[Pred, ...], heads: list[Pred], check) -> tuple[Pred, ...]:
+def _holding(cands: tuple[Pred, ...], heads: list[Pred], check, memo: dict) -> tuple[Pred, ...]:
     """The candidates whose head holds.  Their conjunction is checked first:
     its negation's cubes are the union of theirs, so it holds exactly when
-    each does.  When it fails, an integer model of the failing cube, built
-    on the components that share a name with the heads, falsifies at least
-    one head, and every head it falsifies fails alone too: those candidates
-    are dropped, and the survivors checked again as one conjunction.  Only
-    over the clause budget, or when no model is found, is each survivor
-    checked alone."""
+    each does.  When it fails, an integer model of the failing cube, on the
+    components that share a name with the heads and read from the memo where
+    their searches left it, falsifies at least one head, and every head it
+    falsifies fails alone too: those candidates are dropped, and the
+    survivors checked again as one conjunction.  Only over the clause
+    budget, or when no model is found, is each survivor checked alone."""
     names = frozenset().union(*map(pred_names, heads))
     keep = list(range(len(cands)))
     while len(keep) > 1:
@@ -316,7 +318,7 @@ def _holding(cands: tuple[Pred, ...], heads: list[Pred], check) -> tuple[Pred, .
             break
         if verdict.is_valid:
             return tuple(cands[i] for i in keep)
-        model = cube_model(verdict.cube, names)
+        model = cube_model(verdict.cube, names, memo)
         falsified = set() if model is None else {i for i in keep if _falsifies(model, heads[i])}
         if not falsified:
             break

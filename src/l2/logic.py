@@ -13,18 +13,18 @@ satisfiable over the rationals but not the integers are conservatively
 reported as invalid.
 
 Discharge does no work it can avoid.  The hypotheses are grouped once for
-every VC that shares them (``Premises``, kept by each environment frame
-phase 2 builds a VC on, or by Houdini for a clause body), and each VC adds
-only its antecedent and negated consequent.  DNF size is a sum over
-components, not a product.  A cube, too, is decided one component of
-variable-sharing literals at a time, and a disequality is split into its two
-strict halves only while the rows without it are still satisfiable.  A memo
-shared by the ``valid`` calls of one Houdini solve or refinement check keeps
-each conjunct's names, literal's rows and component's outcome.  Elimination
-keeps its rows reduced by their exact gcd and holds only the tightest of rows
-with the same coefficients.  An invalid verdict keeps its cube and builds the
-rendered cube and the counter-model only when read; the model is built per
-component by Fourier-Motzkin back-substitution and checked against the cube.
+every VC that shares them (``Premises``, kept by each environment frame a VC
+is built on, in phase 2 or for a Houdini clause body), and each VC adds only
+its antecedent and negated consequent.  DNF size is a sum over components,
+not a product.  A cube, too, is decided one component of variable-sharing
+literals at a time, by one search that also finds the component's integer
+model: each node is eliminated once and back-substituted, and a disequality
+is split into its two strict halves only when the values found violate it.
+A memo shared by the ``valid`` calls of one Houdini solve or refinement
+check keeps each conjunct's names, literal's rows and component's outcome,
+from which ``cube_model`` reads an invalid verdict's counter-model.
+Elimination keeps its rows reduced by their exact gcd and holds only the
+tightest of rows with the same coefficients.
 
 Predicates are traversed by two shared walkers: ``pred_leaves`` lists the
 constants, atoms and kappa applications left to right without recursion, and
@@ -44,7 +44,6 @@ import itertools
 import operator
 import string
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from math import gcd
 from typing import Callable, Iterator
 
@@ -694,12 +693,18 @@ def fm_unsat(literals, memo: dict | None = None) -> bool:
     Returns True only when a genuine contradiction is derived, so a True
     answer means no integer model exists.  A boolean literal is the row
     ``b = 1`` or ``b = 0`` (``_literal_cmp``), and strict inequalities are
-    tightened over the integers.  Each component of literals sharing variables is
-    decided alone, fewest disequalities first: they are split only while the
-    rows without them stay satisfiable, and the rows go through
-    Fourier-Motzkin elimination.  ``memo`` keeps each literal's rows and each
-    component's verdict for later calls.
+    tightened over the integers.  Each component of literals sharing
+    variables is decided alone, fewest disequalities first, by one search
+    (``_search``).  ``memo`` keeps each literal's rows and each component's
+    outcome, model included, for later calls and for ``cube_model``.
     """
+    return any(outcome is True for _, outcome in _outcomes(literals, memo))
+
+
+def _outcomes(literals, memo: dict | None, names: frozenset[str] | None = None):
+    """Each component of the literals with its outcome (``_search``), fewest
+    disequalities first; with ``names``, only the components that mention
+    one of them.  An outcome depends on the literals only as a set."""
     memo = {} if memo is None else memo
     forms = []
     for literal in literals:
@@ -709,13 +714,13 @@ def fm_unsat(literals, memo: dict | None = None) -> bool:
         forms.append((literal, form))
     parts = _components((pair, pair[1][2]) for pair in forms)
     for part in sorted(parts, key=lambda part: sum(len(form[1]) for _, form in part)):
+        if names is not None and not any(n in names for _, form in part for n in form[2]):
+            continue
         key = frozenset(literal for literal, _ in part)
         if key not in memo:
-            rows = [row for _, form in part for row in form[0]]
-            memo[key] = _split_neqs(rows, [t for _, form in part for t in form[1]])
-        if memo[key]:
-            return True
-    return False
+            neqs = sorted((t for _, form in part for t in form[1]), key=lambda t: (t.coeffs, t.const))
+            memo[key] = _search([row for _, form in part for row in form[0]], neqs)
+        yield part, memo[key]
 
 
 def _literal_rows(c: Cmp) -> tuple[tuple[LinTerm, ...], tuple[LinTerm, ...], tuple[str, ...]]:
@@ -752,19 +757,30 @@ def _components(named) -> list[list]:
     return list(parts.values())
 
 
-def _split_neqs(rows: list[LinTerm], neqs: list[LinTerm]) -> bool:
-    # Fourier-Motzkin decides rational infeasibility exactly, and adding rows
-    # keeps an infeasible system infeasible: once the rows without the
-    # remaining disequalities are contradictory, every split below is too.
-    if _fm_rows_unsat(rows):
+def _search(rows: list[LinTerm], neqs: list[LinTerm]):
+    """Decide the rows (``row <= 0``) and disequalities (``term != 0``) over
+    the integers: True when they are refuted, integers satisfying them all,
+    or None when they are satisfiable over the rationals but no integer
+    point was found.  Each node runs Fourier-Motzkin once and
+    back-substitutes from its stages.  A disequality is split into its two
+    strict halves, lower first, only when the values found violate it, or,
+    when no integers are found, the first one given.  The halves cover
+    every integer and adding rows keeps refuted rows refuted, so the node
+    is refuted exactly when splitting every disequality leaves only refuted
+    rows."""
+    stages: list = []
+    if _fm_rows_unsat(rows, stages):
         return True
-    if not neqs:
-        return False
-    t, rest = neqs[0], neqs[1:]
-    # t != 0 over the integers: t <= -1 or -t <= -1
-    low = rows + [t + LinTerm.of_const(1)]
-    high = rows + [t.scale(-1) + LinTerm.of_const(1)]
-    return _split_neqs(low, rest) and _split_neqs(high, rest)
+    env = _back_substitute(stages)
+    bad = next((t for t in neqs if env is None or _eval_term(t, env) == 0), None)  # to split
+    if bad is None:
+        return env
+    rest = [t for t in neqs if t is not bad]
+    low = _search(rows + [bad + LinTerm.of_const(1)], rest)
+    if type(low) is dict:
+        return low
+    high = _search(rows + [bad.scale(-1) + LinTerm.of_const(1)], rest)
+    return high if low is True or type(high) is dict else None
 
 
 def _add_row(table: dict[tuple, int], coeffs: tuple, const: int) -> bool:
@@ -789,11 +805,11 @@ def _add_row(table: dict[tuple, int], coeffs: tuple, const: int) -> bool:
     return False
 
 
-def _fm_rows_unsat(rows: list[LinTerm], stages: list | None = None) -> bool:
+def _fm_rows_unsat(rows: list[LinTerm], stages: list) -> bool:
     """Whether the rows (``row <= 0``) have no rational solution, by
-    Fourier-Motzkin elimination.  ``stages``, when given, receives each
-    eliminated variable with its rows of positive and of negative
-    coefficient, for ``_back_substitute``."""
+    Fourier-Motzkin elimination.  ``stages`` receives each eliminated
+    variable with its rows of positive and of negative coefficient, for
+    ``_back_substitute``."""
     table: dict[tuple, int] = {}
     for r in rows:
         if _add_row(table, r.coeffs, r.const):
@@ -807,8 +823,7 @@ def _fm_rows_unsat(rows: list[LinTerm], stages: list | None = None) -> bool:
         # Eliminate the variable producing the fewest combinations.
         x = min(sorted(by_sign), key=lambda n: len(by_sign[n][0]) * len(by_sign[n][1]))
         pos, neg = by_sign[x]
-        if stages is not None:
-            stages.append((x, pos, neg))
+        stages.append((x, pos, neg))
         new: dict[tuple, int] = {k: v for d, k, v in entries if x not in d}
         # A variable unbounded on one side leaves its rows always satisfiable,
         # so they are dropped with no combinations.
@@ -834,8 +849,7 @@ def _fm_rows_unsat(rows: list[LinTerm], stages: list | None = None) -> bool:
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of ``valid``.  An invalid verdict carries the satisfiable cube
-    of the negated VC; its rendering and a small counter-model are computed
-    from the cube on first read."""
+    of the negated VC, whose model ``cube_model`` reads."""
 
     kind: str  # "valid" | "invalid" | "unknown"
     cube: frozenset | None = None
@@ -843,26 +857,6 @@ class Verdict:
     @property
     def is_valid(self) -> bool:
         return self.kind == "valid"
-
-    @cached_property
-    def counter_cube(self) -> str | None:
-        if self.cube is None:
-            return None
-        rendered = " && ".join(
-            (a.render() if pos else f"!{a.render()}") for a, pos in sorted(self.cube, key=repr)
-        )
-        return rendered or "true"
-
-    @cached_property
-    def model(self) -> dict[str, int] | None:
-        """A small integer model of the cube (``cube_model``)."""
-        return None if self.cube is None else cube_model(self.cube)
-
-    def render(self) -> str:
-        if self.kind != "invalid":
-            return self.kind
-        extra = f" model {self.model}" if self.model else ""
-        return f"invalid (cube: {self.counter_cube}){extra}"
 
 
 VALID = Verdict("valid")
@@ -882,47 +876,12 @@ def eval_atom(atom: Atom, env: dict[str, int]) -> bool:
     return _COMPARE[atom.op](_eval_term(atom.lhs, env), _eval_term(atom.rhs, env))
 
 
-def _cube_model(cube) -> dict[str, int] | None:
-    """An integer model of a cube, confirmed literal by literal with
-    ``eval_atom``, or None when ``_rows_model`` finds none."""
-    cmps = [_literal_cmp(literal) for literal in cube]
-    forms = [_literal_rows(c) for c in cmps]
-    env = _rows_model([r for f in forms for r in f[0]], [t for f in forms for t in f[1]])
-    if env is None:
-        return None
-    model = {n: env.get(n, 0) for n in sorted({n for f in forms for n in f[2]})}
-    return model if all(eval_atom(c, model) for c in cmps) else None
-
-
-def _rows_model(rows: list[LinTerm], neqs: list[LinTerm]) -> dict[str, int] | None:
-    """Integers satisfying every row (``row <= 0``) and disequality (``term
-    != 0``), or None when none is found.  A disequality is split into its two
-    strict halves, lower first, only when the values found violate it; the
-    splits are searched depth first on an explicit stack."""
-    stack = [(rows, neqs)]
-    while stack:
-        rows, neqs = stack.pop()
-        env = _back_substitute(rows)
-        if env is None:
-            continue
-        bad = next((t for t in neqs if _eval_term(t, env) == 0), None)
-        if bad is None:
-            return env
-        rest = [t for t in neqs if t is not bad]
-        stack.append((rows + [bad.scale(-1) + LinTerm.of_const(1)], rest))
-        stack.append((rows + [bad + LinTerm.of_const(1)], rest))
-    return None
-
-
-def _back_substitute(rows: list[LinTerm]) -> dict[str, int] | None:
-    """Integers satisfying the rows, by Fourier-Motzkin back-substitution:
-    the variables are assigned in the reverse order of their elimination,
-    each the value nearest 0 between its bounds under the values already
-    chosen (a name dropped without being eliminated is 0).  None when the
-    rows are contradictory or a variable's bounds admit no integer."""
-    stages: list = []
-    if _fm_rows_unsat(rows, stages):
-        return None
+def _back_substitute(stages: list) -> dict[str, int] | None:
+    """Integers satisfying the rows ``_fm_rows_unsat`` eliminated in these
+    stages, by back-substitution: the variables are assigned in the reverse
+    order of their elimination, each the value nearest 0 between its bounds
+    under the values already chosen (a name dropped without being
+    eliminated is 0).  None when a variable's bounds admit no integer."""
     env: dict[str, int] = {}
     for x, pos, neg in reversed(stages):
         lo, hi = None, None
@@ -940,16 +899,24 @@ def _back_substitute(rows: list[LinTerm]) -> dict[str, int] | None:
     return env
 
 
-def cube_model(cube, names: frozenset[str] | None = None) -> dict[str, int] | None:
-    """A model of the cube, built per name-disjoint component by
-    ``_cube_model``; with ``names``, of only the components that mention one
-    of them.  None when one of those components has none.  The literals are
-    read in a fixed order, so the model does not depend on string hashing."""
-    named = [(literal, _literal_rows(_literal_cmp(literal))[2]) for literal in sorted(cube, key=repr)]
-    models = [_cube_model([literal for literal, _ in part])
-              for part in _components((pair, pair[1]) for pair in named)
-              if names is None or any(n in names for _, part_names in part for n in part_names)]
-    return None if None in models else dict(sorted(kv for m in models for kv in m.items()))
+def cube_model(cube, names: frozenset[str] | None = None,
+               memo: dict | None = None) -> dict[str, int] | None:
+    """An integer model of the cube, merged from the models its components'
+    searches found (``_search``), each read from ``memo`` when ``fm_unsat``
+    has decided it there, and confirmed literal by literal with
+    ``eval_atom``; with ``names``, of only the components that mention one
+    of them.  None when one of those components has none.  A search depends
+    on the literals only as a set, so the model does not depend on their
+    order or on string hashing."""
+    model: dict[str, int] = {}
+    for part, env in _outcomes(cube, memo, names):
+        if type(env) is not dict:
+            return None
+        part_model = {n: env.get(n, 0) for _, form in part for n in form[2]}
+        if not all(eval_atom(_literal_cmp(literal), part_model) for literal, _ in part):
+            return None
+        model.update(part_model)
+    return dict(sorted(model.items()))
 
 
 def _names(p: Pred, memo: dict) -> tuple[str, ...]:
@@ -1006,17 +973,11 @@ class Premises:
 FALSE_PREMISES = Premises().extend((FALSE,), {})
 
 
-def valid(
-    vc: VC,
-    clause_budget: int = DEFAULT_CLAUSE_BUDGET,
-    memo: dict | None = None,
-    premises: Premises | None = None,
-) -> Verdict:
+def valid(vc: VC, clause_budget: int = DEFAULT_CLAUSE_BUDGET, memo: dict | None = None) -> Verdict:
     """Check a VC by refuting its negation one component at a time.
 
     The hypotheses are grouped (``Premises``) by the VC's frame, once for
-    every VC under it; by the caller, who passes ``premises`` (Houdini, once
-    per clause body); or else here.  The antecedent and the negated
+    every VC under it, or else here.  The antecedent and the negated
     consequent join the components they share a name with, and each
     component goes to DNF alone: the VC is valid once one has no satisfiable
     cube, and an invalid verdict's cube is the union of each component's
@@ -1027,7 +988,7 @@ def valid(
     component's outcome, and reaches every ``fm_unsat`` call.
     """
     memo = {} if memo is None else memo
-    premises = premises or (vc.env.premises(memo) if vc.env else Premises().extend(vc.hyps, memo))
+    premises = vc.env.premises(memo) if vc.env else Premises().extend(vc.hyps, memo)
     store = premises.extend((vc.antecedent, pnot(vc.consequent)), memo)._store
     goal = {id(store[k]): store[k] for k in premises._store[1]}  # the components it grew
 

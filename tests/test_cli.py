@@ -116,6 +116,20 @@ class TestUnreadableInputs:
     def test_file_is_a_directory(self, tmp_path, capsys):
         self.assert_usage_error(["check", str(tmp_path)], capsys)
 
+    @pytest.mark.parametrize("args", [
+        ["check", "BAD"],
+        ["--config", "BAD", "check", "NEGATE_OK"],
+        ["infer", "NEGATE_INFER", "--preds", "BAD"],
+    ], ids=["file", "config", "preds"])
+    def test_not_utf8(self, programs_dir, tmp_path, capsys, args):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"v = \xff\n")
+        paths = {"BAD": str(bad), "NEGATE_OK": str(programs_dir / "negate_ok.l2"),
+                 "NEGATE_INFER": str(programs_dir / "negate_infer.l2")}
+        code, out, err = run_cli([paths.get(a, a) for a in args], capsys)
+        assert (code, out) == (64, "")
+        assert err == f"error: {bad} is not valid UTF-8 (invalid start byte at byte 4)\n"
+
     @pytest.mark.parametrize(
         "contents",
         ["[1]", '{"fuel": "x"}', '{"search_depth": "x"}', '{"search_depth": 0}',
@@ -467,6 +481,14 @@ class TestInfer:
         assert payload["status"] == "solved"
         assert payload["solution"]["k1"] == "v != 0"
         assert payload["solution"]["k4"] == "v = 0"
+
+    def test_preds_kappa_application_is_a_parse_error(self, programs_dir, tmp_path, capsys):
+        preds = tmp_path / "preds.txt"
+        preds.write_text("v = 0\n\nk1[]\n")
+        code, out, err = run_cli(
+            ["infer", str(programs_dir / "negate_infer.l2"), "--preds", str(preds)], capsys)
+        assert (code, out) == (65, "")
+        assert err == f"parse error: 3:1: a candidate in {preds} applies a kappa variable\n"
 
     def test_preds_phase1_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.l2"

@@ -284,9 +284,9 @@ class TestFmAgainstEagerReference:
         calls = []
         rows_unsat = logic._fm_rows_unsat
 
-        def counting(rows):
+        def counting(rows, *stages):
             calls.append(len(rows))
-            return rows_unsat(rows)
+            return rows_unsat(rows, *stages)
 
         monkeypatch.setattr(logic, "_fm_rows_unsat", counting)
         lits = [(Cmp(x, ">=", const(1)), True), (Cmp(x, "<=", const(0)), True)]
@@ -300,9 +300,9 @@ class TestFmAgainstEagerReference:
         calls = []
         rows_unsat = logic._fm_rows_unsat
 
-        def counting(rows):
+        def counting(rows, *stages):
             calls.append(len(rows))
-            return rows_unsat(rows)
+            return rows_unsat(rows, *stages)
 
         monkeypatch.setattr(logic, "_fm_rows_unsat", counting)
         lits = [(Cmp(x, "!=", const(i)), True) for i in range(12)]
@@ -336,22 +336,8 @@ class TestValid:
         vc = _vc([TRUE], cmp_pred(nu, "=", const(0)), cmp_pred(nu, "!=", const(0)))
         verdict = valid(vc)
         assert not verdict.is_valid
-        assert verdict.model is not None and verdict.model.get("v") == 0
-
-    def test_counter_model_built_on_first_read(self, monkeypatch):
-        calls = []
-        cube_model = logic._cube_model
-
-        def counting(cube):
-            calls.append(cube)
-            return cube_model(cube)
-
-        monkeypatch.setattr(logic, "_cube_model", counting)
-        vc = _vc([TRUE], cmp_pred(nu, "=", const(0)), cmp_pred(nu, "!=", const(0)))
-        verdict = valid(vc)
-        assert verdict.kind == "invalid" and calls == []
-        assert verdict.render() == "invalid (cube: v = 0) model {'v': 0}"
-        assert verdict.model == {"v": 0} and len(calls) == 1
+        model = logic.cube_model(verdict.cube)
+        assert model is not None and model.get("v") == 0
 
     def test_double_negation_invariance(self):
         vc = _vc([cmp_pred(x, ">=", const(0))], cmp_pred(nu, "=", x), cmp_pred(nu, ">=", const(0)))
@@ -439,7 +425,8 @@ class TestComponentDischarge:
         twin = valid(_vc(hyps, TRUE, cmp_pred(names[0], ">=", const(1))))
         assert twin.kind == "invalid"
         assert not fm_unsat(twin.cube)
-        assert twin.model is not None and twin.model["x0"] == 0
+        model = logic.cube_model(twin.cube)
+        assert model is not None and model["x0"] == 0
 
     def test_over_budget_component_does_not_hide_a_refutation(self):
         parts = [por([cmp_pred(x, "=", const(i)), cmp_pred(y, "=", const(i))]) for i in range(20)]
@@ -467,9 +454,10 @@ class TestComponentDischarge:
                  cmp_pred(LinTerm.of_var("w"), "!=", const(5)))
         verdict = valid(vc)
         # four names: out of reach of one search over at most three
-        assert verdict.kind == "invalid" and verdict.model is not None
-        assert list(verdict.model) == sorted(verdict.model)
-        assert all(logic.eval_atom(a, verdict.model) == pos for a, pos in verdict.cube)
+        model = logic.cube_model(verdict.cube)
+        assert verdict.kind == "invalid" and model is not None
+        assert list(model) == sorted(model)
+        assert all(logic.eval_atom(a, model) == pos for a, pos in verdict.cube)
 
     # One component of 12,800 cubes: past the default clause budget, so both
     # sides decide at the oracle's budget.
@@ -489,8 +477,9 @@ class TestComponentDischarge:
         assert verdict.kind == _product_dnf_kind(vc)
         if verdict.kind == "invalid":
             assert not fm_unsat(verdict.cube)
-            if verdict.model is not None:
-                assert eval_pred(vc.negated(), verdict.model)
+            model = logic.cube_model(verdict.cube)
+            if model is not None:
+                assert eval_pred(vc.negated(), model)
 
 
 class TestTautologyFilter:
@@ -581,25 +570,25 @@ class TestSubstAndKappa:
 
 class TestCounterModels:
     def test_back_substitution_picks_values_nearest_zero(self):
-        assert logic._cube_model([(Cmp(x, ">", const(2)), True)]) == {"x": 3}
-        assert logic._cube_model([(Cmp(x, "<", const(-2)), True)]) == {"x": -3}
+        assert logic.cube_model([(Cmp(x, ">", const(2)), True)]) == {"x": 3}
+        assert logic.cube_model([(Cmp(x, "<", const(-2)), True)]) == {"x": -3}
         # y is eliminated last, so it is chosen first, and x then between its bounds
         lits = [(Cmp(x, ">", const(2)), True), (Cmp(y, "<", x - const(5)), True)]
-        assert logic._cube_model(lits) == {"x": 6, "y": 0}
+        assert logic.cube_model(lits) == {"x": 6, "y": 0}
 
     def test_disequalities_split_only_when_violated(self):
         lits = [(Cmp(x + y, "=", const(3)), True), (Cmp(x, "!=", const(0)), True),
                 (Cmp(y, "!=", const(0)), True), (Cmp(y, "!=", const(3)), True)]
-        model = logic._cube_model(lits)
+        model = logic.cube_model(lits)
         assert model is not None and all(logic.eval_atom(a, model) for a, _ in lits)
-        assert logic._cube_model([(Cmp(x, "!=", const(0)), True)]) == {"x": -1}
+        assert logic.cube_model([(Cmp(x, "!=", const(0)), True)]) == {"x": -1}
 
     def test_rational_only_cube_has_no_model(self):
         assert not fm_unsat([(Cmp(x.scale(2), "=", const(3)), True)])
-        assert logic._cube_model([(Cmp(x.scale(2), "=", const(3)), True)]) is None
+        assert logic.cube_model([(Cmp(x.scale(2), "=", const(3)), True)]) is None
 
     def test_boolean_literals(self):
-        assert logic._cube_model([(BVar("a"), False), (BVar("b"), True)]) == {"a": 0, "b": 1}
+        assert logic.cube_model([(BVar("a"), False), (BVar("b"), True)]) == {"a": 0, "b": 1}
 
     def test_models_satisfy_random_cubes(self):
         # sound always, and complete on every cube whose integer model has
@@ -614,13 +603,67 @@ class TestCounterModels:
                 lhs = LinTerm(tuple((n, c) for n, c in zip(names, (rng.randint(-1, 1) for _ in names))
                                     if c != 0), rng.randint(-3, 3))
                 lits.append((Cmp(lhs, rng.choice(logic.CMP_OPS), const(rng.randint(-3, 3))), True))
-            model = logic._cube_model(lits)
+            model = logic.cube_model(lits)
             if model is not None:
                 assert all(logic.eval_atom(a, model) for a, _ in lits), lits
                 found += 1
             else:
                 assert not any(all(logic.eval_atom(a, env) for a, _ in lits) for env in envs), lits
         assert found > 100
+
+    @staticmethod
+    def random_cube(rng):
+        names = ["x", "y", "z"]
+        lits = [(BVar("b"), rng.random() < 0.5)] if rng.random() < 0.3 else []
+        for _ in range(rng.randint(1, 5)):
+            lhs = LinTerm(tuple((n, c) for n, c in zip(names, (rng.randint(-2, 2) for _ in names))
+                                if c != 0), rng.randint(-3, 3))
+            lits.append((Cmp(lhs, rng.choice(logic.CMP_OPS), const(rng.randint(-3, 3))), True))
+        return lits
+
+    def test_model_does_not_depend_on_literal_order(self):
+        rng = random.Random(5)
+        found = 0
+        for _ in range(300):
+            lits = self.random_cube(rng)
+            model = logic.cube_model(lits)
+            for _ in range(4):
+                rng.shuffle(lits)
+                assert logic.cube_model(lits) == model, lits
+                assert logic.cube_model(lits, frozenset(["x"])) == logic.cube_model(
+                    sorted(lits, key=repr), frozenset(["x"])), lits
+            found += model is not None
+        assert 50 < found < 300
+
+    def test_model_does_not_depend_on_a_shared_memo(self):
+        rng = random.Random(6)
+        memo: dict = {}
+        for _ in range(300):
+            lits = self.random_cube(rng)
+            fresh = logic.cube_model(lits)
+            fm_unsat(lits, memo)
+            assert logic.cube_model(list(reversed(lits)), None, memo) == fresh, lits
+            assert logic.cube_model(lits, frozenset(["y"]), memo) == logic.cube_model(
+                lits, frozenset(["y"])), lits
+
+    def test_model_read_from_the_memo_without_eliminating(self, monkeypatch):
+        calls = []
+        rows_unsat = logic._fm_rows_unsat
+
+        def counting(rows, *stages):
+            calls.append(len(rows))
+            return rows_unsat(rows, *stages)
+
+        monkeypatch.setattr(logic, "_fm_rows_unsat", counting)
+        rng = random.Random(7)
+        for _ in range(100):
+            cube = frozenset(self.random_cube(rng))
+            memo: dict = {}
+            fm_unsat(cube, memo)
+            decided = len(calls)
+            logic.cube_model(cube, None, memo)
+            assert len(calls) == decided, cube
+        assert calls
 
     def test_only_the_components_sharing_a_name(self):
         cube = frozenset([(Cmp(x, ">", const(2)), True), (Cmp(y.scale(2), "=", const(1)), True)])
@@ -635,7 +678,7 @@ class TestCounterModels:
             for vc, verdict in zip(report.vcs, report.verdicts):
                 if verdict.kind == "invalid":
                     invalid += 1
-                    model = verdict.model
+                    model = logic.cube_model(verdict.cube)
                     assert model is not None, vc.render()
                     assert all(logic.eval_atom(a, model) == pos for a, pos in verdict.cube)
                     assert eval_pred(vc.negated(), model), vc.render()
@@ -646,13 +689,18 @@ class TestPremises:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(_preds, max_size=3), _preds, _preds, _preds)
     def test_grouped_once_same_verdict(self, hyps, antecedent, consequent, other):
-        # one grouping of a body serves every head checked under it, as in Houdini
+        # one grouping of a body, as a chain of guards, serves every head
+        # checked on it, as in Houdini
+        from l2.refine import RefEnv
+
         memo: dict = {}
         body = (*hyps, antecedent)
-        premises = logic.Premises().extend(body, memo)
+        env = RefEnv()
+        for p in body:
+            env = env.guard(p)
         for goal in (consequent, other):
             vc = _vc(body, TRUE, goal)
-            got = valid(vc, 10**6, memo, premises)
+            got = valid(VC.on(env, TRUE, goal, "test"), 10**6, memo)
             assert got.kind == _product_dnf_kind(vc)
             if got.kind == "invalid":
                 assert not fm_unsat(got.cube)

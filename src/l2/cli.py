@@ -180,7 +180,11 @@ def cmd_infer(args, config: Config) -> int:
         preds = []
         for n, line in enumerate(_read_text(args.preds).split("\n"), 1):
             if line.strip():
-                preds.append(parse_pred(line.strip()))
+                try:
+                    preds.append(parse_pred(line))
+                except ParseError as exc:  # at its place in the file
+                    raise ParseError(f"a candidate in {args.preds} does not parse: {exc.message}",
+                                     n, exc.col) from None
                 if contains_kappa(preds[-1]):
                     raise ParseError(f"a candidate in {args.preds} applies a kappa variable", n, 1)
     outcome, clauses, _, templated = infer.infer_refinements(

@@ -73,6 +73,7 @@ from .syntax import (
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 

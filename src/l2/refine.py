@@ -109,35 +109,44 @@ class ShapeMismatch(PhaseOrderError):
 # ---------------------------------------------------------------------------
 
 
+_UNREAD = object()  # a base binder's hypothesis before its first read
+
+
 class RefEnv:
     """Both phases' typing environment: binders and guards over a parent frame.
 
     ``bind`` and ``guard`` add one frame each and copy nothing.  A base
     binder's hypothesis (its refinement with the value variable replaced by
-    the binder's name) is substituted once, when it is bound.  On the first
-    discharge under it, a frame groups the hypotheses on its chain from its
-    parent's grouping (``premises``, kept in ``grouped``), so the VCs under it
-    share one; ``grouped`` is ``FALSE_PREMISES`` from the start when one of
-    them is literally false.  Phase 1's frames carry no hypothesis
-    (``Elaborator.extend``).  Lookups walk outwards to the nearest binder.
+    the binder's name) is substituted on its first read, and kept.  On the
+    first discharge under it, a frame groups the hypotheses on its chain from
+    its parent's grouping (``premises``, kept in ``grouped``), so the VCs under
+    it share one; ``grouped`` is ``FALSE_PREMISES`` from the start when one of
+    them is literally false, which renaming the value variable cannot change.
+    Phase 1's frames carry no hypothesis (``Elaborator.extend``).  Lookups
+    walk outwards to the nearest binder.
     """
 
-    __slots__ = ("parent", "name", "ty", "hyp", "grouped")
+    __slots__ = ("parent", "name", "ty", "_hyp", "grouped")
 
     def __init__(self, parent: RefEnv | None = None, name: str | None = None,
                  ty: SrcType | None = None, hyp: Pred | None = None):
         self.parent = parent
         self.name = name  # None for a guard
         self.ty = ty
-        self.hyp = hyp  # None for a binder that carries no hypothesis
+        self._hyp = hyp  # None for a binder that carries no hypothesis, _UNREAD until read
+        mark = ty.refinement if hyp is _UNREAD else hyp
         on_false = parent is not None and parent.grouped is FALSE_PREMISES
-        self.grouped = FALSE_PREMISES if on_false or hyp is not None and is_false(hyp) else None
+        self.grouped = FALSE_PREMISES if on_false or mark is not None and is_false(mark) else None
+
+    @property
+    def hyp(self) -> Pred | None:
+        """A guard's predicate, a base binder's hypothesis, or None."""
+        if self._hyp is _UNREAD:
+            self._hyp = subst_pred(self.ty.refinement, VALUE_VAR, LinTerm.of_var(self.name))
+        return self._hyp
 
     def bind(self, name: str, ty: SrcType) -> RefEnv:
-        hyp = None
-        if isinstance(ty, PrimType):
-            hyp = subst_pred(ty.refinement, VALUE_VAR, LinTerm.of_var(name))
-        return RefEnv(self, name, ty, hyp)
+        return RefEnv(self, name, ty, _UNREAD if isinstance(ty, PrimType) else None)
 
     def guard(self, pred: Pred) -> RefEnv:
         return RefEnv(self, None, None, pred)

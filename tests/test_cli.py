@@ -490,6 +490,19 @@ class TestInfer:
         assert (code, out) == (65, "")
         assert err == f"parse error: 3:1: a candidate in {preds} applies a kappa variable\n"
 
+    @pytest.mark.parametrize("text, place", [("v = 0\nv = = 0\n", "2:5"),
+                                              ("v = 0\n\n  v = = 0\n", "3:7")])
+    def test_preds_syntax_error_names_its_line_and_file(self, programs_dir, tmp_path, capsys,
+                                                        text, place):
+        # The file's line, and the column in the line as written.
+        preds = tmp_path / "preds.txt"
+        preds.write_text(text)
+        code, out, err = run_cli(
+            ["infer", str(programs_dir / "negate_infer.l2"), "--preds", str(preds)], capsys)
+        assert (code, out) == (65, "")
+        assert err == (f"parse error: {place}: a candidate in {preds} does not parse: "
+                       "expected an arithmetic term, found '='\n")
+
     def test_preds_phase1_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.l2"
         bad.write_text("(\\x => x) 5\n")

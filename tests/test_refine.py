@@ -8,12 +8,14 @@ from l2 import constants, elaborate, parser, refine
 from l2.logic import (
     BVar,
     FALSE,
+    FALSE_PREMISES,
     LinTerm,
     PAtom,
     PBool,
     TRUE,
     VC,
     cmp_pred,
+    is_false,
     pred_key,
     pred_names,
     render_pred,
@@ -403,9 +405,11 @@ class TestPersistentEnvironment:
                 self.assert_agree(env_k, ref_k)
 
     def test_vc_generation_substitutes_linearly(self, monkeypatch):
-        # Each binder's hypothesis is substituted once, so doubling the chain
-        # at most doubles the substitutions (plus a constant), where
-        # re-flattening the environment per obligation quadruples them.
+        # One obligation per let, each under every let before it.  Each
+        # binder's hypothesis is substituted once, however often it is read:
+        # by the grouping, and again by reading every VC's hypotheses.  So
+        # four times the lets is about four times the substitutions, where
+        # substituting on every read or per obligation grows them 16-fold.
         calls = [0]
 
         def counting(*args):
@@ -413,13 +417,14 @@ class TestPersistentEnvironment:
             return subst_pred(*args)
 
         monkeypatch.setattr(refine, "subst_pred", counting)
-        counts = []
-        for n in (100, 200):
-            target = elaborate.elaborate_program(parser.parse_program(let_chain(n))).target
+        seen = {}
+        for n in (100, 400):
+            target = elaborate.elaborate_program(parser.parse_program(oblig_program(n))).target
             calls[0] = 0
-            check_refined(target)
-            counts.append(calls[0])
-        assert counts[1] <= 2 * counts[0] + 10
+            report = check_refined(target)
+            assert report.accepted and all(len(vc.hyps) <= n + 1 for vc in report.vcs)
+            seen[n] = calls[0]
+        assert seen[100] >= 100 and seen[400] <= 4.5 * seen[100], seen
 
     def test_obligations_under_shared_frames_cost_linear_work(self, monkeypatch):
         # One obligation per let, each under every let before it.  A frame
@@ -461,6 +466,107 @@ class TestPersistentEnvironment:
         assert seen[100]["conjuncts"] > 100 and seen[100]["frames"] > 100  # the counters see the work
         for kind in counts:
             assert seen[400][kind] <= 4.5 * seen[100][kind], seen
+
+
+def eager_hyp(frame):
+    """A frame's hypothesis, substituted here: the reference for ``hyp``."""
+    if frame.name is None:
+        return frame.hyp  # a guard's predicate, as given
+    if isinstance(frame.ty, PrimType):
+        return subst_pred(frame.ty.refinement, "v", LinTerm.of_var(frame.name))
+    return None
+
+
+def chain_of(env):
+    """The frames of env's chain, from the innermost outwards."""
+    while env.parent is not None:
+        yield env
+        env = env.parent
+
+
+class TestLazyHypotheses:
+    """A binder's hypothesis is substituted on its first read, once; its
+    literally-false mark is set when the frame is made."""
+
+    @staticmethod
+    def assert_marks(frames):
+        for frame in frames:
+            above = frame.parent.grouped is FALSE_PREMISES
+            hyp = eager_hyp(frame)
+            marked = above or hyp is not None and is_false(hyp)
+            assert (frame.grouped is FALSE_PREMISES) == marked, frame.name
+
+    def test_hyps_equal_eager_substitution(self, corpus_reports):
+        kept = 0
+        for label, report in corpus_reports:
+            for vc in report.vcs:
+                expected = tuple(reversed([h for f in chain_of(vc.env)
+                                           if (h := eager_hyp(f)) is not None]))
+                assert vc.hyps == expected, (label, vc.origin)
+                self.assert_marks(chain_of(vc.env))
+                kept += 1
+        assert kept > 500
+
+    def test_every_frame_is_marked_from_its_refinement(self, monkeypatch):
+        # The frames of dropped obligations too: DEAD casts put binders with
+        # a false refinement on the chain, and their obligations hold.
+        frames = []
+        bind, guard = RefEnv.bind, RefEnv.guard
+
+        def recording(make):
+            def wrapped(env, *args):
+                frames.append(make(env, *args))
+                return frames[-1]
+            return wrapped
+
+        monkeypatch.setattr(RefEnv, "bind", recording(bind))
+        monkeypatch.setattr(RefEnv, "guard", recording(guard))
+        texts = [path.read_text() for path in sorted(PROGRAMS.glob("*.l2"))]
+        for program in [*map(parser.parse_program, texts),
+                        *(gen_program(seed, b) for b in (30, 60) for seed in range(400))]:
+            try:
+                check_refined(elaborate.elaborate_program(program).target, discharge=False)
+            except elaborate.ElabError:
+                continue
+        self.assert_marks(frames)
+        marked = [f for f in frames if f.grouped is FALSE_PREMISES]
+        assert sum(f.parent.grouped is not FALSE_PREMISES for f in marked) > 10
+
+    def test_false_refinement_marks_the_binder(self):
+        env = RefEnv().bind("x", num(FALSE))
+        assert env.grouped is FALSE_PREMISES and env.bind("y", num()).grouped is FALSE_PREMISES
+        assert RefEnv().bind("x", num(cmp_pred(nu, "!=", nu))).grouped is None
+
+    def test_substituted_once_on_first_read(self, monkeypatch):
+        calls = []
+
+        def counting(p, name, repl):
+            calls.append(name)
+            return subst_pred(p, name, repl)
+
+        monkeypatch.setattr(refine, "subst_pred", counting)
+        env = RefEnv().bind("x", num(cmp_pred(nu, ">", lit(0))))
+        assert calls == []
+        first = env.hyp
+        assert first == cmp_pred(LinTerm.of_var("x"), ">", lit(0)) and calls == ["v"]
+        assert env.hyp is first and env.flatten() == (first,) and calls == ["v"]
+
+    @staticmethod
+    def hyp_substitutions(monkeypatch):
+        calls = [0]
+
+        def counting(p, name, repl):
+            calls[0] += name == "v"  # phase 2 substitutes the value variable only there
+            return subst_pred(p, name, repl)
+
+        monkeypatch.setattr(refine, "subst_pred", counting)
+        return calls
+
+    def test_no_substitution_without_a_discharge(self, monkeypatch):
+        calls = self.hyp_substitutions(monkeypatch)
+        target = elaborate.elaborate_program(parser.parse_program(let_chain(150))).target
+        report = check_refined(target)
+        assert report.vcs == () and calls == [0]
 
 
 class TestDependentApplication:

@@ -164,13 +164,7 @@ class Elaborator:
     # -- public entry points -------------------------------------------------
 
     def elaborate_program(self, program: Program) -> ElabResult:
-        ascriptions = (a for a in syntax.subexprs(program.main) if isinstance(a, Ascribe))
-        for a in ascriptions:
-            report = wf_type(a.ty)
-            if not report.ok:
-                raise ElabError(
-                    f"ill-formed annotation {syntax.print_type(a.ty)}: {report.reason}", a.pos
-                )
+        _check_wf(program.main, ())
         first = None
         try:
             for t, w, flag, trace in self.synth(
@@ -191,6 +185,7 @@ class Elaborator:
     def check_expr(
         self, env: dict[str, SrcType], e: SrcExpr, expected: SrcType, mode: str = FLEXIBLE
     ) -> tuple[TgtExpr, str]:
+        _check_wf(e, (expected, *env.values()))
         for _, w, flag, _ in self.synth(self.env_of(env), e, mode, self.search_depth, expected):
             return w, flag
         raise ElabError(
@@ -263,7 +258,7 @@ class Elaborator:
                     yield t, e, FLAG_PLAIN, ("T-Var",)
             case Lam(param, body, pos=pos):
                 # a lambda requires an annotation, so it only checks
-                if isinstance(expected, FunType) and wf_type(expected).ok:
+                if isinstance(expected, FunType):
                     inner = self.extend(env, param, expected.dom)
                     for _, w, _, tr in self.synth(inner, body, mode, depth, expected.cod):
                         yield expected, Lam(param, w, expected, pos), FLAG_PLAIN, ("T-Lam", tr)
@@ -301,7 +296,7 @@ class Elaborator:
         if expected is None:
             return
         # T-And-Intro
-        if isinstance(expected, AndType) and is_value(e) and wf_type(expected).ok:
+        if isinstance(expected, AndType) and is_value(e):
             for _, w1, f1, tr1 in self.synth(env, e, mode, depth - 1, expected.left):
                 for _, w2, f2, tr2 in self.synth(env, e, mode, depth - 1, expected.right):
                     flag = f1 if f1 == f2 else FLAG_PLAIN
@@ -315,7 +310,7 @@ class Elaborator:
         # root-level cast are preferred: injecting a value into an arm it
         # does not inhabit would make the runtime tag dispatch diverge from
         # the source.
-        if mode == FLEXIBLE and isinstance(expected, OrType) and wf_type(expected).ok:
+        if mode == FLEXIBLE and isinstance(expected, OrType):
             arms = ((1, expected.left), (2, expected.right))
             for cast_free in (True, False):
                 for k, arm in arms:
@@ -326,7 +321,7 @@ class Elaborator:
         # T-Down
         for plug, e0 in syntax.decompose(e):
             for t0, w0, _, tr0 in self.synth(env, e0, mode, depth - 1):
-                if isinstance(t0, OrType) and wf_type(t0).ok:
+                if isinstance(t0, OrType):
                     yield from self._union_split(
                         env, e0, t0, w0, tr0, plug, expected, mode, depth - 1
                     )
@@ -413,6 +408,17 @@ def _conjuncts(
 
 def _pos_of(e: SrcExpr) -> Pos:
     return getattr(e, "pos", None)
+
+
+def _check_wf(e: SrcExpr, types: tuple[SrcType, ...]) -> None:
+    """Raise ElabError on the first ill-formed type of types, placed at e, or
+    of e's ascriptions.  Every type the search meets is BOOL, a constant's
+    type or a part of one of these, so the search checks none."""
+    ascribed = [(a.ty, a.pos) for a in syntax.subexprs(e) if isinstance(a, Ascribe)]
+    for t, pos in [(t, _pos_of(e)) for t in types] + ascribed:
+        report = wf_type(t)
+        if not report.ok:
+            raise ElabError(f"ill-formed annotation {syntax.print_type(t)}: {report.reason}", pos)
 
 
 def elaborate_program(program: Program, search_depth: int = DEFAULT_SEARCH_DEPTH) -> ElabResult:

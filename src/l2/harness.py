@@ -91,7 +91,7 @@ def _basic_type(env: Env, w: TgtExpr) -> SrcType | None:
 # ---------------------------------------------------------------------------
 
 
-def elab_matches(env: Env, e: SrcExpr, tau: SrcType, w: TgtExpr, depth: int = 400) -> bool:
+def elab_matches(env: Env, e: SrcExpr, tau: SrcType, w: TgtExpr) -> bool:
     """Does (e, tau, w) lie in the elaboration relation?
 
     Each target constructor pins down the rule that introduced it, so the
@@ -100,45 +100,42 @@ def elab_matches(env: Env, e: SrcExpr, tau: SrcType, w: TgtExpr, depth: int = 40
     types, as the target's simple type checker reads a witness subterm's
     type; an ill-typed subterm matches nothing.
     """
-    if depth <= 0:
-        return False
-    d = depth - 1
     match w:
         case TDead(from_ty, to_ty, inner):
             return (
                 types_equal_basic(to_ty, tau)
                 and tags_disjoint(from_ty, tau)
-                and elab_matches(env, e, from_ty, inner, d)
+                and elab_matches(env, e, from_ty, inner)
             )
         case TPair(w1, w2):
             return (
                 isinstance(tau, AndType)
                 and is_value(_peel(e))
-                and elab_matches(env, e, tau.left, w1, d)
-                and elab_matches(env, e, tau.right, w2, d)
+                and elab_matches(env, e, tau.left, w1)
+                and elab_matches(env, e, tau.right, w2)
             )
         case TProj(k, w0):
             t0 = _basic_type(env, w0)
             if not isinstance(t0, AndType):
                 return False
             arm = t0.left if k == 1 else t0.right
-            return types_equal_basic(arm, tau) and elab_matches(env, e, t0, w0, d)
+            return types_equal_basic(arm, tau) and elab_matches(env, e, t0, w0)
         case TInj(k, w0, _):
             if not isinstance(tau, OrType):
                 return False
             arm = tau.left if k == 1 else tau.right
-            return elab_matches(env, e, arm, w0, d)
+            return elab_matches(env, e, arm, w0)
         case TCase(w0, x1, w1, x2, w2):
             t0 = _basic_type(env, w0)
             if not isinstance(t0, OrType):
                 return False
             for plug, e0 in syntax.decompose(e):
-                if not elab_matches(env, e0, t0, w0, d):
+                if not elab_matches(env, e0, t0, w0):
                     continue
                 env1 = {**env, x1: t0.left}
                 env2 = {**env, x2: t0.right}
-                if elab_matches(env1, plug(Var(x1)), tau, w1, d) and elab_matches(
-                    env2, plug(Var(x2)), tau, w2, d
+                if elab_matches(env1, plug(Var(x1)), tau, w1) and elab_matches(
+                    env2, plug(Var(x2)), tau, w2
                 ):
                     return True
             return False
@@ -154,27 +151,25 @@ def elab_matches(env: Env, e: SrcExpr, tau: SrcType, w: TgtExpr, depth: int = 40
             if p_e != p_w:
                 body_w = subst(body_w, p_w, Var(p_e))
             env = {**env, p_e: erase_refinements(tau.dom)}
-            return elab_matches(env, body_e, tau.cod, body_w, d)
+            return elab_matches(env, body_e, tau.cod, body_w)
         case (Let(n_e, bound_e, body_e), Let(n_w, bound_w, body_w)):
             t1 = _basic_type(env, bound_w)
-            if t1 is None or not elab_matches(env, bound_e, t1, bound_w, d):
+            if t1 is None or not elab_matches(env, bound_e, t1, bound_w):
                 return False
             if n_e != n_w:
                 body_w = subst(body_w, n_w, Var(n_e))
-            return elab_matches({**env, n_e: t1}, body_e, tau, body_w, d)
+            return elab_matches({**env, n_e: t1}, body_e, tau, body_w)
         case (If(c_e, t_e, f_e), If(c_w, t_w, f_w)):
             return (
-                elab_matches(env, c_e, BOOL, c_w, d)
-                and elab_matches(env, t_e, tau, t_w, d)
-                and elab_matches(env, f_e, tau, f_w, d)
+                elab_matches(env, c_e, BOOL, c_w)
+                and elab_matches(env, t_e, tau, t_w)
+                and elab_matches(env, f_e, tau, f_w)
             )
         case (App(fn_e, arg_e), App(fn_w, arg_w)):
             t_fn = _basic_type(env, fn_w)
             if not isinstance(t_fn, FunType) or not types_equal_basic(t_fn.cod, tau):
                 return False
-            return elab_matches(env, fn_e, t_fn, fn_w, d) and elab_matches(
-                env, arg_e, t_fn.dom, arg_w, d
-            )
+            return elab_matches(env, fn_e, t_fn, fn_w) and elab_matches(env, arg_e, t_fn.dom, arg_w)
         case _:
             return False
 

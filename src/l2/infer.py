@@ -243,7 +243,7 @@ def houdini_solve(
             env = env.guard(map_pred(p, leaf))
 
         def check(goal: Pred) -> Verdict:
-            return valid(VC.on(env, TRUE, goal, clause.origin), clause_budget, memo)
+            return valid(VC(env, TRUE, goal, clause.origin), clause_budget, memo)
 
         if head_k is None:
             if not check(map_pred(head, leaf)).is_valid:

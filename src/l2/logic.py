@@ -12,19 +12,19 @@ a reported tautology has no integer counter-model.  Cubes that are
 satisfiable over the rationals but not the integers are conservatively
 reported as invalid.
 
-Discharge does no work it can avoid.  The hypotheses are grouped once for
-every VC that shares them (``Premises``, kept by each environment frame a VC
-is built on, in phase 2 or for a Houdini clause body), and each VC adds only
-its antecedent and negated consequent.  DNF size is a sum over components,
-not a product.  A cube, too, is decided one component of variable-sharing
-literals at a time, by one search that also finds the component's integer
-model: each node is eliminated once and back-substituted, and a disequality
-is split into its two strict halves only when the values found violate it.
-A memo shared by the ``valid`` calls of one Houdini solve or refinement
-check keeps each conjunct's names, literal's rows and component's outcome,
-from which ``cube_model`` reads an invalid verdict's counter-model.
-Elimination keeps its rows reduced by their exact gcd and holds only the
-tightest of rows with the same coefficients.
+Discharge does no work it can avoid.  Every VC is built on the environment
+frame it arises under, in phase 2 or as a Houdini clause body, and a frame
+groups the hypotheses on its chain once for every VC under it
+(``Premises``), so each VC adds only its antecedent and negated consequent.
+DNF size is a sum over components, not a product.  A cube, too, is decided
+one component of variable-sharing literals at a time, by one search that
+also finds the component's integer model: each node is eliminated once and
+back-substituted, and a disequality is split into its two strict halves only
+when the values found violate it.  A memo shared by the ``valid`` calls of
+one Houdini solve or refinement check keeps each conjunct's names, literal's
+rows and component's outcome, from which ``cube_model`` reads an invalid
+verdict's counter-model.  Elimination keeps its rows reduced by their exact
+gcd and holds only the tightest of rows with the same coefficients.
 
 Predicates are traversed by two shared walkers: ``pred_leaves`` lists the
 constants, atoms and kappa applications left to right without recursion, and
@@ -44,6 +44,7 @@ import itertools
 import operator
 import string
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from math import gcd
 from typing import Callable, Iterator
 
@@ -124,9 +125,6 @@ class LinTerm:
             if n in repl:
                 out = out + repl[n].scale(c)
         return out
-
-    def names(self) -> frozenset[str]:
-        return frozenset(n for n, _ in self.coeffs)
 
     def is_const(self) -> bool:
         return not self.coeffs
@@ -563,36 +561,26 @@ def is_false(p: Pred) -> bool:
 
 @dataclass(frozen=True)
 class VC:
-    """Implication ``hyps => (antecedent => consequent)``.
+    """Implication ``hyps => (antecedent => consequent)`` on the environment
+    frame it arises under (``env``, a ``refine.RefEnv``).
 
-    Phase 2 builds a VC on its environment frame (``on``, a ``refine.RefEnv``),
-    which keeps its hypotheses grouped (``Premises``) and reads ``hyps`` and
-    ``scope`` off the chain only when they are asked for.  A VC built from a
-    tuple of hypotheses has no frame, and ``valid`` groups them by the same fold.
+    The frame keeps its hypotheses grouped (``Premises``), so a VC copies
+    nothing: ``hyps`` and ``scope`` are read off the frame's chain on first
+    use.  Two VCs are equal only on the same frame.
     """
 
-    hyps: tuple[Pred, ...]
+    env: object = field(repr=False)
     antecedent: Pred
     consequent: Pred
     origin: str = ""
-    scope: tuple[str, ...] = field(default_factory=tuple, compare=False)  # bound at a number type
-    env: object = field(default=None, compare=False, repr=False)
 
-    @staticmethod
-    def on(env, antecedent: Pred, consequent: Pred, origin: str) -> VC:
-        vc = object.__new__(VC)
-        vc.__dict__.update(env=env, antecedent=antecedent, consequent=consequent, origin=origin)
-        return vc
+    @cached_property
+    def hyps(self) -> tuple[Pred, ...]:
+        return self.env.flatten()
 
-    def __getattr__(self, name: str):  # a frame's VC's hyps and scope, each read once
-        if name not in ("hyps", "scope") or self.env is None:
-            raise AttributeError(name)
-        value = self.env.flatten() if name == "hyps" else self.env.number_names()
-        self.__dict__[name] = value
-        return value
-
-    def negated(self) -> Pred:
-        return pand(list(self.hyps) + [self.antecedent, pnot(self.consequent)])
+    @cached_property
+    def scope(self) -> tuple[str, ...]:  # the names bound at a number type
+        return self.env.number_names()
 
     def render(self) -> str:
         """Its printed form, which ``parser.parse_pred`` reads back: every
@@ -601,21 +589,14 @@ class VC:
         hyp = print_expr(PAnd(hyps) if len(hyps) > 1 else hyps[0])
         return f"({hyp}) => ({print_expr(PImp(self.antecedent, self.consequent))})"
 
-    def key(self):
-        return (
-            tuple(sorted(set(k for k in (pred_key(h) for h in self.hyps) if k != ("bool", True)))),
-            pred_key(self.antecedent),
-            pred_key(self.consequent),
-        )
-
 
 def is_tautology(vc: VC) -> bool:
     """True when the VC holds for structural reasons alone.
 
-    Covers a true consequent and a false antecedent or hypothesis, which a
-    VC built on a frame reads off the frame's record.  A reflexive implication
-    between kappa applications is dropped too: it holds under every solution,
-    so it constrains nothing.  Concrete reflexive obligations are kept and
+    Covers a true consequent, a false antecedent and a false hypothesis, the
+    last read off the frame's record.  A reflexive implication between kappa
+    applications is dropped too: it holds under every solution, so it
+    constrains nothing.  Concrete reflexive obligations are kept and
     discharged like any other.
     """
     if is_true(vc.consequent):
@@ -624,7 +605,7 @@ def is_tautology(vc: VC) -> bool:
         return True
     if contains_kappa(vc.consequent) and pred_key(vc.antecedent) == pred_key(vc.consequent):
         return True
-    return vc.env.grouped is FALSE_PREMISES if vc.env else any(is_false(h) for h in vc.hyps)
+    return vc.env.grouped is FALSE_PREMISES
 
 
 # ---------------------------------------------------------------------------
@@ -977,18 +958,18 @@ def valid(vc: VC, clause_budget: int = DEFAULT_CLAUSE_BUDGET, memo: dict | None 
     """Check a VC by refuting its negation one component at a time.
 
     The hypotheses are grouped (``Premises``) by the VC's frame, once for
-    every VC under it, or else here.  The antecedent and the negated
-    consequent join the components they share a name with, and each
-    component goes to DNF alone: the VC is valid once one has no satisfiable
-    cube, and an invalid verdict's cube is the union of each component's
-    first satisfiable one.  The goal's components go first, then the rest,
-    each the smallest first.  The clause budget bounds one component;
-    ``ResourceLimit`` is raised only when no other component refutes the VC,
-    and names the VC's origin.  ``memo`` keeps each conjunct's names and each
-    component's outcome, and reaches every ``fm_unsat`` call.
+    every VC under it.  The antecedent and the negated consequent join the
+    components they share a name with, and each component goes to DNF alone:
+    the VC is valid once one has no satisfiable cube, and an invalid
+    verdict's cube is the union of each component's first satisfiable one.
+    The goal's components go first, then the rest, each the smallest first.
+    The clause budget bounds one component; ``ResourceLimit`` is raised only
+    when no other component refutes the VC, and names the VC's origin.
+    ``memo`` keeps each conjunct's names and each component's outcome, and
+    reaches every ``fm_unsat`` call.
     """
     memo = {} if memo is None else memo
-    premises = vc.env.premises(memo) if vc.env else Premises().extend(vc.hyps, memo)
+    premises = vc.env.premises(memo)
     store = premises.extend((vc.antecedent, pnot(vc.consequent)), memo)._store
     goal = {id(store[k]): store[k] for k in premises._store[1]}  # the components it grew
 

@@ -10,9 +10,9 @@ as calls to a function whose domain refinement is false, so the obligation
 is provable exactly when the surrounding environment is inconsistent, which
 is what "this cast is dead code" means.
 
-A VC is built on the environment frame it arises under (``logic.VC.on``)
-and copies nothing: its hypotheses are the frame chain's, read off it only
-when printed, and every VC under a frame is discharged against the one
+Every VC is built on the environment frame it arises under (a ``RefEnv``)
+and copies nothing: its hypotheses are the frame chain's, read off it once,
+on first use, and every VC under a frame is discharged against the one
 grouping of them the frame keeps (``RefEnv.premises``).  Obligations that
 hold for purely structural reasons (a true consequent, a false antecedent or
 hypothesis) are not reported; they carry no content.  Dependent application
@@ -378,7 +378,7 @@ class RefChecker:
         for env2, p1, p2, origin2 in _obligations(env, t1, t2, origin):
             if is_true(p2):
                 continue  # a tautology; skip building its hypotheses
-            vc = VC.on(env2, p1, p2, origin2)
+            vc = VC(env2, p1, p2, origin2)
             if not is_tautology(vc):
                 self.vcs.append(vc)
 

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator, Optional, TYPE_CHECKING
 
-from .logic import (SYNTAX, LinTerm, PKappa, Pred, TRUE, VALUE_VAR, cached_hash, instantiate_kappas,
-                    is_true, pred_names, print_expr, template)
+from .logic import (SYNTAX, LinTerm, Pred, TRUE, VALUE_VAR, cached_hash, is_true, pred_names,
+                    print_expr, subst_names, template)
 
 if TYPE_CHECKING:
     from .target import TgtExpr
@@ -565,11 +565,10 @@ def _refined_names(t: SrcType) -> set[str]:
 def _rename_refinements(t: SrcType, ren: dict[str, str]) -> SrcType:
     """t with the names its refinements mention renamed by ren, all at once
     (a new name may be another's old one); t itself when none is renamed."""
-    app = PKappa("", tuple((n, LinTerm.of_var(ren[n]))
-                           for n in sorted(_refined_names(t)) if ren.get(n, n) != n))
-    if not app.subst:
+    repl = {n: LinTerm.of_var(ren[n]) for n in sorted(_refined_names(t)) if ren.get(n, n) != n}
+    if not repl:
         return t
-    return map_prims(t, lambda p, _: PrimType(p.base, instantiate_kappas(app, {"": p.refinement})))
+    return map_prims(t, lambda p, _: PrimType(p.base, subst_names(p.refinement, repl)))
 
 
 def _fresh(base: str, used: set[str], counters: dict[str, int]) -> str:

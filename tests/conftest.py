@@ -18,8 +18,10 @@ from l2.logic import (
     kappas_of,
     pand,
     pnot,
+    pred_key,
     valid,
 )
+from l2.refine import RefEnv
 from l2.source_interp import DEFAULT_FUEL, eval_source_trace
 from l2.target_interp import eval_target_trace
 from l2.syntax import AndType, App, Ascribe, Const, FunType, If, Lam, Let, OrType, PrimType, Var
@@ -138,6 +140,34 @@ def ftx(t, r):
     raise TypeError(f"not a type: {t!r}")
 
 
+def guarded_vc(hyps, antecedent, consequent, origin: str = "") -> VC:
+    """A VC whose hypotheses are hyps, built on a chain of guards, as
+    ``infer.houdini_solve`` builds a clause body."""
+    env = RefEnv()
+    for h in hyps:
+        env = env.guard(h)
+    return VC(env, antecedent, consequent, origin)
+
+
+def vc_negated(vc: VC):
+    """The conjunction whose refutation proves the VC."""
+    return pand(list(vc.hyps) + [vc.antecedent, pnot(vc.consequent)])
+
+
+def vc_key(vc: VC):
+    """A VC up to the order, repetition and true members of its hypotheses."""
+    return (
+        tuple(sorted(set(k for k in (pred_key(h) for h in vc.hyps) if k != ("bool", True)))),
+        pred_key(vc.antecedent),
+        pred_key(vc.consequent),
+    )
+
+
+def term_names(t) -> frozenset[str]:
+    """The names a linear term mentions."""
+    return frozenset(n for n, _ in t.coeffs)
+
+
 def horn(clause: VC):
     """A VC read as a Horn clause: its body (the hypotheses, then the
     antecedent) and its head (the consequent)."""
@@ -155,7 +185,7 @@ def clause_valid(clause, assignment, clause_budget: int = 10000) -> bool:
     pred_map = {k: pand(v) for k, v in assignment.items()}
     body = tuple(instantiate_kappas(p, pred_map) for p in horn(clause)[0])
     head = instantiate_kappas(clause.consequent, pred_map)
-    return valid(VC(body, TRUE, head, clause.origin), clause_budget).is_valid
+    return valid(guarded_vc(body, TRUE, head, clause.origin), clause_budget).is_valid
 
 
 def eval_pred(p, env: dict[str, object]) -> bool:

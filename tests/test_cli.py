@@ -49,6 +49,20 @@ class TestCheck:
             payload["vcs"][0]
         )
 
+    def test_json_reads_each_frame_chain_once(self, programs_dir, capsys, monkeypatch):
+        # the payload's hypotheses and its rendered VC both read ``hyps``,
+        # which a VC takes off its frame chain once
+        from l2.refine import RefEnv
+
+        calls = []
+        flatten = RefEnv.flatten
+        monkeypatch.setattr(RefEnv, "flatten", lambda env: calls.append(env) or flatten(env))
+        code, out, _ = run_cli(
+            ["--json", "check", str(programs_dir / "negate_ok.l2")], capsys
+        )
+        assert code == 0
+        assert len(calls) == len(json.loads(out)["vcs"]) == 4
+
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     @pytest.mark.parametrize(
         "command",

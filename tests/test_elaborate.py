@@ -138,6 +138,14 @@ class TestCheckExpr:
             check_expr(env, App(Var("f"), Const(constants.int_const(1))),
                        AndType(NUM, NUM), FLEXIBLE)
 
+    def test_ill_formed_types_rejected_at_entry(self):
+        # the search checks no type, so the expected type and the
+        # environment's types are checked before it starts
+        with pytest.raises(ElabError, match=r"ill-formed annotation number \\/ number"):
+            check_expr({}, Const(constants.int_const(1)), OrType(NUM, NUM))
+        with pytest.raises(ElabError, match="intersection parts have different tags"):
+            check_expr({"x": AndType(NUM, BOOL)}, Var("x"), NUM)
+
     def test_mode_monotonicity(self):
         # anything accepted strictly is accepted flexibly with the same target
         cases = [

@@ -17,7 +17,7 @@ from l2.harness import (
 )
 from l2.syntax import BOOL, Const, FunType, If, Let, NUM, OrType, PrimType, Var, print_program
 from l2.target import TConst, TDead, TIf, TInj, TLet, TPair, TProj, TVar, print_target
-from tests.conftest import DEAD_SEMANTICS, NEGATE_FULL, NEGATE_OK, alpha_equal
+from tests.conftest import DEAD_SEMANTICS, NEGATE_FULL, NEGATE_OK, alpha_equal, let_chain
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -147,6 +147,13 @@ class TestElabMatches:
 
     def test_mismatched_constant(self):
         assert not elab_matches({}, Const(constants.int_const(1)), NUM, num(2))
+
+    def test_deep_let_chain_matches(self):
+        # the replay recurses once per let, always on a strict subterm, so
+        # a target more than 400 nodes deep still matches
+        p = parser.parse_program(let_chain(405))
+        result = elaborate.elaborate_program(p)
+        assert elab_matches({}, p.main, result.type, normalize_admin(result.target))
 
 
 class TestLockstep:

@@ -23,7 +23,6 @@ from l2.logic import (
     ResourceLimit,
     TRUE,
     VALUE_VAR,
-    VC,
     cmp_pred,
     dnf_cubes,
     instantiate_kappas,
@@ -36,7 +35,8 @@ from l2.logic import (
 )
 from l2.refine import check_refined
 from l2.syntax import AndType, BOOL, FunType, NUM, OrType, PrimType
-from tests.conftest import NEGATE_INFER, clause_kappas, clause_valid, horn
+from tests.conftest import (NEGATE_INFER, clause_kappas, clause_valid, guarded_vc, horn,
+                            vc_negated)
 
 nu = LinTerm.of_var(VALUE_VAR)
 
@@ -227,11 +227,11 @@ class TestHoudini:
         assert isinstance(outcome, Unsat)
 
     def test_contradictory_fixed_head(self):
-        clause = VC((), TRUE, PBool(False))
+        clause = guarded_vc((), TRUE, PBool(False))
         assert isinstance(houdini_solve([clause], {}), Unsat)
 
     def test_trivially_valid_fixed_heads(self):
-        clause = VC((), cmp_pred(nu, "=", lit(1)), cmp_pred(nu, "!=", lit(0)))
+        clause = guarded_vc((), cmp_pred(nu, "=", lit(1)), cmp_pred(nu, "!=", lit(0)))
         assert isinstance(houdini_solve([clause], {}), Solution)
 
 
@@ -344,7 +344,7 @@ def reference_houdini(clauses, candidates, clause_budget=logic.DEFAULT_CLAUSE_BU
                 c
                 for c in assignment[head_k]
                 if valid(
-                    VC(body, TRUE, instantiate_kappas(head, {head_k: c}), clause.origin),
+                    guarded_vc(body, TRUE, instantiate_kappas(head, {head_k: c}), clause.origin),
                     clause_budget,
                     memo,
                 ).is_valid
@@ -358,7 +358,7 @@ def reference_houdini(clauses, candidates, clause_budget=logic.DEFAULT_CLAUSE_BU
         if not isinstance(head, PKappa):
             body = tuple(instantiate_kappas(p, pred_map) for p in body)
             head = instantiate_kappas(head, pred_map)
-            if not valid(VC(body, TRUE, head, clause.origin), clause_budget, memo).is_valid:
+            if not valid(guarded_vc(body, TRUE, head, clause.origin), clause_budget, memo).is_valid:
                 return Unsat(clause)
     return Solution(assignment)
 
@@ -466,9 +466,9 @@ class TestIncrementalHoudini:
         body = (por([cmp_pred(nu, "=", lit(1)), cmp_pred(nu, "=", lit(2))]),)
         cands = [cmp_pred(nu, ">=", lit(1)), cmp_pred(nu, "<=", lit(2)),
                  cmp_pred(nu, "!=", lit(0)), cmp_pred(nu, "=", lit(1))]
-        clause = VC((), *body, PKappa("k1"), "test")
+        clause = guarded_vc((), *body, PKappa("k1"), "test")
         with pytest.raises(ResourceLimit):
-            dnf_cubes(VC(body, TRUE, pand(cands), "").negated(), 4)
+            dnf_cubes(vc_negated(guarded_vc(body, TRUE, pand(cands))), 4)
         limits = []
         checked = infer.valid
 
@@ -487,7 +487,7 @@ class TestIncrementalHoudini:
 
     def test_fixed_head_over_budget_names_the_clause(self):
         body = (por([cmp_pred(nu, "=", lit(1)), cmp_pred(nu, "=", lit(2))]),)
-        clause = VC((), *body, cmp_pred(nu, ">=", lit(1)), "argument at 3:4")
+        clause = guarded_vc((), *body, cmp_pred(nu, ">=", lit(1)), "argument at 3:4")
         with pytest.raises(ResourceLimit, match="^argument at 3:4: DNF clause budget 1 exceeded$"):
             infer.houdini_solve([clause], {}, clause_budget=1)
 
@@ -554,9 +554,9 @@ class TestWorklist:
         # the sweep meets `true => false` first, while `k1[x/v] => x = 0`
         # still holds; it fails once `v = 1 => k1` has dropped `v = 0`
         x = LinTerm.of_var("x")
-        first = VC((PKappa("k1", ((VALUE_VAR, x),)),), TRUE, cmp_pred(x, "=", lit(0)), "first")
-        second = VC((), TRUE, PBool(False), "second")
-        weakens = VC((), cmp_pred(nu, "=", lit(1)), PKappa("k1"), "weakens")
+        first = guarded_vc((PKappa("k1", ((VALUE_VAR, x),)),), TRUE, cmp_pred(x, "=", lit(0)), "first")
+        second = guarded_vc((), TRUE, PBool(False), "second")
+        weakens = guarded_vc((), cmp_pred(nu, "=", lit(1)), PKappa("k1"), "weakens")
         clauses, candidates = [first, second, weakens], {"k1": [cmp_pred(nu, "=", lit(0))]}
         outcome = _same_outcome(clauses, candidates)
         assert outcome == Unsat(first)
@@ -565,7 +565,7 @@ class TestWorklist:
 class TestCounterModelPruning:
     def test_one_model_drops_every_candidate_it_falsifies(self, monkeypatch):
         cands = [cmp_pred(nu, op, lit(k)) for k in (0, 3) for op in ("=", "!=", "<=", ">=")]
-        clause = VC((), cmp_pred(nu, "=", lit(3)), PKappa("k1"), "test")
+        clause = guarded_vc((), cmp_pred(nu, "=", lit(3)), PKappa("k1"), "test")
         calls = _spy_valid(monkeypatch)
         got = _same_outcome([clause], {"k1": cands})
         # the model v = 3 drops v = 0, v <= 0 and v != 3 at once; the rest holds
@@ -579,7 +579,7 @@ class TestCounterModelPruning:
         x = LinTerm.of_var("x")
         body = cmp_pred(nu.scale(2), "=", x.scale(2) + lit(1))
         cands = [cmp_pred(nu, ">=", lit(0)), cmp_pred(x, ">=", lit(0))]
-        clause = VC((), body, PKappa("k1"), "test")
+        clause = guarded_vc((), body, PKappa("k1"), "test")
         calls = _spy_valid(monkeypatch)
         got = _same_outcome([clause], {"k1": cands})
         assert got.assignment["k1"] == ()

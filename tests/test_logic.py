@@ -36,7 +36,7 @@ from l2.logic import (
     to_smtlib,
     valid,
 )
-from tests.conftest import eval_pred
+from tests.conftest import eval_pred, guarded_vc, term_names, vc_negated
 
 x = LinTerm.of_var("x")
 y = LinTerm.of_var("y")
@@ -203,7 +203,7 @@ def _eager_fm_rows_unsat(rows) -> bool:
                     return True
             else:
                 pending.append(r)
-                names.update(r.names())
+                names.update(term_names(r))
         if not pending:
             return False
         best, best_cost = None, None
@@ -314,7 +314,7 @@ class TestFmAgainstEagerReference:
 
 
 def _vc(hyps, p, q):
-    return VC(tuple(hyps), p, q, "test")
+    return guarded_vc(hyps, p, q, "test")
 
 
 class TestValid:
@@ -341,7 +341,7 @@ class TestValid:
 
     def test_double_negation_invariance(self):
         vc = _vc([cmp_pred(x, ">=", const(0))], cmp_pred(nu, "=", x), cmp_pred(nu, ">=", const(0)))
-        doubled = VC(vc.hyps, pnot(pnot(vc.antecedent)), pnot(pnot(vc.consequent)), "t")
+        doubled = guarded_vc(vc.hyps, pnot(pnot(vc.antecedent)), pnot(pnot(vc.consequent)), "t")
         assert valid(vc).kind == valid(doubled).kind == "valid"
 
     def test_boolean_structure(self):
@@ -382,7 +382,7 @@ class TestValid:
 
 def _product_dnf_kind(vc) -> str:
     """The verdict kind of one DNF over the whole negated VC, cube by cube."""
-    cubes = dnf_cubes(vc.negated(), budget=10**6)
+    cubes = dnf_cubes(vc_negated(vc), budget=10**6)
     return "valid" if all(fm_unsat(cube) for cube in cubes) else "invalid"
 
 
@@ -420,7 +420,7 @@ class TestComponentDischarge:
         hyps = [por([cmp_pred(n, "=", const(0)), cmp_pred(n, "=", const(1))]) for n in names]
         vc = _vc(hyps, TRUE, cmp_pred(names[0], ">=", const(0)))
         with pytest.raises(ResourceLimit):
-            dnf_cubes(vc.negated())
+            dnf_cubes(vc_negated(vc))
         assert valid(vc).is_valid
         twin = valid(_vc(hyps, TRUE, cmp_pred(names[0], ">=", const(1))))
         assert twin.kind == "invalid"
@@ -479,7 +479,7 @@ class TestComponentDischarge:
             assert not fm_unsat(verdict.cube)
             model = logic.cube_model(verdict.cube)
             if model is not None:
-                assert eval_pred(vc.negated(), model)
+                assert eval_pred(vc_negated(vc), model)
 
 
 class TestTautologyFilter:
@@ -681,7 +681,7 @@ class TestCounterModels:
                     model = logic.cube_model(verdict.cube)
                     assert model is not None, vc.render()
                     assert all(logic.eval_atom(a, model) == pos for a, pos in verdict.cube)
-                    assert eval_pred(vc.negated(), model), vc.render()
+                    assert eval_pred(vc_negated(vc), model), vc.render()
         assert invalid == 415
 
 
@@ -700,7 +700,7 @@ class TestPremises:
             env = env.guard(p)
         for goal in (consequent, other):
             vc = _vc(body, TRUE, goal)
-            got = valid(VC.on(env, TRUE, goal, "test"), 10**6, memo)
+            got = valid(VC(env, TRUE, goal, "test"), 10**6, memo)
             assert got.kind == _product_dnf_kind(vc)
             if got.kind == "invalid":
                 assert not fm_unsat(got.cube)
@@ -742,7 +742,7 @@ class TestPremises:
             goals = [(rng.choice(frames), self.random_pred(rng, names[:6]), self.random_pred(rng, names))
                      for _ in range(12)]
             for env, antecedent, consequent in goals:
-                vc = VC.on(env, antecedent, consequent, "t")
+                vc = VC(env, antecedent, consequent, "t")
                 if is_tautology(vc):
                     assert any(h == PBool(False) for h in vc.hyps) or logic.is_false(antecedent)
                     seen["false"] += 1
@@ -752,7 +752,7 @@ class TestPremises:
                 except ResourceLimit:
                     seen["over budget"] += 1
                     got = valid(vc, 10**6, memo)
-                assert got.kind == _product_dnf_kind(VC(env.flatten(), antecedent, consequent)), vc
+                assert got.kind == _product_dnf_kind(guarded_vc(env.flatten(), antecedent, consequent)), vc
                 seen[got.kind] += 1
         assert all(n >= 10 for n in seen.values()), seen
 

@@ -42,6 +42,7 @@ from l2.logic import (
 )
 from l2.parser import parse_program
 from l2.refine import check_refined
+from tests.conftest import guarded_vc, vc_negated
 from tests.test_logic import _preds
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -207,7 +208,7 @@ def assert_vc_agrees(vc: VC) -> None:
     """Each part of the VC and its negation, which discharge expands to DNF,
     agree, and ``to_smtlib`` asserts the negation of the formula the former
     printer built from the parts."""
-    for p in (*vc.hyps, vc.antecedent, vc.consequent, vc.negated()):
+    for p in (*vc.hyps, vc.antecedent, vc.consequent, vc_negated(vc)):
         assert_agrees(p)
     hyp = _sexp_pred(logic.pand(vc.hyps)) if vc.hyps else "true"
     body = f"(=> {hyp} (=> {_sexp_pred(vc.antecedent)} {_sexp_pred(vc.consequent)}))"
@@ -254,4 +255,4 @@ def test_deep_implication_prints_without_recursion():
         p = PImp(atom, p)
     assert logic.render_pred(p) == "x = 0 => (" * 4999 + "x = 0 => x = 0" + ")" * 4999
     deep = "(=> (= x 0) " * 5000 + "(= x 0)" + ")" * 5000
-    assert f"(assert (not (=> true (=> true {deep}))))" in logic.to_smtlib(VC((), TRUE, p))
+    assert f"(assert (not (=> true (=> true {deep}))))" in logic.to_smtlib(guarded_vc((), TRUE, p))

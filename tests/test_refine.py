@@ -38,14 +38,14 @@ from l2.refine import (
 from l2.harness import gen_program
 from l2.syntax import BOOL, FunType, NUM, OrType, PrimType, erase_refinements, subexprs
 from l2.target import TApp, TConst, TDead, TVar
-from tests.conftest import (NEGATE_ERR_C, NEGATE_OK, PROGRAMS, eval_pred, ftx, let_chain,
-                            oblig_program)
+from tests.conftest import (NEGATE_ERR_C, NEGATE_OK, PROGRAMS, eval_pred, ftx, guarded_vc,
+                            let_chain, oblig_program, vc_key)
 
 
 def subtype(env: RefEnv, t1, t2, origin: str = "") -> list[VC]:
     """Every VC of t1 <: t2, trivial reflexive ones included."""
     return [
-        VC(env2.flatten(), p1, p2, origin2, env2.number_names())
+        VC(env2, p1, p2, origin2)
         for env2, p1, p2, origin2 in _obligations(env, t1, t2, origin)
     ]
 
@@ -62,7 +62,7 @@ def num(p=TRUE):
 
 
 def canon(vc):
-    return vc.key()
+    return vc_key(vc)
 
 
 def check_program(text):
@@ -99,7 +99,7 @@ class TestNegate:
         vc = failures[0]
         expected = parser.parse_pred  # canonical comparison below
         assert canon(vc) == canon(
-            type(vc)((TRUE,), cmp_pred(nu, "=", lit(0)), cmp_pred(nu, "!=", lit(0)))
+            guarded_vc((TRUE,), cmp_pred(nu, "=", lit(0)), cmp_pred(nu, "!=", lit(0)))
         )
 
     def test_constant_synthesis_has_no_vcs(self):
@@ -305,8 +305,7 @@ class TestEnvironments:
         base = RefEnv().bind("x", num(cmp_pred(nu, ">=", lit(1))))
         stronger = base.guard(cmp_pred(LinTerm.of_var("x"), "<=", lit(5)))
         for env in (base, stronger):
-            vc = VC(env.flatten(), cmp_pred(nu, "=", LinTerm.of_var("x")),
-                    cmp_pred(nu, ">=", lit(1)), "t")
+            vc = VC(env, cmp_pred(nu, "=", LinTerm.of_var("x")), cmp_pred(nu, ">=", lit(1)), "t")
             assert valid(vc).is_valid
 
     def test_phase_order_error(self):

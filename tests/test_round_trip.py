@@ -18,10 +18,11 @@ from hypothesis import given, settings, strategies as st
 from l2.elaborate import ElabError, elaborate_program
 from l2.harness import gen_program
 from l2.infer import Solution, gen_horn, infer_refinements
-from l2.logic import PKappa, VC, contains_kappa, pand, pimp, pred_key, render_pred
+from l2.logic import PKappa, contains_kappa, pand, pimp, pred_key, render_pred
 from l2.parser import ParseError, parse_pred, parse_program, parse_type
 from l2.refine import check_refined
 from l2.syntax import Ascribe, FunType, NUM, print_program, print_type, subexprs
+from tests.conftest import guarded_vc
 from tests.test_logic import _preds
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -111,7 +112,7 @@ def test_random_predicates_read_back(p):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_preds, max_size=3), _preds, _preds)
 def test_random_vcs_read_back(hyps, antecedent, consequent):
-    vc = VC(tuple(hyps), antecedent, consequent)
+    vc = guarded_vc(hyps, antecedent, consequent)
     assert_reads_back(vc.render(), formula(vc))
 
 

@@ -275,11 +275,14 @@ def _load_config(args) -> Config:
         file_values = json.loads(_read_text(path))
         if not isinstance(file_values, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-        for key in SETTINGS:
-            if key in file_values and type(file_values[key]) is not int:
+        for key, value in file_values.items():
+            if key not in SETTINGS:
+                raise ConfigError(f"config file {path}: unknown setting {key!r} "
+                                  f"(the settings are {', '.join(SETTINGS)})")
+            if type(value) is not int:
                 raise ConfigError(f"config file {path}: {key} must be an integer")
     flags = {key: getattr(args, key) for key in SETTINGS if getattr(args, key) is not None}
-    config = Config(**{**{key: file_values[key] for key in SETTINGS if key in file_values}, **flags})
+    config = Config(**{**file_values, **flags})  # every key of the file is a setting
     settings = {**vars(args), **vars(config)}
     for key, least in LEAST.items():
         if key in settings and settings[key] < least:

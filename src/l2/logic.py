@@ -26,16 +26,20 @@ rows and component's outcome, from which ``cube_model`` reads an invalid
 verdict's counter-model.  Elimination keeps its rows reduced by their exact
 gcd and holds only the tightest of rows with the same coefficients.
 
-Predicates are traversed by two shared walkers: ``pred_leaves`` lists the
-constants, atoms and kappa applications left to right without recursion, and
-``map_pred`` rebuilds a predicate through the smart constructors from a
-per-leaf function.  Kappa queries, substitution, kappa instantiation and the
-SMT-LIB declarations are written on top of them.  DNF reads a predicate under
-a polarity, so no negation normal form is built.  This bottom module holds
-the one printer of predicates, types and terms, ``print_expr``, which reads
-class templates (``template``) without recursion from ``SYNTAX``, the source
-and VC notation, or from ``SMTLIB``, the SMT-LIB2 queries that cross-check
-verification conditions with an external solver.
+Every predicate l2 keeps is built through the smart constructors, which keep
+it canonical, so predicates are compared structurally: a literally true or
+false one is ``TRUE`` or ``FALSE``, and ``is_tautology`` drops a trivial
+obligation by ``==`` alone.  They are traversed by two shared walkers:
+``pred_leaves`` lists the constants, atoms and kappa applications left to
+right without recursion, and ``map_pred`` rebuilds a predicate through the
+smart constructors from a per-leaf function.  Kappa queries, substitution,
+kappa instantiation and the SMT-LIB declarations are written on top of them.
+DNF reads a predicate under a polarity, so no negation normal form is built.
+This bottom module holds the one printer of predicates, types and terms,
+``print_expr``, which reads class templates (``template``) without recursion
+from ``SYNTAX``, the source and VC notation, or from ``SMTLIB``, the
+SMT-LIB2 queries that cross-check verification conditions with an external
+solver.
 """
 
 from __future__ import annotations
@@ -242,7 +246,14 @@ FALSE = PBool(False)
 
 def _connective(parts, cls: type, unit: PBool) -> Pred:
     """The flattened conjunction (``pand``) or disjunction (``por``) of
-    parts, whose ``unit`` is dropped and whose other constant absorbs it."""
+    parts, whose ``unit`` is dropped and whose other constant absorbs it.
+
+    Every predicate l2 keeps is built through the smart constructors
+    (``pand``, ``por``, ``pnot``, ``pimp``, ``piff``), which fold constants,
+    flatten nested connectives and cancel double negations.  So predicates
+    are compared structurally (``==``), and a literally true or false one is
+    ``TRUE`` or ``FALSE``; ``map_pred(p, lambda q: q)`` gives p back.
+    """
     flat: list[Pred] = []
     for p in parts:
         if isinstance(p, PBool):
@@ -261,14 +272,17 @@ def _connective(parts, cls: type, unit: PBool) -> Pred:
 
 
 def pand(parts) -> Pred:
+    """The canonical conjunction of parts; see ``_connective``."""
     return _connective(parts, PAnd, TRUE)
 
 
 def por(parts) -> Pred:
+    """The canonical disjunction of parts; see ``_connective``."""
     return _connective(parts, POr, FALSE)
 
 
 def pnot(p: Pred) -> Pred:
+    """The canonical negation of p; see ``_connective``."""
     match p:
         case PBool(b):
             return PBool(not b)
@@ -281,6 +295,7 @@ def pnot(p: Pred) -> Pred:
 
 
 def pimp(hyp: Pred, concl: Pred) -> Pred:
+    """The canonical implication; see ``_connective``."""
     if isinstance(hyp, PBool):
         return concl if hyp.value else TRUE
     if isinstance(concl, PBool) and concl.value:
@@ -289,6 +304,7 @@ def pimp(hyp: Pred, concl: Pred) -> Pred:
 
 
 def piff(left: Pred, right: Pred) -> Pred:
+    """The canonical equivalence; see ``_connective``."""
     if isinstance(left, PBool):
         return right if left.value else pnot(right)
     if isinstance(right, PBool):
@@ -418,7 +434,7 @@ def instantiate_kappas(p: Pred, assignment: dict[str, Pred]) -> Pred:
 
 
 # ---------------------------------------------------------------------------
-# Concrete syntax and canonical keys
+# Concrete syntax
 # ---------------------------------------------------------------------------
 
 
@@ -496,64 +512,6 @@ SYNTAX[PIff] = template("{left:1} <=> {right:1}", 0)
 render_pred = print_expr  # a predicate in the source notation
 
 
-def _canon_cmp(c: Cmp):
-    t = c.lhs - c.rhs
-    op = c.op
-    if op == ">":
-        t, op = t.scale(-1), "<"
-    elif op == ">=":
-        t, op = t.scale(-1), "<="
-    if op in ("=", "!="):
-        lead = t.coeffs[0][1] if t.coeffs else t.const
-        if lead < 0:
-            t = t.scale(-1)
-    nums = [c for _, c in t.coeffs] + ([t.const] if t.const else [])
-    g = 0
-    for n in nums:
-        g = gcd(g, abs(n))
-    if g > 1 and t.const % g == 0 and all(c % g == 0 for _, c in t.coeffs):
-        t = LinTerm(tuple((n, c // g) for n, c in t.coeffs), t.const // g)
-    return ("cmp", op, t.coeffs, t.const)
-
-
-def pred_key(p: Pred):
-    """Hashable key identifying predicates up to conjunct order and trivia."""
-    match p:
-        case PBool(b):
-            return ("bool", b)
-        case PAtom(Cmp() as c):
-            return _canon_cmp(c)
-        case PAtom(BVar(n)):
-            return ("bvar", n)
-        case PNot(PAtom(Cmp() as c)):
-            return _canon_cmp(c.flip())
-        case PNot(inner):
-            return ("not", pred_key(inner))
-        case PAnd(parts) | POr(parts):
-            unit = ("bool", isinstance(p, PAnd))  # the key of the empty conjunction or disjunction
-            keys = sorted({k for k in map(pred_key, parts) if k != unit})
-            if len(keys) > 1:
-                return ("and" if unit[1] else "or",) + tuple(keys)
-            return keys[0] if keys else unit
-        case PImp(a, b):
-            return ("imp", pred_key(a), pred_key(b))
-        case PIff(a, b):
-            return ("iff",) + tuple(sorted([pred_key(a), pred_key(b)]))
-        case PKappa(k, subst):
-            return ("kappa", k, tuple((n, v.render()) for n, v in subst))
-    raise TypeError(f"not a predicate: {p!r}")
-
-
-# Only a boolean constant, a conjunction or a disjunction can have a constant's
-# key, so is_true and is_false answer any other predicate without building one.
-def is_true(p: Pred) -> bool:
-    return isinstance(p, (PBool, PAnd, POr)) and pred_key(p) == ("bool", True)
-
-
-def is_false(p: Pred) -> bool:
-    return isinstance(p, (PBool, PAnd, POr)) and pred_key(p) == ("bool", False)
-
-
 # ---------------------------------------------------------------------------
 # Verification conditions
 # ---------------------------------------------------------------------------
@@ -591,19 +549,20 @@ class VC:
 
 
 def is_tautology(vc: VC) -> bool:
-    """True when the VC holds for structural reasons alone.
+    """True when the VC holds for structural reasons alone; the one place a
+    trivial obligation is dropped.
 
     Covers a true consequent, a false antecedent and a false hypothesis, the
     last read off the frame's record.  A reflexive implication between kappa
     applications is dropped too: it holds under every solution, so it
     constrains nothing.  Concrete reflexive obligations are kept and
-    discharged like any other.
+    discharged like any other.  Each test compares structurally: the smart
+    constructors keep every predicate canonical, so a literally true one is
+    ``TRUE``.
     """
-    if is_true(vc.consequent):
+    if vc.consequent == TRUE or vc.antecedent == FALSE:
         return True
-    if is_false(vc.antecedent):
-        return True
-    if contains_kappa(vc.consequent) and pred_key(vc.antecedent) == pred_key(vc.consequent):
+    if contains_kappa(vc.consequent) and vc.antecedent == vc.consequent:
         return True
     return vc.env.grouped is FALSE_PREMISES
 

@@ -215,12 +215,11 @@ class _Parser:
 
     def program(self) -> Program:
         while self.eat("type"):
-            name = self.expect_name().text
+            name = self.expect_name()
+            if name.text in self.aliases:  # reported at the name, before its type is read
+                raise ParseError(f"duplicate type alias {name.text!r}", name.line, name.col)
             self.expect("=")
-            t = self.type_()
-            if name in self.aliases:
-                raise self.error(f"duplicate type alias {name!r}")
-            self.aliases[name] = t
+            self.aliases[name.text] = self.type_()
         return Program(tuple(self.aliases.items()), syntax.uniquify(self.end(self.expr())))
 
     # -- types ---------------------------------------------------------------

@@ -53,9 +53,7 @@ from .logic import (
     VC,
     Verdict,
     cmp_pred,
-    is_false,
     is_tautology,
-    is_true,
     pnot,
     por,
     print_expr,
@@ -136,7 +134,7 @@ class RefEnv:
         self._hyp = hyp  # None for a binder that carries no hypothesis, _UNREAD until read
         mark = ty.refinement if hyp is _UNREAD else hyp
         on_false = parent is not None and parent.grouped is FALSE_PREMISES
-        self.grouped = FALSE_PREMISES if on_false or mark is not None and is_false(mark) else None
+        self.grouped = FALSE_PREMISES if on_false or mark == FALSE else None
 
     @property
     def hyp(self) -> Pred | None:
@@ -376,8 +374,6 @@ class RefChecker:
 
     def emit(self, env: RefEnv, t1: SrcType, t2: SrcType, origin: str) -> None:
         for env2, p1, p2, origin2 in _obligations(env, t1, t2, origin):
-            if is_true(p2):
-                continue  # a tautology; skip building its hypotheses
             vc = VC(env2, p1, p2, origin2)
             if not is_tautology(vc):
                 self.vcs.append(vc)

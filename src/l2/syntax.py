@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator, Optional, TYPE_CHECKING
 
-from .logic import (SYNTAX, LinTerm, Pred, TRUE, VALUE_VAR, cached_hash, is_true, pred_names,
+from .logic import (SYNTAX, LinTerm, Pred, TRUE, VALUE_VAR, cached_hash, pred_names,
                     print_expr, subst_names, template)
 
 if TYPE_CHECKING:
@@ -242,7 +242,7 @@ VALUES: dict[type, bool | str] = {}
 
 
 def _show_prim(t: PrimType) -> str:
-    if is_true(t.refinement):
+    if t.refinement == TRUE:
         return t.base
     return f"{{v:{t.base} | {print_expr(t.refinement)}}}"
 

@@ -1,8 +1,12 @@
 import pathlib
+from math import gcd
 
 import pytest
 
 from l2.logic import (
+    BVar,
+    Cmp,
+    LinTerm,
     PAnd,
     PAtom,
     PBool,
@@ -11,6 +15,7 @@ from l2.logic import (
     PKappa,
     PNot,
     POr,
+    Pred,
     TRUE,
     VC,
     eval_atom,
@@ -18,7 +23,6 @@ from l2.logic import (
     kappas_of,
     pand,
     pnot,
-    pred_key,
     valid,
 )
 from l2.refine import RefEnv
@@ -138,6 +142,56 @@ def ftx(t, r):
         case AndType(left, right) | OrType(left, right):
             return type(t)(ftx(left, r), ftx(right, r))
     raise TypeError(f"not a type: {t!r}")
+
+
+# The oracle of predicate identity up to conjunct order and trivia, against
+# which tests compare what l2 builds through its smart constructors.
+def _canon_cmp(c: Cmp):
+    t = c.lhs - c.rhs
+    op = c.op
+    if op == ">":
+        t, op = t.scale(-1), "<"
+    elif op == ">=":
+        t, op = t.scale(-1), "<="
+    if op in ("=", "!="):
+        lead = t.coeffs[0][1] if t.coeffs else t.const
+        if lead < 0:
+            t = t.scale(-1)
+    nums = [c for _, c in t.coeffs] + ([t.const] if t.const else [])
+    g = 0
+    for n in nums:
+        g = gcd(g, abs(n))
+    if g > 1 and t.const % g == 0 and all(c % g == 0 for _, c in t.coeffs):
+        t = LinTerm(tuple((n, c // g) for n, c in t.coeffs), t.const // g)
+    return ("cmp", op, t.coeffs, t.const)
+
+
+def pred_key(p: Pred):
+    """Hashable key identifying predicates up to conjunct order and trivia."""
+    match p:
+        case PBool(b):
+            return ("bool", b)
+        case PAtom(Cmp() as c):
+            return _canon_cmp(c)
+        case PAtom(BVar(n)):
+            return ("bvar", n)
+        case PNot(PAtom(Cmp() as c)):
+            return _canon_cmp(c.flip())
+        case PNot(inner):
+            return ("not", pred_key(inner))
+        case PAnd(parts) | POr(parts):
+            unit = ("bool", isinstance(p, PAnd))  # the key of the empty conjunction or disjunction
+            keys = sorted({k for k in map(pred_key, parts) if k != unit})
+            if len(keys) > 1:
+                return ("and" if unit[1] else "or",) + tuple(keys)
+            return keys[0] if keys else unit
+        case PImp(a, b):
+            return ("imp", pred_key(a), pred_key(b))
+        case PIff(a, b):
+            return ("iff",) + tuple(sorted([pred_key(a), pred_key(b)]))
+        case PKappa(k, subst):
+            return ("kappa", k, tuple((n, v.render()) for n, v in subst))
+    raise TypeError(f"not a predicate: {p!r}")
 
 
 def guarded_vc(hyps, antecedent, consequent, origin: str = "") -> VC:

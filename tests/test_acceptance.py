@@ -30,7 +30,6 @@ from l2.logic import (
     cmp_pred,
     pand,
     pnot,
-    pred_key,
     valid,
 )
 from l2.refine import check_refined
@@ -50,6 +49,7 @@ from tests.conftest import (
     eval_pred,
     guarded_vc,
     horn,
+    pred_key,
     term_names,
     vc_key,
     vc_negated,

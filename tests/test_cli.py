@@ -147,9 +147,9 @@ class TestUnreadableInputs:
     @pytest.mark.parametrize(
         "contents",
         ["[1]", '{"fuel": "x"}', '{"search_depth": "x"}', '{"search_depth": 0}',
-         '{"clause_budget": 0}', '{"fuel": -1}'],
+         '{"clause_budget": 0}', '{"fuel": -1}', '{"fuel": 5, "clause-budget": 1}'],
         ids=["not-an-object", "string-fuel", "string-search-depth", "zero-search-depth",
-             "zero-clause-budget", "negative-fuel"],
+             "zero-clause-budget", "negative-fuel", "unknown-setting"],
     )
     def test_unusable_config_contents(self, programs_dir, tmp_path, capsys, contents):
         config = tmp_path / "config.json"
@@ -157,6 +157,15 @@ class TestUnreadableInputs:
         self.assert_usage_error(
             ["--config", str(config), "run", str(programs_dir / "negate_ok.l2")], capsys
         )
+
+    def test_unknown_setting_is_named(self, programs_dir, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"fuel": 5, "clause-budget": 1}')
+        code, out, err = run_cli(["--config", str(config), "check",
+                                  str(programs_dir / "negate_ok.l2")], capsys)
+        assert (code, out) == (64, "")
+        assert err == (f"error: config file {config}: unknown setting 'clause-budget' "
+                       "(the settings are fuel, search_depth, clause_budget)\n")
 
 
     @pytest.mark.parametrize("args, setting", [

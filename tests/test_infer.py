@@ -29,14 +29,13 @@ from l2.logic import (
     kappas_of,
     pand,
     por,
-    pred_key,
     render_pred,
     valid,
 )
 from l2.refine import check_refined
 from l2.syntax import AndType, BOOL, FunType, NUM, OrType, PrimType
 from tests.conftest import (NEGATE_INFER, clause_kappas, clause_valid, guarded_vc, horn,
-                            vc_negated)
+                            pred_key, vc_negated)
 
 nu = LinTerm.of_var(VALUE_VAR)
 

@@ -157,6 +157,13 @@ def test_duplicate_alias_rejected():
         parser.parse_program("type t = number type t = boolean 1")
 
 
+def test_duplicate_alias_reported_at_its_name():
+    with pytest.raises(ParseError) as exc:
+        parser.parse_program("type t = number\ntype t = boolean\n1")
+    assert (exc.value.line, exc.value.col) == (2, 6)
+    assert exc.value.message == "duplicate type alias 't'"
+
+
 def test_trailing_input_rejected():
     with pytest.raises(ParseError):
         parser.parse_program("1 2 )")

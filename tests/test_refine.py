@@ -15,8 +15,6 @@ from l2.logic import (
     TRUE,
     VC,
     cmp_pred,
-    is_false,
-    pred_key,
     pred_names,
     render_pred,
     subst_pred,
@@ -39,7 +37,7 @@ from l2.harness import gen_program
 from l2.syntax import BOOL, FunType, NUM, OrType, PrimType, erase_refinements, subexprs
 from l2.target import TApp, TConst, TDead, TVar
 from tests.conftest import (NEGATE_ERR_C, NEGATE_OK, PROGRAMS, eval_pred, ftx, guarded_vc,
-                            let_chain, oblig_program, vc_key)
+                            let_chain, oblig_program, pred_key, vc_key)
 
 
 def subtype(env: RefEnv, t1, t2, origin: str = "") -> list[VC]:
@@ -492,7 +490,7 @@ class TestLazyHypotheses:
         for frame in frames:
             above = frame.parent.grouped is FALSE_PREMISES
             hyp = eager_hyp(frame)
-            marked = above or hyp is not None and is_false(hyp)
+            marked = above or hyp == FALSE
             assert (frame.grouped is FALSE_PREMISES) == marked, frame.name
 
     def test_hyps_equal_eager_substitution(self, corpus_reports):

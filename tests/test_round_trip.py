@@ -2,7 +2,7 @@
 
 Every part of every VC prints through ``logic.render_pred`` and the whole VC
 through ``VC.render``; ``parser.parse_pred`` must read each back to the same
-predicate, compared by ``pred_key``.  The parser builds through the smart
+predicate, compared structurally (``==``).  The parser builds through the smart
 constructors, so a whole VC is compared with the predicate they build from
 its parts.  Programs and their ascribed types print through
 ``syntax.print_program`` and ``print_type`` and must read back equal.  The
@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from l2.elaborate import ElabError, elaborate_program
 from l2.harness import gen_program
 from l2.infer import Solution, gen_horn, infer_refinements
-from l2.logic import PKappa, contains_kappa, pand, pimp, pred_key, render_pred
+from l2.logic import PKappa, contains_kappa, pand, pimp, render_pred
 from l2.parser import ParseError, parse_pred, parse_program, parse_type
 from l2.refine import check_refined
 from l2.syntax import Ascribe, FunType, NUM, print_program, print_type, subexprs
@@ -35,7 +35,7 @@ def _programs(budget):
 
 
 def assert_reads_back(printed: str, p) -> None:
-    assert pred_key(parse_pred(printed)) == pred_key(p), printed
+    assert parse_pred(printed) == p, printed
 
 
 def formula(vc):

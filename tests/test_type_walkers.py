@@ -18,7 +18,7 @@ import pytest
 from l2 import refine, syntax
 from l2.harness import gen_program
 from l2.infer import _KappaCounter, make_templates
-from l2.logic import FALSE, TRUE, is_true, pnot, render_pred
+from l2.logic import FALSE, TRUE, pnot, render_pred
 from l2.syntax import (
     NUM,
     AndType,
@@ -44,7 +44,7 @@ def print_type(t: SrcType) -> str:
 def _print_type(t: SrcType, prec: int) -> str:
     match t:
         case PrimType(base, refinement):
-            if is_true(refinement):
+            if refinement == TRUE:
                 return base
             return f"{{v:{base} | {render_pred(refinement)}}}"
         case FunType(dom, cod):

@@ -217,11 +217,14 @@ class Elaborator:
 
         Backtracking revisits the same judgment many times (union arms,
         application passes, DEAD synthesis); each judgment's candidates are
-        computed once and replayed.  A stream keeps the depth budget it was
+        computed once and replayed.  A judgment is keyed on e's position as
+        well as e: terms compare without their positions, and equal
+        subterms at different places each keep their own in the target and
+        in every diagnostic.  A stream keeps the depth budget it was
         created with; a reentrant pull of a stream that is already running
         (left recursion) ends that branch of the search.
         """
-        key = (env, e, expected, mode)
+        key = (env, e, e.pos, expected, mode)
         entry = self._memo.get(key)
         if entry is None:
             entry = self._memo[key] = _MemoEntry(self._synth_raw(env, e, mode, depth, expected))

@@ -22,8 +22,10 @@ check filled, drops every candidate it falsifies, and the survivors are
 checked as one conjunction again.  Fixed heads are reached only at the
 greatest fixpoint, so an Unsat report names the first clause, in clause
 order, that fails under it.  One solve shares its instantiations and a
-discharge memo, and builds each clause body once per check as a chain of
-guard frames, which groups it once.
+discharge memo.  Each check builds a clause's instantiated hypotheses as a
+chain of guard frames, which groups them once, and passes its instantiated
+antecedent as the VC's antecedent, as phase 2 does, so a clause at a
+literal's call site is decided by evaluation (``logic.valid``).
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .logic import (
     PBool,
     PKappa,
     Pred,
-    TRUE,
     VALUE_VAR,
     VC,
     Verdict,
@@ -193,12 +194,14 @@ def houdini_solve(
     clause is due any more when the first one is reached.  A failing fixed
     head can never recover (shrinking assignments only weaken hypotheses),
     so the Unsat report names the first clause, in clause order, that fails
-    under the greatest fixpoint.  A clause's body is instantiated once per
-    check as a chain of guards (``refine.RefEnv``), whose hypotheses are
-    grouped once, as phase 2 groups a frame's, and each head candidate or
-    conjunction is checked on it (``_holding``)."""
+    under the greatest fixpoint.  A clause's hypotheses are instantiated
+    once per check as a chain of guards (``refine.RefEnv``), grouped once,
+    as phase 2 groups a frame's, and each head candidate or conjunction is
+    checked on it (``_holding``) under the instantiated antecedent, which
+    stays the VC's antecedent.  The whole body, antecedent included, feeds
+    the kappa graph."""
     assignment: dict[str, tuple[Pred, ...]] = {k: tuple(v) for k, v in candidates.items()}
-    bodies = [(*c.hyps, c.antecedent) for c in clauses]
+    bodies = [(*c.hyps, c.antecedent) for c in clauses]  # the kappa graph's
     heads = [c.consequent for c in clauses]
     head_kappas = [h.kappa if isinstance(h, PKappa) else None for h in heads]
     readers: dict[str, list[int]] = {}  # kappa -> the clauses due when it shrinks
@@ -239,11 +242,12 @@ def houdini_solve(
         due.discard(i)
         clause, head, head_k = clauses[i], heads[i], head_kappas[i]
         env = RefEnv()
-        for p in bodies[i]:
+        for p in clause.hyps:
             env = env.guard(map_pred(p, leaf))
+        antecedent = map_pred(clause.antecedent, leaf)
 
         def check(goal: Pred) -> Verdict:
-            return valid(VC(env, TRUE, goal, clause.origin), clause_budget, memo)
+            return valid(VC(env, antecedent, goal, clause.origin), clause_budget, memo)
 
         if head_k is None:
             if not check(map_pred(head, leaf)).is_valid:

@@ -12,10 +12,13 @@ a reported tautology has no integer counter-model.  Cubes that are
 satisfiable over the rationals but not the integers are conservatively
 reported as invalid.
 
-Discharge does no work it can avoid.  Every VC is built on the environment
-frame it arises under, in phase 2 or as a Houdini clause body, and a frame
-groups the hypotheses on its chain once for every VC under it
-(``Premises``), so each VC adds only its antecedent and negated consequent.
+Discharge does no work it can avoid.  An obligation a literal owes (its
+antecedent fixes the value variable, its consequent reads nothing else) is
+decided by evaluating the consequent at the literal's value.  Every VC is
+built on the environment frame it arises under, in phase 2 or under a
+Houdini clause's hypotheses, and a frame groups the hypotheses on its chain
+once for every VC under it (``Premises``), so each VC adds only its
+antecedent and negated consequent.
 DNF size is a sum over components, not a product.  A cube, too, is decided
 one component of variable-sharing literals at a time, by one search that
 also finds the component's integer model: each node is eliminated once and
@@ -913,8 +916,35 @@ class Premises:
 FALSE_PREMISES = Premises().extend((FALSE,), {})
 
 
+def _pinned(p: Pred) -> int | None:
+    """The integer p fixes the value variable to, when p is the refinement a
+    numeric or boolean literal is typed at: ``v = k``, ``v`` (1) or ``!v``
+    (0); else None."""
+    match p:
+        case PAtom(Cmp(LinTerm(((x, 1),), 0), "=", LinTerm((), k))) if x == VALUE_VAR:
+            return k
+        case PAtom(BVar(x)) if x == VALUE_VAR:
+            return 1
+        case PNot(PAtom(BVar(x))) if x == VALUE_VAR:
+            return 0
+    return None
+
+
 def valid(vc: VC, clause_budget: int = DEFAULT_CLAUSE_BUDGET, memo: dict | None = None) -> Verdict:
     """Check a VC by refuting its negation one component at a time.
+
+    An obligation a literal owes is decided by evaluation first: when the
+    antecedent pins the value variable to one integer k (``_pinned``) and
+    every atom of the consequent names v alone, the consequent is folded at
+    v = k, and the VC is valid when it folds to true, with no hypothesis
+    grouped.  That is sound whatever the hypotheses say: the antecedent
+    admits v = k alone, and the consequent's truth depends on v alone.  No
+    hypothesis of a VC l2 builds names v either (``syntax.uniquify`` renames
+    a binder named v apart, a binder's hypothesis replaces v by its name,
+    and Houdini passes a clause's antecedent as its VC's), so v is the
+    literal's value and nothing else.  Any other fold falls through to the
+    search below, which still finds a VC valid under contradictory
+    hypotheses and gives every invalid verdict its cube.
 
     The hypotheses are grouped (``Premises``) by the VC's frame, once for
     every VC under it.  The antecedent and the negated consequent join the
@@ -928,6 +958,12 @@ def valid(vc: VC, clause_budget: int = DEFAULT_CLAUSE_BUDGET, memo: dict | None 
     reaches every ``fm_unsat`` call.
     """
     memo = {} if memo is None else memo
+    pin = _pinned(vc.antecedent)
+    if pin is not None and all(n == VALUE_VAR for n in _names(vc.consequent, memo)):
+        at_pin = {VALUE_VAR: pin}
+        if map_pred(vc.consequent, lambda q: PBool(eval_atom(q.atom, at_pin))
+                    if isinstance(q, PAtom) else q) == TRUE:
+            return VALID
     premises = vc.env.premises(memo)
     store = premises.extend((vc.antecedent, pnot(vc.consequent)), memo)._store
     goal = {id(store[k]): store[k] for k in premises._store[1]}  # the components it grew

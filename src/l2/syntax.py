@@ -515,11 +515,14 @@ def uniquify(e: SrcExpr) -> SrcExpr:
     no binder collides; otherwise renamed on an explicit stack, each binder's
     new name bound in one map for its scope and then restored.  The names an
     ascribed refinement mentions are renamed with the binders in scope, and
-    a name one mentions free is never taken."""
+    a name one mentions free is never taken.  The value variable is reserved:
+    a binder named v is renamed apart (``v_1``), so v in a refinement keeps
+    meaning the value it refines."""
     free, binders = _names(e)
+    free.add(VALUE_VAR)
     if len(set(binders)) == len(binders) and free.isdisjoint(binders):
         return e
-    used, counters = _names(e, refinements=True)[0], {}
+    used, counters = _names(e, refinements=True)[0] | {VALUE_VAR}, {}
     ren: dict[str, str] = {}  # each binder in scope -> its new name
     done: list[Term] = []  # the renamed subterms not yet taken by their parent
     stack: list = [e]  # terms, (name, new name or None to unbind), (node, new fields)

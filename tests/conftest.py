@@ -196,7 +196,7 @@ def pred_key(p: Pred):
 
 def guarded_vc(hyps, antecedent, consequent, origin: str = "") -> VC:
     """A VC whose hypotheses are hyps, built on a chain of guards, as
-    ``infer.houdini_solve`` builds a clause body."""
+    ``infer.houdini_solve`` builds a clause's hypotheses."""
     env = RefEnv()
     for h in hyps:
         env = env.guard(h)

@@ -440,6 +440,33 @@ class TestIncrementalHoudini:
         outcome = _same_outcome(*_default_problem(dependent_program(c)))
         assert isinstance(outcome, Unsat if c == 0 else Solution)
 
+    def test_literal_call_site_is_evaluated(self, monkeypatch):
+        # `neg 3 3` passes literals to kappa-refined domains: those clauses'
+        # antecedents pin v, and a head over v alone is decided by evaluation,
+        # without grouping the clause's hypotheses
+        from l2.refine import RefEnv
+
+        clauses, candidates = _default_problem(negate_infer_program(3))
+        assert any(logic._pinned(c.antecedent) == 3 for c in clauses)
+        grouped, evaluated = [], []
+        premises, checked = RefEnv.premises, infer.valid
+
+        def grouping(env, memo):
+            grouped.append(env)
+            return premises(env, memo)
+
+        def spy(vc, *args):
+            before = len(grouped)
+            verdict = checked(vc, *args)
+            if len(grouped) == before:
+                evaluated.append(vc)
+            return verdict
+
+        monkeypatch.setattr(RefEnv, "premises", grouping)
+        monkeypatch.setattr(infer, "valid", spy)
+        assert isinstance(_same_outcome(clauses, candidates), Solution)
+        assert evaluated and all(logic._pinned(vc.antecedent) is not None for vc in evaluated)
+
     def test_preds_style_candidates(self):
         # as `infer --preds`: every numeric kappa gets the same list
         program = parser.parse_program(NEGATE_INFER)

@@ -481,6 +481,113 @@ class TestComponentDischarge:
                 assert eval_pred(vc_negated(vc), model)
 
 
+_V_BOOL = PAtom(BVar("v"))
+
+# The refinements a literal is typed at: 3, -2, true and false.
+_PINS = (cmp_pred(nu, "=", const(3)), cmp_pred(nu, "=", const(-2)), _V_BOOL, pnot(_V_BOOL))
+
+
+@st.composite
+def _v_atoms(draw):
+    """Atoms over v, and now and then one over v and x, which no literal's
+    value decides."""
+    if draw(st.integers(0, 4)) == 0:
+        return _V_BOOL
+    lhs = nu.scale(draw(st.sampled_from([-2, -1, 1, 2])))
+    if draw(st.integers(0, 5)) == 0:
+        lhs = lhs + x
+    return cmp_pred(lhs, draw(st.sampled_from(logic.CMP_OPS)), const(draw(st.integers(-3, 3))))
+
+
+_v_preds = st.recursive(
+    _v_atoms(),
+    lambda kids: st.one_of(
+        st.lists(kids, min_size=2, max_size=3).map(pand),
+        st.lists(kids, min_size=2, max_size=3).map(por),
+        kids.map(pnot),
+        st.tuples(kids, kids).map(lambda pq: pimp(*pq)),
+        st.tuples(kids, kids).map(lambda pq: logic.piff(*pq)),
+    ),
+    max_leaves=4,
+)
+
+
+class TestLiteralEvaluation:
+    """An obligation a literal owes (its antecedent pins v, its consequent
+    reads v alone) is decided by evaluating the consequent at the pin."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        from l2.refine import RefEnv
+
+        calls = {"premises": 0, "dnf_cubes": 0, "fm_unsat": 0}
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+
+        spy(RefEnv, "premises")
+        spy(logic, "dnf_cubes")
+        spy(logic, "fm_unsat")
+        return calls
+
+    GUARDS = [cmp_pred(x, ">", const(0)), cmp_pred(x, "<", const(5)), cmp_pred(x + y, "!=", const(6))]
+
+    def test_numeric_pin_is_evaluated(self, spies):
+        vc = _vc(self.GUARDS, cmp_pred(nu, "=", const(3)), cmp_pred(nu, ">", const(0)))
+        assert valid(vc) is logic.VALID
+        assert spies == {"premises": 0, "dnf_cubes": 0, "fm_unsat": 0}
+
+    @pytest.mark.parametrize("pin", [_V_BOOL, pnot(_V_BOOL)])
+    def test_boolean_pins_are_evaluated(self, spies, pin):
+        assert valid(_vc(self.GUARDS, pin, pin)) is logic.VALID
+        assert spies == {"premises": 0, "dnf_cubes": 0, "fm_unsat": 0}
+
+    def test_false_at_the_pin_keeps_its_cube(self, spies):
+        # the cube the search gave before evaluation came first
+        vc = _vc(self.GUARDS[:2], cmp_pred(nu, "=", const(3)), cmp_pred(nu, "<", const(0)))
+        verdict = valid(vc)
+        assert verdict.kind == "invalid" and spies["premises"] == 1
+        assert verdict.cube == frozenset({
+            (Cmp(x, ">", const(0)), True), (Cmp(x, "<", const(5)), True),
+            (Cmp(nu, "=", const(3)), True), (Cmp(nu, ">=", const(0)), True)})
+        assert logic.cube_model(verdict.cube) == {"v": 3, "x": 1}
+
+    def test_false_at_the_pin_under_contradictory_guards(self, spies):
+        vc = _vc([cmp_pred(x, ">", const(0)), cmp_pred(x, "<", const(0))],
+                 cmp_pred(nu, "=", const(3)), cmp_pred(nu, "<", const(0)))
+        assert valid(vc).is_valid
+        assert spies["premises"] == 1 and spies["fm_unsat"] >= 1
+
+    def test_consequent_naming_another_variable_is_searched(self, spies):
+        # true at v = 3 and x = 0, so evaluating x as 0 would call it valid
+        vc = _vc([cmp_pred(x, ">", const(5))], cmp_pred(nu, "=", const(3)), cmp_pred(nu, ">", x))
+        verdict = valid(vc)
+        assert verdict.kind == "invalid" and spies["premises"] == 1
+        model = logic.cube_model(verdict.cube)
+        assert model is not None and model["v"] == 3 and model["x"] > 5
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(_preds, _v_preds), max_size=3), st.sampled_from(_PINS), _v_preds)
+    @example([], cmp_pred(nu, "=", const(3)), cmp_pred(nu + x, ">", const(2)))
+    @example([cmp_pred(nu, "!=", const(3))], cmp_pred(nu, "=", const(3)), cmp_pred(nu, "<", const(0)))
+    def test_kind_matches_product_dnf(self, hyps, pin, consequent):
+        # hypotheses over v too: evaluation is sound whatever they say
+        vc = _vc(hyps, pin, consequent)
+        verdict = valid(vc, clause_budget=10**6)
+        assert verdict.kind == _product_dnf_kind(vc)
+        if verdict.kind == "invalid":
+            assert not fm_unsat(verdict.cube)
+            model = logic.cube_model(verdict.cube)
+            if model is not None:
+                assert eval_pred(vc_negated(vc), model)
+
+
 class TestTautologyFilter:
     def test_true_consequent(self):
         assert is_tautology(_vc([], cmp_pred(nu, "=", const(1)), TRUE))
@@ -698,18 +805,17 @@ class TestPremises:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(_preds, max_size=3), _preds, _preds, _preds)
     def test_grouped_once_same_verdict(self, hyps, antecedent, consequent, other):
-        # one grouping of a body, as a chain of guards, serves every head
-        # checked on it, as in Houdini
+        # one grouping of a clause's hypotheses, as a chain of guards, serves
+        # every head checked on it under its antecedent, as in Houdini
         from l2.refine import RefEnv
 
         memo: dict = {}
-        body = (*hyps, antecedent)
         env = RefEnv()
-        for p in body:
+        for p in hyps:
             env = env.guard(p)
         for goal in (consequent, other):
-            vc = _vc(body, TRUE, goal)
-            got = valid(VC(env, TRUE, goal, "test"), 10**6, memo)
+            vc = _vc(hyps, antecedent, goal)
+            got = valid(VC(env, antecedent, goal, "test"), 10**6, memo)
             assert got.kind == _product_dnf_kind(vc)
             if got.kind == "invalid":
                 assert not fm_unsat(got.cube)

@@ -123,6 +123,49 @@ class TestShadowedRefinements:
         assert check_program(self.SHADOWED.format(outer=5, inner=0)).accepted
 
 
+class TestValueVariableBinder:
+    """A binder named v is renamed apart, so v in a refinement keeps meaning
+    the value it refines and no hypothesis reads it."""
+
+    CAPTURE = ("let f = ((\\{x} => sub {x} 5) : {{v:number | v > 0}} -> {{v:number | v >= 0}}) "
+               "in f 1")
+
+    def test_the_body_obligation_is_not_captured(self):
+        report = check_program(self.CAPTURE.format(x="v"))
+        assert not report.accepted
+        assert report.vcs[0].render() == "(v_1 > 0) => (v = v_1 - 5 => v >= 0)"
+        assert not report.verdicts[0].is_valid
+
+    def test_same_verdicts_as_another_name(self):
+        for x in ("v", "w"):
+            report = check_program(self.CAPTURE.format(x=x))
+            assert [v.kind for v in report.verdicts] == ["invalid", "valid"]
+
+    def test_no_hypothesis_names_the_value_variable(self, corpus_reports):
+        report = check_program(self.CAPTURE.format(x="v"))
+        for _, r in [*corpus_reports, ("capture", report)]:
+            for vc in r.vcs:
+                assert not any("v" in pred_names(h) for h in vc.hyps), vc.render()
+
+
+class TestEqualSubtermsKeepTheirPositions:
+    TWO_CALLS = ("let f = ((\\x => x) : {v:number | v > 0} -> {v:number | v > 0}) in\n"
+                 "add (f 0)\n"
+                 "    (f 0)\n")
+
+    def test_each_argument_obligation_reads_its_own_position(self):
+        report = check_program(self.TWO_CALLS)
+        assert [vc.origin for vc in report.vcs] == [
+            "function body at 1:11", "argument at 2:8", "argument at 3:8"]
+
+    def test_generated_dead_casts_at_their_own_positions(self):
+        from l2.syntax import print_program
+
+        report = check_program(print_program(gen_program(45, 60)))
+        dead = [vc.origin for vc in report.vcs if vc.origin.startswith("dead-cast")]
+        assert dead == ["dead-cast at 1:184", "dead-cast at 1:192", "dead-cast at 1:200"]
+
+
 class TestSelfify:
     def test_number(self):
         t = PrimType("number", cmp_pred(nu, "!=", lit(0)))

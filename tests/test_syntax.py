@@ -196,6 +196,12 @@ class TestExprHelpers:
         e = parser.parse_expr("let x = 0 in let x = 5 in (1 : {v:number | v > x_1})")
         assert print_expr(e) == "let x = 0 in let x_2 = 5 in (1 : {v:number | v > x_1})"
 
+    def test_uniquify_reserves_the_value_variable(self):
+        e = parser.parse_expr(
+            "let v_1 = 2 in ((\\v => sub v 5) : {v:number | v > 0} -> {v:number | v >= v_1}) 1")
+        assert print_expr(e) == (
+            "let v_1 = 2 in (\\v_2 => sub v_2 5 : {v:number | v > 0} -> {v:number | v >= v_1}) 1")
+
     def test_uniquify_keeps_a_type_that_mentions_no_renamed_name(self):
         ty = parser.parse_type("{v:number | v > y}")
         e = Let("x", c(1), Let("x", c(2), Ascribe(Var("x"), ty)))

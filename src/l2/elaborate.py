@@ -1,9 +1,11 @@
 """Phase 1: elaboration of overloaded source programs into the target language.
 
-The declarative judgment is inherently non-deterministic, so this module
-realizes it as a depth-first backtracking search by one bidirectional
-walker, ``Elaborator.synth``.  Synthesis runs the syntax-directed rule for
-the node alone; checking against an expected type has a fixed attempt order:
+The declarative judgment is non-deterministic where an intersection, a union
+or a DEAD cast is in play: there this module realizes it as a depth-first
+backtracking search by one bidirectional walker, ``Elaborator.synth``, and
+elsewhere derives it directly (``Elaborator._direct``).  Synthesis runs the
+syntax-directed rule for the node alone; checking against an expected type
+has a fixed attempt order:
 
   1. the syntax-directed rule for the node, which pushes the expected type
      into a lambda body, a let body or both branches of an if,
@@ -34,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable, Container, Iterable, Iterator
 
 from . import syntax
 from .refine import RefEnv
@@ -120,12 +122,32 @@ class _MemoEntry:
         self.done = False
         self.running = False
 
+    def __iter__(self) -> Iterator[tuple[SrcType, TgtExpr, str, Trace]]:
+        """The stream's items, pulling each new one from the generator once."""
+        i = 0
+        while True:
+            while i < len(self.items):
+                yield self.items[i]
+                i += 1
+            if self.done or self.running:
+                return
+            self.running = True
+            try:
+                nxt = next(self.gen)
+            except StopIteration:
+                self.done = True
+                return
+            finally:
+                self.running = False
+            self.items.append(nxt)
+
 
 class Elaborator:
     def __init__(self, search_depth: int = DEFAULT_SEARCH_DEPTH):
         self.search_depth = search_depth
         self._fresh = 0
         self._memo: dict = {}
+        self._directs: dict = {}  # (env, e, pos, expected) -> derivation or None
         self.empty_env = RefEnv()
         self._frames: dict = {}  # (parent, name, type) -> frame
 
@@ -154,11 +176,12 @@ class Elaborator:
         return f"$u{self._fresh}"
 
     def release(self) -> None:
-        """Drop the memo and the frames.  A memoised stream is a suspended
+        """Drop the memos and the frames.  A memoised stream is a suspended
         generator whose frame holds this elaborator, so each memo entry is a
         reference cycle; once they are dropped, everything the search built
         is freed by reference counting, without the cyclic collector."""
         self._memo.clear()
+        self._directs.clear()
         self._frames.clear()
 
     # -- public entry points -------------------------------------------------
@@ -185,7 +208,7 @@ class Elaborator:
     def check_expr(
         self, env: dict[str, SrcType], e: SrcExpr, expected: SrcType, mode: str = FLEXIBLE
     ) -> tuple[TgtExpr, str]:
-        _check_wf(e, (expected, *env.values()))
+        _check_wf(e, (expected, *env.values()), env)
         for _, w, flag, _ in self.synth(self.env_of(env), e, mode, self.search_depth, expected):
             return w, flag
         raise ElabError(
@@ -211,39 +234,64 @@ class Elaborator:
 
     def synth(
         self, env: RefEnv, e: SrcExpr, mode: str, depth: int, expected: SrcType | None = None
-    ) -> Iterator[tuple[SrcType, TgtExpr, str, Trace]]:
+    ) -> Iterable[tuple[SrcType, TgtExpr, str, Trace]]:
         """e's derivations as (type, target, flag, trace); given an expected
         type, e is checked against it, in the module docstring's order.
 
-        Backtracking revisits the same judgment many times (union arms,
-        application passes, DEAD synthesis); each judgment's candidates are
-        computed once and replayed.  A judgment is keyed on e's position as
-        well as e: terms compare without their positions, and equal
-        subterms at different places each keep their own in the target and
-        in every diagnostic.  A stream keeps the depth budget it was
-        created with; a reentrant pull of a stream that is already running
-        (left recursion) ends that branch of the search.
+        A judgment with no choice in it has one derivation (``_direct``).
+        Otherwise backtracking revisits the same judgment many times (union
+        arms, application passes, DEAD synthesis); each judgment's
+        candidates are computed once and replayed.  A judgment is keyed on e's position as well as
+        e: terms compare without their positions, and equal subterms at
+        different places each keep their own in the target and in every
+        diagnostic.  A stream keeps the depth budget it was created with; a
+        reentrant pull of a stream that is already running (left recursion)
+        ends that branch of the search.
         """
         key = (env, e, e.pos, expected, mode)
         entry = self._memo.get(key)
         if entry is None:
-            entry = self._memo[key] = _MemoEntry(self._synth_raw(env, e, mode, depth, expected))
-        i = 0
-        while True:
-            while i < len(entry.items):
-                yield entry.items[i]
-                i += 1
-            if entry.done or entry.running:
-                return
-            entry.running = True
-            try:
-                nxt = next(entry.gen)
-            except StopIteration:
-                entry.done = True
-                return
-            finally:
-                entry.running = False
-            entry.items.append(nxt)
+            d = self._direct(env, e, depth, expected)
+            entry = self._memo[key] = (
+                (d,) if d else _MemoEntry(self._synth_raw(env, e, mode, depth, expected)))
+        return entry
+
+    def _direct(
+        self, env: RefEnv, e: SrcExpr, depth: int, expected: SrcType | None
+    ) -> tuple[SrcType, TgtExpr, str, Trace] | None:
+        """e's derivation when only the syntax-directed rule applies, here and
+        below, else None: e is a constant, a variable, a let or an
+        application, and no type in the judgment is an intersection or a
+        union at the top, so the other rules yield only repeats of it.
+        Failures are kept too, so a fallback never redoes an attempt."""
+        if depth <= 0 or isinstance(expected, (AndType, OrType)):
+            return None
+        key = (env, e, e.pos, expected)
+        if key in self._directs:
+            return self._directs[key]
+        d = None
+        match e:
+            case Const(con):
+                d = con.source_type, e, FLAG_PLAIN, ("T-Const",)
+            case Var(name):
+                d = env.get(name), e, FLAG_PLAIN, ("T-Var",)
+            case Let(name, bound, body, pos):
+                if d1 := self._direct(env, bound, depth, None):
+                    inner = self.extend(env, name, d1[0])
+                    if d2 := self._direct(inner, body, depth, expected):
+                        w = Let(name, d1[1], d2[1], pos)
+                        d = d2[0], w, FLAG_PLAIN, ("T-Let", d1[3], d2[3])
+            case App(fn, arg, pos):
+                d1 = self._direct(env, fn, depth, None)
+                if d1 and isinstance(d1[0], FunType):
+                    if d2 := self._direct(env, arg, depth, d1[0].dom):
+                        w = App(d1[1], d2[1], pos)
+                        d = d1[0].cod, w, FLAG_PLAIN, ("T-App", d1[3], d2[3])
+        if d is not None and (d[0] is None or isinstance(d[0], (AndType, OrType)) or (
+                expected is not None and not types_equal_basic(d[0], expected))):
+            d = None
+        self._directs[key] = d
+        return d
 
     def _synth_raw(
         self, env: RefEnv, e: SrcExpr, mode: str, depth: int, expected: SrcType | None
@@ -382,8 +430,9 @@ class Elaborator:
         x2 = self.fresh_var()
         env1 = self.extend(env, x1, t0.left)
         env2 = self.extend(env, x2, t0.right)
-        for _, w1, f1, tr1 in self.synth(env1, plug(Var(x1)), mode, depth, expected):
-            for _, w2, f2, tr2 in self.synth(env2, plug(Var(x2)), mode, depth, expected):
+        pos = _pos_of(e0)  # each binder's occurrence stands where e0 stood
+        for _, w1, f1, tr1 in self.synth(env1, plug(Var(x1, pos)), mode, depth, expected):
+            for _, w2, f2, tr2 in self.synth(env2, plug(Var(x2, pos)), mode, depth, expected):
                 flag = f1 if f1 == f2 else FLAG_PLAIN
                 yield (
                     expected,
@@ -413,15 +462,25 @@ def _pos_of(e: SrcExpr) -> Pos:
     return getattr(e, "pos", None)
 
 
-def _check_wf(e: SrcExpr, types: tuple[SrcType, ...]) -> None:
+def _check_wf(e: SrcExpr, types: tuple[SrcType, ...], names: Container[str] = ()) -> None:
     """Raise ElabError on the first ill-formed type of types, placed at e, or
     of e's ascriptions.  Every type the search meets is BOOL, a constant's
-    type or a part of one of these, so the search checks none."""
-    ascribed = [(a.ty, a.pos) for a in syntax.subexprs(e) if isinstance(a, Ascribe)]
-    for t, pos in [(t, _pos_of(e)) for t in types] + ascribed:
+    type or a part of one of these, so the search checks none.  A name an
+    ascribed refinement mentions, other than v, must be bound where it is
+    written: by a binder around the ascription or among ``names``."""
+    ascribed = [a for a in syntax.subexprs(e) if isinstance(a, Ascribe)]
+    for t, pos in [(t, _pos_of(e)) for t in types] + [(a.ty, a.pos) for a in ascribed]:
         report = wf_type(t)
         if not report.ok:
             raise ElabError(f"ill-formed annotation {syntax.print_type(t)}: {report.reason}", pos)
+    if not any(syntax.refined_names(a.ty) for a in ascribed):
+        return
+    for a, bound in syntax.scoped(e):
+        if isinstance(a, Ascribe):
+            for name in sorted(syntax.refined_names(a.ty)):
+                if not bound.get(name) and name not in names:
+                    raise ElabError(f"refinement names unbound variable {name}: "
+                                    f"{syntax.print_type(a.ty)}", a.pos)
 
 
 def elaborate_program(program: Program, search_depth: int = DEFAULT_SEARCH_DEPTH) -> ElabResult:

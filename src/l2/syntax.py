@@ -391,6 +391,26 @@ def free_vars(e: Term) -> frozenset[str]:
     return frozenset(_names(e)[0])
 
 
+def scoped(e: Term) -> Iterator[tuple[Term, dict[str, int]]]:
+    """Every subterm of e in preorder, children left to right, with the
+    binders in scope there, each with its multiplicity.  The map is updated
+    in place as the walk goes on, so read it before the next step."""
+    bound: dict[str, int] = {}
+    stack: list = [e]
+    while stack:
+        e = stack.pop()
+        if type(e) is tuple:  # (name, +1 or -1): entering or leaving a binder's scope
+            bound[e[0]] = bound.get(e[0], 0) + e[1]
+            continue
+        yield e, bound
+        for child, binder in reversed(SHAPES[type(e)][0]):
+            if binder is None:
+                stack.append(getattr(e, child))
+            else:
+                name = getattr(e, binder)
+                stack += ((name, -1), getattr(e, child), (name, 1))
+
+
 def _names(e: Term, refinements: bool = False) -> tuple[set[str], list[str]]:
     """The free names of e, and the names of its binders, repeats included;
     with ``refinements``, a name an ascribed refinement mentions occurs too."""
@@ -409,7 +429,7 @@ def _names(e: Term, refinements: bool = False) -> tuple[set[str], list[str]]:
                 free.add(e.name)
             continue
         if refinements and type(e) is Ascribe:
-            free.update(n for n in _refined_names(e.ty) if not bound.get(n))
+            free.update(n for n in refined_names(e.ty) if not bound.get(n))
         for child, binder in reversed(children):
             if binder is None:
                 stack.append(getattr(e, child))
@@ -558,7 +578,7 @@ def uniquify(e: SrcExpr) -> SrcExpr:
     return done[0]
 
 
-def _refined_names(t: SrcType) -> set[str]:
+def refined_names(t: SrcType) -> set[str]:
     """The names t's refinements mention, but the value variable."""
     names: set[str] = set()
     map_prims(t, lambda p, _: names.update(pred_names(p.refinement)) or p)
@@ -568,7 +588,7 @@ def _refined_names(t: SrcType) -> set[str]:
 def _rename_refinements(t: SrcType, ren: dict[str, str]) -> SrcType:
     """t with the names its refinements mention renamed by ren, all at once
     (a new name may be another's old one); t itself when none is renamed."""
-    repl = {n: LinTerm.of_var(ren[n]) for n in sorted(_refined_names(t)) if ren.get(n, n) != n}
+    repl = {n: LinTerm.of_var(ren[n]) for n in sorted(refined_names(t)) if ren.get(n, n) != n}
     if not repl:
         return t
     return map_prims(t, lambda p, _: PrimType(p.base, subst_names(p.refinement, repl)))

@@ -38,6 +38,23 @@ class TestCheck:
         assert code == 0
         assert out.count("[valid]") == 4
 
+    def test_union_split_cast_has_the_use_position(self, programs_dir, capsys):
+        # the case around the use of u at 4:13 binds a fresh name whose
+        # occurrence stands where u stood, and so does the cast over it
+        code, out, _ = run_cli(
+            ["check", "--explain", str(programs_dir / "union_err.l2")], capsys
+        )
+        assert code == 1
+        assert out.startswith("[invalid] dead-cast at 4:13: (true) => (v = $u3 => false)\n")
+
+    def test_unbound_refinement_name_is_a_phase_1_error(self, tmp_path, capsys):
+        path = tmp_path / "unbound.l2"
+        path.write_text("let f = ((\\z => z) : {v:number | v > y} -> {v:number | v > y}) in f 1\n")
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        assert code == 2
+        assert out == ("phase 1 error: 1:9: refinement names unbound variable y: "
+                       "{v:number | v > y} -> {v:number | v > y}\n")
+
     def test_json_schema(self, programs_dir, capsys):
         code, out, _ = run_cli(
             ["--json", "check", str(programs_dir / "negate_ok.l2")], capsys

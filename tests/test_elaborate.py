@@ -424,3 +424,156 @@ class TestCandidateOrder:
         golden = (pathlib.Path(__file__).resolve().parent / "golden"
                   / "gen_elaboration.golden").read_text().splitlines()
         assert elaboration_lines() == golden
+
+
+def _positions(w) -> list:
+    return [getattr(node, "pos", None) for node in syntax.subexprs(w)]
+
+
+def _elaborated(program: syntax.Program):
+    """What elaborating a program shows: the type, the target with every
+    position, the flag and the rule trace, or the error."""
+    try:
+        r = elaborate_program(program)
+    except ElabError as exc:
+        return str(exc)
+    return r.type, r.target, _positions(r.target), r.flag, r.trace
+
+
+def _checked(e, expected, mode):
+    try:
+        w, flag = check_expr({}, e, expected, mode)
+    except ElabError as exc:
+        return str(exc)
+    return w, _positions(w), flag
+
+
+def _oracle_programs() -> list[tuple[str, syntax.Program]]:
+    """The shipped programs, the corpus, and each benchmark family: diseq
+    nests, let chains, and the inference programs plain and templated."""
+    import random
+
+    from l2.infer import template_program
+    from perfbench import workloads
+
+    named = [(path.name, parser.parse_program(path.read_text()))
+             for path in sorted(PROGRAMS.glob("*.l2"))]
+    named += [(f"gen {seed} {budget}", harness.gen_program(seed, budget))
+              for seed in range(400) for budget in (30, 60)]
+    rng = random.Random(0)
+    texts = [(f"diseq {k}", workloads.diseq_program(k, rng)) for k in range(2, 11)]
+    texts += [(f"chain {n}", workloads.chain_program(n, rng)) for n in (50, 100, 150)]
+    for c in (2, 5):
+        texts += [(f"negate {c}", workloads.negate_infer_program(c)),
+                  (f"width2 {c}", workloads.width2_program(c)),
+                  (f"dependent {c}", workloads.dependent_program(c))]
+    for name, text in texts:
+        program = parser.parse_program(text)
+        named.append((name, program))
+        if name.split()[0] in ("negate", "width2", "dependent"):
+            named.append((f"{name} templated", template_program(program)[0]))
+    return named
+
+
+def _primitive_arguments(programs) -> list[tuple[syntax.SrcExpr, syntax.SrcType]]:
+    """Each closed argument of a primitive in the programs, with the
+    primitive's domain: what ``harness.assumption1_check`` checks."""
+    return [(s.arg, s.fn.con.source_type.dom)
+            for _, program in programs for s in syntax.subexprs(program.main)
+            if isinstance(s, App) and isinstance(s.fn, Const) and s.fn.con.is_function
+            and isinstance(s.fn.con.source_type, FunType) and not syntax.free_vars(s.arg)]
+
+
+class TestDirectDerivation:
+    """A judgment with no choice in it is derived directly.  The search
+    alone, with the direct rule turned off, is the reference: every output
+    must be the same, positions and rule traces included."""
+
+    def test_matches_the_search_alone(self, monkeypatch):
+        programs = _oracle_programs()
+        arguments = _primitive_arguments(programs)
+        assert len(arguments) > 100
+
+        # Each argument is checked on its own elaborator.  With one memo for
+        # all of them, as the harness keeps per trial, a later check's fresh
+        # $u names can differ: without repeats, a head stream capped at
+        # HEAD_CAP may reach candidates the search alone never tried.
+        def observe():
+            return ([_elaborated(program) for _, program in programs],
+                    [_checked(e, dom, mode) for e, dom in arguments for mode in (STRICT, FLEXIBLE)])
+
+        direct, direct_checked = observe()
+        monkeypatch.setattr(Elaborator, "_direct", lambda *_: None)
+        search, search_checked = observe()
+        assert [name for (name, _), a, b in zip(programs, direct, search) if a != b] == []
+        assert direct_checked == search_checked
+
+    @staticmethod
+    def streams(monkeypatch, text: str) -> int:
+        made = []
+        search = Elaborator._synth_raw
+        monkeypatch.setattr(Elaborator, "_synth_raw",
+                            lambda self, *args: made.append(args) or search(self, *args))
+        elaborate_program(parser.parse_program(text))
+        return len(made)
+
+    def test_a_let_chain_runs_no_search(self, monkeypatch):
+        assert self.streams(monkeypatch, let_chain(100)) == 0
+
+    def test_an_overloaded_program_still_searches(self, monkeypatch):
+        assert self.streams(monkeypatch, NEGATE_OK) > 0
+
+    def test_a_failed_attempt_is_not_redone(self, monkeypatch):
+        # The last use is at the wrong type, so no let is derived directly and
+        # the search asks again for every judgment below each one it runs.
+        # Failures are kept, so the attempts stay linear in the chain.
+        tried = []
+        direct = Elaborator._direct
+        monkeypatch.setattr(Elaborator, "_direct", lambda self, *args: (
+            tried.append(args) or direct(self, *args)))
+
+        def attempts(n: int) -> int:
+            tried.clear()
+            text = let_chain(n).replace(f"x{n - 1}\n", f"not x{n - 1}\n")
+            assert "DEAD" in print_target(elaborate_program(parser.parse_program(text)).target)
+            return len(tried)
+
+        assert attempts(60) < 2.5 * attempts(30)
+
+
+UNBOUND_Y = "let f = ((\\z => z) : {v:number | v > y} -> {v:number | v > y}) in f 1\n"
+
+
+class TestUnboundRefinementNames:
+    """A name an ascribed refinement mentions, other than v, must be bound
+    where the refinement is written; otherwise phase 1 reports it at the
+    ascription."""
+
+    def test_an_unbound_name_is_reported_at_the_ascription(self):
+        with pytest.raises(ElabError) as exc:
+            elaborate_program(parser.parse_program(UNBOUND_Y))
+        assert exc.value.pos == (1, 9)
+        assert "unbound variable y" in str(exc.value)
+
+    def test_enclosing_binders_are_in_scope(self):
+        program = parser.parse_program(
+            "let y = 3 in let g = ((\\x => (x : {v:number | v > y && v = x})) "
+            ": {v:number | v > y} -> {v:number | v > y}) in g 4")
+        assert types_equal_basic(elaborate_program(program).type, NUM)
+
+    def test_the_annotated_lambda_does_not_bind_its_own_annotation(self):
+        with pytest.raises(ElabError, match="unbound variable x"):
+            elaborate_program(parser.parse_program(
+                "let f = ((\\x => x) : number -> {v:number | v = x}) in f 5"))
+
+    def test_check_expr_environment_binds(self):
+        e = Ascribe(Const(constants.int_const(1)), parser.parse_type("{v:number | v > y}"))
+        assert check_expr({"y": NUM}, e, NUM) == (Const(constants.int_const(1)), FLAG_PLAIN)
+        with pytest.raises(ElabError, match="unbound variable y"):
+            check_expr({}, e, NUM)
+
+    def test_kappa_templates_are_skipped(self):
+        from l2.infer import template_program
+
+        templated, _ = template_program(parser.parse_program(UNBOUND_Y))
+        assert types_equal_basic(elaborate_program(templated).type, NUM)
